@@ -8,6 +8,7 @@ tags so that mostly-structural grids (lots of -Id and 0) stay cheap.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,61 +60,107 @@ class SpaceSig:
         return len(self.dims_dual)
 
 
-class BlockVector:
-    """Element of a product space, stored as a list of 1-D float arrays."""
+def block_slices(dims):
+    """Slices of a flat product-space array, one per block of ``dims``."""
+    out, pos = [], 0
+    for d in dims:
+        out.append(slice(pos, pos + d))
+        pos += d
+    return out
 
-    __slots__ = ("blocks",)
+
+class BlockVector:
+    """Element of a product space: one contiguous float64 array seen as a
+    sequence of 1-D blocks.
+
+    ``BlockVector(blocks)`` keeps the given blocks and joins them into the
+    flat array only when an operation first needs it; ``wrap`` goes the
+    other way and splits a flat array into block views on demand.  Vectors
+    are values: operations return new vectors and never write into their
+    operands, so blocks and flat array may share memory with each other and
+    with the caller's arrays.
+    """
+
+    __slots__ = ("dims", "_blocks", "_flat")
 
     def __init__(self, blocks):
-        self.blocks = [np.asarray(b, dtype=float).reshape(-1) for b in blocks]
+        self._blocks = [np.asarray(b, dtype=float).reshape(-1) for b in blocks]
+        self.dims = tuple(b.size for b in self._blocks)
+        self._flat = None
+
+    @classmethod
+    def wrap(cls, flat, dims):
+        """View a 1-D float array as blocks of ``dims`` (a tuple of ints),
+        without copying."""
+        vec = object.__new__(cls)
+        vec.dims = dims
+        vec._blocks = None
+        vec._flat = flat
+        return vec
 
     @classmethod
     def zeros(cls, dims):
-        return cls([np.zeros(d) for d in dims])
+        dims = tuple(int(d) for d in dims)
+        return cls.wrap(np.zeros(sum(dims)), dims)
 
     @classmethod
     def from_flat(cls, flat, dims):
-        flat = np.asarray(flat, dtype=float).reshape(-1)
+        flat = np.array(flat, dtype=float).reshape(-1)
+        dims = tuple(int(d) for d in dims)
         if flat.size != sum(dims):
             raise SignatureError(
-                f"flat vector of size {flat.size} cannot be split into blocks {tuple(dims)}"
+                f"flat vector of size {flat.size} cannot be split into blocks {dims}"
             )
-        out, pos = [], 0
-        for d in dims:
-            out.append(flat[pos : pos + d].copy())
-            pos += d
-        return cls(out)
+        return cls.wrap(flat, dims)
 
     @property
-    def dims(self):
-        return tuple(b.size for b in self.blocks)
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = [self._flat[s] for s in block_slices(self.dims)]
+        return self._blocks
 
     def flat(self):
-        return np.concatenate(self.blocks)
+        if self._flat is None:
+            self._flat = np.concatenate(self._blocks)
+        return self._flat
+
+    def split(self, m):
+        """The first m blocks and the rest, as two vectors sharing memory."""
+        f = self.flat()
+        cut = sum(self.dims[:m])
+        return (BlockVector.wrap(f[:cut], self.dims[:m]),
+                BlockVector.wrap(f[cut:], self.dims[m:]))
 
     def copy(self):
-        return BlockVector([b.copy() for b in self.blocks])
+        return BlockVector.wrap(self.flat().copy(), self.dims)
 
     def norm(self):
-        return float(np.sqrt(sum(float(b @ b) for b in self.blocks)))
+        f = self.flat()
+        return math.sqrt(float(f @ f))
 
     def dot(self, other):
-        return float(sum(float(a @ b) for a, b in zip(self.blocks, other.blocks)))
+        return float(self.flat() @ other.flat())
 
     def is_finite(self):
-        return all(np.all(np.isfinite(b)) for b in self.blocks)
+        return bool(np.isfinite(self.flat()).all())
+
+    def _same_space(self, other):
+        if other.dims != self.dims:
+            raise SignatureError(f"blocks {other.dims} do not match {self.dims}")
 
     def __add__(self, other):
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
+        self._same_space(other)
+        return BlockVector.wrap(self.flat() + other.flat(), self.dims)
 
     def __sub__(self, other):
-        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)])
+        self._same_space(other)
+        return BlockVector.wrap(self.flat() - other.flat(), self.dims)
 
     def __rmul__(self, scalar):
-        return BlockVector([scalar * b for b in self.blocks])
+        return BlockVector.wrap(scalar * self.flat(), self.dims)
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self.dims)
 
     def __getitem__(self, i):
         return self.blocks[i]
@@ -203,22 +250,26 @@ class BlockLinearOp:
                 f"{len(entries)} x {set(len(r) for r in entries)}"
             )
         self.entries = [[normalize_entry(e) for e in row] for row in entries]
-        for k in range(sig.K):
-            for i in range(sig.m):
-                e = self.entries[k][i]
-                if e is None:
-                    continue
-                if isinstance(e, float):
-                    if sig.dims_dual[k] != sig.dims_primal[i]:
-                        raise SignatureError(
-                            f"scalar entry ({k},{i}) needs square blocks, got "
-                            f"{sig.dims_dual[k]} x {sig.dims_primal[i]}"
-                        )
-                elif e.shape != (sig.dims_dual[k], sig.dims_primal[i]):
+        self.nonzeros = [
+            (k, i, e) for k, row in enumerate(self.entries)
+            for i, e in enumerate(row) if e is not None
+        ]
+        for k, i, e in self.nonzeros:
+            if isinstance(e, float):
+                if sig.dims_dual[k] != sig.dims_primal[i]:
                     raise SignatureError(
-                        f"entry ({k},{i}) has shape {e.shape}, expected "
-                        f"({sig.dims_dual[k]}, {sig.dims_primal[i]})"
+                        f"scalar entry ({k},{i}) needs square blocks, got "
+                        f"{sig.dims_dual[k]} x {sig.dims_primal[i]}"
                     )
+            elif e.shape != (sig.dims_dual[k], sig.dims_primal[i]):
+                raise SignatureError(
+                    f"entry ({k},{i}) has shape {e.shape}, expected "
+                    f"({sig.dims_dual[k]}, {sig.dims_primal[i]})"
+                )
+        # the nonzeros as slices of flat dual and primal arrays; row-major
+        # order makes every output block sum its terms in index order
+        rows, cols = block_slices(sig.dims_dual), block_slices(sig.dims_primal)
+        self.cells = [(rows[k], cols[i], e) for k, i, e in self.nonzeros]
         if lambda_bound is None:
             lambda_bound = lambda_conservative(self)
         if lambda_bound < 0:
@@ -234,29 +285,21 @@ class BlockLinearOp:
 def apply_block(L, x):
     """Apply the grid: dual block k is sum_i L_ki x_i."""
     check_signature(x, L.sig.dims_primal, "primal")
-    out = []
-    for k in range(L.sig.K):
-        acc = np.zeros(L.sig.dims_dual[k])
-        for i in range(L.sig.m):
-            term = entry_apply(L.entries[k][i], x.blocks[i])
-            if term is not None:
-                acc += term
-        out.append(acc)
-    return BlockVector(out)
+    xf = x.flat()
+    out = np.zeros(sum(L.sig.dims_dual))
+    for rows, cols, e in L.cells:
+        out[rows] += entry_apply(e, xf[cols])
+    return BlockVector.wrap(out, L.sig.dims_dual)
 
 
 def apply_adjoint(L, v):
     """Apply the adjoint grid: primal block i is sum_k L_ki^T v_k."""
     check_signature(v, L.sig.dims_dual, "dual")
-    out = []
-    for i in range(L.sig.m):
-        acc = np.zeros(L.sig.dims_primal[i])
-        for k in range(L.sig.K):
-            term = entry_apply_adjoint(L.entries[k][i], v.blocks[k])
-            if term is not None:
-                acc += term
-        out.append(acc)
-    return BlockVector(out)
+    vf = v.flat()
+    out = np.zeros(sum(L.sig.dims_primal))
+    for rows, cols, e in L.cells:
+        out[cols] += entry_apply_adjoint(e, vf[rows])
+    return BlockVector.wrap(out, L.sig.dims_primal)
 
 
 def lambda_conservative(L):
@@ -265,13 +308,10 @@ def lambda_conservative(L):
     Always a valid norm bound for the stacked operator (Cauchy-Schwarz), if
     generally a loose one.
     """
-    total = 0.0
-    for k in range(L.sig.K):
-        for i in range(L.sig.m):
-            total += entry_norm_sq(
-                L.entries[k][i], L.sig.dims_primal[i], L.sig.dims_dual[k]
-            )
-    return total
+    return sum(
+        entry_norm_sq(e, L.sig.dims_primal[i], L.sig.dims_dual[k])
+        for k, i, e in L.nonzeros
+    )
 
 
 def lambda_power_iteration(L, iters=1000, tol=1e-12):

@@ -64,7 +64,7 @@ class SummableErrorSchedule:
         if nrm == 0.0:
             flat[0] = 1.0
             nrm = 1.0
-        return BlockVector.from_flat(self.norm_at(n) * flat / nrm, dims)
+        return BlockVector.wrap(self.norm_at(n) * flat / nrm, dims)
 
     def __call__(self, n, dims):
         return tuple(self.vec(n, slot, dims) for slot in range(3))
@@ -143,12 +143,14 @@ class FbfTrace:
         return np.array([r[2] for r in self.rows])
 
 
-def fbf_solve(P_resolvent, Q, chi, w0, cfg):
+def fbf_solve(P_resolvent, Q, chi, w0, cfg, callback=None):
     """Run the error-tolerant iteration until the relative fixed-point
     residual ||w_n - p_n|| / max(1, ||w_n||) drops below the tolerance.
 
     P_resolvent(gamma, w) evaluates the resolvent of the set-valued part; Q(w)
     the single-valued part.  chi must upper-bound Q's Lipschitz constant.
+    callback(n, w_n, p_n), when given, runs once per iteration, after the
+    residual is recorded and before the stopping test.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
@@ -178,6 +180,8 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
 
         resid = (w - p).norm()
         trace.rows.append((n, gamma, resid))
+        if callback is not None:
+            callback(n, w, p)
         if resid <= cfg.residual_tol * max(1.0, w.norm()):
             trace.w = w
             trace.p = p

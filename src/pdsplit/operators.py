@@ -40,7 +40,6 @@ __all__ = [
     "shifted_inverse_resolvent",
     "yosida",
     "graph_distance",
-    "resolvent_bisection",
 ]
 
 # Relative slack used when deciding whether a nearly-feasible point counts
@@ -483,48 +482,3 @@ def graph_distance(A, p, u):
     u = np.asarray(u, dtype=float)
     d = float(np.linalg.norm(p - A.resolvent(1.0, p + u)))
     return d / (1.0 + float(np.linalg.norm(p)) + float(np.linalg.norm(u)))
-
-
-def resolvent_bisection(graph, gamma, x, tol=1e-12, max_expand=200):
-    """Oracle-grade resolvent of a scalar maximal monotone graph by bisection.
-
-    ``graph(p)`` returns the (lo, hi) value interval of the operator at the
-    scalar p (+-inf allowed outside the domain).  Solves x in p + gamma A(p).
-    Never used in the solver hot path.
-    """
-    _check_gamma(gamma)
-    x = float(x)
-
-    def side(p):
-        lo, hi = graph(p)
-        w = (x - p) / gamma
-        if w > hi:
-            return -1  # p too small
-        if w < lo:
-            return 1  # p too large
-        return 0
-
-    a, b = x - 1.0, x + 1.0
-    for _ in range(max_expand):
-        if side(a) <= 0:
-            break
-        a = x - 2.0 * (x - a)
-    for _ in range(max_expand):
-        if side(b) >= 0:
-            break
-        b = x + 2.0 * (b - x)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        s = side(mid)
-        if s == 0 and b - a <= tol:
-            return mid
-        if s < 0:
-            a = mid
-        elif s > 0:
-            b = mid
-        else:
-            # inside the graph interval; tighten around mid
-            a, b = mid - 0.5 * (b - a) / 2, mid + 0.5 * (b - a) / 2
-        if b - a <= tol:
-            break
-    return 0.5 * (a + b)

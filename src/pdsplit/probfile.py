@@ -88,6 +88,7 @@ class ProblemFile:
         self.dims = {}       # primal_dims/dual_dims tuples, dim/k1/k2 ints
         self.ops = {}        # role -> {index-or-None: (catalog_id, params)}
         self.entries = {}    # (k, i) -> None | float | ndarray
+        self.entry_lines = {}  # (k, i) -> line number of its entry line
         self.vecs = {}       # name -> 1-D ndarray
         self.config = {}     # solver overrides
 
@@ -216,6 +217,7 @@ def parse_problem(text):
             except ValueError:
                 err("malformed vector component")
         elif key in ("entry", "L"):
+            line_no = i + 1
             if key == "entry":
                 if len(toks) < 4:
                     err("entry needs row, column, and a tag")
@@ -246,6 +248,7 @@ def parse_problem(text):
             else:
                 err(f"unknown entry tag {tag!r}")
             pf.entries[(k - 1, col - 1)] = val
+            pf.entry_lines[(k - 1, col - 1)] = line_no
         elif key == "config":
             if len(toks) != 3 or toks[1] not in CONFIG_KEYS:
                 err(f"config takes one of {CONFIG_KEYS} and a value")
@@ -432,7 +435,19 @@ def _role_single(pf, role, maker):
     return maker(*table[None])
 
 
+def _check_entry_range(pf, K, m):
+    for k, i in pf.entries:
+        if not (0 <= k < K and 0 <= i < m):
+            where = pf.entry_lines.get((k, i))
+            prefix = f"line {where}: " if where is not None else ""
+            raise ParseError(
+                f"{prefix}entry {k + 1} {i + 1} lies outside the {K} x {m} "
+                "coupling grid"
+            )
+
+
 def _grid(pf, sig):
+    _check_entry_range(pf, sig.K, sig.m)
     entries = [
         [pf.entries.get((k, i)) for i in range(sig.m)] for k in range(sig.K)
     ]
@@ -451,6 +466,7 @@ def _split_vec(pf, name, dims):
 
 
 def _column(pf, K):
+    _check_entry_range(pf, K, 1)
     return [pf.entries.get((k, 0)) for k in range(K)]
 
 

@@ -5,8 +5,9 @@ Four front-ends:
 * ParallelSumProblem — one primal variable, K parallel-sum couplings
   (B_k parallel-sum S_k) composed with maps L_k, with a three-way partition
   of the S_k by how they are accessed (resolvent / Lipschitz map /
-  Lipschitz inverse).  Solved by a literal partitioned iteration; an
-  explicit lifting to a CoupledInclusionProblem exists to cross-check it.
+  Lipschitz inverse).  Lifted to a CoupledInclusionProblem with one
+  auxiliary variable per indirectly accessed S_k, solved by the system
+  solver, and unlifted.
 * CommonZeroProblem — relaxation of finding a common zero of A and the
   B_k; a parallel-sum instance with identity couplings.
 * MultivariateMinProblem — structured convex minimization over m blocks
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import (
+# entry_apply_adjoint is unused here but stays importable from this module:
+# bench/tracer.py wraps both entry_apply names in this namespace.
+from .blocks import (  # noqa: F401
     BlockLinearOp,
     BlockVector,
     SpaceSig,
@@ -30,7 +33,6 @@ from .blocks import (
     entry_norm_sq,
     normalize_entry,
 )
-from .fbf import FbfTrace, DivergenceError, gamma_for
 from .operators import (
     ConvexFunction,
     IndicatorFunction,
@@ -44,13 +46,7 @@ from .operators import (
     ZeroOperator,
     graph_distance,
 )
-from .system import (
-    CoupledInclusionProblem,
-    SolveReport,
-    compute_beta,
-    kkt_residual,
-    solve_system,
-)
+from .system import CoupledInclusionProblem, solve_system
 
 __all__ = [
     "ParallelSumProblem",
@@ -81,11 +77,6 @@ class EvaluationError(RuntimeError):
 def _fwd_entry(entry, x, dim_out):
     out = entry_apply(entry, x)
     return np.zeros(dim_out) if out is None else out
-
-
-def _adj_entry(entry, v, dim_in):
-    out = entry_apply_adjoint(entry, v)
-    return np.zeros(dim_in) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -161,179 +152,17 @@ def lift_parallel_sum(p):
     return CoupledInclusionProblem(sig, A, C, p.B, Dinv, L, z, r)
 
 
-def _draw_psum_errors(errors, n, p, gamma):
-    """Draw one product-space error triple over the lifted coordinates and
-    split it into the slots of the partitioned iteration, zeroing the slots
-    that the lifting forces to vanish."""
-    K1, K2, K = p.K1, p.K2, p.K
-    dims = (p.dim,) + p.dual_dims[:K2] + p.dual_dims
-    m = K2 + 1
-    a, b, c = errors(n, dims)
-    a1, a2 = list(a.blocks[:m]), a.blocks[m:]
-    b1 = list(b.blocks[:m])
-    b2 = [-bk / gamma for bk in b.blocks[m:]]
-    c1, c2 = list(c.blocks[:m]), c.blocks[m:]
-    for k in range(K2):
-        if k < K1:
-            a1[k + 1] = np.zeros_like(a1[k + 1])
-            c1[k + 1] = np.zeros_like(c1[k + 1])
-        else:
-            b1[k + 1] = np.zeros_like(b1[k + 1])
-    return a1, a2, b1, b2, c1, c2
-
-
 def solve_parallel_sum(p, cfg):
-    """Literal partitioned iteration for ParallelSumProblem.
+    """Solve the lifted problem with the system solver and unlift it.
 
-    Keeps the auxiliary variables and the three S-access regimes explicit,
-    so every Lipschitz operator is used through forward evaluations only.
-    Iterate-for-iterate this reproduces solve_system on the lifted problem,
-    which the test suite checks.
+    Every Lipschitz S_k enters only through forward evaluations.  The
+    report's primal is x alone; aux holds the auxiliary y_1..y_{K2}, and
+    the trace runs over the lifted (x, y, v) space.
     """
-    K1, K2, K = p.K1, p.K2, p.K
-    lifted = lift_parallel_sum(p)
-    beta = compute_beta(lifted)
-    cfg.check_against(beta)
-
-    x = np.zeros(p.dim)
-    y = [np.zeros(p.dual_dims[k]) for k in range(K2)]
-    v = [np.zeros(d) for d in p.dual_dims]
-    trace = FbfTrace()
-    if cfg.keep_iterates:
-        trace.iterates = [BlockVector([x] + y + v)]
-    resid_primal = []
-    resid_dual = []
-    kkt_rows = []
-
-    p11 = x
-    p1 = list(y)
-    p2 = list(v)
-    for n in range(cfg.max_iters):
-        gamma = gamma_for(cfg, beta, n)
-        if cfg.errors is not None:
-            a1, a2, b1, b2, c1, c2 = _draw_psum_errors(cfg.errors, n, p, gamma)
-        else:
-            a1 = a2 = b1 = b2 = c1 = c2 = None
-
-        Lstar_v = np.zeros(p.dim)
-        for k in range(K):
-            Lstar_v += _adj_entry(p.L[k], v[k], p.dim)
-        fwd = p.C(x) + Lstar_v
-        if a1 is not None:
-            fwd = fwd + a1[0]
-        s11 = x - gamma * fwd
-        p11 = p.A.resolvent(gamma, s11 + gamma * p.z)
-        if b1 is not None:
-            p11 = p11 + b1[0]
-
-        s1 = [None] * K2
-        p1 = [None] * K2
-        for k in range(K2):
-            if k < K1:
-                s1[k] = y[k] + gamma * v[k]
-                p1[k] = p.S[k].resolvent(gamma, s1[k])
-                if b1 is not None:
-                    p1[k] = p1[k] + b1[k + 1]
-            else:
-                fwd = p.S[k](y[k]) - v[k]
-                if a1 is not None:
-                    fwd = fwd + a1[k + 1]
-                s1[k] = y[k] - gamma * fwd
-                p1[k] = s1[k]
-
-        Lp11 = [_fwd_entry(p.L[k], p11, p.dual_dims[k]) for k in range(K)]
-        Lx = [_fwd_entry(p.L[k], x, p.dual_dims[k]) for k in range(K)]
-        s2 = [None] * K
-        p2 = [None] * K
-        v_next = [None] * K
-        for k in range(K):
-            if k < K2:
-                fwd = y[k] - Lx[k]
-            else:
-                fwd = p.S[k](v[k]) - Lx[k]
-            if a2 is not None:
-                fwd = fwd + a2[k]
-            s2_k = v[k] - gamma * fwd
-            inner = p.B[k].resolvent(1.0 / gamma, s2_k / gamma - p.r[k])
-            back = p.r[k] + inner
-            if b2 is not None:
-                back = back + b2[k]
-            p2_k = s2_k - gamma * back
-            if k < K2:
-                fwd2 = p1[k] - Lp11[k]
-            else:
-                fwd2 = p.S[k](p2_k) - Lp11[k]
-            if c2 is not None:
-                fwd2 = fwd2 + c2[k]
-            q2_k = p2_k - gamma * fwd2
-            s2[k] = s2_k
-            p2[k] = p2_k
-            v_next[k] = v[k] - s2_k + q2_k
-
-        Lstar_p2 = np.zeros(p.dim)
-        for k in range(K):
-            Lstar_p2 += _adj_entry(p.L[k], p2[k], p.dim)
-        fwd = p.C(p11) + Lstar_p2
-        if c1 is not None:
-            fwd = fwd + c1[0]
-        q11 = p11 - gamma * fwd
-        x_next = x - s11 + q11
-
-        y_next = [None] * K2
-        for k in range(K2):
-            if k < K1:
-                q1_k = p1[k] + gamma * p2[k]
-            else:
-                fwd = p.S[k](p1[k]) - p2[k]
-                if c1 is not None:
-                    fwd = fwd + c1[k + 1]
-                q1_k = p1[k] - gamma * fwd
-            y_next[k] = y[k] - s1[k] + q1_k
-
-        rp = np.sqrt(
-            float((x - p11) @ (x - p11))
-            + sum(float((y[k] - p1[k]) @ (y[k] - p1[k])) for k in range(K2))
-        )
-        rd = np.sqrt(sum(float((v[k] - p2[k]) @ (v[k] - p2[k])) for k in range(K)))
-        resid = float(np.hypot(rp, rd))
-        resid_primal.append(float(rp))
-        resid_dual.append(float(rd))
-        trace.rows.append((n, gamma, resid))
-        if cfg.kkt_every and n % cfg.kkt_every == 0:
-            full = BlockVector([x] + y)
-            kkt_rows.append((n, *kkt_residual(lifted, full, BlockVector(v))))
-
-        wnorm = np.sqrt(
-            float(x @ x)
-            + sum(float(yk @ yk) for yk in y)
-            + sum(float(vk @ vk) for vk in v)
-        )
-        if resid <= cfg.residual_tol * max(1.0, wnorm):
-            trace.converged = True
-            trace.iterations = n + 1
-            break
-
-        x, y, v = x_next, y_next, v_next
-        if not (
-            np.all(np.isfinite(x))
-            and all(np.all(np.isfinite(yk)) for yk in y)
-            and all(np.all(np.isfinite(vk)) for vk in v)
-        ):
-            raise DivergenceError(f"non-finite iterate at iteration {n}")
-        if cfg.keep_iterates:
-            trace.iterates.append(BlockVector([x] + y + v))
-    else:
-        trace.converged = False
-        trace.iterations = cfg.max_iters
-
-    trace.w = BlockVector([x] + y + v)
-    trace.p = BlockVector([p11] + p1 + p2)
-    kkt = kkt_residual(lifted, BlockVector([x] + y), BlockVector(v))
-    report = SolveReport(
-        BlockVector([x]), BlockVector(v), trace, kkt, kkt_rows,
-        resid_primal, resid_dual,
-    )
-    report.aux = [yk.copy() for yk in y]
+    report = solve_system(lift_parallel_sum(p), cfg)
+    x, y = report.primal.split(1)
+    report.primal = x
+    report.aux = [yk.copy() for yk in y.blocks]
     return report
 
 

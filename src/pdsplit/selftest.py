@@ -18,7 +18,7 @@ from .blocks import (
     lambda_conservative,
     lambda_power_iteration,
 )
-from .fbf import FbfConfig, SummableErrorSchedule, fbf_solve
+from .fbf import SummableErrorSchedule
 from .operators import (
     AffineOperator,
     Ball,
@@ -38,7 +38,6 @@ from .operators import (
     yosida,
 )
 from .probfile import parse_problem, serialize_problem
-from .system import compute_beta, product_space_pair, solve_system
 
 __all__ = ["run_selftest", "SELFTEST_NAMES"]
 
@@ -50,7 +49,6 @@ SELFTEST_NAMES = (
     "moreau_identity",
     "shifted_inverse_resolvent_identity",
     "yosida_lipschitz",
-    "engine_equivalence",
     "error_schedule_determinism",
     "problem_file_roundtrip",
 )
@@ -182,37 +180,6 @@ def _check_yosida(rng, fault):
     return worst <= 0.0, f"max Lipschitz excess {worst:.3e}"
 
 
-def _check_engine_equivalence(rng, fault):
-    from .operators import ScaledIdentityMap, ZeroMap
-    from .system import CoupledInclusionProblem
-
-    sig = SpaceSig((2, 1), (2,))
-    L = BlockLinearOp(
-        [[rng.standard_normal((2, 2)), rng.standard_normal((2, 1))]], sig
-    )
-    prob = CoupledInclusionProblem(
-        sig,
-        [NormalCone(Box(-np.ones(2), np.ones(2))), ScaledIdentity(0.5)],
-        [ScaledIdentityMap(0.3), ZeroMap()],
-        [ScaledIdentity(1.0)],
-        [ScaledIdentityMap(0.2)],
-        L,
-        BlockVector([rng.standard_normal(2), rng.standard_normal(1)]),
-        BlockVector([rng.standard_normal(2)]),
-    )
-    cfg = FbfConfig(max_iters=50, residual_tol=0.0, keep_iterates=True)
-    rep = solve_system(prob, cfg)
-    P, Q = product_space_pair(prob)
-    tr = fbf_solve(
-        P, Q, compute_beta(prob), BlockVector.zeros((2, 1, 2)),
-        FbfConfig(max_iters=50, residual_tol=0.0, keep_iterates=True),
-    )
-    worst = max(
-        (a - b).norm() for a, b in zip(rep.trace.iterates, tr.iterates)
-    )
-    return worst <= 1e-12, f"max iterate gap {worst:.3e}"
-
-
 def _check_error_schedule(rng, fault):
     s1 = SummableErrorSchedule(1.0, 2.0, seed=11)
     s2 = SummableErrorSchedule(1.0, 2.0, seed=11)
@@ -256,7 +223,6 @@ _CHECKS = (
     ("moreau_identity", _check_moreau),
     ("shifted_inverse_resolvent_identity", _check_shifted_inverse),
     ("yosida_lipschitz", _check_yosida),
-    ("engine_equivalence", _check_engine_equivalence),
     ("error_schedule_determinism", _check_error_schedule),
     ("problem_file_roundtrip", _check_roundtrip),
 )

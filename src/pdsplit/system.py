@@ -10,18 +10,32 @@ jointly with dual variables v satisfying
 
 where each A_i, B_k is maximally monotone, C_i is mu_i-Lipschitz monotone,
 D_k^{-1} is nu_k-Lipschitz monotone, and L is a block grid with norm bound
-lambda.  The iteration is the forward-backward-forward scheme applied to a
-primal-dual product-space splitting; it is written out literally per block
-so independent blocks can be evaluated in parallel.
+lambda.  The solver lifts the system to one inclusion on the primal x dual
+product space, the sum of a maximally monotone operator and a monotone
+Lipschitz one (``product_space_pair``), runs the forward-backward-forward
+engine ``fbf_solve`` on it, and splits the result back into x and v.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from .blocks import BlockVector, apply_adjoint, apply_block, check_signature
-from .fbf import FbfTrace, DivergenceError, gamma_for
-from .operators import ParameterError, graph_distance, shifted_inverse_resolvent
+from .blocks import (
+    BlockVector,
+    apply_adjoint,
+    apply_block,
+    block_slices,
+    check_signature,
+)
+from .fbf import FbfTrace, fbf_solve
+from .operators import (
+    ParameterError,
+    ZeroMap,
+    graph_distance,
+    shifted_inverse_resolvent,
+)
 
 __all__ = [
     "CoupledInclusionProblem",
@@ -79,73 +93,79 @@ def compute_beta(prob):
 def product_space_pair(prob):
     """The set-valued/single-valued pair the iteration splits.
 
-    Returns (P_resolvent, Q) acting on stacked (x, v) block vectors.  The
-    literal per-block solver is equivalent to running the generic engine on
-    this pair, which the test suite checks iterate-for-iterate.
-    """
-    m, K = prob.sig.m, prob.sig.K
+    Returns (P_resolvent, Q) acting on stacked (x, v) block vectors:
 
-    def split(w):
-        return BlockVector(w.blocks[:m]), BlockVector(w.blocks[m:])
+        P_resolvent(gamma, (x, v)) = (J_{gamma A_i}(x_i + gamma z_i),
+                                      J_{gamma (r_k + B_k^{-1})}(v_k))
+        Q(x, v) = (C_i x_i + sum_k L_ki^* v_k,  Dinv_k v_k - sum_i L_ki x_i)
+
+    Q is monotone, the skew coupling term included, and beta-Lipschitz.
+    Each block is read and written through a fixed slice of the flat
+    product-space array; ZeroMap terms of Q are skipped.
+    """
+    sig = prob.sig
+    dims = sig.dims_primal + sig.dims_dual
+    size = sum(dims)
+    n_primal = sum(sig.dims_primal)
+    slices = block_slices(dims)
+    xs, vs = slices[: sig.m], slices[sig.m :]
+    primal_res = list(zip(prob.A, xs, prob.z.blocks))
+    dual_res = list(zip(prob.B, vs, prob.r.blocks))
+    forward = [
+        (op, sl) for op, sl in zip(prob.C + prob.Dinv, slices)
+        if not isinstance(op, ZeroMap)
+    ]
 
     def P_resolvent(gamma, w):
-        x, v = split(w)
-        px = [
-            prob.A[i].resolvent(gamma, x[i] + gamma * prob.z[i]) for i in range(m)
-        ]
-        pv = [
-            shifted_inverse_resolvent(prob.B[k], prob.r[k], gamma, v[k])
-            for k in range(K)
-        ]
-        return BlockVector(px + pv)
+        f = w.flat()
+        out = np.empty(size)
+        for op, sl, zi in primal_res:
+            out[sl] = op.resolvent(gamma, f[sl] + gamma * zi)
+        for op, sl, rk in dual_res:
+            out[sl] = shifted_inverse_resolvent(op, rk, gamma, f[sl])
+        return BlockVector.wrap(out, dims)
 
     def Q(w):
-        x, v = split(w)
-        Lstar_v = apply_adjoint(prob.L, v)
-        Lx = apply_block(prob.L, x)
-        qx = [prob.C[i](x[i]) + Lstar_v[i] for i in range(m)]
-        qv = [prob.Dinv[k](v[k]) - Lx[k] for k in range(K)]
-        return BlockVector(qx + qv)
+        x, v = w.split(sig.m)
+        f = w.flat()
+        out = np.empty(size)
+        out[:n_primal] = apply_adjoint(prob.L, v).flat()
+        np.negative(apply_block(prob.L, x).flat(), out=out[n_primal:])
+        for op, sl in forward:
+            out[sl] += op(f[sl])
+        return BlockVector.wrap(out, dims)
 
     return P_resolvent, Q
 
 
+@dataclass(eq=False)
 class SolveReport:
-    """Solver output: primal/dual points, trace, and KKT residuals."""
+    """Solver output: primal/dual points, trace, and KKT residuals.
 
-    def __init__(self, primal, dual, trace, kkt, kkt_rows=None,
-                 resid_primal=None, resid_dual=None):
-        self.primal = primal
-        self.dual = dual
-        self.trace = trace
-        self.kkt = kkt
-        self.kkt_rows = kkt_rows if kkt_rows is not None else []
-        self.resid_primal = resid_primal if resid_primal is not None else []
-        self.resid_dual = resid_dual if resid_dual is not None else []
+    resid_primal and resid_dual hold ||x_n - p1_n|| and ||v_n - p2_n|| per
+    iteration; kkt_rows holds (n, primal, dual) every cfg.kkt_every
+    iterations; aux holds a reduction's auxiliary variables, when it has any.
+    """
+
+    primal: BlockVector
+    dual: BlockVector
+    trace: FbfTrace
+    kkt: tuple
+    kkt_rows: list = field(default_factory=list)
+    resid_primal: list = field(default_factory=list)
+    resid_dual: list = field(default_factory=list)
+    aux: list | None = None
 
     @property
     def converged(self):
         return self.trace.converged
 
 
-def _split_errors(errors, n, dims_primal, dims_dual, gamma):
-    """Draw one product-space error triple and identify the per-slot pieces
-    used by the literal iteration.  The resolvent-error sign on the dual side
-    absorbs the -gamma factor so that literal and engine runs coincide."""
-    dims = tuple(dims_primal) + tuple(dims_dual)
-    m = len(dims_primal)
-    a, b, c = errors(n, dims)
-    a1, a2 = a.blocks[:m], a.blocks[m:]
-    b1 = b.blocks[:m]
-    b2 = [-bk / gamma for bk in b.blocks[m:]]
-    c1, c2 = c.blocks[:m], c.blocks[m:]
-    return a1, a2, b1, b2, c1, c2
-
-
 def solve_system(prob, cfg):
-    """Run the coupled primal-dual iteration.
+    """Solve the system with the forward-backward-forward engine.
 
-    Per iteration, with step gamma in [epsilon, (1-epsilon)/beta]:
+    Per iteration, with step gamma in [epsilon, (1-epsilon)/beta], the
+    engine's steps on the pair of ``product_space_pair`` read per block:
 
         s1_i = x_i - gamma (C_i x_i + sum_k L_ki^T v_k)
         p1_i = J_{gamma A_i}(s1_i + gamma z_i)
@@ -158,108 +178,23 @@ def solve_system(prob, cfg):
 
     plus optional summable perturbations in each evaluation.
     """
-    m, K = prob.sig.m, prob.sig.K
     beta = compute_beta(prob)
-    cfg.check_against(beta)
+    P_resolvent, Q = product_space_pair(prob)
+    m = prob.sig.m
+    resid_primal, resid_dual, kkt_rows = [], [], []
 
-    x = BlockVector.zeros(prob.sig.dims_primal)
-    v = BlockVector.zeros(prob.sig.dims_dual)
-    trace = FbfTrace()
-    if cfg.keep_iterates:
-        trace.iterates = [BlockVector(list(x.blocks) + list(v.blocks))]
-    resid_primal = []
-    resid_dual = []
-    kkt_rows = []
-
-    p1 = x
-    p2 = v
-    for n in range(cfg.max_iters):
-        gamma = gamma_for(cfg, beta, n)
-        if cfg.errors is not None:
-            a1, a2, b1, b2, c1, c2 = _split_errors(
-                cfg.errors, n, prob.sig.dims_primal, prob.sig.dims_dual, gamma
-            )
-        else:
-            a1 = a2 = b1 = b2 = c1 = c2 = None
-
-        Lstar_v = apply_adjoint(prob.L, v)
-        Lx = apply_block(prob.L, x)
-
-        s1 = []
-        p1 = []
-        for i in range(m):
-            fwd = prob.C[i](x[i]) + Lstar_v[i]
-            if a1 is not None:
-                fwd = fwd + a1[i]
-            s1_i = x[i] - gamma * fwd
-            p1_i = prob.A[i].resolvent(gamma, s1_i + gamma * prob.z[i])
-            if b1 is not None:
-                p1_i = p1_i + b1[i]
-            s1.append(s1_i)
-            p1.append(p1_i)
-        p1 = BlockVector(p1)
-
-        Lp1 = apply_block(prob.L, p1)
-        s2 = []
-        p2 = []
-        v_next = []
-        for k in range(K):
-            fwd = prob.Dinv[k](v[k]) - Lx[k]
-            if a2 is not None:
-                fwd = fwd + a2[k]
-            s2_k = v[k] - gamma * fwd
-            inner = prob.B[k].resolvent(1.0 / gamma, s2_k / gamma - prob.r[k])
-            back = prob.r[k] + inner
-            if b2 is not None:
-                back = back + b2[k]
-            p2_k = s2_k - gamma * back
-            fwd2 = prob.Dinv[k](p2_k) - Lp1[k]
-            if c2 is not None:
-                fwd2 = fwd2 + c2[k]
-            q2_k = p2_k - gamma * fwd2
-            s2.append(s2_k)
-            p2.append(p2_k)
-            v_next.append(v[k] - s2_k + q2_k)
-        p2 = BlockVector(p2)
-
-        Lstar_p2 = apply_adjoint(prob.L, p2)
-        x_next = []
-        for i in range(m):
-            fwd = prob.C[i](p1[i]) + Lstar_p2[i]
-            if c1 is not None:
-                fwd = fwd + c1[i]
-            q1_i = p1[i] - gamma * fwd
-            x_next.append(x[i] - s1[i] + q1_i)
-
-        rp = (x - p1).norm()
-        rd = (v - p2).norm()
-        resid = float(np.hypot(rp, rd))
-        resid_primal.append(rp)
-        resid_dual.append(rd)
-        trace.rows.append((n, gamma, resid))
+    def record(n, w, p):
+        dx, dv = (w - p).split(m)
+        resid_primal.append(dx.norm())
+        resid_dual.append(dv.norm())
         if cfg.kkt_every and n % cfg.kkt_every == 0:
-            kkt_rows.append((n, *kkt_residual(prob, x, v)))
+            kkt_rows.append((n, *kkt_residual(prob, *w.split(m))))
 
-        wnorm = float(np.hypot(x.norm(), v.norm()))
-        if resid <= cfg.residual_tol * max(1.0, wnorm):
-            trace.converged = True
-            trace.iterations = n + 1
-            break
-
-        x = BlockVector(x_next)
-        v = BlockVector(v_next)
-        if not (x.is_finite() and v.is_finite()):
-            raise DivergenceError(f"non-finite iterate at iteration {n}")
-        if cfg.keep_iterates:
-            trace.iterates.append(BlockVector(list(x.blocks) + list(v.blocks)))
-    else:
-        trace.converged = False
-        trace.iterations = cfg.max_iters
-
-    trace.w = BlockVector(list(x.blocks) + list(v.blocks))
-    trace.p = BlockVector(list(p1.blocks) + list(p2.blocks))
-    kkt = kkt_residual(prob, x, v)
-    return SolveReport(x, v, trace, kkt, kkt_rows, resid_primal, resid_dual)
+    w0 = BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual)
+    trace = fbf_solve(P_resolvent, Q, beta, w0, cfg, record)
+    x, v = trace.w.split(m)
+    return SolveReport(x, v, trace, kkt_residual(prob, x, v), kkt_rows,
+                       resid_primal, resid_dual)
 
 
 def kkt_residual(prob, x, v):

@@ -28,9 +28,7 @@ from pdsplit import (
     check_consistency_theorem,
     compute_beta,
     evaluate_objectives,
-    fbf_solve,
     lift_parallel_sum,
-    product_space_pair,
     solve_common_zero,
     solve_feasibility_relaxation,
     solve_multivariate_min,
@@ -46,6 +44,7 @@ from pdsplit.demos import (
 )
 from pdsplit.selftest import run_selftest
 from conftest import random_coupled_problem, random_parallel_sum
+from oracles import parallel_sum_iterates, system_iterates
 
 
 def verdict(name, ok, detail):
@@ -60,15 +59,15 @@ def test_01_engine_equivalence():
     for _ in range(20):
         prob = random_coupled_problem(rng)
         errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
-        mk = lambda: FbfConfig(max_iters=50, residual_tol=0.0,
-                               keep_iterates=True, errors=errors)
-        rep = solve_system(prob, mk())
-        P, Q = product_space_pair(prob)
-        w0 = BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual)
-        tr = fbf_solve(P, Q, compute_beta(prob), w0, mk())
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0,
+                        keep_iterates=True, errors=errors)
+        rep = solve_system(prob, cfg)
+        gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
+        ref = system_iterates(prob, gamma, 50, errors)
         worst = max(
             worst,
-            max((a - b).norm() for a, b in zip(rep.trace.iterates, tr.iterates)),
+            max(np.linalg.norm(a.flat() - b)
+                for a, b in zip(rep.trace.iterates, ref)),
         )
     elapsed = time.perf_counter() - t0
     verdict(
@@ -300,14 +299,14 @@ def test_10_lifting_soundness():
     worst = 0.0
     for _ in range(10):
         p = random_parallel_sum(rng)
-        mk = lambda: FbfConfig(max_iters=50, residual_tol=0.0,
-                               keep_iterates=True)
-        rep = solve_parallel_sum(p, mk())
-        rep2 = solve_system(lift_parallel_sum(p), mk())
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0, keep_iterates=True)
+        rep = solve_parallel_sum(p, cfg)
+        gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
+        ref = parallel_sum_iterates(p, gamma, 50)
         worst = max(
             worst,
-            max((a - b).norm()
-                for a, b in zip(rep.trace.iterates, rep2.trace.iterates)),
+            max(np.linalg.norm(a.flat() - b)
+                for a, b in zip(rep.trace.iterates, ref)),
         )
     verdict("lifting-soundness", worst <= 1e-12,
             f"10 instances, max iterate gap {worst:.2e}")

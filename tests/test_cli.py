@@ -59,6 +59,14 @@ def test_solve_exit_one_on_unknown_catalog_id(tmp_path, capsys):
     assert "mystery_op" in capsys.readouterr().err
 
 
+def test_solve_exit_one_on_out_of_range_entry(tmp_path, capsys):
+    bad = tmp_path / "off_grid.prob"
+    bad.write_text(FEAS_TEXT.replace("entry 2 1 identity", "entry 5 7 identity"))
+    assert main(["solve", str(bad), "--output-dir", str(tmp_path)]) == 1
+    assert "line 8: entry 5 7" in capsys.readouterr().err
+    assert not (tmp_path / "off_grid.summary").exists()
+
+
 def test_solve_exit_one_on_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.prob")]) == 1
 

@@ -26,7 +26,7 @@ from pdsplit import (
     shifted_inverse_resolvent,
     yosida,
 )
-from pdsplit.operators import resolvent_bisection
+from oracles import resolvent_bisection
 
 
 def catalog_resolvents(rng, d):

@@ -161,6 +161,26 @@ def test_missing_declarations_raise():
         ))
 
 
+def test_out_of_range_entry_in_grid_names_line():
+    # 'entry 5 7' is line 11 here, past the 1 x 2 grid of MULTIVAR_TEXT
+    text = MULTIVAR_TEXT.replace("entry 1 2 scale -1", "entry 5 7 scale 1")
+    with pytest.raises(ParseError, match="line 11: entry 5 7 .* 1 x 2"):
+        build_problem(parse_problem(text))
+    text = MULTIVAR_TEXT.replace("entry 1 2 scale -1", "entry 0 1 scale 1")
+    with pytest.raises(ParseError, match="line 11: entry 0 1"):
+        build_problem(parse_problem(text))
+
+
+def test_out_of_range_entry_in_column_names_line():
+    # a feasibility problem couples through one column: 'entry 2 2' is off it
+    text = FEASIBILITY_TEXT.replace("entry 2 1 identity", "entry 2 2 identity")
+    with pytest.raises(ParseError, match="line 8: entry 2 2 .* 2 x 1"):
+        build_problem(parse_problem(text))
+    text = FEASIBILITY_TEXT + "L 3 identity\n"
+    with pytest.raises(ParseError, match="line 9: entry 3 1"):
+        build_problem(parse_problem(text))
+
+
 def test_config_keys_typed():
     pf = parse_problem(
         "problem common_zero\ndim 1\nop A zero\nop B 1 zero\n"

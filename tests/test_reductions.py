@@ -28,6 +28,7 @@ from pdsplit import (
     ZeroOperator,
     check_consistency_theorem,
     check_qualification,
+    compute_beta,
     evaluate_objectives,
     lift_parallel_sum,
     relaxation_objective,
@@ -35,17 +36,16 @@ from pdsplit import (
     solve_feasibility_relaxation,
     solve_multivariate_min,
     solve_parallel_sum,
-    solve_system,
     solve_univariate_min,
     zero_smooth,
 )
-from pdsplit.operators import resolvent_bisection
 from pdsplit.demos import (
     get_demo,
     legendre_normal_equations,
     projected_gradient_oracle,
 )
 from conftest import random_parallel_sum
+from oracles import parallel_sum_iterates, resolvent_bisection
 
 
 # --- lifting -----------------------------------------------------------------
@@ -84,15 +84,12 @@ def test_lift_shapes(rng):
 def test_lifting_soundness_iterates_match(rng):
     for _ in range(5):
         p = random_parallel_sum(rng)
-        cfg = lambda: FbfConfig(max_iters=50, residual_tol=0.0,
-                                keep_iterates=True)
-        rep = solve_parallel_sum(p, cfg())
-        rep2 = solve_system(lift_parallel_sum(p), cfg())
-        gaps = [
-            (a - b).norm()
-            for a, b in zip(rep.trace.iterates, rep2.trace.iterates)
-        ]
-        assert max(gaps) <= 1e-12
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0, keep_iterates=True)
+        rep = solve_parallel_sum(p, cfg)
+        gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
+        ref = parallel_sum_iterates(p, gamma, 50)
+        gaps = [np.linalg.norm(a.flat() - b) for a, b in zip(rep.trace.iterates, ref)]
+        assert len(gaps) == 51 and max(gaps) <= 1e-12
 
 
 # --- parallel-sum solving ----------------------------------------------------

@@ -16,12 +16,11 @@ from pdsplit import (
     SummableErrorSchedule,
     ZeroMap,
     compute_beta,
-    fbf_solve,
     kkt_residual,
-    product_space_pair,
     solve_system,
 )
 from conftest import random_coupled_problem
+from oracles import system_iterates
 
 
 def two_box_problem():
@@ -116,14 +115,13 @@ def test_engine_equivalence_iterate_for_iterate(rng):
     for _ in range(5):
         prob = random_coupled_problem(rng)
         errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
-        cfg = lambda: FbfConfig(max_iters=50, residual_tol=0.0,
-                                keep_iterates=True, errors=errors)
-        rep = solve_system(prob, cfg())
-        P, Q = product_space_pair(prob)
-        w0 = BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual)
-        tr = fbf_solve(P, Q, compute_beta(prob), w0, cfg())
-        gaps = [(a - b).norm() for a, b in zip(rep.trace.iterates, tr.iterates)]
-        assert max(gaps) <= 1e-12
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0,
+                        keep_iterates=True, errors=errors)
+        rep = solve_system(prob, cfg)
+        gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
+        ref = system_iterates(prob, gamma, 50, errors)
+        gaps = [np.linalg.norm(a.flat() - b) for a, b in zip(rep.trace.iterates, ref)]
+        assert len(gaps) == 51 and max(gaps) <= 1e-12
 
 
 def test_kkt_invariant_across_gamma_choices():
