@@ -15,9 +15,26 @@ from pathlib import Path
 
 from .fbf import DivergenceError, FbfConfig, SummableErrorSchedule
 from .operators import ParameterError
-from .probfile import CATALOG_IDS, KINDS, ParseError, build_problem, parse_problem
+from .probfile import (
+    CATALOG_IDS,
+    CONFIG_KEYS,
+    KINDS,
+    ParseError,
+    build_problem,
+    parse_problem,
+)
+from .reductions import (
+    EvaluationError,
+    dual_objective,
+    primal_objective,
+    relaxation_objective,
+)
 
 CSV_HEADER = "iter,gamma,fixedpoint_residual,primal_kkt,dual_kkt,primal_obj,dual_obj,gap"
+
+# config keys that are FbfConfig fields, and the field each one sets
+_FBF_FIELDS = {"epsilon": "epsilon", "gamma": "gamma", "max_iters": "max_iters",
+               "tol": "residual_tol"}
 
 
 def _fmt(x):
@@ -27,54 +44,34 @@ def _fmt(x):
 def make_config(file_cfg, args):
     """Merge problem-file config with command-line overrides (which win)."""
     merged = dict(file_cfg)
-    for key, attr in (
-        ("gamma", "gamma"),
-        ("epsilon", "epsilon"),
-        ("max_iters", "max_iters"),
-        ("tol", "tol"),
-        ("error_eta", "error_eta"),
-        ("error_p", "error_p"),
-        ("seed", "seed"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            merged[key] = val
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     errors = None
-    eta = merged.get("error_eta", 0.0)
-    if eta:
+    if merged.get("error_eta", 0.0):
         errors = SummableErrorSchedule(
-            eta, merged.get("error_p", 2.0), int(merged.get("seed", 0))
+            merged["error_eta"], merged.get("error_p", 2.0), int(merged.get("seed", 0))
         )
-    kwargs = {}
-    if "epsilon" in merged:
-        kwargs["epsilon"] = merged["epsilon"]
-    if "gamma" in merged:
-        kwargs["gamma"] = merged["gamma"]
-    if "max_iters" in merged:
-        kwargs["max_iters"] = int(merged["max_iters"])
-    if "tol" in merged:
-        kwargs["residual_tol"] = merged["tol"]
+    kwargs = {_FBF_FIELDS[k]: v for k, v in merged.items() if k in _FBF_FIELDS}
     return FbfConfig(errors=errors, **kwargs)
 
 
 def _final_objectives(kind, prob, report):
-    """(primal_obj, dual_obj, gap) or Nones where unavailable."""
+    """(primal_obj, dual_obj, gap), with None for what has no evaluator."""
+
+    def value(fn, *args):
+        try:
+            return fn(*args)
+        except (EvaluationError, NotImplementedError):
+            return None
+
+    p = d = None
     if kind == "multivar_min":
-        try:
-            from .reductions import evaluate_objectives
-
-            p, d = evaluate_objectives(prob, report.primal, report.dual)
-            return p, d, p + d
-        except Exception:
-            return None, None, None
-    if kind == "feasibility":
-        try:
-            from .reductions import relaxation_objective
-
-            return relaxation_objective(prob, report.primal.flat()), None, None
-        except Exception:
-            return None, None, None
-    return None, None, None
+        p = value(primal_objective, prob, report.primal)
+        d = value(dual_objective, prob, report.dual)
+    elif kind == "feasibility":
+        p = value(relaxation_objective, prob, report.primal.flat())
+    return p, d, None if p is None or d is None else p + d
 
 
 def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):

@@ -92,9 +92,11 @@ class FbfConfig:
     ):
         if not 0 < epsilon < 1:
             raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-        if max_iters < 1:
+        if gamma is not None and not gamma > 0:
+            raise ParameterError(f"gamma must be positive, got {gamma}")
+        if not max_iters >= 1:
             raise ParameterError("max_iters must be >= 1")
-        if residual_tol < 0:
+        if not residual_tol >= 0:
             raise ParameterError("residual_tol must be nonnegative")
         self.epsilon = float(epsilon)
         self.gamma = None if gamma is None else float(gamma)

@@ -79,8 +79,8 @@ class Box(ConvexSet):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float).reshape(-1)
         self.hi = np.asarray(hi, dtype=float).reshape(-1)
-        if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
-            raise ParameterError("box needs lo <= hi componentwise")
+        if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
+            raise ParameterError("box needs lo <= hi componentwise, without NaN")
         self.label = "box"
 
     def project(self, x):
@@ -91,7 +91,7 @@ class Ball(ConvexSet):
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float).reshape(-1)
         self.radius = float(radius)
-        if self.radius < 0:
+        if not self.radius >= 0:
             raise ParameterError("radius must be nonnegative")
         self.label = "ball"
 
@@ -173,7 +173,7 @@ class ScaledIdentity(MonotoneOperator):
     """c * Id with c >= 0; resolvent x / (1 + gamma c)."""
 
     def __init__(self, c):
-        if c < 0:
+        if not c >= 0:
             raise ParameterError("scaled identity needs c >= 0 for monotonicity")
         self.c = float(c)
         self.label = f"scaled_identity(c={self.c})"
@@ -256,7 +256,7 @@ class ZeroMap(LipschitzOperator):
 
 class ScaledIdentityMap(LipschitzOperator):
     def __init__(self, c):
-        if c < 0:
+        if not c >= 0:
             raise ParameterError("scaled identity map needs c >= 0")
         self.c = float(c)
         super().__init__(lambda x: self.c * np.asarray(x, dtype=float), self.c,
@@ -368,7 +368,7 @@ class L1Norm(ConvexFunction):
     real_valued = True
 
     def __init__(self, weight=1.0):
-        if weight < 0:
+        if not weight >= 0:
             raise ParameterError("l1 weight must be nonnegative")
         self.weight = float(weight)
 

@@ -17,50 +17,37 @@ A problem file looks like
     vec r 0
     config gamma 0.2
 
-Dense matrices appear as whitespace-separated rows between an ``entry k i
-dense`` line and an ``end`` line.  Vector-valued operator parameters use
-commas (``lo=0,0``), matrix-valued ones semicolons between rows
-(``M=2,0;0,2``).  Lines starting with '#' are comments.  Indices are
-1-based in files.
+One directive per line, indices 1-based, '#' starts a comment line.  Dense
+matrices are whitespace-separated rows between ``entry k i dense`` and
+``end``.  Vector parameters use commas (``lo=0,0``), matrices semicolons
+between rows (``M=2,0;0,2``); a single number stands for the constant
+vector (or multiple of the identity) of the operator's block size.
+
+Reading is strict: a second line for the same slot, a malformed or NaN
+number (±inf passes), or a directive that ``build_problem`` does not read
+for the kind is a ``ParseError`` starting with its line.  The catalog is
+one table of constructors per family; ``CATALOG_IDS`` and ``pdsplit
+list-catalog`` are derived from it.  The README lists what each kind reads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .blocks import BlockLinearOp, BlockVector, SpaceSig
 from .operators import (
-    AffineMap,
-    AffineOperator,
-    Ball,
-    Box,
-    Halfspace,
-    Hyperplane,
-    IndicatorFunction,
-    L1Norm,
-    NormalCone,
-    Point,
-    QuadraticDistance,
-    ScaledIdentity,
-    ScaledIdentityMap,
-    SquaredNorm,
-    ZeroFunction,
-    ZeroMap,
-    ZeroOperator,
+    AffineMap, AffineOperator, Ball, Box, Halfspace, Hyperplane,
+    IndicatorFunction, L1Norm, NormalCone, ParameterError, Point,
+    QuadraticDistance, ScaledIdentity, ScaledIdentityMap, SquaredNorm,
+    ZeroFunction, ZeroMap, ZeroOperator,
 )
 from .reductions import (
-    CommonZeroProblem,
-    FeasibilityRelaxation,
-    MultivariateMinProblem,
-    ParallelSumProblem,
-    Smooth,
-    UnivariateMinProblem,
-    solve_common_zero,
-    solve_feasibility_relaxation,
-    solve_multivariate_min,
-    solve_parallel_sum,
-    solve_univariate_min,
-    zero_smooth,
+    CommonZeroProblem, FeasibilityRelaxation, MultivariateMinProblem,
+    ParallelSumProblem, Smooth, UnivariateMinProblem, zero_smooth,
+    solve_common_zero, solve_feasibility_relaxation, solve_multivariate_min,
+    solve_parallel_sum, solve_univariate_min,
 )
 from .system import CoupledInclusionProblem, solve_system
 
@@ -72,6 +59,9 @@ KINDS = ("system", "parallel_sum", "common_zero", "multivar_min",
 
 CONFIG_KEYS = ("gamma", "epsilon", "max_iters", "tol", "error_eta",
                "error_p", "seed")
+
+# dimension directives and the least value each of their integers may take
+_DIM_MIN = {"primal_dims": 1, "dual_dims": 1, "dim": 1, "k1": 0, "k2": 0}
 
 
 class ParseError(ValueError):
@@ -88,61 +78,67 @@ class ProblemFile:
         self.dims = {}       # primal_dims/dual_dims tuples, dim/k1/k2 ints
         self.ops = {}        # role -> {index-or-None: (catalog_id, params)}
         self.entries = {}    # (k, i) -> None | float | ndarray
-        self.entry_lines = {}  # (k, i) -> line number of its entry line
         self.vecs = {}       # name -> 1-D ndarray
         self.config = {}     # solver overrides
+        self.lines = {}      # slot of each directive -> its line number
 
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
             return NotImplemented
-        if self.kind != other.kind or self.dims != other.dims:
-            return False
-        if self.config != other.config or self.vecs.keys() != other.vecs.keys():
-            return False
-        if any(not np.array_equal(self.vecs[k], other.vecs[k]) for k in self.vecs):
-            return False
-        if self.ops.keys() != other.ops.keys():
-            return False
-        for role in self.ops:
-            a, b = self.ops[role], other.ops[role]
-            if a.keys() != b.keys():
-                return False
-            for idx in a:
-                if a[idx][0] != b[idx][0] or not _params_equal(a[idx][1], b[idx][1]):
-                    return False
-        if self.entries.keys() != other.entries.keys():
-            return False
-        return all(
-            _entry_equal(self.entries[k], other.entries[k]) for k in self.entries
-        )
+        return _same(
+            (self.kind, self.dims, self.ops, self.entries, self.vecs, self.config),
+            (other.kind, other.dims, other.ops, other.entries, other.vecs,
+             other.config))
 
 
-def _params_equal(a, b):
-    if a.keys() != b.keys():
+def _same(a, b):
+    """Equal parsed values: containers item by item, arrays exactly."""
+    if type(a) is not type(b):
         return False
-    return all(np.array_equal(a[k], b[k]) for k in a)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-def _entry_equal(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, float) or isinstance(b, float):
-        return isinstance(a, float) and isinstance(b, float) and a == b
-    return np.array_equal(a, b)
+# A slot is what one directive fills, as a tuple of its leading tokens:
+# ('dim',), ('op', 'f', 1), ('op', 'A'), ('entry', 2, 1), ('vec', 'z'), ...
+
+
+def _op_slot(role, idx):
+    return ("op", role) if idx is None else ("op", role, idx + 1)
+
+
+def _text(slot):
+    return " ".join(map(str, slot))
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
+def _number(cast, tok, line):
+    """tok converted by cast (int or float), the one place where a file's
+    numbers are read.  A malformed token or a NaN raises a ParseError that
+    names the line; ±inf passes."""
+    try:
+        val = cast(tok)
+    except ValueError:
+        val = math.nan
+    if val != val:
+        what = "an integer" if cast is int else "a number"
+        raise ParseError(f"line {line}: {tok!r} is not {what}")
+    return val
 
-def _parse_value(tok):
-    if ";" in tok:
-        return np.array(
-            [[float(x) for x in row.split(",")] for row in tok.split(";")]
-        )
-    if "," in tok:
-        return np.array([float(x) for x in tok.split(",")])
-    return float(tok)
+
+def _param_value(tok, line):
+    if "," not in tok and ";" not in tok:
+        return _number(float, tok, line)
+    rows = [[_number(float, t, line) for t in row.split(",")]
+            for row in tok.split(";")]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError(f"line {line}: matrix {tok!r} has ragged rows")
+    return np.array(rows if ";" in tok else rows[0])
 
 
 def _format_value(val):
@@ -159,110 +155,102 @@ def parse_problem(text):
     pf = None
     i = 0
 
-    def err(msg):
-        raise ParseError(f"line {i + 1}: {msg}")
+    def fail(msg):
+        raise ParseError(f"line {line}: {msg}")
 
     while i < len(lines):
-        raw = lines[i].strip()
-        if not raw or raw.startswith("#"):
-            i += 1
+        toks = lines[i].split()
+        i += 1
+        line = i
+        if not toks or toks[0].startswith("#"):
             continue
-        toks = raw.split()
-        key = toks[0]
+        key, args = toks[0], toks[1:]
         if pf is None:
-            if key != "problem" or len(toks) != 2:
-                err("file must start with 'problem <kind>'")
-            if toks[1] not in KINDS:
-                err(f"unknown problem kind {toks[1]!r}")
-            pf = ProblemFile(toks[1])
-        elif key in ("primal_dims", "dual_dims"):
-            try:
-                pf.dims[key] = tuple(int(t) for t in toks[1:])
-            except ValueError:
-                err(f"non-integer dimension in {key}")
-        elif key in ("dim", "k1", "k2"):
-            if len(toks) != 2:
-                err(f"{key} takes one integer")
-            try:
-                pf.dims[key] = int(toks[1])
-            except ValueError:
-                err(f"non-integer {key}")
-        elif key == "op":
-            if len(toks) < 3:
-                err("op needs a role and a catalog id")
-            role = toks[1]
-            if len(toks) >= 4 and toks[2].isdigit():
-                idx, cid, rest = int(toks[2]) - 1, toks[3], toks[4:]
-            elif toks[2].isdigit():
-                err("op with an index needs a catalog id")
+            if key != "problem" or len(args) != 1:
+                fail("file must start with 'problem <kind>'")
+            if args[0] not in KINDS:
+                fail(f"unknown problem kind {args[0]!r}")
+            pf = ProblemFile(args[0])
+            continue
+        if key == "op":
+            if len(args) < 2:
+                fail("op needs a role and a catalog id")
+            role = args[0]
+            if args[1].isdigit():
+                if len(args) < 3:
+                    fail("op with an index needs a catalog id")
+                n = _number(int, args[1], line)
+                slot, name, cid, rest = ("op", role, n), n - 1, args[2], args[3:]
             else:
-                idx, cid, rest = None, toks[2], toks[3:]
+                slot, name, cid, rest = ("op", role), None, args[1], args[2:]
             if cid not in CATALOG_IDS:
-                err(f"unknown catalog id {cid!r}")
+                fail(f"unknown catalog id {cid!r}")
             params = {}
             for item in rest:
-                if "=" not in item:
-                    err(f"malformed parameter {item!r}")
-                name, _, val = item.partition("=")
-                try:
-                    params[name] = _parse_value(val)
-                except ValueError:
-                    err(f"malformed value for parameter {name!r}")
-            pf.ops.setdefault(role, {})[idx] = (cid, params)
-        elif key == "vec":
-            if len(toks) < 2:
-                err("vec needs a name")
-            try:
-                pf.vecs[toks[1]] = np.array([float(t) for t in toks[2:]])
-            except ValueError:
-                err("malformed vector component")
-        elif key in ("entry", "L"):
-            line_no = i + 1
-            if key == "entry":
-                if len(toks) < 4:
-                    err("entry needs row, column, and a tag")
-                k, col, tag, rest = int(toks[1]), int(toks[2]), toks[3], toks[4:]
-            else:
-                if len(toks) < 3:
-                    err("L needs an index and a tag")
-                k, col, tag, rest = int(toks[1]), 1, toks[2], toks[3:]
-            if tag == "zero":
-                val = None
-            elif tag == "identity":
-                val = 1.0
-            elif tag == "scale":
-                if len(rest) != 1:
-                    err("scale takes one number")
-                val = float(rest[0])
-            elif tag == "dense":
+                pname, eq, val = item.partition("=")
+                if not eq:
+                    fail(f"malformed parameter {item!r}")
+                if pname in params:
+                    fail(f"parameter {pname!r} given twice")
+                params[pname] = _param_value(val, line)
+            table, value = pf.ops.setdefault(role, {}), (cid, params)
+        elif key == "entry" or key == "L":
+            head = 2 if key == "entry" else 1  # indices before the tag
+            if len(args) <= head:
+                fail("entry needs row, column, and a tag" if head == 2
+                     else "L needs an index and a tag")
+            k = _number(int, args[0], line)
+            col = _number(int, args[1], line) if head == 2 else 1
+            tag, rest = args[head], args[head + 1:]
+            if tag == "scale" and len(rest) == 1:
+                value = _number(float, rest[0], line)
+            elif (tag == "zero" or tag == "identity") and not rest:
+                value = None if tag == "zero" else 1.0
+            elif tag == "dense" and not rest:
                 rows = []
-                i += 1
                 while i < len(lines) and lines[i].strip() != "end":
-                    row = lines[i].strip()
-                    if row and not row.startswith("#"):
-                        rows.append([float(t) for t in row.split()])
+                    row = lines[i].split()
                     i += 1
+                    if row and not row[0].startswith("#"):
+                        rows.append([_number(float, t, i) for t in row])
+                        if len(row) != len(rows[0]):
+                            raise ParseError(f"line {i}: dense row of {len(row)} "
+                                             f"numbers after rows of {len(rows[0])}")
                 if i == len(lines):
-                    err("dense block missing 'end'")
-                val = np.array(rows)
+                    fail("dense block missing 'end'")
+                if not rows:
+                    fail("dense block has no rows")
+                i += 1
+                value = np.array(rows)
             else:
-                err(f"unknown entry tag {tag!r}")
-            pf.entries[(k - 1, col - 1)] = val
-            pf.entry_lines[(k - 1, col - 1)] = line_no
+                fail(f"entry tag {' '.join(args[head:])!r} is not one of "
+                     "'zero', 'identity', 'scale <number>', 'dense'")
+            slot, table, name = ("entry", k, col), pf.entries, (k - 1, col - 1)
+        elif key == "vec":
+            if not args:
+                fail("vec needs a name")
+            slot, table, name = ("vec", args[0]), pf.vecs, args[0]
+            value = np.array([_number(float, t, line) for t in args[1:]])
+        elif key in _DIM_MIN:
+            vals = [_number(int, t, line) for t in args]
+            if not key.endswith("_dims") and len(vals) != 1:
+                fail(f"{key} takes one integer")
+            if not vals or min(vals) < _DIM_MIN[key]:
+                fail(f"{key} takes integers >= {_DIM_MIN[key]}")
+            slot, table, name = (key,), pf.dims, key
+            value = tuple(vals) if key.endswith("_dims") else vals[0]
         elif key == "config":
-            if len(toks) != 3 or toks[1] not in CONFIG_KEYS:
-                err(f"config takes one of {CONFIG_KEYS} and a value")
-            name = toks[1]
-            try:
-                if name in ("max_iters", "seed"):
-                    pf.config[name] = int(toks[2])
-                else:
-                    pf.config[name] = float(toks[2])
-            except ValueError:
-                err(f"malformed config value for {name}")
+            if len(args) != 2 or args[0] not in CONFIG_KEYS:
+                fail(f"config takes one of {CONFIG_KEYS} and a value")
+            cast = int if args[0] in ("max_iters", "seed") else float
+            slot, table, name = ("config", args[0]), pf.config, args[0]
+            value = _number(cast, args[1], line)
         else:
-            err(f"unknown directive {key!r}")
-        i += 1
+            fail(f"unknown directive {key!r}")
+        if slot in pf.lines:
+            fail(f"{_text(slot)} repeats line {pf.lines[slot]}")
+        pf.lines[slot] = line
+        table[name] = value
     if pf is None:
         raise ParseError("empty problem file")
     return pf
@@ -270,27 +258,20 @@ def parse_problem(text):
 
 def serialize_problem(pf):
     out = [f"problem {pf.kind}"]
-    for key in ("primal_dims", "dual_dims"):
+    for key in _DIM_MIN:
         if key in pf.dims:
-            out.append(f"{key} " + " ".join(str(d) for d in pf.dims[key]))
-    for key in ("dim", "k1", "k2"):
-        if key in pf.dims:
-            out.append(f"{key} {pf.dims[key]}")
+            val = pf.dims[key]
+            val = val if key.endswith("_dims") else [val]
+            out.append(f"{key} " + " ".join(map(str, val)))
     for role in sorted(pf.ops):
         table = pf.ops[role]
         for idx in sorted(table, key=lambda t: -1 if t is None else t):
             cid, params = table[idx]
-            parts = ["op", role]
-            if idx is not None:
-                parts.append(str(idx + 1))
-            parts.append(cid)
-            for name in sorted(params):
-                parts.append(f"{name}={_format_value(params[name])}")
+            parts = [_text(_op_slot(role, idx)), cid]
+            parts += [f"{name}={_format_value(params[name])}" for name in sorted(params)]
             out.append(" ".join(parts))
     for name in sorted(pf.vecs):
-        out.append(
-            f"vec {name} " + " ".join(format(x, ".17g") for x in pf.vecs[name])
-        )
+        out.append(f"vec {name} " + " ".join(format(x, ".17g") for x in pf.vecs[name]))
     for (k, col) in sorted(pf.entries):
         val = pf.entries[(k, col)]
         head = f"entry {k + 1} {col + 1}"
@@ -306,292 +287,301 @@ def serialize_problem(pf):
     for name in CONFIG_KEYS:
         if name in pf.config:
             val = pf.config[name]
-            out.append(
-                f"config {name} "
-                + (str(val) if isinstance(val, int) else format(val, ".17g"))
-            )
+            val = str(val) if isinstance(val, int) else format(val, ".17g")
+            out.append(f"config {name} {val}")
     return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Catalog: id -> constructor, per role family
+# Catalog: one constructor table per family
 
 
-def _mk_monotone(cid, params):
-    if cid == "zero":
-        return ZeroOperator()
-    if cid == "scaled_identity":
-        return ScaledIdentity(float(params["c"]))
-    if cid == "affine":
-        M = np.atleast_2d(np.asarray(params["M"], dtype=float))
-        return AffineOperator(M, params.get("b"))
-    if cid.startswith("normal_cone_"):
-        return NormalCone(_mk_set(cid[len("normal_cone_"):], params))
-    if cid.startswith("subdiff_"):
-        return _mk_function(cid[len("subdiff_"):], params).subdifferential()
-    if cid.startswith("indicator_"):
-        return _mk_function(cid, params).subdifferential()
-    raise ParseError(f"catalog id {cid!r} is not a monotone operator")
+_REQUIRED = object()
 
 
-def _mk_lipschitz(cid, params):
-    if cid == "zero":
-        return ZeroMap()
-    if cid == "scaled_identity":
-        return ScaledIdentityMap(float(params["c"]))
-    if cid == "affine":
-        M = np.atleast_2d(np.asarray(params["M"], dtype=float))
-        return AffineMap(M, params.get("b"))
-    raise ParseError(f"catalog id {cid!r} is not a Lipschitz operator")
+class _Params:
+    """The parameters of the op line at slot, read by the constructor of
+    catalog id cid for a block of size dim.  A read that finds a parameter
+    missing, misshapen or NaN raises a ParseError naming the op line."""
+
+    __slots__ = ("rd", "slot", "cid", "left", "dim")
+
+    def __init__(self, rd, slot, cid, params, dim):
+        self.rd, self.slot, self.cid, self.left, self.dim = (
+            rd, slot, cid, dict(params), dim)
+
+    def fail(self, msg):
+        raise ParseError(f"{self.rd.where(self.slot)}{self.cid}: {msg}")
+
+    def _take(self, name, default, shape):
+        """The parameter as a float, or as an array of the given shape."""
+        if name not in self.left:
+            if default is _REQUIRED:
+                self.fail(f"missing parameter {name}=")
+            return default
+        val = self.left.pop(name)
+        if not isinstance(val, float) and np.ndim(val) == 0:
+            val = float(val)
+        if isinstance(val, float):
+            if val != val:
+                self.fail(f"parameter {name} is NaN")
+            return val
+        val = np.asarray(val, dtype=float)
+        if val.shape != shape:
+            self.fail(f"parameter {name} needs "
+                      + (f"shape {shape}" if shape else "one number"))
+        if np.isnan(val).any():
+            self.fail(f"parameter {name} is NaN")
+        return val
+
+    def scalar(self, name, default=_REQUIRED):
+        return self._take(name, default, ())
+
+    def vector(self, name, default=_REQUIRED):
+        val = self._take(name, default, (self.dim,))
+        return np.full(self.dim, val) if isinstance(val, float) else val
+
+    def matrix(self, name):
+        val = self._take(name, _REQUIRED, (self.dim, self.dim))
+        return val * np.eye(self.dim) if isinstance(val, float) else val
 
 
-def _mk_set(cid, params):
-    if cid == "box":
-        return Box(np.atleast_1d(params["lo"]), np.atleast_1d(params["hi"]))
-    if cid == "ball":
-        return Ball(np.atleast_1d(params["center"]), float(params["radius"]))
-    if cid == "halfspace":
-        return Halfspace(np.atleast_1d(params["u"]), float(params["rho"]))
-    if cid == "hyperplane":
-        return Hyperplane(np.atleast_1d(params["u"]), float(params["rho"]))
-    if cid == "point":
-        return Point(np.atleast_1d(params["c"]))
-    raise ParseError(f"catalog id {cid!r} is not a convex set")
+def _wrapped(table, wrap, prefix="", ids=None):
+    """The constructors of table (or of its ids), renamed with prefix and
+    with wrap applied to what they build."""
+    return {prefix + cid: (lambda p, mk=table[cid]: wrap(mk(p)))
+            for cid in (table if ids is None else ids)}
 
 
-def _mk_function(cid, params):
-    if cid == "zero":
-        return ZeroFunction()
-    if cid == "l1":
-        return L1Norm(float(params.get("weight", 1.0)))
-    if cid == "sqdist":
-        return QuadraticDistance(np.atleast_1d(params["a"]))
-    if cid == "sqnorm":
-        return SquaredNorm(float(params["omega"]))
-    if cid.startswith("indicator_"):
-        return IndicatorFunction(_mk_set(cid[len("indicator_"):], params))
-    raise ParseError(f"catalog id {cid!r} is not a convex function")
+def _sqdist_smooth(a):
+    return Smooth(lambda x: 0.5 * float((x - a) @ (x - a)),
+                  AffineMap(np.eye(a.size), -a), label="sqdist_smooth")
 
 
-def _mk_smooth(cid, params):
-    if cid == "zero":
-        return zero_smooth()
-    if cid == "sqdist":
-        a = np.atleast_1d(np.asarray(params["a"], dtype=float))
-        return Smooth(
-            lambda x: 0.5 * float((x - a) @ (x - a)),
-            AffineMap(np.eye(a.size), -a),
-            conj=lambda u: float(a @ u) + 0.5 * float(u @ u),
-            label="sqdist_smooth",
-        )
-    if cid == "sqnorm":
-        w = float(params["omega"])
-        return Smooth(
-            lambda x: w * float(x @ x),
-            ScaledIdentityMap(2.0 * w),
-            conj=lambda u: float(u @ u) / (4.0 * w),
-            label="sqnorm_smooth",
-        )
-    raise ParseError(f"catalog id {cid!r} is not a smooth function")
+def _sqnorm_smooth(w):
+    return Smooth(lambda x: w * float(x @ x), ScaledIdentityMap(2.0 * w),
+                  label="sqnorm_smooth")
 
 
-_SET_IDS = ("box", "ball", "halfspace", "hyperplane", "point")
-_FN_IDS = ("zero", "l1", "sqdist", "sqnorm") + tuple(
-    "indicator_" + s for s in _SET_IDS
-)
-CATALOG_IDS = frozenset(
-    ("zero", "scaled_identity", "affine", "none", "point_zero")
-    + _SET_IDS
-    + _FN_IDS
-    + tuple("normal_cone_" + s for s in _SET_IDS)
-    + tuple("subdiff_" + f for f in ("l1", "sqdist", "sqnorm"))
-)
+_SETS = {
+    "box": lambda p: Box(p.vector("lo"), p.vector("hi")),
+    "ball": lambda p: Ball(p.vector("center"), p.scalar("radius")),
+    "halfspace": lambda p: Halfspace(p.vector("u"), p.scalar("rho")),
+    "hyperplane": lambda p: Hyperplane(p.vector("u"), p.scalar("rho")),
+    "point": lambda p: Point(p.vector("c")),
+}
+_FUNCTIONS = {
+    "zero": lambda p: ZeroFunction(),
+    "l1": lambda p: L1Norm(p.scalar("weight", 1.0)),
+    "sqdist": lambda p: QuadraticDistance(p.vector("a")),
+    "sqnorm": lambda p: SquaredNorm(p.scalar("omega")),
+    **_wrapped(_SETS, IndicatorFunction, "indicator_"),
+}
+_STRONGLY_CONVEX = {"sqnorm": _FUNCTIONS["sqnorm"]}
+
+# family -> {catalog id: constructor taking a _Params}
+_CATALOG = {
+    "convex set": _SETS,
+    "convex function": _FUNCTIONS,
+    "monotone operator": {
+        "zero": lambda p: ZeroOperator(),
+        "scaled_identity": lambda p: ScaledIdentity(p.scalar("c")),
+        "affine": lambda p: AffineOperator(p.matrix("M"), p.vector("b", None)),
+        **_wrapped(_SETS, NormalCone, "normal_cone_"),
+        **_wrapped(_FUNCTIONS, lambda fn: fn.subdifferential(), "subdiff_",
+                   ("l1", "sqdist", "sqnorm")),
+        **_wrapped(_FUNCTIONS, lambda fn: fn.subdifferential(),
+                   ids=["indicator_" + s for s in _SETS]),
+    },
+    "Lipschitz operator": {
+        "zero": lambda p: ZeroMap(),
+        "scaled_identity": lambda p: ScaledIdentityMap(p.scalar("c")),
+        "affine": lambda p: AffineMap(p.matrix("M"), p.vector("b", None)),
+    },
+    "smooth function": {
+        "zero": lambda p: zero_smooth(),
+        "sqdist": lambda p: _sqdist_smooth(p.vector("a")),
+        "sqnorm": lambda p: _sqnorm_smooth(p.scalar("omega")),
+    },
+    "strongly convex function": _STRONGLY_CONVEX,
+    "ell coupling": {"none": lambda p: None, **_STRONGLY_CONVEX},
+    "feasibility penalty": {
+        "point_zero": lambda p: IndicatorFunction(Point(np.zeros(p.dim))),
+        **_STRONGLY_CONVEX,
+    },
+}
+
+CATALOG_IDS = frozenset(cid for table in _CATALOG.values() for cid in table)
 
 
 # ---------------------------------------------------------------------------
 # Building solver problems
 
 
-def _need(pf, key):
-    if key not in pf.dims:
-        raise ParseError(f"{pf.kind} problem requires a '{key}' line")
-    return pf.dims[key]
+class _Reader:
+    """Hands the directives of one ProblemFile to build_problem.  Each is
+    taken at most once; finish() rejects the first one (by line) that no
+    read took."""
 
+    def __init__(self, pf):
+        self.pf = pf
+        self.dims = dict(pf.dims)
+        self.ops_left = {role: dict(table) for role, table in pf.ops.items()}
+        self.entries = dict(pf.entries)
+        self.vecs = dict(pf.vecs)
+        self.grid_shape = None
 
-def _role_list(pf, role, count, maker):
-    table = pf.ops.get(role, {})
-    out = []
-    for idx in range(count):
+    def where(self, slot):
+        line = self.pf.lines.get(slot)
+        return "" if line is None else f"line {line}: "
+
+    def need(self, name):
+        if name not in self.dims:
+            raise ParseError(f"{self.pf.kind} problem requires a '{name}' line")
+        return self.dims.pop(name)
+
+    def declared(self, role):
+        """How many indexed 'op role' lines there are; they must be numbered
+        1, 2, ... without gaps."""
+        idxs = sorted(i for i in self.pf.ops.get(role, {}) if i is not None)
+        if not idxs:
+            raise ParseError(f"missing 'op {role} 1 ...' declaration")
+        for n, i in enumerate(idxs):
+            if i != n:
+                slot = _op_slot(role, i)
+                raise ParseError(f"{self.where(slot)}{_text(slot)}: 'op {role}' "
+                                 "lines must be numbered 1, 2, ... without gaps")
+        return len(idxs)
+
+    def op(self, role, family, dim, idx=None):
+        slot = _op_slot(role, idx)
+        table = self.ops_left.get(role, {})
         if idx not in table:
-            raise ParseError(f"missing 'op {role} {idx + 1} ...' declaration")
-        out.append(maker(*table[idx]))
-    return out
+            raise ParseError(f"missing '{_text(slot)} ...' declaration")
+        cid, params = table.pop(idx)
+        makers = _CATALOG[family]
+        if cid not in makers:
+            raise ParseError(f"{self.where(slot)}catalog id {cid!r} is not in the "
+                             f"{family} family: {', '.join(sorted(makers))}")
+        p = _Params(self, slot, cid, params, dim)
+        try:
+            built = makers[cid](p)
+        except ParameterError as exc:
+            p.fail(str(exc))
+        if p.left:
+            p.fail(f"unknown parameter {next(iter(p.left))}=")
+        return built
 
+    def ops(self, role, family, dims, start=0):
+        """One op per block size in dims, with indices from start on."""
+        return [self.op(role, family, d, start + j) for j, d in enumerate(dims)]
 
-def _role_single(pf, role, maker):
-    table = pf.ops.get(role, {})
-    if None not in table:
-        raise ParseError(f"missing 'op {role} ...' declaration")
-    return maker(*table[None])
+    def vec(self, name, dims, required=True):
+        if name not in self.vecs:
+            if required:
+                raise ParseError(f"missing 'vec {name} ...' line")
+            return BlockVector.zeros(dims)
+        flat = self.vecs.pop(name)
+        if flat.size != sum(dims):
+            raise ParseError(f"{self.where(('vec', name))}vec {name} has "
+                             f"{flat.size} components, expected {sum(dims)}")
+        return BlockVector.from_flat(flat, dims)
 
+    def grid(self, dims_out, dims_in):
+        """The entries of the coupling grid as nested lists; a None in
+        dims_out lets that row's entries have any number of rows."""
+        K, m = self.grid_shape = len(dims_out), len(dims_in)
+        cells = [[None] * m for _ in range(K)]
+        for k, i in [c for c in self.entries if 0 <= c[0] < K and 0 <= c[1] < m]:
+            e = cells[k][i] = self.entries.pop((k, i))
+            rows, cols = dims_out[k], dims_in[i]
+            scalar = isinstance(e, (int, float))
+            shape = (cols, cols) if scalar else np.shape(e)
+            if e is not None and shape != (rows or shape[0], cols):
+                slot = ("entry", k + 1, i + 1)
+                what = ("a multiple of the identity" if scalar
+                        else " x ".join(map(str, shape)))
+                raise ParseError(f"{self.where(slot)}{_text(slot)} is {what} "
+                                 f"but its block is {rows or 'n'} x {cols}")
+        return cells
 
-def _check_entry_range(pf, K, m):
-    for k, i in pf.entries:
-        if not (0 <= k < K and 0 <= i < m):
-            where = pf.entry_lines.get((k, i))
-            prefix = f"line {where}: " if where is not None else ""
-            raise ParseError(
-                f"{prefix}entry {k + 1} {i + 1} lies outside the {K} x {m} "
-                "coupling grid"
-            )
+    def column(self, dims_out, dim):
+        return [row[0] for row in self.grid(dims_out, (dim,))]
 
-
-def _grid(pf, sig):
-    _check_entry_range(pf, sig.K, sig.m)
-    entries = [
-        [pf.entries.get((k, i)) for i in range(sig.m)] for k in range(sig.K)
-    ]
-    return BlockLinearOp(entries, sig)
-
-
-def _split_vec(pf, name, dims):
-    if name not in pf.vecs:
-        raise ParseError(f"missing 'vec {name} ...' line")
-    flat = pf.vecs[name]
-    if flat.size != sum(dims):
-        raise ParseError(
-            f"vec {name} has {flat.size} components, expected {sum(dims)}"
-        )
-    return BlockVector.from_flat(flat, dims)
-
-
-def _column(pf, K):
-    _check_entry_range(pf, K, 1)
-    return [pf.entries.get((k, 0)) for k in range(K)]
+    def finish(self):
+        left = [(name,) for name in self.dims]
+        left += [_op_slot(role, idx) for role, table in self.ops_left.items()
+                 for idx in table]
+        left += [("entry", k + 1, i + 1) for k, i in self.entries]
+        left += [("vec", name) for name in self.vecs]
+        if not left:
+            return
+        slot = min(left, key=lambda s: self.pf.lines.get(s, math.inf))
+        if slot[0] == "entry" and self.grid_shape:
+            K, m = self.grid_shape
+            msg = f"{_text(slot)} lies outside the {K} x {m} coupling grid"
+        else:
+            msg = f"{_text(slot)} is not read by this {self.pf.kind} problem"
+        raise ParseError(self.where(slot) + msg)
 
 
 def build_problem(pf):
-    """Returns (problem object, solver function)."""
-    if pf.kind == "system":
-        sig = SpaceSig(_need(pf, "primal_dims"), _need(pf, "dual_dims"))
-        prob = CoupledInclusionProblem(
-            sig,
-            _role_list(pf, "A", sig.m, _mk_monotone),
-            _role_list(pf, "C", sig.m, _mk_lipschitz),
-            _role_list(pf, "B", sig.K, _mk_monotone),
-            _role_list(pf, "Dinv", sig.K, _mk_lipschitz),
-            _grid(pf, sig),
-            _split_vec(pf, "z", sig.dims_primal),
-            _split_vec(pf, "r", sig.dims_dual),
-        )
-        return prob, solve_system
-    if pf.kind == "parallel_sum":
-        dim = _need(pf, "dim")
-        dual_dims = _need(pf, "dual_dims")
-        K = len(dual_dims)
-        K1, K2 = _need(pf, "k1"), _need(pf, "k2")
-        S = []
-        table = pf.ops.get("S", {})
-        for k in range(K):
-            if k not in table:
-                raise ParseError(f"missing 'op S {k + 1} ...' declaration")
-            maker = _mk_monotone if k < K1 else _mk_lipschitz
-            S.append(maker(*table[k]))
-        prob = ParallelSumProblem(
-            dim, dual_dims, K1, K2,
-            _role_single(pf, "A", _mk_monotone),
-            _role_single(pf, "C", _mk_lipschitz),
-            pf.vecs.get("z", np.zeros(dim)),
-            list(_split_vec(pf, "r", dual_dims).blocks),
-            _role_list(pf, "B", K, _mk_monotone),
-            S,
-            _column(pf, K),
-        )
-        return prob, solve_parallel_sum
-    if pf.kind == "common_zero":
-        dim = _need(pf, "dim")
-        K = max(pf.ops.get("B", {}), default=-1) + 1
-        if K < 1:
-            raise ParseError("common_zero needs at least one 'op B 1 ...'")
-        prob = CommonZeroProblem(
-            dim,
-            _role_single(pf, "A", _mk_monotone),
-            _role_list(pf, "B", K, _mk_monotone),
-            _role_list(pf, "S", K, _mk_monotone),
-        )
-        return prob, solve_common_zero
-    if pf.kind == "multivar_min":
-        sig = SpaceSig(_need(pf, "primal_dims"), _need(pf, "dual_dims"))
-
-        def mk_ell(cid, params):
-            if cid == "none":
-                return None
-            if cid == "sqnorm":
-                return SquaredNorm(float(params["omega"]))
-            raise ParseError("ell entries must be 'none' or 'sqnorm'")
-
-        prob = MultivariateMinProblem(
-            sig,
-            _role_list(pf, "f", sig.m, _mk_function),
-            _role_list(pf, "h", sig.m, _mk_smooth),
-            _role_list(pf, "g", sig.K, _mk_function),
-            _role_list(pf, "ell", sig.K, mk_ell),
-            _split_vec(pf, "z", sig.dims_primal),
-            _split_vec(pf, "r", sig.dims_dual),
-            _grid(pf, sig),
-        )
-        return prob, solve_multivariate_min
-    if pf.kind == "univar_min":
-        dim = _need(pf, "dim")
-        dual_dims = _need(pf, "dual_dims")
-        K = len(dual_dims)
-        K1, K2 = _need(pf, "k1"), _need(pf, "k2")
-        phi = []
-        table = pf.ops.get("phi", {})
-        for k in range(K):
-            if k not in table:
-                raise ParseError(f"missing 'op phi {k + 1} ...' declaration")
-            if k < K1:
-                phi.append(_mk_function(*table[k]))
-            elif k < K2:
-                phi.append(_mk_smooth(*table[k]))
-            else:
-                cid, params = table[k]
-                if cid != "sqnorm":
-                    raise ParseError(
-                        "strongly convex phi entries must be 'sqnorm'"
-                    )
-                phi.append(SquaredNorm(float(params["omega"])))
-        prob = UnivariateMinProblem(
-            dim, dual_dims, K1, K2,
-            _role_single(pf, "f", _mk_function),
-            _role_single(pf, "h", _mk_smooth),
-            _role_list(pf, "g", K, _mk_function),
-            phi,
-            pf.vecs.get("z", np.zeros(dim)),
-            list(_split_vec(pf, "r", dual_dims).blocks),
-            _column(pf, K),
-        )
-        return prob, solve_univariate_min
-    if pf.kind == "feasibility":
-        dim = _need(pf, "dim")
-        K = max(pf.ops.get("set", {}), default=-1) + 1
-        if K < 1:
-            raise ParseError("feasibility needs at least one 'op set 1 ...'")
-
-        def mk_phi(cid, params):
-            if cid == "point_zero":
-                d = int(params.get("dim", dim))
-                return IndicatorFunction(Point(np.zeros(d)))
-            if cid == "sqnorm":
-                return SquaredNorm(float(params["omega"]))
-            raise ParseError("phi entries must be 'point_zero' or 'sqnorm'")
-
-        prob = FeasibilityRelaxation(
-            dim,
-            _role_list(pf, "set", K, _mk_set),
-            _role_list(pf, "phi", K, mk_phi),
-            _column(pf, K),
-        )
-        return prob, solve_feasibility_relaxation
-    raise ParseError(f"unknown problem kind {pf.kind!r}")
+    """Returns (problem object, solver function).  Raises ParseError on a
+    directive the kind does not read, naming its line."""
+    rd, kind = _Reader(pf), pf.kind
+    mono, lip, fn = "monotone operator", "Lipschitz operator", "convex function"
+    if kind in ("system", "multivar_min"):
+        sig = SpaceSig(rd.need("primal_dims"), rd.need("dual_dims"))
+        dp, dd = sig.dims_primal, sig.dims_dual
+        L = BlockLinearOp(rd.grid(dd, dp), sig)
+        z, r = rd.vec("z", dp), rd.vec("r", dd)
+        if kind == "system":
+            built = CoupledInclusionProblem(
+                sig, rd.ops("A", mono, dp), rd.ops("C", lip, dp),
+                rd.ops("B", mono, dd), rd.ops("Dinv", lip, dd), L, z, r,
+            ), solve_system
+        else:
+            built = MultivariateMinProblem(
+                sig, rd.ops("f", fn, dp), rd.ops("h", "smooth function", dp),
+                rd.ops("g", fn, dd), rd.ops("ell", "ell coupling", dd), z, r, L,
+            ), solve_multivariate_min
+    elif kind in ("parallel_sum", "univar_min"):
+        dim, dd = rd.need("dim"), rd.need("dual_dims")
+        K1, K2 = rd.need("k1"), rd.need("k2")
+        if not K1 <= K2 <= len(dd):
+            raise ParseError(f"{rd.where(('k2',))}need k1 <= k2 <= {len(dd)}, "
+                             "the number of dual blocks")
+        z = rd.vec("z", (dim,), required=False)[0]
+        r, L = rd.vec("r", dd).blocks, rd.column(dd, dim)
+        if kind == "parallel_sum":
+            built = ParallelSumProblem(
+                dim, dd, K1, K2, rd.op("A", mono, dim), rd.op("C", lip, dim),
+                z, r, rd.ops("B", mono, dd),
+                rd.ops("S", mono, dd[:K1]) + rd.ops("S", lip, dd[K1:], K1), L,
+            ), solve_parallel_sum
+        else:
+            phi = (rd.ops("phi", fn, dd[:K1])
+                   + rd.ops("phi", "smooth function", dd[K1:K2], K1)
+                   + rd.ops("phi", "strongly convex function", dd[K2:], K2))
+            built = UnivariateMinProblem(
+                dim, dd, K1, K2, rd.op("f", fn, dim),
+                rd.op("h", "smooth function", dim), rd.ops("g", fn, dd), phi,
+                z, r, L,
+            ), solve_univariate_min
+    elif kind == "common_zero":
+        dim = rd.need("dim")
+        dims = [dim] * rd.declared("B")
+        built = CommonZeroProblem(
+            dim, rd.op("A", mono, dim), rd.ops("B", mono, dims),
+            rd.ops("S", mono, dims),
+        ), solve_common_zero
+    else:
+        dim = rd.need("dim")
+        L = rd.column([None] * rd.declared("set"), dim)
+        dims = [dim if np.ndim(e) == 0 else np.shape(e)[0] for e in L]
+        built = FeasibilityRelaxation(
+            dim, rd.ops("set", "convex set", dims),
+            rd.ops("phi", "feasibility penalty", dims), L,
+        ), solve_feasibility_relaxation
+    rd.finish()
+    return built

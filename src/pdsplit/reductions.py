@@ -28,18 +28,22 @@ from .blocks import (  # noqa: F401
     BlockLinearOp,
     BlockVector,
     SpaceSig,
+    apply_adjoint,
+    apply_block,
     entry_apply,
     entry_apply_adjoint,
     entry_norm_sq,
     normalize_entry,
 )
 from .operators import (
+    AffineMap,
     ConvexFunction,
     IndicatorFunction,
     LipschitzOperator,
     MonotoneOperator,
     ParameterError,
     Point,
+    ScaledIdentityMap,
     SquaredNorm,
     ZeroFunction,
     ZeroMap,
@@ -60,6 +64,8 @@ __all__ = [
     "MultivariateMinProblem",
     "solve_multivariate_min",
     "evaluate_objectives",
+    "primal_objective",
+    "dual_objective",
     "check_qualification",
     "UnivariateMinProblem",
     "solve_univariate_min",
@@ -229,12 +235,11 @@ def check_consistency_theorem(p, x, tol):
 
 class Smooth:
     """Differentiable convex function: a value evaluator plus its gradient
-    (a LipschitzOperator).  conj, when given, evaluates the conjugate."""
+    (a LipschitzOperator)."""
 
-    def __init__(self, value, gradient, conj=None, label="smooth"):
+    def __init__(self, value, gradient, label="smooth"):
         self.value = value
         self.gradient = gradient
-        self.conj = conj
         self.label = label
 
     def __call__(self, x):
@@ -309,66 +314,61 @@ def _infconv_value(g, ell, t):
     return g(ystar) + w * float(d @ d)
 
 
-def _conj_infconv_value(f, h, u, grid_half_width=10.0, grid_points=201):
-    """(f* infconv h*)(u).  Exact when h is identically zero; otherwise a
-    grid search with local polish in dims <= 2 (oracle-grade only)."""
-    if isinstance(h.gradient, ZeroMap):
-        return f.conjugate(u)
-    if h.conj is None:
-        raise EvaluationError("h has no conjugate evaluator")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    n = u.size
-    if n > 2:
-        raise EvaluationError("infimal convolution evaluation limited to dims <= 2")
-    axes = [np.linspace(-grid_half_width, grid_half_width, grid_points)] * n
-    best = np.inf
-    best_w = None
-    for w in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n):
-        val = f.conjugate(w) + h.conj(u - w)
-        if val < best:
-            best, best_w = val, w
-    if best_w is not None:
-        step = grid_half_width / grid_points
-        for _ in range(200):
-            improved = False
-            for delta in np.vstack([np.eye(n), -np.eye(n)]) * step:
-                cand = best_w + delta
-                val = f.conjugate(cand) + h.conj(u - cand)
-                if val < best:
-                    best, best_w, improved = val, cand, True
-            if not improved:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-    return best
+def _conj_infconv_value(f, h, u):
+    """(f* infconv h*)(u) = (f + h)*(u), exact when grad h = c Id + b.
+
+    Then h = (c/2)||.||^2 + <b, .> + h(0); with y = (u - b)/c the supremum
+    of <u, x> - f(x) - h(x) is attained at p = prox_{f/c}(y), giving
+    c(<y, p> - ||p||^2/2) - f(p) - h(0).  For c = 0 it is f*(u - b) - h(0).
+    """
+    grad, b = h.gradient, 0.0
+    if isinstance(grad, ZeroMap):
+        c = 0.0
+    elif isinstance(grad, ScaledIdentityMap):
+        c = grad.c
+    elif isinstance(grad, AffineMap) and np.array_equal(
+            grad.M, grad.M[0, 0] * np.eye(len(grad.M))):
+        c, b = float(grad.M[0, 0]), grad.b
+    else:
+        raise EvaluationError(f"h has gradient {grad.label}, not c Id + constant")
+    u = np.asarray(u, dtype=float)
+    h0 = h(np.zeros_like(u))
+    if c == 0.0:
+        return f.conjugate(u - b) - h0
+    y = (u - b) / c
+    p = f.prox(1.0 / c, y)
+    return c * (float(y @ p) - 0.5 * float(p @ p)) - f(p) - h0
+
+
+def primal_objective(p, x):
+    """Primal objective at x.  Indicators use a small feasibility tolerance,
+    so converged near-feasible points give finite values, infeasible +inf."""
+    total = 0.0
+    for i in range(p.sig.m):
+        total += p.f[i](x[i]) + p.h[i](x[i]) - float(x[i] @ p.z[i])
+    Lx = apply_block(p.L, x)
+    for k in range(p.sig.K):
+        total += _infconv_value(p.g[k], p.ell[k], Lx[k] - p.r[k])
+    return float(total)
+
+
+def dual_objective(p, v):
+    """Dual objective at v; EvaluationError unless each grad h_i is c Id + b."""
+    total = 0.0
+    Lstar_v = apply_adjoint(p.L, v)
+    for i in range(p.sig.m):
+        total += _conj_infconv_value(p.f[i], p.h[i], p.z[i] - Lstar_v[i])
+    for k in range(p.sig.K):
+        total += p.g[k].conjugate(v[k]) + float(v[k] @ p.r[k])
+        if p.ell[k] is not None:
+            total += float(v[k] @ v[k]) / (4.0 * p.ell[k].omega)
+    return float(total)
 
 
 def evaluate_objectives(p, x, v):
-    """Primal and dual objective values at (x, v).
-
-    The duality gap is their sum; it is nonnegative everywhere and vanishes
-    at a primal-dual solution pair.  Indicator evaluations use a small
-    feasibility tolerance, so converged near-feasible points come out
-    finite; genuinely infeasible points give +inf.
-    """
-    from .blocks import apply_adjoint, apply_block
-
-    primal = 0.0
-    for i in range(p.sig.m):
-        primal += p.f[i](x[i]) + p.h[i](x[i]) - float(x[i] @ p.z[i])
-    Lx = apply_block(p.L, x)
-    for k in range(p.sig.K):
-        primal += _infconv_value(p.g[k], p.ell[k], Lx[k] - p.r[k])
-
-    dual = 0.0
-    Lstar_v = apply_adjoint(p.L, v)
-    for i in range(p.sig.m):
-        dual += _conj_infconv_value(p.f[i], p.h[i], p.z[i] - Lstar_v[i])
-    for k in range(p.sig.K):
-        dual += p.g[k].conjugate(v[k]) + float(v[k] @ p.r[k])
-        if p.ell[k] is not None:
-            dual += float(v[k] @ v[k]) / (4.0 * p.ell[k].omega)
-    return float(primal), float(dual)
+    """Primal and dual objective values at (x, v).  The duality gap is
+    their sum: nonnegative everywhere, zero at a primal-dual solution."""
+    return primal_objective(p, x), dual_objective(p, v)
 
 
 def check_qualification(p):

@@ -46,8 +46,6 @@ __all__ = [
     "product_space_pair",
 ]
 
-KKT_TOL = 1e-7
-
 
 class CoupledInclusionProblem:
     """Immutable bundle of the operators, shifts, and constants."""

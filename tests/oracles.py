@@ -186,3 +186,19 @@ def parallel_sum_iterates(p, gamma, max_iters):
         x, v = x - s11 + q11, v - s2 + q2
         out.append(np.concatenate([x] + y + [v]))
     return out
+
+
+def conj_box_plus_sqdist(lo, hi, a, u):
+    """(f + h)*(u) for f the indicator of [lo, hi] and h = ||. - a||^2 / 2:
+    the concave sup of <u, x> - ||x - a||^2 / 2 over the box is separable,
+    attained at x = clip(u + a, lo, hi)."""
+    x = np.clip(u + a, lo, hi)
+    return float(u @ x - 0.5 * (x - a) @ (x - a))
+
+
+def conj_l1_plus_sqnorm(weight, omega, u):
+    """(f + h)*(u) for f = weight ||.||_1 and h = omega ||.||^2: per
+    coordinate sup of u x - weight |x| - omega x^2, which is
+    max(|u| - weight, 0)^2 / (4 omega)."""
+    t = np.maximum(np.abs(u) - weight, 0.0)
+    return float(t @ t) / (4.0 * omega)

@@ -141,3 +141,88 @@ def test_error_injection_flags(feas_file, tmp_path):
     assert code in (0, 2)
     summary = read_summary(out / "relax.summary")
     assert float(summary["final_residual"]) >= 0.0
+
+
+SYSTEM_TEXT = """\
+problem system
+primal_dims 2
+dual_dims 2
+op A 1 normal_cone_box lo=-1,-1 hi=1,1
+op C 1 zero
+op B 1 scaled_identity c=1
+op Dinv 1 zero
+entry 1 1 dense
+1 0.5
+0 1
+end
+vec z 0.3 -0.2
+vec r 0 0
+"""
+
+COMMON_ZERO_TEXT = """\
+problem common_zero
+dim 1
+op A zero
+op B 1 zero
+op S 1 scaled_identity c=1
+"""
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param(SYSTEM_TEXT + "op Q 1 zero\n", 14, id="unread-role"),
+    pytest.param(SYSTEM_TEXT + "op A 3 zero\n", 14, id="op-index-past-m"),
+    pytest.param(SYSTEM_TEXT + "vec w 1 2\n", 14, id="unread-vec"),
+    pytest.param(SYSTEM_TEXT + "k1 4\n", 14, id="unread-dims"),
+    pytest.param(SYSTEM_TEXT + "op A 1 zero\n", 14, id="duplicate-op"),
+    pytest.param(SYSTEM_TEXT + "entry x 1 identity\n", 14, id="entry-index-x"),
+    pytest.param(SYSTEM_TEXT + "entry 1 1 scale abc\n", 14, id="scale-abc"),
+    pytest.param(SYSTEM_TEXT + "config gamma nan\n", 14, id="config-nan"),
+    pytest.param(SYSTEM_TEXT.replace("scaled_identity c=1", "scaled_identity"),
+                 6, id="missing-param"),
+    pytest.param(SYSTEM_TEXT.replace("c=1", "c=1,2"), 6, id="vector-for-scalar"),
+    pytest.param(SYSTEM_TEXT.replace("1 0.5\n0 1\n", "1\n"), 8,
+                 id="dense-shape"),
+    pytest.param(SYSTEM_TEXT.replace("0 1\n", "0\n"), 10, id="ragged-dense"),
+    pytest.param(COMMON_ZERO_TEXT + "entry 5 7 scale 3\n", 6,
+                 id="common-zero-entry"),
+])
+def test_solve_rejects_malformed_file_naming_its_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.prob"
+    bad.write_text(text)
+    assert main(["solve", str(bad), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"bad.prob: line {line}: " in err
+    assert not (tmp_path / "bad.summary").exists()
+
+
+def test_list_catalog_names_every_catalog_id(capsys):
+    from pdsplit.probfile import CATALOG_IDS
+
+    assert main(["list-catalog"]) == 0
+    listed = {line.strip() for line in capsys.readouterr().out.splitlines()}
+    assert CATALOG_IDS <= listed
+
+
+def test_multivar_objectives_with_quadratic_h(tmp_path):
+    # dim 3 with a sqdist h: the dual has a closed form, so all three
+    # objective columns are written and the gap closes
+    text = """\
+problem multivar_min
+primal_dims 3
+dual_dims 3
+op f 1 indicator_box lo=0 hi=1
+op h 1 sqdist a=2,-1,0.5
+op g 1 l1 weight=0.3
+op ell 1 none
+entry 1 1 identity
+vec z 0.5 0.5 0.5
+vec r 0.1 0.1 0.1
+"""
+    path = tmp_path / "quad.prob"
+    path.write_text(text)
+    assert main(["solve", str(path), "--tol", "1e-10",
+                 "--output-dir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "quad.summary")
+    assert abs(float(summary["gap"])) <= 1e-8
+    assert float(summary["primal_obj"]) == pytest.approx(
+        -float(summary["dual_obj"]), abs=1e-8)

@@ -146,3 +146,10 @@ def test_error_robustness_same_limit():
                   errors=SummableErrorSchedule(0.1, 2.0, seed=1)),
     )
     assert abs(noisy.w[0][0] - clean.p[0][0]) <= 1e-5
+
+
+def test_config_rejects_nan():
+    for kwargs in ({"gamma": float("nan")}, {"epsilon": float("nan")},
+                   {"residual_tol": float("nan")}, {"gamma": 0.0}):
+        with pytest.raises(ParameterError):
+            FbfConfig(**kwargs)

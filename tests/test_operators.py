@@ -16,6 +16,7 @@ from pdsplit import (
     Point,
     QuadraticDistance,
     ScaledIdentity,
+    ScaledIdentityMap,
     SquaredNorm,
     ZeroFunction,
     ZeroOperator,
@@ -258,3 +259,14 @@ def test_indicator_conjugates_are_support_functions():
     hp = IndicatorFunction(Hyperplane([1.0, 0.0], 2.0))
     assert hp.conjugate(np.array([3.0, 0.0])) == pytest.approx(6.0)
     assert hp.conjugate(u) == np.inf
+
+
+def test_constructors_reject_nan():
+    nan = float("nan")
+    for make in (lambda: ScaledIdentity(nan), lambda: ScaledIdentityMap(nan),
+                 lambda: L1Norm(nan), lambda: Ball([0.0], nan),
+                 lambda: Box([nan], [1.0]), lambda: Box([0.0], [nan])):
+        with pytest.raises(ParameterError):
+            make()
+    # infinite bounds still give orthants and the whole line
+    assert Box([-np.inf], [np.inf]).project(np.array([3.0]))[0] == 3.0

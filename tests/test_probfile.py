@@ -1,11 +1,19 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdsplit import FbfConfig
+from pdsplit.cli import main
 from pdsplit.probfile import (
     CATALOG_IDS,
     KINDS,
     ParseError,
+    ProblemFile,
     build_problem,
     parse_problem,
     serialize_problem,
@@ -194,3 +202,255 @@ def test_catalog_ids_cover_serialized_forms():
     for cid in ("zero", "scaled_identity", "affine", "l1", "sqdist", "sqnorm",
                 "indicator_box", "normal_cone_hyperplane", "point_zero"):
         assert cid in CATALOG_IDS
+
+
+# ---------------------------------------------------------------------------
+# Strictness: every directive is read, every number is checked
+
+PSUM_TEXT = """\
+problem parallel_sum
+dim 1
+dual_dims 1
+k1 0
+k2 0
+op A normal_cone_box lo=0 hi=100
+op C zero
+op B 1 scaled_identity c=1
+op S 1 zero
+L 1 identity
+vec z 3
+vec r 0
+"""
+
+UNIVAR_TEXT = """\
+problem univar_min
+dim 1
+dual_dims 1
+k1 1
+k2 1
+op f indicator_point c=1.2
+op h zero
+op g 1 sqdist a=0
+op phi 1 indicator_point c=0
+L 1 identity
+vec r 0
+"""
+
+COMMON_ZERO_TEXT = """\
+problem common_zero
+dim 2
+op A zero
+op B 1 normal_cone_hyperplane u=1,0 rho=1
+op B 2 normal_cone_ball center=0,0 radius=2
+op S 1 scaled_identity c=1
+op S 2 scaled_identity c=1
+"""
+
+VALID_TEXTS = (SYSTEM_TEXT, PSUM_TEXT, COMMON_ZERO_TEXT, MULTIVAR_TEXT,
+               UNIVAR_TEXT, FEASIBILITY_TEXT)
+
+# per kind: the roles it reads, and one dimension line it does not read
+KIND_ROLES = {
+    "system": (("A", "C", "B", "Dinv"), "dim 1"),
+    "parallel_sum": (("A", "C", "B", "S"), "primal_dims 1"),
+    "common_zero": (("A", "B", "S"), "k1 0"),
+    "multivar_min": (("f", "h", "g", "ell"), "k2 0"),
+    "univar_min": (("f", "h", "g", "phi"), "primal_dims 1"),
+    "feasibility": (("set", "phi"), "dual_dims 1"),
+}
+
+
+def test_valid_texts_cover_every_kind_and_build():
+    assert {parse_problem(t).kind for t in VALID_TEXTS} == set(KINDS)
+    for text in VALID_TEXTS:
+        build_problem(parse_problem(text))
+
+
+# -- round trip over generated problem files ---------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+numbers = st.floats(allow_nan=False, width=64)  # +-inf passes the reader
+
+
+def _arrays(shape):
+    return shape.flatmap(lambda s: st.lists(
+        numbers, min_size=int(np.prod(s)), max_size=int(np.prod(s))
+    ).map(lambda v: np.array(v, dtype=float).reshape(s)))
+
+
+# a 1-D parameter needs a comma, a matrix a semicolon: at least 2 of each
+param_values = st.one_of(
+    numbers,
+    _arrays(st.tuples(st.integers(2, 4))),
+    _arrays(st.tuples(st.integers(2, 3), st.integers(1, 3))),
+)
+entry_values = st.one_of(
+    st.none(), finite,
+    _arrays(st.tuples(st.integers(1, 3), st.integers(1, 3))),
+)
+
+
+@st.composite
+def problem_files(draw):
+    pf = ProblemFile(draw(st.sampled_from(KINDS)))
+    dims = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+    if pf.kind in ("system", "multivar_min"):
+        pf.dims["primal_dims"], pf.dims["dual_dims"] = draw(dims), draw(dims)
+    else:
+        pf.dims["dim"] = draw(st.integers(1, 5))
+    if pf.kind in ("parallel_sum", "univar_min"):
+        pf.dims["dual_dims"] = draw(dims)
+        pf.dims["k1"], pf.dims["k2"] = sorted(draw(st.lists(
+            st.integers(0, 3), min_size=2, max_size=2)))
+    ids = st.sampled_from(sorted(CATALOG_IDS))
+    params = st.dictionaries(
+        st.sampled_from(["a", "c", "lo", "hi", "M", "b", "omega", "u"]),
+        param_values, max_size=3)
+    for role in draw(st.sets(st.sampled_from(KIND_ROLES[pf.kind][0]))):
+        idxs = draw(st.sets(st.one_of(st.none(), st.integers(0, 4)),
+                            min_size=1, max_size=3))
+        pf.ops[role] = {i: (draw(ids), draw(params)) for i in idxs}
+    pf.entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), entry_values,
+        max_size=4))
+    pf.vecs = draw(st.dictionaries(
+        st.sampled_from(["z", "r"]),
+        st.lists(numbers, max_size=4).map(lambda v: np.array(v, dtype=float))))
+    pf.config = draw(st.fixed_dictionaries({}, optional={
+        "gamma": finite, "tol": finite, "max_iters": st.integers(1, 10**6),
+        "seed": st.integers(0, 2**63)}))
+    return pf
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_files())
+def test_round_trip_of_generated_files_is_fixed_point(pf):
+    text = serialize_problem(pf)
+    again = parse_problem(text)
+    assert again == pf
+    assert serialize_problem(again) == text
+
+
+# -- mutations that make a valid file invalid --------------------------------
+
+NUMBER = re.compile(r"(?<![\w.+-])-?\d+(?:\.\d*)?(?:e-?\d+)?(?![\w.])")
+
+
+def _directive_lines(lines):
+    """Indices of the lines after 'problem' that are not blank or comments."""
+    return [n for n, s in enumerate(lines) if n > 0 and s.strip()
+            and not s.startswith("#")]
+
+
+@st.composite
+def invalid_texts(draw):
+    """A valid file with one mutation that makes it invalid by construction."""
+    text = draw(st.sampled_from(VALID_TEXTS))
+    lines = text.splitlines()
+    kind = lines[0].split()[1]
+    how = draw(st.sampled_from(["duplicate", "insert", "number", "index"]))
+    if how == "duplicate":
+        n = draw(st.sampled_from(_directive_lines(lines)))
+        lines.insert(draw(st.integers(n + 1, len(lines))), lines[n])
+    elif how == "insert":
+        roles, dims_line = KIND_ROLES[kind]
+        new = draw(st.sampled_from([
+            "op Q 1 zero", "vec w 1", dims_line,
+            f"op {draw(st.sampled_from(roles))} 9 zero",
+        ]))
+        lines.insert(draw(st.integers(1, len(lines))), new)
+    elif how == "number":
+        spots = [(n, m) for n in _directive_lines(lines)
+                 for m in NUMBER.finditer(lines[n])]
+        n, m = draw(st.sampled_from(spots))
+        bad = draw(st.sampled_from(["x", "nan"]))
+        lines[n] = lines[n][:m.start()] + bad + lines[n][m.end():]
+    else:
+        spots = [n for n in _directive_lines(lines)
+                 if lines[n].split()[0] in ("entry", "L")]
+        if not spots:  # no coupling lines: add one past any grid instead
+            lines.append(f"entry {draw(st.sampled_from([0, 9]))} 1 identity")
+        else:
+            n = draw(st.sampled_from(spots))
+            toks = lines[n].split()
+            at = draw(st.integers(1, 2 if toks[0] == "entry" else 1))
+            toks[at] = str(draw(st.sampled_from([0, 9])))
+            lines[n] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invalid_texts())
+def test_every_invalid_mutation_exits_one_naming_a_line(fuzz_dir, text):
+    path = fuzz_dir / "mutant.prob"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["solve", str(path), "--output-dir", str(fuzz_dir)])
+    assert code == 1, text
+    msg = err.getvalue()
+    assert msg.count("\n") == 1 and re.search(r"line \d+: ", msg), (text, msg)
+
+
+# -- the catalog and its parameters ------------------------------------------
+
+
+def test_every_catalog_id_belongs_to_a_family():
+    from pdsplit.probfile import _CATALOG
+
+    assert CATALOG_IDS == {cid for table in _CATALOG.values() for cid in table}
+    for cid in ("box", "normal_cone_box", "subdiff_l1", "indicator_ball",
+                "none", "point_zero"):
+        assert cid in CATALOG_IDS
+
+
+@pytest.mark.parametrize("old, new, pattern", [
+    ("c=1", "c=1 d=2", "line 6: scaled_identity: unknown parameter d="),
+    ("c=1", "c=1 c=2", "line 6: parameter 'c' given twice"),
+    ("lo=-1,-1", "lo=-1,-1,-1", "line 4: normal_cone_box: parameter lo needs"),
+    ("c=1", "c=-1", "line 6: scaled_identity: scaled identity needs c >= 0"),
+    ("hi=1,1", "hi=1,-2", "line 4: normal_cone_box: box needs lo <= hi"),
+    ("op C 1 zero", "op C 1 box lo=0 hi=1", "line 5: catalog id 'box' is not in the Lipschitz operator family"),
+])
+def test_operator_parameters_checked_with_op_line(old, new, pattern):
+    with pytest.raises(ParseError, match=pattern):
+        build_problem(parse_problem(SYSTEM_TEXT.replace(old, new)))
+
+
+def test_scalar_parameter_fills_the_block():
+    # lo=-1 stands for the constant vector (-1, -1) of the 2-dim block
+    text = SYSTEM_TEXT.replace("lo=-1,-1 hi=1,1", "lo=-1 hi=1")
+    prob, _ = build_problem(parse_problem(text))
+    np.testing.assert_array_equal(prob.A[0].set.lo, [-1.0, -1.0])
+
+
+def test_hand_built_nan_parameter_rejected():
+    pf = parse_problem(SYSTEM_TEXT)
+    pf.ops["B"][0] = ("scaled_identity", {"c": float("nan")})
+    with pytest.raises(ParseError, match="line 6: scaled_identity: parameter c is NaN"):
+        build_problem(pf)
+
+
+def test_infinite_box_bounds_accepted():
+    text = SYSTEM_TEXT.replace("lo=-1,-1 hi=1,1", "lo=-inf,0 hi=inf,inf")
+    prob, _ = build_problem(parse_problem(text))
+    np.testing.assert_array_equal(prob.A[0].set.hi, [np.inf, np.inf])
+
+
+def test_kind_partition_checked_with_line():
+    text = PSUM_TEXT.replace("k1 0\nk2 0", "k1 1\nk2 0")
+    with pytest.raises(ParseError, match="line 5: need k1 <= k2 <= 1"):
+        build_problem(parse_problem(text))
+
+
+def test_op_numbering_without_gaps():
+    # common_zero and feasibility count their couplings from the 'op' lines
+    text = COMMON_ZERO_TEXT + "op B 9 zero\n"
+    with pytest.raises(ParseError, match="line 8: op B 9: 'op B' lines must be numbered"):
+        build_problem(parse_problem(text))

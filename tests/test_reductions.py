@@ -29,8 +29,10 @@ from pdsplit import (
     check_consistency_theorem,
     check_qualification,
     compute_beta,
+    dual_objective,
     evaluate_objectives,
     lift_parallel_sum,
+    primal_objective,
     relaxation_objective,
     solve_common_zero,
     solve_feasibility_relaxation,
@@ -44,8 +46,14 @@ from pdsplit.demos import (
     legendre_normal_equations,
     projected_gradient_oracle,
 )
+from pdsplit.probfile import build_problem, parse_problem
 from conftest import random_parallel_sum
-from oracles import parallel_sum_iterates, resolvent_bisection
+from oracles import (
+    conj_box_plus_sqdist,
+    conj_l1_plus_sqnorm,
+    parallel_sum_iterates,
+    resolvent_bisection,
+)
 
 
 # --- lifting -----------------------------------------------------------------
@@ -378,3 +386,43 @@ def test_feasibility_rejects_unvetted_penalty():
 def test_relaxation_objective_hard_violation_is_infinite():
     p = get_demo("boxhalf").build()
     assert relaxation_objective(p, np.array([5.0, 5.0])) == np.inf
+
+
+def _one_block_min_problem(text_ops, u):
+    """min f(x) + h(x) - <x, u> with a zero coupling, read from a problem
+    file so that h is the catalog's smooth function; its dual objective at
+    v = 0 is (f + h)*(u)."""
+    d = u.size
+    text = (f"problem multivar_min\nprimal_dims {d}\ndual_dims 1\n{text_ops}"
+            "op g 1 zero\nop ell 1 none\n"
+            "vec z " + " ".join(repr(float(t)) for t in u) + "\nvec r 0\n")
+    return build_problem(parse_problem(text))[0]
+
+
+def test_dual_objective_exact_for_quadratic_h():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u = 3.0 * rng.standard_normal(3)
+        p = _one_block_min_problem(
+            "op f 1 indicator_box lo=-1,0,0.5 hi=1,2,0.5\n"
+            "op h 1 sqdist a=0.3,-2,1\n", u)
+        want = conj_box_plus_sqdist(np.array([-1, 0, 0.5]), np.array([1, 2, 0.5]),
+                                    np.array([0.3, -2, 1]), u)
+        assert dual_objective(p, BlockVector.zeros((1,))) == pytest.approx(
+            want, abs=1e-12)
+        p = _one_block_min_problem(
+            "op f 1 l1 weight=0.7\nop h 1 sqnorm omega=1.5\n", u)
+        assert dual_objective(p, BlockVector.zeros((1,))) == pytest.approx(
+            conj_l1_plus_sqnorm(0.7, 1.5, u), abs=1e-12)
+
+
+def test_dual_objective_needs_quadratic_h():
+    from pdsplit import EvaluationError, LipschitzOperator, Smooth
+
+    p = _one_block_min_problem("op f 1 zero\nop h 1 zero\n", np.zeros(2))
+    p.h[0] = Smooth(lambda x: float(np.sum(x ** 4)),
+                    LipschitzOperator(lambda x: 4 * x ** 3, 1.0))
+    with pytest.raises(EvaluationError):
+        dual_objective(p, BlockVector.zeros((1,)))
+    # the primal objective does not depend on the dual evaluator
+    assert primal_objective(p, BlockVector([np.ones(2)])) == pytest.approx(2.0)
