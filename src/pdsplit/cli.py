@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve (run a problem file), demo (built-in instances with
-oracles), selftest (property suite), list-catalog.  Runs emit a
-per-iteration CSV trace and a summary file; exit codes are 0 on success,
-1 on errors, 2 when the iteration hit its budget without converging.
+oracles), selftest (property suite), list-catalog.  Every run that reaches
+the iteration writes a per-iteration CSV trace and a summary file, which
+names its stop reason.  The exit code follows that reason: 0 when the run
+converged, 2 when it hit its budget, 1 when it diverged.  Invalid input
+exits 1 before the iteration, with one error line and no outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import sys
 import time
 from pathlib import Path
 
-from .fbf import DivergenceError, FbfConfig, SummableErrorSchedule
+import numpy as np
+
+from .fbf import FbfConfig, SummableErrorSchedule
 from .operators import ParameterError
 from .probfile import (
     CATALOG_IDS,
@@ -35,6 +39,11 @@ CSV_HEADER = "iter,gamma,fixedpoint_residual,primal_kkt,dual_kkt,primal_obj,dual
 # config keys that are FbfConfig fields, and the field each one sets
 _FBF_FIELDS = {"epsilon": "epsilon", "gamma": "gamma", "max_iters": "max_iters",
                "tol": "residual_tol"}
+# the config key behind each setting a ParameterError may name
+_CONFIG_KEY = {**{f: k for k, f in _FBF_FIELDS.items()},
+               "eta": "error_eta", "p": "error_p"}
+
+_EXIT_CODES = {"converged": 0, "max_iters": 2, "diverged": 1}
 
 
 def _fmt(x):
@@ -77,34 +86,24 @@ def _final_objectives(kind, prob, report):
 def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    kkt_at = {n: (pk, dk) for n, pk, dk in report.kkt_rows}
-    last_iter = report.trace.rows[-1][0] if report.trace.rows else 0
-    kkt_at[last_iter] = report.kkt
+    trace = report.trace
     pobj, dobj, gap = _final_objectives(kind, prob, report)
 
+    # KKT residuals and objectives are known at the last iterate only
     lines = [CSV_HEADER]
-    for n, gamma, resid in report.trace.rows:
-        pk, dk = kkt_at.get(n, (None, None))
-        final = n == last_iter
-        cells = [
-            str(n),
-            _fmt(gamma),
-            _fmt(resid),
-            _fmt(pk) if pk is not None else "",
-            _fmt(dk) if dk is not None else "",
-            _fmt(pobj) if final and pobj is not None else "",
-            _fmt(dobj) if final and dobj is not None else "",
-            _fmt(gap) if final and gap is not None else "",
-        ]
-        lines.append(",".join(cells))
+    lines += [f"{n},{_fmt(gamma)},{_fmt(resid)},,,,," for n, gamma, resid in trace.rows[:-1]]
+    n, gamma, resid = trace.rows[-1]
+    final = [_fmt(t) if t is not None else "" for t in (*report.kkt, pobj, dobj, gap)]
+    lines.append(",".join([str(n), _fmt(gamma), _fmt(resid)] + final))
     trace_path = outdir / f"{stem}.trace.csv"
     trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     summary = [
         f"converged {'true' if report.converged else 'false'}",
-        f"iterations {report.trace.iterations}",
+        f"stop_reason {trace.stop_reason}",
+        f"iterations {trace.iterations}",
         f"wall_time_s {_fmt(wall_time)}",
-        f"final_residual {_fmt(report.trace.rows[-1][2]) if report.trace.rows else ''}",
+        f"final_residual {_fmt(resid)}",
         f"primal_kkt {_fmt(report.kkt[0])}",
         f"dual_kkt {_fmt(report.kkt[1])}",
     ]
@@ -123,6 +122,27 @@ def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
     return trace_path, summary_path
 
 
+def _config_line(exc, pf, args):
+    """'line N: ' when exc names a setting whose value came from the file's
+    config line N rather than from a flag."""
+    key = _CONFIG_KEY.get(exc.key)
+    line = pf.lines.get(("config", key))
+    if line is None or getattr(args, key, None) is not None:
+        return ""
+    return f"line {line}: "
+
+
+def _finish(label, report, trace_path, message):
+    """Print how the run ended and return its exit code."""
+    trace = report.trace
+    if trace.stop_reason == "diverged":
+        print(f"error: {label}: diverged at iteration {trace.rows[-1][0]}; "
+              f"trace at {trace_path}", file=sys.stderr)
+    else:
+        print(message)
+    return _EXIT_CODES[trace.stop_reason]
+
+
 def cmd_solve(args):
     path = Path(args.path)
     try:
@@ -133,26 +153,23 @@ def cmd_solve(args):
     try:
         pf = parse_problem(text)
         prob, solver = build_problem(pf)
-        cfg = make_config(pf.config, args)
     except (ParseError, ParameterError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
-    t0 = time.perf_counter()
     try:
+        cfg = make_config(pf.config, args)
+        t0 = time.perf_counter()
         report = solver(prob, cfg)
     except ParameterError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
-    except DivergenceError as exc:
-        print(f"error: solve diverged: {exc}", file=sys.stderr)
+        print(f"error: {path}: {_config_line(exc, pf, args)}{exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
     trace_path, _ = write_outputs(
         path.stem, args.output_dir, pf.kind, prob, report, wall
     )
-    print(f"{'converged' if report.converged else 'not converged'} "
-          f"after {report.trace.iterations} iterations; trace at {trace_path}")
-    return 0 if report.converged else 2
+    return _finish(path, report, trace_path,
+                   f"{'converged' if report.converged else 'not converged'} "
+                   f"after {report.trace.iterations} iterations; trace at {trace_path}")
 
 
 def cmd_demo(args):
@@ -168,27 +185,27 @@ def cmd_demo(args):
         )
         return 1
     prob = demo.build()
-    cfg = make_config({}, args)
-    t0 = time.perf_counter()
-    report, x = demo.run(prob, cfg)
+    try:
+        cfg = make_config({}, args)
+        t0 = time.perf_counter()
+        report, x = demo.run(prob, cfg)
+    except ParameterError as exc:
+        print(f"error: demo {demo.name}: {exc}", file=sys.stderr)
+        return 1
     wall = time.perf_counter() - t0
     oracle = demo.oracle(prob)
-    import numpy as np
-
     deviation = float(np.linalg.norm(x - oracle))
-    kind = {"twobox": "multivar_min", "lasso1d": "multivar_min",
-            "legendre": "common_zero", "boxhalf": "feasibility"}[demo.name]
     extra = [
         "solution " + ",".join(_fmt(t) for t in x),
         "oracle " + ",".join(_fmt(t) for t in oracle),
         f"oracle_deviation {_fmt(deviation)}",
     ]
     trace_path, _ = write_outputs(
-        demo.name, args.output_dir, kind, prob, report, wall, extra
+        demo.name, args.output_dir, demo.kind, prob, report, wall, extra
     )
-    print(f"{demo.name}: solution [" + ", ".join(_fmt(t) for t in x) + "], "
-          f"oracle deviation {deviation:.3e}; trace at {trace_path}")
-    return 0 if report.converged else 2
+    return _finish(f"demo {demo.name}", report, trace_path,
+                   f"{demo.name}: solution [" + ", ".join(_fmt(t) for t in x) + "], "
+                   f"oracle deviation {deviation:.3e}; trace at {trace_path}")
 
 
 def cmd_selftest(args):
@@ -260,7 +277,10 @@ def main(argv=None):
     sp.set_defaults(fn=cmd_list_catalog)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    # an overflowing run ends with the "diverged" stop reason, which the
+    # commands report themselves, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return args.fn(args)
 
 
 if __name__ == "__main__":

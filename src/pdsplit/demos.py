@@ -35,19 +35,28 @@ from .reductions import (
 
 __all__ = ["DEMO_NAMES", "get_demo", "projected_gradient_oracle"]
 
-DEMO_NAMES = ("twobox", "legendre", "boxhalf", "lasso1d")
+# the solver of each problem kind a demo uses
+_SOLVERS = {
+    "multivar_min": solve_multivariate_min,
+    "common_zero": solve_common_zero,
+    "feasibility": solve_feasibility_relaxation,
+}
 
 
 class Demo:
-    def __init__(self, name, description, build, run, oracle):
+    def __init__(self, name, kind, description, build, oracle):
         self.name = name
+        self.kind = kind
         self.description = description
         self.build = build
-        self.run = run
         self.oracle = oracle
 
-    def solve(self, cfg):
+    def run(self, prob, cfg):
         """Returns (report, solution-as-flat-array)."""
+        report = _SOLVERS[self.kind](prob, cfg)
+        return report, report.primal.flat()
+
+    def solve(self, cfg):
         return self.run(self.build(), cfg)
 
 
@@ -78,11 +87,6 @@ def _zeros_bv(dims):
     return BlockVector.zeros(dims)
 
 
-def _run_multivar(p, cfg):
-    report = solve_multivariate_min(p, cfg)
-    return report, report.primal.flat()
-
-
 def _legendre_instance():
     """Three pairwise-inconsistent lines in the plane, each relaxed by a
     quadratic coupling; the relaxation solves the least-squares problem."""
@@ -104,11 +108,6 @@ def legendre_normal_equations(lines):
     return np.linalg.solve(G, b)
 
 
-def _run_common_zero(p, cfg):
-    report = solve_common_zero(p, cfg)
-    return report, report.primal.flat()
-
-
 def _box_line_relaxation():
     """Hard box constraint [0,1]^2 with a soft quadratic attraction to the
     line x1 + x2 = 3; the minimizer is the box corner nearest the line."""
@@ -118,11 +117,6 @@ def _box_line_relaxation():
         phi=[IndicatorFunction(Point([0.0, 0.0])), SquaredNorm(1.0)],
         L=[1.0, 1.0],
     )
-
-
-def _run_feasibility(p, cfg):
-    report = solve_feasibility_relaxation(p, cfg)
-    return report, report.primal.flat()
 
 
 def projected_gradient_oracle(p, step=1e-3, max_iters=1000000, tol=1e-13):
@@ -181,37 +175,24 @@ def _lasso_instance():
     )
 
 
+_DEMOS = {demo.name: demo for demo in (
+    Demo("twobox", "multivar_min",
+         "two box-constrained scalars with quadratic difference penalty",
+         _two_box_coupling, lambda p: np.array([2.0, 1.0])),
+    Demo("legendre", "common_zero",
+         "least-squares relaxation of three inconsistent lines",
+         _legendre_instance, lambda p: legendre_normal_equations(p.lines)),
+    Demo("boxhalf", "feasibility",
+         "box-constrained quadratic distance to an unreachable line",
+         _box_line_relaxation, lambda p: np.array([1.0, 1.0])),
+    Demo("lasso1d", "multivar_min",
+         "l1-penalized denoising solved against soft thresholding",
+         _lasso_instance, lambda p: np.array([2.0, 0.0])),
+)}
+DEMO_NAMES = tuple(_DEMOS)
+
+
 def get_demo(name):
-    if name == "twobox":
-        return Demo(
-            "twobox",
-            "two box-constrained scalars with quadratic difference penalty",
-            _two_box_coupling,
-            _run_multivar,
-            lambda p: np.array([2.0, 1.0]),
-        )
-    if name == "legendre":
-        return Demo(
-            "legendre",
-            "least-squares relaxation of three inconsistent lines",
-            _legendre_instance,
-            _run_common_zero,
-            lambda p: legendre_normal_equations(p.lines),
-        )
-    if name == "boxhalf":
-        return Demo(
-            "boxhalf",
-            "box-constrained quadratic distance to an unreachable line",
-            _box_line_relaxation,
-            _run_feasibility,
-            lambda p: np.array([1.0, 1.0]),
-        )
-    if name == "lasso1d":
-        return Demo(
-            "lasso1d",
-            "l1-penalized denoising solved against soft thresholding",
-            _lasso_instance,
-            _run_multivar,
-            lambda p: np.array([2.0, 0.0]),
-        )
-    raise KeyError(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}")
+    if name not in _DEMOS:
+        raise KeyError(f"unknown demo {name!r}; choose from {', '.join(DEMO_NAMES)}")
+    return _DEMOS[name]

@@ -5,6 +5,12 @@ monotone (accessed through its resolvent) and Q is monotone and
 chi-Lipschitzian.  Each iteration makes two forward evaluations of Q and one
 backward (resolvent) step, and tolerates absolutely summable perturbations
 in all three evaluations.
+
+A run reports through one record.  The trace holds a row (n, gamma,
+||w_n - p_n||) per iteration and ends with a stop reason: "converged",
+"max_iters" or "diverged".  A caller that needs more, such as the iterates
+or the residual split into blocks, sets ``FbfConfig.on_iteration``; it is
+called once per iteration and costs nothing when left unset.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ __all__ = [
     "FbfConfig",
     "FbfTrace",
     "SummableErrorSchedule",
-    "DivergenceError",
     "fbf_solve",
     "gamma_for",
 ]
@@ -26,10 +31,6 @@ __all__ = [
 DEFAULT_EPSILON = 1e-2
 DEFAULT_MAX_ITERS = 200000
 DEFAULT_RESIDUAL_TOL = 1e-9
-
-
-class DivergenceError(RuntimeError):
-    """An iterate became non-finite; the message names the iteration."""
 
 
 class SummableErrorSchedule:
@@ -42,10 +43,10 @@ class SummableErrorSchedule:
     """
 
     def __init__(self, eta, p, seed=0):
-        if eta < 0:
-            raise ParameterError("eta must be nonnegative")
+        if not eta >= 0:
+            raise ParameterError(f"eta must be nonnegative, got {eta}", "eta")
         if not p > 1:
-            raise ParameterError(f"p must exceed 1 for summability, got {p}")
+            raise ParameterError(f"p must exceed 1 for summability, got {p}", "p")
         self.eta = float(eta)
         self.p = float(p)
         self.seed = int(seed)
@@ -73,99 +74,97 @@ class SummableErrorSchedule:
 class FbfConfig:
     """Iteration parameters.
 
-    gamma fixes a constant step; gamma_schedule(n) overrides it per
-    iteration.  With neither given, the largest admissible constant step
+    gamma fixes a constant step; without it the largest admissible step
     (1 - epsilon)/chi is used.  errors, when set, must produce absolutely
-    summable perturbation triples (a_n, b_n, c_n).
+    summable perturbation triples (a_n, b_n, c_n).  on_iteration(n, w_n,
+    p_n), when set, is called once per iteration, after the trace row is
+    recorded and before the stopping test; it must not modify w_n or p_n.
     """
 
     def __init__(
         self,
         epsilon=DEFAULT_EPSILON,
         gamma=None,
-        gamma_schedule=None,
         max_iters=DEFAULT_MAX_ITERS,
         residual_tol=DEFAULT_RESIDUAL_TOL,
         errors=None,
-        keep_iterates=False,
-        kkt_every=0,
+        on_iteration=None,
     ):
         if not 0 < epsilon < 1:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+            raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}", "epsilon")
         if gamma is not None and not gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {gamma}")
+            raise ParameterError(f"gamma must be positive, got {gamma}", "gamma")
         if not max_iters >= 1:
-            raise ParameterError("max_iters must be >= 1")
+            raise ParameterError(f"max_iters must be >= 1, got {max_iters}", "max_iters")
         if not residual_tol >= 0:
-            raise ParameterError("residual_tol must be nonnegative")
+            raise ParameterError(
+                f"residual_tol must be nonnegative, got {residual_tol}", "residual_tol")
         self.epsilon = float(epsilon)
         self.gamma = None if gamma is None else float(gamma)
-        self.gamma_schedule = gamma_schedule
         self.max_iters = int(max_iters)
         self.residual_tol = float(residual_tol)
         self.errors = errors
-        self.keep_iterates = bool(keep_iterates)
-        self.kkt_every = int(kkt_every)
+        self.on_iteration = on_iteration
 
     def check_against(self, chi):
         if self.epsilon >= 1.0 / (chi + 1.0):
             raise ParameterError(
-                f"epsilon {self.epsilon} must be below 1/(chi+1) = {1.0 / (chi + 1.0)}"
+                f"epsilon {self.epsilon} must be below 1/(chi+1) = {1.0 / (chi + 1.0)}",
+                "epsilon",
             )
 
 
 def gamma_for(cfg, chi, n):
-    """Step size for iteration n, validated against [epsilon, (1-epsilon)/chi]."""
+    """Step size for iteration n, validated against [epsilon, (1-epsilon)/chi].
+    The step is constant: cfg.gamma, or else the upper end of that range."""
     hi = (1.0 - cfg.epsilon) / chi
-    if cfg.gamma_schedule is not None:
-        g = float(cfg.gamma_schedule(n))
-    elif cfg.gamma is not None:
-        g = cfg.gamma
-    else:
-        g = hi
+    g = hi if cfg.gamma is None else cfg.gamma
     if not cfg.epsilon <= g <= hi * (1 + 1e-12):
         raise ParameterError(
-            f"gamma {g} at iteration {n} outside [{cfg.epsilon}, {hi}]"
+            f"gamma {g} at iteration {n} outside [{cfg.epsilon}, {hi}]", "gamma"
         )
     return g
 
 
 class FbfTrace:
-    """Per-iteration diagnostics of one run."""
+    """The record of one run: a row (n, gamma, ||w_n - p_n||) per
+    iteration, the last finite iterate w with its resolvent point p, and
+    the stop reason ("converged", "max_iters" or "diverged")."""
 
     def __init__(self):
-        self.rows = []  # (n, gamma, ||w_n - p_n||)
+        self.rows = []
         self.w = None
         self.p = None
-        self.converged = False
-        self.iterations = 0
-        self.iterates = None  # populated when keep_iterates is set
+        self.stop_reason = None
 
-    def residuals(self):
-        return np.array([r[2] for r in self.rows])
+    @property
+    def iterations(self):
+        return len(self.rows)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
 
-def fbf_solve(P_resolvent, Q, chi, w0, cfg, callback=None):
+def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     """Run the error-tolerant iteration until the relative fixed-point
-    residual ||w_n - p_n|| / max(1, ||w_n||) drops below the tolerance.
+    residual ||w_n - p_n|| / max(1, ||w_n||) drops below the tolerance
+    ("converged"), the budget runs out ("max_iters"), or an update is not
+    finite ("diverged", keeping the last finite iterate).
 
     P_resolvent(gamma, w) evaluates the resolvent of the set-valued part; Q(w)
     the single-valued part.  chi must upper-bound Q's Lipschitz constant.
-    callback(n, w_n, p_n), when given, runs once per iteration, after the
-    residual is recorded and before the stopping test.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
     cfg.check_against(chi)
 
     trace = FbfTrace()
-    w = w0.copy()
+    w = p = w0.copy()
     dims = w.dims
-    if cfg.keep_iterates:
-        trace.iterates = [w.copy()]
-
-    p = w
+    stop = "max_iters"
     for n in range(cfg.max_iters):
+        # looked up once per iteration: bench/run.py wraps it as its clock
         gamma = gamma_for(cfg, chi, n)
         if cfg.errors is not None:
             a, b, c = cfg.errors(n, dims)
@@ -182,23 +181,16 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg, callback=None):
 
         resid = (w - p).norm()
         trace.rows.append((n, gamma, resid))
-        if callback is not None:
-            callback(n, w, p)
+        if cfg.on_iteration is not None:
+            cfg.on_iteration(n, w, p)
         if resid <= cfg.residual_tol * max(1.0, w.norm()):
-            trace.w = w
-            trace.p = p
-            trace.converged = True
-            trace.iterations = n + 1
-            return trace
+            stop = "converged"
+            break
+        w_next = w - s + q
+        if not w_next.is_finite():
+            stop = "diverged"
+            break
+        w = w_next
 
-        w = w - s + q
-        if not w.is_finite():
-            raise DivergenceError(f"non-finite iterate at iteration {n}")
-        if cfg.keep_iterates:
-            trace.iterates.append(w.copy())
-
-    trace.w = w
-    trace.p = p
-    trace.converged = False
-    trace.iterations = cfg.max_iters
+    trace.w, trace.p, trace.stop_reason = w, p, stop
     return trace

@@ -48,7 +48,13 @@ INDICATOR_FEASIBILITY_TOL = 1e-6
 
 
 class ParameterError(ValueError):
-    """Invalid operator/step parameter (e.g. gamma <= 0)."""
+    """Invalid operator/step parameter (e.g. gamma <= 0).  key, when set,
+    names the solver setting at fault (an FbfConfig or error-schedule
+    argument), so a front end can point at where that value came from."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 def _check_gamma(gamma):
@@ -255,12 +261,19 @@ class ZeroMap(LipschitzOperator):
 
 
 class ScaledIdentityMap(LipschitzOperator):
-    def __init__(self, c):
+    """x -> c x + b with c >= 0; the shift b defaults to zero."""
+
+    def __init__(self, c, b=None):
         if not c >= 0:
             raise ParameterError("scaled identity map needs c >= 0")
         self.c = float(c)
-        super().__init__(lambda x: self.c * np.asarray(x, dtype=float), self.c,
-                         f"scaled_identity_map(c={c})")
+        if b is None:
+            self.b = 0.0
+            fn = lambda x: self.c * np.asarray(x, dtype=float)
+        else:
+            self.b = np.asarray(b, dtype=float).reshape(-1)
+            fn = lambda x: self.c * np.asarray(x, dtype=float) + self.b
+        super().__init__(fn, self.c, f"scaled_identity_map(c={c})")
 
 
 class AffineMap(LipschitzOperator):

@@ -355,7 +355,7 @@ def _wrapped(table, wrap, prefix="", ids=None):
 
 def _sqdist_smooth(a):
     return Smooth(lambda x: 0.5 * float((x - a) @ (x - a)),
-                  AffineMap(np.eye(a.size), -a), label="sqdist_smooth")
+                  ScaledIdentityMap(1.0, -a), label="sqdist_smooth")
 
 
 def _sqnorm_smooth(w):

@@ -36,7 +36,6 @@ from .blocks import (  # noqa: F401
     normalize_entry,
 )
 from .operators import (
-    AffineMap,
     ConvexFunction,
     IndicatorFunction,
     LipschitzOperator,
@@ -321,14 +320,11 @@ def _conj_infconv_value(f, h, u):
     of <u, x> - f(x) - h(x) is attained at p = prox_{f/c}(y), giving
     c(<y, p> - ||p||^2/2) - f(p) - h(0).  For c = 0 it is f*(u - b) - h(0).
     """
-    grad, b = h.gradient, 0.0
+    grad = h.gradient
     if isinstance(grad, ZeroMap):
-        c = 0.0
+        c, b = 0.0, 0.0
     elif isinstance(grad, ScaledIdentityMap):
-        c = grad.c
-    elif isinstance(grad, AffineMap) and np.array_equal(
-            grad.M, grad.M[0, 0] * np.eye(len(grad.M))):
-        c, b = float(grad.M[0, 0]), grad.b
+        c, b = grad.c, grad.b
     else:
         raise EvaluationError(f"h has gradient {grad.label}, not c Id + constant")
     u = np.asarray(u, dtype=float)

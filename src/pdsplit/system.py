@@ -14,11 +14,15 @@ lambda.  The solver lifts the system to one inclusion on the primal x dual
 product space, the sum of a maximally monotone operator and a monotone
 Lipschitz one (``product_space_pair``), runs the forward-backward-forward
 engine ``fbf_solve`` on it, and splits the result back into x and v.
+The report carries the engine's trace, whose stop reason says how the run
+ended; a caller that wants per-iteration values, such as the primal and
+dual residuals x_n - p1_n and v_n - p2_n, reads them through
+``FbfConfig.on_iteration``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,20 +142,15 @@ def product_space_pair(prob):
 
 @dataclass(eq=False)
 class SolveReport:
-    """Solver output: primal/dual points, trace, and KKT residuals.
-
-    resid_primal and resid_dual hold ||x_n - p1_n|| and ||v_n - p2_n|| per
-    iteration; kkt_rows holds (n, primal, dual) every cfg.kkt_every
-    iterations; aux holds a reduction's auxiliary variables, when it has any.
-    """
+    """Solver output: primal/dual points at the last finite iterate, the
+    engine's trace, and the KKT residuals there; aux holds a reduction's
+    auxiliary variables, when it has any.  Per-iteration quantities come
+    from the trace or from ``FbfConfig.on_iteration``."""
 
     primal: BlockVector
     dual: BlockVector
     trace: FbfTrace
     kkt: tuple
-    kkt_rows: list = field(default_factory=list)
-    resid_primal: list = field(default_factory=list)
-    resid_dual: list = field(default_factory=list)
     aux: list | None = None
 
     @property
@@ -174,25 +173,15 @@ def solve_system(prob, cfg):
         q1_i = p1_i - gamma (C_i p1_i + sum_k L_ki^T p2_k)
         x_i <- x_i - s1_i + q1_i
 
-    plus optional summable perturbations in each evaluation.
+    plus optional summable perturbations in each evaluation.  The hook
+    cfg.on_iteration sees the stacked (x, v) iterate and (p1, p2).
     """
     beta = compute_beta(prob)
     P_resolvent, Q = product_space_pair(prob)
-    m = prob.sig.m
-    resid_primal, resid_dual, kkt_rows = [], [], []
-
-    def record(n, w, p):
-        dx, dv = (w - p).split(m)
-        resid_primal.append(dx.norm())
-        resid_dual.append(dv.norm())
-        if cfg.kkt_every and n % cfg.kkt_every == 0:
-            kkt_rows.append((n, *kkt_residual(prob, *w.split(m))))
-
     w0 = BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual)
-    trace = fbf_solve(P_resolvent, Q, beta, w0, cfg, record)
-    x, v = trace.w.split(m)
-    return SolveReport(x, v, trace, kkt_residual(prob, x, v), kkt_rows,
-                       resid_primal, resid_dual)
+    trace = fbf_solve(P_resolvent, Q, beta, w0, cfg)
+    x, v = trace.w.split(prob.sig.m)
+    return SolveReport(x, v, trace, kkt_residual(prob, x, v))
 
 
 def kkt_residual(prob, x, v):

@@ -59,15 +59,17 @@ def test_01_engine_equivalence():
     for _ in range(20):
         prob = random_coupled_problem(rng)
         errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
-        cfg = FbfConfig(max_iters=50, residual_tol=0.0,
-                        keep_iterates=True, errors=errors)
+        iterates = []
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0, errors=errors,
+                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
         rep = solve_system(prob, cfg)
+        iterates.append(rep.trace.w.flat())
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
         ref = system_iterates(prob, gamma, 50, errors)
+        assert len(iterates) == len(ref) == 51
         worst = max(
             worst,
-            max(np.linalg.norm(a.flat() - b)
-                for a, b in zip(rep.trace.iterates, ref)),
+            max(np.linalg.norm(a - b) for a, b in zip(iterates, ref)),
         )
     elapsed = time.perf_counter() - t0
     verdict(
@@ -225,12 +227,15 @@ def test_06_duality_gap_and_weak_duality():
     worst_gap, worst_neg = 0.0, 0.0
     for _ in range(10):
         p = _random_quadratic_min(rng)
+        iterates = []
         report = solve_multivariate_min(
-            p, FbfConfig(residual_tol=1e-11, keep_iterates=True)
+            p, FbfConfig(residual_tol=1e-11,
+                         on_iteration=lambda n, w, q: iterates.append(w.copy()))
         )
         assert report.converged
+        iterates.append(report.trace.w)
         m = p.sig.m
-        for w in report.trace.iterates:
+        for w in iterates:
             x = BlockVector(w.blocks[:m])
             v = BlockVector(w.blocks[m:])
             pv, dv = evaluate_objectives(p, x, v)
@@ -278,14 +283,18 @@ def test_08_operator_property_suite():
 def test_09_square_summable_residuals():
     runs = []
     for name in DEMO_NAMES:
-        report, _ = get_demo(name).solve(FbfConfig())
-        runs.append((name, report))
+        diffs = []
+        report, _ = get_demo(name).solve(
+            FbfConfig(on_iteration=lambda n, w, p: diffs.append((w - p).flat()))
+        )
+        runs.append((name, report, diffs))
     worst_tail = 0.0
     ok = True
-    for name, report in runs:
+    for name, report, diffs in runs:
         ok = ok and report.converged
-        for resid in (report.resid_primal, report.resid_dual):
-            sq = np.array(resid) ** 2
+        split = len(diffs[0]) - len(report.dual.flat())
+        for part in (slice(None, split), slice(split, None)):
+            sq = np.array([np.linalg.norm(d[part]) for d in diffs]) ** 2
             ok = ok and np.isfinite(sq.sum())
             worst_tail = max(worst_tail, sq[-1])
     verdict(
@@ -301,14 +310,17 @@ def test_10_lifting_soundness():
     worst = 0.0
     for _ in range(10):
         p = random_parallel_sum(rng)
-        cfg = FbfConfig(max_iters=50, residual_tol=0.0, keep_iterates=True)
+        iterates = []
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0,
+                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
         rep = solve_parallel_sum(p, cfg)
+        iterates.append(rep.trace.w.flat())
         gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
         ref = parallel_sum_iterates(p, gamma, 50)
+        assert len(iterates) == len(ref) == 51
         worst = max(
             worst,
-            max(np.linalg.norm(a.flat() - b)
-                for a, b in zip(rep.trace.iterates, ref)),
+            max(np.linalg.norm(a - b) for a, b in zip(iterates, ref)),
         )
     verdict("lifting-soundness", worst <= 1e-12,
             f"10 instances, max iterate gap {worst:.2e}")

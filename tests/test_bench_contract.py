@@ -1,0 +1,124 @@
+"""What the benchmark in bench/ relies on in the library.
+
+bench/tracer.py wraps named functions and methods of the pdsplit modules
+to time each layer, and bench/run.py wraps ``fbf.gamma_for`` as its
+iteration clock.  These tests pin both contracts, so that a refactor that
+drops a traced name, fails to restore it, or moves the step lookup out of
+the iteration loop fails here rather than silently in the benchmark.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import pdsplit.fbf
+from conftest import random_coupled_problem
+from pdsplit import FbfConfig, solve_common_zero, solve_system
+from pdsplit.cli import main
+from pdsplit.demos import get_demo
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from tracer import Tracer  # noqa: E402
+
+MODULES = ("blocks", "operators", "fbf", "system", "reductions", "probfile", "cli")
+
+# (module or class, attribute) that the tracer wraps where it is defined
+TRACED = {
+    ("blocks", "apply_block"), ("blocks", "apply_adjoint"),
+    ("blocks", "lambda_conservative"), ("blocks", "lambda_power_iteration"),
+    ("blocks", "entry_norm_sq"),
+    ("reductions", "entry_apply"), ("reductions", "entry_apply_adjoint"),
+    ("ZeroOperator", "resolvent"), ("ScaledIdentity", "resolvent"),
+    ("NormalCone", "resolvent"), ("SubdifferentialOperator", "resolvent"),
+    ("AffineOperator", "resolvent"), ("LipschitzOperator", "__call__"),
+    ("fbf", "gamma_for"), ("fbf", "fbf_solve"),
+    ("SummableErrorSchedule", "__call__"),
+    ("system", "solve_system"), ("system", "kkt_residual"),
+    ("system", "compute_beta"),
+    ("reductions", "solve_parallel_sum"), ("reductions", "solve_common_zero"),
+    ("reductions", "solve_multivariate_min"), ("reductions", "lift_parallel_sum"),
+    ("reductions", "evaluate_objectives"),
+    ("probfile", "parse_problem"), ("probfile", "build_problem"),
+    ("cli", "make_config"), ("cli", "write_outputs"),
+}
+
+SYSTEM_TEXT = """\
+problem system
+primal_dims 1 1
+dual_dims 1
+op A 1 normal_cone_box lo=2 hi=3
+op A 2 normal_cone_box lo=0 hi=1
+op C 1 zero
+op C 2 zero
+op B 1 scaled_identity c=1
+op Dinv 1 zero
+entry 1 1 scale 1
+entry 1 2 scale -1
+vec z 0 0
+vec r 0
+"""
+
+
+def _attributes(mods):
+    """(owner, name) -> value for every module global and every attribute
+    of the classes the modules define."""
+    out = {}
+    for mod in mods.values():
+        for name, value in vars(mod).items():
+            out[(mod, name)] = value
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                for attr, member in vars(value).items():
+                    out[(value, attr)] = member
+    return out
+
+
+def _short(owner):
+    return owner.__name__.rsplit(".", 1)[-1]
+
+
+def test_tracer_wraps_every_layer_and_restores_it():
+    mods = {name: importlib.import_module(f"pdsplit.{name}") for name in MODULES}
+    before = _attributes(mods)
+    tracer = Tracer(mods).install()
+    try:
+        during = _attributes(mods)
+    finally:
+        tracer.close()
+    after = _attributes(mods)
+    patched = {key for key, value in before.items() if during[key] is not value}
+    assert TRACED <= {(_short(owner), attr) for owner, attr in patched}
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def _count_gamma_for(monkeypatch):
+    calls = []
+    original = pdsplit.fbf.gamma_for
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pdsplit.fbf, "gamma_for", counted)
+    return calls
+
+
+def test_gamma_for_runs_once_per_iteration(monkeypatch, tmp_path):
+    calls = _count_gamma_for(monkeypatch)
+    report = solve_system(random_coupled_problem(np.random.default_rng(3)),
+                          FbfConfig(max_iters=300))
+    assert calls == list(range(report.trace.iterations))
+
+    calls.clear()
+    report = solve_common_zero(get_demo("legendre").build(), FbfConfig())
+    assert report.converged and calls == list(range(report.trace.iterations))
+
+    calls.clear()
+    path = tmp_path / "box.prob"
+    path.write_text(SYSTEM_TEXT)
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    summary = dict(line.split(" ", 1)
+                   for line in (tmp_path / "box.summary").read_text().splitlines())
+    assert calls == list(range(int(summary["iterations"])))

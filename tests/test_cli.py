@@ -43,6 +43,7 @@ def test_solve_writes_trace_and_summary(feas_file, tmp_path, capsys):
     assert all(float(row.split(",")[2]) >= 0.0 for row in trace[1:])
     summary = read_summary(out / "relax.summary")
     assert summary["converged"] == "true"
+    assert summary["stop_reason"] == "converged"
     assert float(summary["primal_kkt"]) <= 1e-7
 
 
@@ -50,6 +51,7 @@ def test_solve_exit_two_on_iteration_budget(feas_file, tmp_path):
     code = main(["solve", str(feas_file), "--max-iters", "1",
                  "--output-dir", str(tmp_path / "o2")])
     assert code == 2
+    assert read_summary(tmp_path / "o2" / "relax.summary")["stop_reason"] == "max_iters"
 
 
 def test_solve_exit_one_on_unknown_catalog_id(tmp_path, capsys):
@@ -185,6 +187,10 @@ op S 1 scaled_identity c=1
     pytest.param(SYSTEM_TEXT.replace("0 1\n", "0\n"), 10, id="ragged-dense"),
     pytest.param(COMMON_ZERO_TEXT + "entry 5 7 scale 3\n", 6,
                  id="common-zero-entry"),
+    pytest.param(SYSTEM_TEXT + "config epsilon 2\n", 14, id="config-epsilon-range"),
+    pytest.param(SYSTEM_TEXT + "config max_iters 0\n", 14, id="config-max-iters-0"),
+    pytest.param(COMMON_ZERO_TEXT + "config epsilon 0.5\n", 6,
+                 id="config-epsilon-above-beta-bound"),
 ])
 def test_solve_rejects_malformed_file_naming_its_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.prob"
@@ -193,6 +199,40 @@ def test_solve_rejects_malformed_file_naming_its_line(tmp_path, capsys, text, li
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"bad.prob: line {line}: " in err
     assert not (tmp_path / "bad.summary").exists()
+
+
+def test_config_flag_overrides_name_no_line(tmp_path, capsys):
+    # the bad value comes from the flag, so no file line is blamed
+    path = tmp_path / "ok.prob"
+    path.write_text(SYSTEM_TEXT + "config epsilon 0.1\n")
+    assert main(["solve", str(path), "--epsilon", "2",
+                 "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line " not in err and "epsilon" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "5"], ["--epsilon", "2"], ["--epsilon", "0.6"],
+    ["--max-iters", "0"], ["--error-eta", "1e308"],
+], ids=lambda f: " ".join(f))
+def test_demo_bad_flags_exit_one_with_one_error_line(tmp_path, capsys, flags):
+    assert main(["demo", "twobox", *flags, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: demo twobox: ")
+
+
+def test_solve_divergence_writes_partial_outputs(feas_file, tmp_path, capsys):
+    out = tmp_path / "div"
+    assert main(["solve", str(feas_file), "--error-eta", "1e308",
+                 "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "diverged at iteration 0" in err
+    assert "Traceback" not in err
+    trace = (out / "relax.trace.csv").read_text().splitlines()
+    assert trace[0] == CSV_HEADER and [row.split(",")[0] for row in trace[1:]] == ["0"]
+    summary = read_summary(out / "relax.summary")
+    assert summary["stop_reason"] == "diverged" and summary["converged"] == "false"
+    assert summary["iterations"] == "1"
 
 
 def test_list_catalog_names_every_catalog_id(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -92,11 +94,14 @@ def test_lift_shapes(rng):
 def test_lifting_soundness_iterates_match(rng):
     for _ in range(5):
         p = random_parallel_sum(rng)
-        cfg = FbfConfig(max_iters=50, residual_tol=0.0, keep_iterates=True)
+        iterates = []
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0,
+                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
         rep = solve_parallel_sum(p, cfg)
+        iterates.append(rep.trace.w.flat())
         gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
         ref = parallel_sum_iterates(p, gamma, 50)
-        gaps = [np.linalg.norm(a.flat() - b) for a, b in zip(rep.trace.iterates, ref)]
+        gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
         assert len(gaps) == 51 and max(gaps) <= 1e-12
 
 
@@ -414,6 +419,16 @@ def test_dual_objective_exact_for_quadratic_h():
             "op f 1 l1 weight=0.7\nop h 1 sqnorm omega=1.5\n", u)
         assert dual_objective(p, BlockVector.zeros((1,))) == pytest.approx(
             conj_l1_plus_sqnorm(0.7, 1.5, u), abs=1e-12)
+
+
+def test_sqdist_h_builds_in_linear_time():
+    # grad of ||x - a||^2/2 is x - a: a shifted identity, no n x n matrix
+    t0 = time.process_time()
+    p = _one_block_min_problem("op f 1 zero\nop h 1 sqdist a=1\n", np.zeros(2000))
+    assert time.process_time() - t0 < 0.5
+    grad = p.h[0].gradient
+    assert grad.lipschitz == 1.0
+    assert np.array_equal(grad(np.full(2000, 3.0)), np.full(2000, 2.0))
 
 
 def test_dual_objective_needs_quadratic_h():
