@@ -30,6 +30,21 @@ __all__ = [
 # coupling norm keeps the step-size bound valid, under-estimating voids it.
 POWER_SAFETY_FACTOR = 1.01
 
+# Relative inflation of bounds computed in floating point: exact SVD norms
+# and the Collatz-Wielandt ratios of lambda_conservative, whose sums of
+# nonnegative terms lose far less than this with up to ~10^3 nonzeros per
+# grid row or column.
+ROUNDING_MARGIN = 1e-12
+
+# Dense entries with at most this many rows or columns get an exact SVD
+# norm; beyond it a power estimate on the Gram matrix is cheaper.
+EXACT_NORM_MAX_DIM = 64
+
+# Most power steps taken by lambda_conservative, which stops earlier once
+# its bound stops falling; each step costs two passes over the nonzeros.
+CW_STEPS = 32
+_TINY = np.finfo(float).tiny
+
 
 class SignatureError(ValueError):
     """Block count or block shapes do not match a space signature."""
@@ -198,17 +213,25 @@ def entry_apply_adjoint(entry, v):
 
 
 def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
-    """Squared spectral norm of a single grid entry.
+    """Upper bound on the squared spectral norm of a single grid entry.
 
-    Dense entries use power iteration on the Gram matrix M^T M.
+    Scalars are exact.  A dense entry with at most EXACT_NORM_MAX_DIM rows
+    or columns gets its exact SVD norm plus ROUNDING_MARGIN.  A larger one
+    gets a power-iteration estimate on its smaller Gram matrix, inflated by
+    POWER_SAFETY_FACTOR and capped by the squared Frobenius norm: the one
+    case where the bound is inflated rather than certified.  When the
+    iteration does not settle, the Frobenius bound is returned.
     """
     if entry is None:
         return 0.0
     if isinstance(entry, float):
         return entry * entry
-    gram = entry.T @ entry
+    if min(entry.shape) <= EXACT_NORM_MAX_DIM:
+        return float(np.linalg.norm(entry, 2)) ** 2 * (1.0 + ROUNDING_MARGIN)
+    gram = entry.T @ entry if dim_in <= dim_out else entry @ entry.T
+    frobenius = float(np.trace(gram))
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(dim_in)
+    x = rng.standard_normal(gram.shape[0])
     x /= np.linalg.norm(x)
     val = 0.0
     for _ in range(max_iters):
@@ -218,9 +241,9 @@ def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
             return 0.0
         x = y / new_val
         if abs(new_val - val) <= tol * max(1.0, new_val):
-            return new_val
+            return min(new_val * POWER_SAFETY_FACTOR, frobenius)
         val = new_val
-    return val
+    return frobenius
 
 
 def normalize_entry(entry):
@@ -239,7 +262,8 @@ class BlockLinearOp:
     block k) with adjoint application and a declared norm bound.
 
     ``lambda_bound`` is any valid upper bound on sup ||Lx||^2 / ||x||^2; by
-    default the conservative sum-of-squared-entry-norms bound is used.
+    default the certified grid-of-entry-norms bound ``lambda_conservative``
+    is used.
     """
 
     def __init__(self, entries, sig, lambda_bound=None):
@@ -303,22 +327,70 @@ def apply_adjoint(L, v):
 
 
 def lambda_conservative(L):
-    """Sum of squared spectral norms of all entries.
+    """Certified upper bound on ||L||^2 from the grid of entry norms.
 
-    Always a valid norm bound for the stacked operator (Cauchy-Schwarz), if
-    generally a loose one.
+    With N the K x m matrix of entry norms N_ki >= ||L_ki||, the triangle
+    and Cauchy-Schwarz inequalities give ||Lx|| <= ||N (||x_i||)_i||, so
+    ||L||^2 <= ||N||^2, the spectral radius of N^T N and of N N^T.  For a
+    nonnegative matrix A every Collatz-Wielandt ratio max_j (A u)_j / u_j
+    of a positive u bounds the spectral radius from above.  Alternating
+    steps x -> N x -> N^T N x from the ones vector give such ratios for
+    both products, and the ratios never rise along them.  The steps run
+    until one leaves the ratio where it was, CW_STEPS at most; the least
+    ratio, inflated by ROUNDING_MARGIN, is capped by the sum of squared
+    entry norms, which bounds ||N||^2 as well and is inflated too unless
+    exact.
     """
-    return sum(
-        entry_norm_sq(e, L.sig.dims_primal[i], L.sig.dims_dual[k])
-        for k, i, e in L.nonzeros
-    )
+    sq = [entry_norm_sq(e, L.sig.dims_primal[i], L.sig.dims_dual[k])
+          for k, i, e in L.nonzeros]
+    top = max(sq, default=0.0)
+    if top == 0.0:
+        return 0.0
+    count = len(sq)
+    rows = np.fromiter((k for k, _, _ in L.nonzeros), int, count)
+    cols = np.fromiter((i for _, i, _ in L.nonzeros), int, count)
+    n = np.sqrt(np.array(sq) / top)
+    K, m = L.sig.K, L.sig.m
+    # x and y grow by at most nnz per step (n <= 1), far from overflow.
+    # They are floored to stay positive where a row or column has no
+    # nonzero entry (its ratio is then 0) or where they underflow; a floor
+    # only raises the ratios it enters, so those stay upper bounds.
+    x = 1.0                                                         # ones
+    y = np.maximum(np.bincount(rows, n, K), _TINY)                  # N x
+    best = math.inf
+    for _ in range(CW_STEPS):
+        z = np.bincount(cols, n * y[rows], m)                       # N^T y
+        ratio = (z / x).max()
+        x = np.maximum(z, _TINY)
+        y_next = np.bincount(rows, n * x[cols], K)                  # N x
+        ratio = min(ratio, (y_next / y).max())
+        if not ratio < best:
+            break
+        best = ratio
+        y = np.maximum(y_next, _TINY)
+    bound = float(best) * top * (1.0 + ROUNDING_MARGIN)
+    total = math.fsum(sq)
+    # the cap binds where N has rank about one, so that the sum is about
+    # ||N||^2 itself: it is taken as is only when no rounding entered it
+    if total < bound and not _exact_scalar_sum(L.nonzeros, sq, total):
+        total *= 1.0 + ROUNDING_MARGIN
+    return min(bound, total)
+
+
+def _exact_scalar_sum(nonzeros, sq, total):
+    """Whether every entry is a scalar whose square is exact in floating
+    point (at most 26 significant bits) and ``total`` is their exact sum."""
+    return (all(isinstance(e, float) and abs(e).as_integer_ratio()[0].bit_length() <= 26
+                for _, _, e in nonzeros)
+            and math.fsum(sq + [-total]) == 0.0)
 
 
 def lambda_power_iteration(L, iters=1000, tol=1e-12):
     """Estimate ||L||^2 by power iteration on L*L, inflated by a safety
-    factor and capped at the conservative bound.
+    factor and capped at the certified bound ``lambda_conservative(L)``.
 
-    Falls back to the conservative bound (with a warning) when the iteration
+    The estimate approaches ||L||^2 from below, so only the cap is
+    certified.  Falls back to the cap (with a warning) when the iteration
     does not settle within ``iters`` steps.
     """
     if iters < 1:

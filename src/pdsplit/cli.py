@@ -102,6 +102,7 @@ def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
         f"converged {'true' if report.converged else 'false'}",
         f"stop_reason {trace.stop_reason}",
         f"iterations {trace.iterations}",
+        f"beta {_fmt(trace.chi)}",
         f"wall_time_s {_fmt(wall_time)}",
         f"final_residual {_fmt(resid)}",
         f"primal_kkt {_fmt(report.kkt[0])}",

@@ -6,11 +6,12 @@ chi-Lipschitzian.  Each iteration makes two forward evaluations of Q and one
 backward (resolvent) step, and tolerates absolutely summable perturbations
 in all three evaluations.
 
-A run reports through one record.  The trace holds a row (n, gamma,
-||w_n - p_n||) per iteration and ends with a stop reason: "converged",
-"max_iters" or "diverged".  A caller that needs more, such as the iterates
-or the residual split into blocks, sets ``FbfConfig.on_iteration``; it is
-called once per iteration and costs nothing when left unset.
+A run reports through one record.  The trace holds the Lipschitz bound
+chi the step came from, a row (n, gamma, ||w_n - p_n||) per iteration,
+and a stop reason: "converged", "max_iters" or "diverged".  A caller that
+needs more, such as the iterates or the residual split into blocks, sets
+``FbfConfig.on_iteration``; it is called once per iteration and costs
+nothing when left unset.
 """
 
 from __future__ import annotations
@@ -127,11 +128,13 @@ def gamma_for(cfg, chi, n):
 
 
 class FbfTrace:
-    """The record of one run: a row (n, gamma, ||w_n - p_n||) per
-    iteration, the last finite iterate w with its resolvent point p, and
-    the stop reason ("converged", "max_iters" or "diverged")."""
+    """The record of one run: the Lipschitz bound chi the step came from, a
+    row (n, gamma, ||w_n - p_n||) per iteration, the last finite iterate w
+    with its resolvent point p, and the stop reason ("converged",
+    "max_iters" or "diverged")."""
 
-    def __init__(self):
+    def __init__(self, chi):
+        self.chi = chi
         self.rows = []
         self.w = None
         self.p = None
@@ -159,7 +162,7 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
         raise ParameterError(f"chi must be positive, got {chi}")
     cfg.check_against(chi)
 
-    trace = FbfTrace()
+    trace = FbfTrace(chi)
     w = p = w0.copy()
     dims = w.dims
     stop = "max_iters"

@@ -32,7 +32,6 @@ from .blocks import (  # noqa: F401
     apply_block,
     entry_apply,
     entry_apply_adjoint,
-    entry_norm_sq,
     normalize_entry,
 )
 from .operators import (
@@ -122,8 +121,9 @@ def lift_parallel_sum(p):
 
     Primal blocks are (x, y_1, ..., y_{K2}); the coupling grid stacks the
     L_k in the first column and -Id on the auxiliary diagonal.  Its norm
-    bound 1 + sum_k ||L_k||^2 comes from the Cauchy-Schwarz estimate of the
-    stacked operator, tighter than the entrywise sum.
+    bound is the default one: with n_k = ||L_k||, the grid of entry norms N
+    has N N^T = n n^T + diag(1, ..., 1, 0, ..., 0), so
+    ||N||^2 <= 1 + sum_k ||L_k||^2.
     """
     K1, K2, K = p.K1, p.K2, p.K
     dims_primal = (p.dim,) + p.dual_dims[:K2]
@@ -147,10 +147,7 @@ def lift_parallel_sum(p):
         if k < K2:
             row[k + 1] = -1.0
         entries.append(row)
-    lam = 1.0 + sum(
-        entry_norm_sq(p.L[k], p.dim, p.dual_dims[k]) for k in range(K)
-    )
-    L = BlockLinearOp(entries, sig, lambda_bound=lam)
+    L = BlockLinearOp(entries, sig)
 
     z = BlockVector([p.z] + [np.zeros(d) for d in p.dual_dims[:K2]])
     r = BlockVector(p.r)

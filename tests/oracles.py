@@ -63,6 +63,15 @@ def _dense(entry, dim_out, dim_in):
     return np.asarray(entry, dtype=float)
 
 
+def dense_coupling(L):
+    """The block grid of a BlockLinearOp assembled into one dense matrix."""
+    dp, dd = L.sig.dims_primal, L.sig.dims_dual
+    return np.block([
+        [_dense(e, dd[k], dp[i]) for i, e in enumerate(row)]
+        for k, row in enumerate(L.entries)
+    ])
+
+
 def _offsets(dims):
     return np.concatenate(([0], np.cumsum(dims))).astype(int)
 
@@ -87,10 +96,7 @@ def system_iterates(prob, gamma, max_iters, errors=None):
     (a, b, c) = ((a1, a2), (b1, -gamma b2), (c1, c2)).
     """
     dp, dd = prob.sig.dims_primal, prob.sig.dims_dual
-    L = np.block([
-        [_dense(e, dd[k], dp[i]) for i, e in enumerate(row)]
-        for k, row in enumerate(prob.L.entries)
-    ])
+    L = dense_coupling(prob.L)
     op, od = _offsets(dp), _offsets(dd)
     n1 = op[-1]
     z, r = prob.z.flat(), prob.r.flat()

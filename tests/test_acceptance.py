@@ -308,6 +308,7 @@ def test_09_square_summable_residuals():
 def test_10_lifting_soundness():
     rng = np.random.default_rng(10)
     worst = 0.0
+    exact_stops = 0
     for _ in range(10):
         p = random_parallel_sum(rng)
         iterates = []
@@ -317,10 +318,21 @@ def test_10_lifting_soundness():
         iterates.append(rep.trace.w.flat())
         gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
         ref = parallel_sum_iterates(p, gamma, 50)
-        assert len(iterates) == len(ref) == 51
+        assert len(ref) == 51
+        if rep.trace.stop_reason == "converged":
+            # with residual_tol 0 the run stops early only at an exact fixed
+            # point; the reference must then stay at the last iterate
+            assert rep.trace.rows[-1][2] == 0.0
+            exact_stops += 1
+            rest = ref[len(iterates):]
+        else:
+            assert len(iterates) == 51
+            rest = []
         worst = max(
             worst,
             max(np.linalg.norm(a - b) for a, b in zip(iterates, ref)),
+            max((np.linalg.norm(b - iterates[-1]) for b in rest), default=0.0),
         )
     verdict("lifting-soundness", worst <= 1e-12,
-            f"10 instances, max iterate gap {worst:.2e}")
+            f"10 instances ({exact_stops} exact fixed points), "
+            f"max iterate gap {worst:.2e}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from pdsplit import (
     lambda_conservative,
     lambda_power_iteration,
 )
+from pdsplit.blocks import EXACT_NORM_MAX_DIM, entry_norm_sq
+from oracles import dense_coupling
 
 
 def test_space_sig_validation():
@@ -157,3 +161,111 @@ def test_norm_bound_validity(rng):
         nrm = apply_block(L, x).norm() ** 2
         for lam in (L.lambda_bound, lambda_power_iteration(L)):
             assert nrm <= lam * x.norm() ** 2 * (1 + 1e-10)
+
+
+def _near_degenerate(rng, rows, cols, gap=1e-7):
+    """A matrix whose top two singular values differ by ``gap`` relative."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    r = min(rows, cols)
+    s = np.sort(rng.uniform(0.1, 0.9, r))[::-1]
+    s[0] = 1.0
+    if r > 1:
+        s[1] = 1.0 - gap
+    return u[:, :r] * s @ v[:, :r].T * rng.uniform(0.5, 3.0)
+
+
+def test_entry_norm_sq_is_an_upper_bound_on_near_degenerate_spectra():
+    rng = np.random.default_rng(300)
+    for _ in range(300):
+        rows, cols = (int(d) for d in rng.integers(2, 7, 2))
+        M = _near_degenerate(rng, rows, cols)
+        exact = np.linalg.norm(M, 2) ** 2
+        assert exact <= entry_norm_sq(M, cols, rows) <= exact * (1 + 1e-9)
+
+
+def test_entry_norm_sq_large_dense_is_inflated_and_capped_by_frobenius():
+    rng = np.random.default_rng(5)
+    d = EXACT_NORM_MAX_DIM + 6
+    M = _near_degenerate(rng, d + 3, d)
+    exact = np.linalg.norm(M, 2) ** 2
+    frobenius = float(np.sum(M * M))
+    assert exact <= entry_norm_sq(M, d, d + 3) <= min(1.01 * exact, frobenius) * (1 + 1e-9)
+    # a run that does not settle returns the Frobenius bound
+    assert entry_norm_sq(M, d, d + 3, max_iters=1) == pytest.approx(frobenius, rel=1e-9)
+    # a wide entry is bounded the same way
+    assert exact <= entry_norm_sq(M.T, d + 3, d) <= 1.01 * exact * (1 + 1e-9)
+
+
+def _random_mixed_grid(rng):
+    """A grid of scalar, dense (some near-degenerate) and empty cells, with
+    whole rows and columns left empty now and then."""
+    m, K = (int(d) for d in rng.integers(1, 5, 2))
+    dp = tuple(int(d) for d in rng.integers(1, 4, m))
+    dd = tuple(int(d) for d in rng.integers(1, 4, K))
+    empty_row = int(rng.integers(0, 2 * K))
+    empty_col = int(rng.integers(0, 2 * m))
+    entries = []
+    for k in range(K):
+        row = []
+        for i in range(m):
+            kind = int(rng.integers(0, 4))
+            if k == empty_row or i == empty_col or kind == 0:
+                row.append(None)
+            elif kind == 1 and dd[k] == dp[i]:
+                row.append(float(rng.uniform(-2.0, 2.0)))
+            elif kind == 2:
+                row.append(_near_degenerate(rng, dd[k], dp[i]))
+            else:
+                row.append(rng.standard_normal((dd[k], dp[i])))
+        entries.append(row)
+    return entries, SpaceSig(dp, dd)
+
+
+def _exact_norm_sq(e):
+    return e * e if isinstance(e, float) else np.linalg.norm(e, 2) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_lambda_bound_brackets_exact_norm_on_mixed_grids(seed):
+    rng = np.random.default_rng(seed)
+    entries, sig = _random_mixed_grid(rng)
+    L = BlockLinearOp(entries, sig)
+    exact = np.linalg.norm(dense_coupling(L), 2) ** 2
+    # at most the entrywise sum of the past default, up to the rounding
+    # margin; every entry here is small enough for an exact SVD norm
+    entry_sum = math.fsum(_exact_norm_sq(e) for _, _, e in L.nonzeros)
+    assert exact <= L.lambda_bound <= entry_sum * (1 + 1e-9)
+
+
+def test_lambda_bound_of_an_empty_grid_is_zero():
+    sig = SpaceSig((2, 1), (1, 3))
+    L = BlockLinearOp([[None, None], [np.zeros((3, 2)), None]], sig)
+    assert L.lambda_bound == 0.0
+
+
+def test_lambda_bound_is_tight_on_the_difference_chain():
+    # N is |D| for the chain x_i - x_{i+1}: ||N||^2 = ||D||^2 < 4, while the
+    # entrywise sum is 2 (m - 1) = 126
+    m = 64
+    sig = SpaceSig((1,) * m, (1,) * (m - 1))
+    entries = [[1.0 if i == k else -1.0 if i == k + 1 else None for i in range(m)]
+               for k in range(m - 1)]
+    L = BlockLinearOp(entries, sig)
+    exact = np.linalg.norm(np.eye(m - 1, m) - np.eye(m - 1, m, k=1), 2) ** 2
+    assert exact <= L.lambda_bound <= 4.0 * (1 + 1e-9)
+
+
+def test_lambda_bound_on_scalar_rows_covers_rounding():
+    # one row of scalars: N has rank one and the entrywise sum is ||N||^2
+    # itself, so the bound must cover the rounding of the squares
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        m, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        sig = SpaceSig((d,) * m, (d,))
+        L = BlockLinearOp([[float(s) for s in rng.uniform(-2.0, 2.0, m)]], sig)
+        assert np.linalg.norm(dense_coupling(L), 2) ** 2 <= L.lambda_bound
+    # squares and sums that need no rounding are taken as they are
+    L = BlockLinearOp([[0.5, -1.5, 3.0]], SpaceSig((2, 2, 2), (2,)))
+    assert L.lambda_bound == 0.25 + 2.25 + 9.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdsplit.cli import CSV_HEADER, main
+from pdsplit.fbf import DEFAULT_EPSILON
 
 FEAS_TEXT = """\
 problem feasibility
@@ -52,6 +53,34 @@ def test_solve_exit_two_on_iteration_budget(feas_file, tmp_path):
                  "--output-dir", str(tmp_path / "o2")])
     assert code == 2
     assert read_summary(tmp_path / "o2" / "relax.summary")["stop_reason"] == "max_iters"
+
+
+TWOBOX_TEXT = """\
+problem system
+primal_dims 1 1
+dual_dims 1
+op A 1 normal_cone_box lo=2 hi=3
+op A 2 normal_cone_box lo=0 hi=1
+op C 1 zero
+op C 2 zero
+op B 1 scaled_identity c=1
+op Dinv 1 zero
+entry 1 1 scale 1
+entry 1 2 scale -1
+vec z 0 0
+vec r 0
+"""
+
+
+def test_solve_summary_reports_beta(tmp_path):
+    # L = [Id, -Id] has ||L||^2 = 2 and C, Dinv are zero: beta = sqrt(2)
+    path = tmp_path / "twobox.prob"
+    path.write_text(TWOBOX_TEXT)
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    beta = float(read_summary(tmp_path / "twobox.summary")["beta"])
+    assert beta == np.sqrt(2.0)
+    gamma = float((tmp_path / "twobox.trace.csv").read_text().splitlines()[1].split(",")[1])
+    assert gamma == (1.0 - DEFAULT_EPSILON) / beta
 
 
 def test_solve_exit_one_on_unknown_catalog_id(tmp_path, capsys):

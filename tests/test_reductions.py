@@ -53,6 +53,7 @@ from conftest import random_parallel_sum
 from oracles import (
     conj_box_plus_sqdist,
     conj_l1_plus_sqnorm,
+    dense_coupling,
     parallel_sum_iterates,
     resolvent_bisection,
 )
@@ -81,6 +82,20 @@ def test_lift_single_resolvent_coupling():
     assert lifted.sig.dims_primal == (1, 1)
     assert lifted.L.entries[0] == [1.0, -1.0]
     assert lifted.L.lambda_bound == pytest.approx(2.0)
+
+
+def test_lift_default_norm_bound_matches_the_stacked_estimate(rng):
+    # with n_k = ||L_k||, the lifted grid of entry norms has
+    # N N^T = n n^T + diag(1, .., 1, 0, .., 0): ||N||^2 <= 1 + sum_k n_k^2,
+    # with equality when every coupling has an auxiliary (K2 = K)
+    for _ in range(200):
+        p = random_parallel_sum(rng, max_K=5)
+        L = lift_parallel_sum(p).L
+        stacked = 1.0 + sum(e * e if isinstance(e, float) else np.linalg.norm(e, 2) ** 2
+                            for e in p.L)
+        assert np.linalg.norm(dense_coupling(L), 2) ** 2 <= L.lambda_bound <= stacked * (1 + 1e-5)
+        if p.K2 == p.K:
+            assert L.lambda_bound >= stacked * (1 - 1e-12)
 
 
 def test_lift_shapes(rng):
