@@ -1,15 +1,17 @@
 """Block vector spaces and block-structured linear operators.
 
 Vectors live in a finite product of real Euclidean spaces.  A coupling
-operator is a K x m grid of entries, each mapping primal block i to dual
-block k.  Entries may be dense matrices or lightweight zero/identity/scalar
-tags so that mostly-structural grids (lots of -Id and 0) stay cheap.
+operator maps primal block i to dual block k through its entry (k, i).
+Entries may be dense matrices or lightweight zero/scalar tags, and only
+the nonzero ones are stored, so a sparse coupling (a chain of +-Id, a
+column plus a -Id diagonal) costs O(nnz) to build and to apply.  This
+module is the only one that knows the K x m grid form of a coupling.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +214,12 @@ def entry_apply_adjoint(entry, v):
     return entry.T @ v
 
 
+def entry_out_dim(entry, dim_in):
+    """Rows of an entry acting on a block of size dim_in: a zero or scalar
+    entry maps the block to a block of the same size."""
+    return dim_in if np.ndim(entry) == 0 else np.shape(entry)[0]
+
+
 def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
     """Upper bound on the squared spectral norm of a single grid entry.
 
@@ -229,21 +237,28 @@ def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
     if min(entry.shape) <= EXACT_NORM_MAX_DIM:
         return float(np.linalg.norm(entry, 2)) ** 2 * (1.0 + ROUNDING_MARGIN)
     gram = entry.T @ entry if dim_in <= dim_out else entry @ entry.T
-    frobenius = float(np.trace(gram))
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(gram.shape[0])
+    return _power_norm_sq(gram.__matmul__, gram.shape[0], float(np.trace(gram)),
+                          max_iters, tol)
+
+
+def _power_norm_sq(gram, n, cap, max_iters, tol):
+    """Power estimate of the top eigenvalue of the positive semidefinite
+    map ``gram`` on R^n, inflated by POWER_SAFETY_FACTOR and capped by the
+    certified bound ``cap``, which is returned as is when the iteration does
+    not settle within ``max_iters`` steps."""
+    x = np.random.default_rng(0).standard_normal(n)
     x /= np.linalg.norm(x)
     val = 0.0
     for _ in range(max_iters):
-        y = gram @ x
+        y = gram(x)
         new_val = float(np.linalg.norm(y))
         if new_val == 0.0:
             return 0.0
         x = y / new_val
         if abs(new_val - val) <= tol * max(1.0, new_val):
-            return min(new_val * POWER_SAFETY_FACTOR, frobenius)
+            return min(new_val * POWER_SAFETY_FACTOR, cap)
         val = new_val
-    return frobenius
+    return cap
 
 
 def normalize_entry(entry):
@@ -258,8 +273,13 @@ def normalize_entry(entry):
 
 
 class BlockLinearOp:
-    """K x m grid of linear maps (entry (k, i) maps primal block i to dual
-    block k) with adjoint application and a declared norm bound.
+    """Linear map whose entry L_ki maps primal block i to dual block k,
+    with a declared norm bound.
+
+    ``entries`` is the K x m grid as nested lists or a mapping
+    ``{(k, i): entry}`` (0-based; a key outside the grid raises
+    SignatureError, a None value is a zero cell).  Only ``nonzeros``, the
+    (k, i, entry) triples of the nonzero cells in row-major order, is kept.
 
     ``lambda_bound`` is any valid upper bound on sup ||Lx||^2 / ||x||^2; by
     default the certified grid-of-entry-norms bound ``lambda_conservative``
@@ -268,42 +288,46 @@ class BlockLinearOp:
 
     def __init__(self, entries, sig, lambda_bound=None):
         self.sig = sig
-        if len(entries) != sig.K or any(len(row) != sig.m for row in entries):
-            raise SignatureError(
-                f"entry grid must be {sig.K} x {sig.m}, got "
-                f"{len(entries)} x {set(len(r) for r in entries)}"
-            )
-        self.entries = [[normalize_entry(e) for e in row] for row in entries]
-        self.nonzeros = [
-            (k, i, e) for k, row in enumerate(self.entries)
-            for i, e in enumerate(row) if e is not None
-        ]
-        for k, i, e in self.nonzeros:
-            if isinstance(e, float):
-                if sig.dims_dual[k] != sig.dims_primal[i]:
-                    raise SignatureError(
-                        f"scalar entry ({k},{i}) needs square blocks, got "
-                        f"{sig.dims_dual[k]} x {sig.dims_primal[i]}"
-                    )
-            elif e.shape != (sig.dims_dual[k], sig.dims_primal[i]):
+        if not isinstance(entries, Mapping):
+            if len(entries) != sig.K or any(len(row) != sig.m for row in entries):
                 raise SignatureError(
-                    f"entry ({k},{i}) has shape {e.shape}, expected "
-                    f"({sig.dims_dual[k]}, {sig.dims_primal[i]})"
+                    f"entry grid must be {sig.K} x {sig.m}, got "
+                    f"{len(entries)} x {set(len(r) for r in entries)}"
                 )
-        # the nonzeros as slices of flat dual and primal arrays; row-major
-        # order makes every output block sum its terms in index order
-        rows, cols = block_slices(sig.dims_dual), block_slices(sig.dims_primal)
-        self.cells = [(rows[k], cols[i], e) for k, i, e in self.nonzeros]
+            entries = {(k, i): e for k, row in enumerate(entries)
+                       for i, e in enumerate(row) if e is not None}
+        # row-major order makes every dual block sum its terms in index order
+        self.nonzeros = []
+        for (k, i), e in sorted(entries.items(), key=lambda cell: cell[0]):
+            if not (0 <= k < sig.K and 0 <= i < sig.m):
+                raise SignatureError(
+                    f"entry ({k},{i}) lies outside the {sig.K} x {sig.m} grid")
+            e = normalize_entry(e)
+            if e is None:
+                continue
+            rows, cols = sig.dims_dual[k], sig.dims_primal[i]
+            scalar = isinstance(e, float)
+            if ((cols, cols) if scalar else e.shape) != (rows, cols):
+                what = "a multiple of Id" if scalar else f"of shape {e.shape}"
+                raise SignatureError(
+                    f"entry ({k},{i}) is {what} but its block is {rows} x {cols}")
+            self.nonzeros.append((k, i, e))
+        self.dual_slices = block_slices(sig.dims_dual)
+        self.primal_slices = block_slices(sig.dims_primal)
         if lambda_bound is None:
             lambda_bound = lambda_conservative(self)
-        if lambda_bound < 0:
-            raise ValueError("lambda_bound must be nonnegative")
+        if not lambda_bound >= 0:
+            raise ValueError(f"lambda_bound must be nonnegative, got {lambda_bound}")
         self.lambda_bound = float(lambda_bound)
 
-    @classmethod
-    def single(cls, matrix, dim_in, dim_out, lambda_bound=None):
-        sig = SpaceSig((dim_in,), (dim_out,))
-        return cls([[matrix]], sig, lambda_bound=lambda_bound)
+    @property
+    def entries(self):
+        """The K x m grid as nested lists, None at zero cells; built anew on
+        each access."""
+        grid = [[None] * self.sig.m for _ in range(self.sig.K)]
+        for k, i, e in self.nonzeros:
+            grid[k][i] = e
+        return grid
 
 
 def apply_block(L, x):
@@ -311,8 +335,9 @@ def apply_block(L, x):
     check_signature(x, L.sig.dims_primal, "primal")
     xf = x.flat()
     out = np.zeros(sum(L.sig.dims_dual))
-    for rows, cols, e in L.cells:
-        out[rows] += entry_apply(e, xf[cols])
+    rows, cols = L.dual_slices, L.primal_slices
+    for k, i, e in L.nonzeros:
+        out[rows[k]] += entry_apply(e, xf[cols[i]])
     return BlockVector.wrap(out, L.sig.dims_dual)
 
 
@@ -321,8 +346,9 @@ def apply_adjoint(L, v):
     check_signature(v, L.sig.dims_dual, "dual")
     vf = v.flat()
     out = np.zeros(sum(L.sig.dims_primal))
-    for rows, cols, e in L.cells:
-        out[cols] += entry_apply_adjoint(e, vf[rows])
+    rows, cols = L.dual_slices, L.primal_slices
+    for k, i, e in L.nonzeros:
+        out[cols[i]] += entry_apply_adjoint(e, vf[rows[k]])
     return BlockVector.wrap(out, L.sig.dims_primal)
 
 
@@ -390,35 +416,14 @@ def lambda_power_iteration(L, iters=1000, tol=1e-12):
     factor and capped at the certified bound ``lambda_conservative(L)``.
 
     The estimate approaches ||L||^2 from below, so only the cap is
-    certified.  Falls back to the cap (with a warning) when the iteration
-    does not settle within ``iters`` steps.
+    certified.  Returns the cap when the iteration does not settle within
+    ``iters`` steps.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    conservative = lambda_conservative(L)
-    if conservative == 0.0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    x = BlockVector([rng.standard_normal(d) for d in L.sig.dims_primal])
-    nx = x.norm()
-    x = (1.0 / nx) * x
-    val = 0.0
-    converged = False
-    for _ in range(iters):
-        y = apply_adjoint(L, apply_block(L, x))
-        new_val = y.norm()
-        if new_val == 0.0:
-            return 0.0
-        x = (1.0 / new_val) * y
-        if abs(new_val - val) <= tol * max(1.0, new_val):
-            val = new_val
-            converged = True
-            break
-        val = new_val
-    if not converged:
-        warnings.warn(
-            "power iteration on L*L did not converge; using conservative bound",
-            RuntimeWarning,
-        )
-        return conservative
-    return min(val * POWER_SAFETY_FACTOR, conservative)
+    dims = L.sig.dims_primal
+
+    def gram(x):
+        return apply_adjoint(L, apply_block(L, BlockVector.wrap(x, dims))).flat()
+
+    return _power_norm_sq(gram, sum(dims), lambda_conservative(L), iters, tol)

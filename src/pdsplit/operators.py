@@ -161,7 +161,6 @@ class MonotoneOperator:
     """Maximally monotone operator exposed through its resolvent."""
 
     label = "monotone"
-    uniformly_monotone = False
 
     def resolvent(self, gamma, x):
         raise NotImplementedError
@@ -183,7 +182,6 @@ class ScaledIdentity(MonotoneOperator):
             raise ParameterError("scaled identity needs c >= 0 for monotonicity")
         self.c = float(c)
         self.label = f"scaled_identity(c={self.c})"
-        self.uniformly_monotone = self.c > 0
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
@@ -351,10 +349,10 @@ class IndicatorFunction(ConvexFunction):
         if isinstance(s, Point):
             return float(s.c @ u)
         if isinstance(s, Box):
-            val = 0.0
-            for uj, lo, hi in zip(u, s.lo, s.hi):
-                val += uj * (hi if uj > 0 else lo)
-            return float(val)
+            bound = np.where(u > 0, s.hi, s.lo)
+            # a round-off residue facing an infinite bound counts as 0
+            bound[np.isinf(bound) & (np.abs(u) <= INDICATOR_FEASIBILITY_TOL)] = 0.0
+            return float(np.sum(u * bound))
         if isinstance(s, Ball):
             return float(s.center @ u) + s.radius * float(np.linalg.norm(u))
         if isinstance(s, Hyperplane):

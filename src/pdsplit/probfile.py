@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockLinearOp, BlockVector, SpaceSig
+from .blocks import BlockLinearOp, BlockVector, SpaceSig, entry_out_dim
 from .operators import (
     AffineMap, AffineOperator, Ball, Box, Halfspace, Hyperplane,
     IndicatorFunction, L1Norm, NormalCone, ParameterError, Point,
@@ -488,12 +488,12 @@ class _Reader:
         return BlockVector.from_flat(flat, dims)
 
     def grid(self, dims_out, dims_in):
-        """The entries of the coupling grid as nested lists; a None in
+        """The entries of the coupling grid as {(k, i): entry}; a None in
         dims_out lets that row's entries have any number of rows."""
         K, m = self.grid_shape = len(dims_out), len(dims_in)
-        cells = [[None] * m for _ in range(K)]
-        for k, i in [c for c in self.entries if 0 <= c[0] < K and 0 <= c[1] < m]:
-            e = cells[k][i] = self.entries.pop((k, i))
+        cells = {c: self.entries.pop(c) for c in list(self.entries)
+                 if 0 <= c[0] < K and 0 <= c[1] < m}
+        for (k, i), e in cells.items():
             rows, cols = dims_out[k], dims_in[i]
             scalar = isinstance(e, (int, float))
             shape = (cols, cols) if scalar else np.shape(e)
@@ -506,7 +506,8 @@ class _Reader:
         return cells
 
     def column(self, dims_out, dim):
-        return [row[0] for row in self.grid(dims_out, (dim,))]
+        cells = self.grid(dims_out, (dim,))
+        return [cells.get((k, 0)) for k in range(len(dims_out))]
 
     def finish(self):
         left = [(name,) for name in self.dims]
@@ -578,7 +579,7 @@ def build_problem(pf):
     else:
         dim = rd.need("dim")
         L = rd.column([None] * rd.declared("set"), dim)
-        dims = [dim if np.ndim(e) == 0 else np.shape(e)[0] for e in L]
+        dims = [entry_out_dim(e, dim) for e in L]
         built = FeasibilityRelaxation(
             dim, rd.ops("set", "convex set", dims),
             rd.ops("phi", "feasibility penalty", dims), L,

@@ -32,6 +32,7 @@ from .blocks import (  # noqa: F401
     apply_block,
     entry_apply,
     entry_apply_adjoint,
+    entry_out_dim,
     normalize_entry,
 )
 from .operators import (
@@ -140,14 +141,9 @@ def lift_parallel_sum(p):
             C.append(p.S[k])
     Dinv = [ZeroMap() if k < K2 else p.S[k] for k in range(K)]
 
-    entries = []
-    for k in range(K):
-        row = [None] * (K2 + 1)
-        row[0] = p.L[k]
-        if k < K2:
-            row[k + 1] = -1.0
-        entries.append(row)
-    L = BlockLinearOp(entries, sig)
+    cells = {(k, 0): p.L[k] for k in range(K)}
+    cells.update({(k, k + 1): -1.0 for k in range(K2)})
+    L = BlockLinearOp(cells, sig)
 
     z = BlockVector([p.z] + [np.zeros(d) for d in p.dual_dims[:K2]])
     r = BlockVector(p.r)
@@ -374,24 +370,19 @@ def check_qualification(p):
     as unknown, never as a failure.
     """
     if all(fn.real_valued for fn in p.f):
-        surjective = True
-        for k in range(p.sig.K):
-            cols = []
-            for i in range(p.sig.m):
-                e = p.L.entries[k][i]
-                dk, di = p.sig.dims_dual[k], p.sig.dims_primal[i]
-                if e is None:
-                    cols.append(np.zeros((dk, di)))
-                elif isinstance(e, float):
-                    cols.append(e * np.eye(dk))
-                else:
-                    cols.append(e)
-            row = np.hstack(cols)
+        row_cells = [[] for _ in range(p.sig.K)]
+        for k, i, e in p.L.nonzeros:
+            row_cells[k].append((i, e))
+        cols, n = p.L.primal_slices, sum(p.sig.dims_primal)
+        for k, cells in enumerate(row_cells):
+            dk = p.sig.dims_dual[k]
+            row = np.zeros((dk, n))
+            for i, e in cells:
+                row[:, cols[i]] = e * np.eye(dk) if isinstance(e, float) else e
             sv = np.linalg.svd(row, compute_uv=False)
-            if np.sum(sv > 1e-10) < p.sig.dims_dual[k]:
-                surjective = False
+            if np.sum(sv > 1e-10) < dk:
                 break
-        if surjective:
+        else:
             return "holds_by_iii"
     ok = True
     for k in range(p.sig.K):
@@ -500,14 +491,8 @@ def _is_point_zero_indicator(fn):
     )
 
 
-def _entry_out_dim(entry, dim_in):
-    if entry is None or isinstance(entry, float):
-        return dim_in
-    return entry.shape[0]
-
-
 def feasibility_to_univariate(p):
-    dual_dims = [_entry_out_dim(p.L[k], p.dim) for k in range(p.K)]
+    dual_dims = [entry_out_dim(p.L[k], p.dim) for k in range(p.K)]
     return UnivariateMinProblem(
         dim=p.dim,
         dual_dims=dual_dims,
@@ -536,7 +521,7 @@ def relaxation_objective(p, x, feas_tol=1e-6):
     x = np.asarray(x, dtype=float).reshape(-1)
     total = 0.0
     for k in range(p.K):
-        t = _fwd_entry(p.L[k], x, _entry_out_dim(p.L[k], p.dim))
+        t = _fwd_entry(p.L[k], x, entry_out_dim(p.L[k], p.dim))
         dist = p.sets[k].distance(t)
         if isinstance(p.phi[k], SquaredNorm):
             total += p.phi[k].omega * dist * dist

@@ -15,7 +15,18 @@ import numpy as np
 
 import pdsplit.fbf
 from conftest import random_coupled_problem
-from pdsplit import FbfConfig, solve_common_zero, solve_system
+from pdsplit import (
+    BlockLinearOp,
+    FbfConfig,
+    ParallelSumProblem,
+    ScaledIdentity,
+    SpaceSig,
+    ZeroMap,
+    ZeroOperator,
+    lift_parallel_sum,
+    solve_common_zero,
+    solve_system,
+)
 from pdsplit.cli import main
 from pdsplit.demos import get_demo
 
@@ -122,3 +133,24 @@ def test_gamma_for_runs_once_per_iteration(monkeypatch, tmp_path):
     summary = dict(line.split(" ", 1)
                    for line in (tmp_path / "box.summary").read_text().splitlines())
     assert calls == list(range(int(summary["iterations"])))
+
+
+def test_tracer_counts_the_cells_of_sparse_couplings():
+    # the tracer reads L.entries, the grid view of the stored nonzeros
+    m = 5
+    chain = {(k, k): 1.0 for k in range(m - 1)}
+    chain.update({(k, k + 1): -1.0 for k in range(m - 1)})
+    sig = SpaceSig((1,) * m, (1,) * (m - 1))
+    lifted = lift_parallel_sum(ParallelSumProblem(
+        dim=1, dual_dims=(1, 1, 1), K1=2, K2=2, A=ZeroOperator(), C=ZeroMap(),
+        z=np.zeros(1), r=[np.zeros(1)] * 3, B=[ScaledIdentity(1.0)] * 3,
+        S=[ScaledIdentity(1.0)] * 2 + [ZeroMap()], L=[1.0, None, 2.0],
+    ))
+    mods = {name: importlib.import_module(f"pdsplit.{name}") for name in MODULES}
+    # (L, nnz, K x m cells): the lifting stacks the column of L_k and -Id on
+    # the diagonal of the two auxiliaries, and None is a zero cell
+    for L, nnz, cells in ((BlockLinearOp(chain, sig), 8, 20), (lifted.L, 4, 9)):
+        tracer = Tracer(mods)
+        tracer._count_cells((L,), None)
+        tracer._count_cells((L,), None)
+        assert (tracer.counters["nnz"], tracer.counters["cells"]) == (2 * nnz, 2 * cells)

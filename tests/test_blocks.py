@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +90,71 @@ def test_shape_mismatch_raises():
         apply_block(L, BlockVector([[1.0, 2.0, 3.0]]))
 
 
+def test_lambda_bound_must_be_a_nonnegative_number():
+    sig = SpaceSig((1,), (1,))
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="lambda_bound"):
+            BlockLinearOp([[1.0]], sig, lambda_bound=bad)
+
+
+def _cells(entries):
+    return {(k, i): e for k, row in enumerate(entries)
+            for i, e in enumerate(row) if e is not None}
+
+
+def _same_entries(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b)
+        and isinstance(a, float) == isinstance(b, float))
+
+
+def test_mapping_and_list_build_the_same_operator():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        entries, sig = _random_mixed_grid(rng)
+        from_list = BlockLinearOp(entries, sig)
+        # the mapping's order does not matter: cells are stored row-major
+        from_map = BlockLinearOp(dict(reversed(_cells(entries).items())), sig)
+        assert ([(k, i) for k, i, _ in from_map.nonzeros]
+                == [(k, i) for k, i, _ in from_list.nonzeros]
+                == sorted(_cells(entries)))
+        assert all(_same_entries(a, b) for (_, _, a), (_, _, b)
+                   in zip(from_map.nonzeros, from_list.nonzeros))
+        assert from_map.lambda_bound.hex() == from_list.lambda_bound.hex()
+        for view in (from_map.entries, from_list.entries):
+            assert len(view) == sig.K and all(len(row) == sig.m for row in view)
+            assert all(_same_entries(a, b) for row, want in zip(view, entries)
+                       for a, b in zip(row, want))
+
+
+def test_mapping_keys_outside_the_grid_raise_and_none_values_are_zero():
+    sig = SpaceSig((1, 2), (2,))
+    for key in ((1, 0), (0, 2), (-1, 0)):
+        with pytest.raises(SignatureError, match="outside"):
+            BlockLinearOp({key: 1.0}, sig)
+    L = BlockLinearOp({(0, 0): None, (0, 1): 2}, sig)
+    assert L.nonzeros == [(0, 1, 2.0)]
+    assert L.entries == [[None, 2.0]]
+    assert L.lambda_bound == 4.0
+    with pytest.raises(SignatureError):
+        BlockLinearOp({(0, 0): 1.0}, sig)   # a scalar needs square blocks
+
+
+def test_a_long_chain_builds_from_its_cells_in_linear_time():
+    # as a K x m list this chain would have 4 * 10^8 cells
+    m = 20000
+    sig = SpaceSig((1,) * m, (1,) * (m - 1))
+    start = time.process_time()
+    cells = {(k, k): 1.0 for k in range(m - 1)}
+    cells.update({(k, k + 1): -1.0 for k in range(m - 1)})
+    L = BlockLinearOp(cells, sig)
+    assert time.process_time() - start < 1.0
+    assert len(L.nonzeros) == 2 * (m - 1)
+    assert L.lambda_bound <= 4.0 * (1 + 1e-9)
+    x = BlockVector.wrap(np.arange(m, dtype=float), sig.dims_primal)
+    np.testing.assert_array_equal(apply_block(L, x).flat(), -np.ones(m - 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_adjoint_identity_random(seed):
@@ -128,6 +195,14 @@ def test_lambda_power_scalar_capped_at_conservative():
     # [Id, -Id]: the sup and the entrywise sum coincide at 2
     sig2 = SpaceSig((1, 1), (1,))
     assert lambda_power_iteration(BlockLinearOp([[1.0, -1.0]], sig2)) == 2.0
+
+
+def test_lambda_power_returns_the_cap_when_it_does_not_settle(rng):
+    sig = SpaceSig((3, 3), (3,))
+    L = BlockLinearOp([[rng.standard_normal((3, 3)) for _ in range(2)]], sig)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lambda_power_iteration(L, iters=1) == lambda_conservative(L)
 
 
 def test_lambda_power_brackets_exact_norm(rng):

@@ -295,3 +295,28 @@ vec r 0.1 0.1 0.1
     assert abs(float(summary["gap"])) <= 1e-8
     assert float(summary["primal_obj"]) == pytest.approx(
         -float(summary["dual_obj"]), abs=1e-8)
+
+
+def test_multivar_gap_is_finite_with_an_orthant_box(tmp_path):
+    # f is the indicator of (-inf, 1] x [0, inf): its support function meets
+    # u_j = 0 (or a round-off residue) against an infinite bound, which used
+    # to make the dual objective and the gap inf or NaN
+    text = """\
+problem multivar_min
+primal_dims 2
+dual_dims 2
+op f 1 indicator_box lo=-inf,0 hi=1,inf
+op h 1 zero
+op g 1 sqdist a=0.5,2
+op ell 1 none
+entry 1 1 identity
+vec z 0 0
+vec r 0 0
+"""
+    path = tmp_path / "orthant.prob"
+    path.write_text(text)
+    assert main(["solve", str(path), "--tol", "1e-10",
+                 "--output-dir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "orthant.summary")
+    assert abs(float(summary["gap"])) <= 1e-8
+    assert abs(float(summary["dual_obj"])) <= 1e-8

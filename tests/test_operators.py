@@ -261,6 +261,22 @@ def test_indicator_conjugates_are_support_functions():
     assert hp.conjugate(u) == np.inf
 
 
+def test_box_support_function_with_infinite_bounds():
+    # sigma_C(u) = sum_j u_j * (hi_j if u_j > 0 else lo_j), where a zero
+    # component facing an infinite bound adds 0, not 0 * inf = NaN
+    orthant = IndicatorFunction(Box([-np.inf, 0.0], [1.0, np.inf]))
+    assert orthant.conjugate([0.0, -1.0]) == 0.0
+    assert orthant.conjugate([2.0, 0.0]) == 2.0
+    # round-off residues facing an infinite bound count as 0 too ...
+    assert orthant.conjugate([-1e-9, 1e-12]) == 0.0
+    # ... but a real component does not, and a finite bound keeps its term
+    assert orthant.conjugate([-1e-3, 0.0]) == np.inf
+    assert orthant.conjugate([2.0, -1e-9]) == pytest.approx(2.0)
+    finite = IndicatorFunction(Box([-1.0, 0.0], [1.0, 2.0]))
+    assert finite.conjugate([-3.0, 2.0]) == 7.0
+    assert finite.conjugate([1e-9, 0.0]) == 1e-9
+
+
 def test_constructors_reject_nan():
     nan = float("nan")
     for make in (lambda: ScaledIdentity(nan), lambda: ScaledIdentityMap(nan),
