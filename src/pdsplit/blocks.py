@@ -4,8 +4,11 @@ Vectors live in a finite product of real Euclidean spaces.  A coupling
 operator maps primal block i to dual block k through its entry (k, i).
 Entries may be dense matrices or lightweight zero/scalar tags, and only
 the nonzero ones are stored, so a sparse coupling (a chain of +-Id, a
-column plus a -Id diagonal) costs O(nnz) to build and to apply.  This
-module is the only one that knows the K x m grid form of a coupling.
+column plus a -Id diagonal) costs O(nnz) to build and to apply.  The
+scalar cells on blocks of at most SMALL_BLOCK_DIM coordinates are applied
+together, as one gather/scatter over their coordinates; dense cells and
+scalar cells on larger blocks are applied cell by cell.  This module is
+the only one that knows the K x m grid form of a coupling.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "SMALL_BLOCK_DIM",
     "SpaceSig",
     "BlockVector",
     "BlockLinearOp",
@@ -41,6 +45,13 @@ ROUNDING_MARGIN = 1e-12
 # Dense entries with at most this many rows or columns get an exact SVD
 # norm; beyond it a power estimate on the Gram matrix is cheaper.
 EXACT_NORM_MAX_DIM = 64
+
+# Blocks of at most this many coordinates are small: their scalar cells are
+# applied as one gather/scatter, whose index and weight arrays hold one
+# entry per coordinate, and system.product_space_pair joins the separable
+# operators of runs of them.  Larger blocks keep one numpy call per cell or
+# block, which costs them no index arrays.
+SMALL_BLOCK_DIM = 64
 
 # Most power steps taken by lambda_conservative, which stops earlier once
 # its bound stops falling; each step costs two passes over the nonzeros.
@@ -279,7 +290,12 @@ class BlockLinearOp:
     ``entries`` is the K x m grid as nested lists or a mapping
     ``{(k, i): entry}`` (0-based; a key outside the grid raises
     SignatureError, a None value is a zero cell).  Only ``nonzeros``, the
-    (k, i, entry) triples of the nonzero cells in row-major order, is kept.
+    (k, i, entry) triples of the nonzero cells in row-major order, is kept,
+    with their block indices as the arrays ``cell_rows`` and ``cell_cols``.
+    From these the constructor derives how the cells are applied: the
+    scalar cells on small blocks as ``gather``, coordinate-level row,
+    column and weight arrays (None when there are none), and the other
+    cells as the list ``per_cell``.
 
     ``lambda_bound`` is any valid upper bound on sup ||Lx||^2 / ||x||^2; by
     default the certified grid-of-entry-norms bound ``lambda_conservative``
@@ -297,7 +313,8 @@ class BlockLinearOp:
             entries = {(k, i): e for k, row in enumerate(entries)
                        for i, e in enumerate(row) if e is not None}
         # row-major order makes every dual block sum its terms in index order
-        self.nonzeros = []
+        self.nonzeros, self.per_cell = [], []
+        small, weights = [], []          # the scalar cells on small blocks
         for (k, i), e in sorted(entries.items(), key=lambda cell: cell[0]):
             if not (0 <= k < sig.K and 0 <= i < sig.m):
                 raise SignatureError(
@@ -311,9 +328,21 @@ class BlockLinearOp:
                 what = "a multiple of Id" if scalar else f"of shape {e.shape}"
                 raise SignatureError(
                     f"entry ({k},{i}) is {what} but its block is {rows} x {cols}")
+            if scalar and cols <= SMALL_BLOCK_DIM:
+                small.append(len(self.nonzeros))
+                weights.append(e)
+            else:
+                self.per_cell.append((k, i, e))
             self.nonzeros.append((k, i, e))
         self.dual_slices = block_slices(sig.dims_dual)
         self.primal_slices = block_slices(sig.dims_primal)
+        count = len(self.nonzeros)
+        self.cell_rows = np.fromiter((k for k, _, _ in self.nonzeros), int, count)
+        self.cell_cols = np.fromiter((i for _, i, _ in self.nonzeros), int, count)
+        self.gather = None
+        if small:
+            self.gather = _gather_layout(sig, self.cell_rows[small],
+                                         self.cell_cols[small], weights)
         if lambda_bound is None:
             lambda_bound = lambda_conservative(self)
         if not lambda_bound >= 0:
@@ -330,24 +359,53 @@ class BlockLinearOp:
         return grid
 
 
+def _gather_layout(sig, k, i, w):
+    """(rows, cols, w) of the scalar cells w[c] * Id at (k[c], i[c]), laid
+    out coordinate by coordinate in cell order over the flat dual and primal
+    arrays, in one np.repeat pass: coordinate j of a cell sits j places
+    after the cell's first one."""
+    dims_p, dims_d = np.array(sig.dims_primal), np.array(sig.dims_dual)
+    size = dims_p[i]                                 # scalar cells are square
+    first = np.cumsum(size) - size
+    within = np.arange(first[-1] + size[-1]) - np.repeat(first, size)
+    rows = np.repeat((np.cumsum(dims_d) - dims_d)[k], size) + within
+    cols = np.repeat((np.cumsum(dims_p) - dims_p)[i], size) + within
+    return rows, cols, np.repeat(np.array(w), size)
+
+
 def apply_block(L, x):
-    """Apply the grid: dual block k is sum_i L_ki x_i."""
+    """Apply the grid: dual block k is sum_i L_ki x_i, the small scalar
+    cells as one scatter of their products, then the other cells one by
+    one."""
     check_signature(x, L.sig.dims_primal, "primal")
     xf = x.flat()
-    out = np.zeros(sum(L.sig.dims_dual))
+    n = sum(L.sig.dims_dual)
+    if L.gather is None:
+        out = np.zeros(n)
+    else:
+        # bincount adds each coordinate's terms in cell order, as a loop
+        # over the cells would (over no terms it would return int64 zeros)
+        rows, cols, w = L.gather
+        out = np.bincount(rows, w * xf[cols], n)
     rows, cols = L.dual_slices, L.primal_slices
-    for k, i, e in L.nonzeros:
+    for k, i, e in L.per_cell:
         out[rows[k]] += entry_apply(e, xf[cols[i]])
     return BlockVector.wrap(out, L.sig.dims_dual)
 
 
 def apply_adjoint(L, v):
-    """Apply the adjoint grid: primal block i is sum_k L_ki^T v_k."""
+    """Apply the adjoint grid: primal block i is sum_k L_ki^T v_k, in the
+    same two passes as ``apply_block`` with rows and columns swapped."""
     check_signature(v, L.sig.dims_dual, "dual")
     vf = v.flat()
-    out = np.zeros(sum(L.sig.dims_primal))
+    n = sum(L.sig.dims_primal)
+    if L.gather is None:
+        out = np.zeros(n)
+    else:
+        rows, cols, w = L.gather
+        out = np.bincount(cols, w * vf[rows], n)
     rows, cols = L.dual_slices, L.primal_slices
-    for k, i, e in L.nonzeros:
+    for k, i, e in L.per_cell:
         out[cols[i]] += entry_apply_adjoint(e, vf[rows[k]])
     return BlockVector.wrap(out, L.sig.dims_primal)
 
@@ -372,9 +430,7 @@ def lambda_conservative(L):
     top = max(sq, default=0.0)
     if top == 0.0:
         return 0.0
-    count = len(sq)
-    rows = np.fromiter((k for k, _, _ in L.nonzeros), int, count)
-    cols = np.fromiter((i for _, i, _ in L.nonzeros), int, count)
+    rows, cols = L.cell_rows, L.cell_cols
     n = np.sqrt(np.array(sq) / top)
     K, m = L.sig.K, L.sig.m
     # x and y grow by at most nnz per step (n <= 1), far from overflow.

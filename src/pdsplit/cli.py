@@ -56,13 +56,13 @@ def make_config(file_cfg, args):
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
-    errors = None
-    if merged.get("error_eta", 0.0):
-        errors = SummableErrorSchedule(
-            merged["error_eta"], merged.get("error_p", 2.0), int(merged.get("seed", 0))
-        )
+    # built, and so validated, whether or not it perturbs anything; a zero
+    # eta leaves the run unperturbed without drawing zero vectors
+    errors = SummableErrorSchedule(
+        merged.get("error_eta", 0.0), merged.get("error_p", 2.0), int(merged.get("seed", 0))
+    )
     kwargs = {_FBF_FIELDS[k]: v for k, v in merged.items() if k in _FBF_FIELDS}
-    return FbfConfig(errors=errors, **kwargs)
+    return FbfConfig(errors=errors if errors.eta else None, **kwargs)
 
 
 def _final_objectives(kind, prob, report):

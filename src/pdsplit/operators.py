@@ -4,6 +4,10 @@ Set-valued operators are exposed exclusively through their resolvents
 J_{gamma A} = (Id + gamma A)^{-1}; convex functions through their proximity
 operators.  Every catalog member is defined on the whole space, immutable
 after construction, and safe to evaluate concurrently.
+
+The separable members take their parameters as a scalar or as one value
+per coordinate, so that ``join`` can turn operators on consecutive blocks
+into a single operator of the same class on their direct sum.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ __all__ = [
     "shifted_inverse_resolvent",
     "yosida",
     "graph_distance",
+    "join_key",
+    "join",
 ]
 
 # Relative slack used when deciding whether a nearly-feasible point counts
@@ -55,6 +61,23 @@ class ParameterError(ValueError):
     def __init__(self, message, key=None):
         super().__init__(message)
         self.key = key
+
+
+def _parameter(value, message, positive=False):
+    """A parameter that must be nonnegative (positive if ``positive``),
+    given as a scalar, kept as a float, or as one value per coordinate,
+    kept as a 1-D float array; ParameterError(message) otherwise, for NaN
+    too."""
+    if isinstance(value, (int, float)):                # the common case, kept cheap
+        value = float(value)
+        ok = value > 0 if positive else value >= 0
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = np.all(arr > 0 if positive else arr >= 0)
+        value = float(arr) if arr.ndim == 0 else arr.reshape(-1)
+    if not ok:
+        raise ParameterError(message)
+    return value
 
 
 def _check_gamma(gamma):
@@ -175,13 +198,15 @@ class ZeroOperator(MonotoneOperator):
 
 
 class ScaledIdentity(MonotoneOperator):
-    """c * Id with c >= 0; resolvent x / (1 + gamma c)."""
+    """c * Id with c >= 0, a scalar or one value per coordinate; resolvent
+    x / (1 + gamma c)."""
 
     def __init__(self, c):
-        if not c >= 0:
-            raise ParameterError("scaled identity needs c >= 0 for monotonicity")
-        self.c = float(c)
-        self.label = f"scaled_identity(c={self.c})"
+        self.c = _parameter(c, "scaled identity needs c >= 0 for monotonicity")
+
+    @property
+    def label(self):
+        return f"scaled_identity(c={self.c})"
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
@@ -259,19 +284,19 @@ class ZeroMap(LipschitzOperator):
 
 
 class ScaledIdentityMap(LipschitzOperator):
-    """x -> c x + b with c >= 0; the shift b defaults to zero."""
+    """x -> c x + b with c >= 0, a scalar or one value per coordinate; the
+    shift b defaults to zero."""
 
     def __init__(self, c, b=None):
-        if not c >= 0:
-            raise ParameterError("scaled identity map needs c >= 0")
-        self.c = float(c)
+        self.c = _parameter(c, "scaled identity map needs c >= 0")
         if b is None:
             self.b = 0.0
             fn = lambda x: self.c * np.asarray(x, dtype=float)
         else:
             self.b = np.asarray(b, dtype=float).reshape(-1)
             fn = lambda x: self.c * np.asarray(x, dtype=float) + self.b
-        super().__init__(fn, self.c, f"scaled_identity_map(c={c})")
+        lipschitz = self.c if isinstance(self.c, float) else float(np.max(self.c, initial=0.0))
+        super().__init__(fn, lipschitz, f"scaled_identity_map(c={c})")
 
 
 class AffineMap(LipschitzOperator):
@@ -373,15 +398,14 @@ class IndicatorFunction(ConvexFunction):
 
 
 class L1Norm(ConvexFunction):
-    """weight * ||.||_1; prox is soft thresholding."""
+    """sum_j weight_j |x_j|, the weight a scalar or one value per
+    coordinate; prox is soft thresholding."""
 
     label = "l1"
     real_valued = True
 
     def __init__(self, weight=1.0):
-        if not weight >= 0:
-            raise ParameterError("l1 weight must be nonnegative")
-        self.weight = float(weight)
+        self.weight = _parameter(weight, "l1 weight must be nonnegative")
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -389,13 +413,12 @@ class L1Norm(ConvexFunction):
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
     def __call__(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return float(np.sum(self.weight * np.abs(x)))
 
     def conjugate(self, u):
-        # indicator of the weight-radius sup-norm ball
-        if np.max(np.abs(u)) <= self.weight * (1 + INDICATOR_FEASIBILITY_TOL) + INDICATOR_FEASIBILITY_TOL:
-            return 0.0
-        return np.inf
+        # indicator of the box |u_j| <= weight_j
+        slack = self.weight * (1 + INDICATOR_FEASIBILITY_TOL) + INDICATOR_FEASIBILITY_TOL
+        return 0.0 if np.all(np.abs(u) <= slack) else np.inf
 
 
 class QuadraticDistance(ConvexFunction):
@@ -421,15 +444,14 @@ class QuadraticDistance(ConvexFunction):
 
 
 class SquaredNorm(ConvexFunction):
-    """omega * ||.||^2 with omega > 0."""
+    """sum_j omega_j x_j^2 with omega > 0, a scalar or one value per
+    coordinate."""
 
     label = "sq_norm"
     real_valued = True
 
     def __init__(self, omega):
-        if not omega > 0:
-            raise ParameterError("omega must be positive")
-        self.omega = float(omega)
+        self.omega = _parameter(omega, "omega must be positive", positive=True)
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -437,11 +459,11 @@ class SquaredNorm(ConvexFunction):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return self.omega * float(x @ x)
+        return float(np.sum(self.omega * x * x))
 
     def conjugate(self, u):
         u = np.asarray(u, dtype=float)
-        return float(u @ u) / (4.0 * self.omega)
+        return float(np.sum(u * u / (4.0 * self.omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -493,3 +515,82 @@ def graph_distance(A, p, u):
     u = np.asarray(u, dtype=float)
     d = float(np.linalg.norm(p - A.resolvent(1.0, p + u)))
     return d / (1.0 + float(np.linalg.norm(p)) + float(np.linalg.norm(u)))
+
+
+# ---------------------------------------------------------------------------
+# Direct sums of separable operators
+
+
+def _coords(value, d):
+    """A parameter spread over the d coordinates of its block; ValueError
+    when it does not broadcast to them."""
+    return np.broadcast_to(value, (d,))
+
+
+def _box_coords(s, d):
+    return _coords(s.lo, d), _coords(s.hi, d)
+
+
+# For each join key: the per-coordinate parameters of an operator on a
+# block of dimension d, and the operator built from their concatenations
+# over consecutive blocks.
+_JOINS = {
+    (ZeroOperator,): (lambda op, d: (), ZeroOperator),
+    (ScaledIdentity,): (lambda op, d: (_coords(op.c, d),), ScaledIdentity),
+    (NormalCone, Box): (lambda op, d: _box_coords(op.set, d),
+                        lambda lo, hi: NormalCone(Box(lo, hi))),
+    (SubdifferentialOperator, ZeroFunction): (
+        lambda op, d: (), lambda: SubdifferentialOperator(ZeroFunction())),
+    (SubdifferentialOperator, L1Norm): (
+        lambda op, d: (_coords(op.fn.weight, d),),
+        lambda w: SubdifferentialOperator(L1Norm(w))),
+    (SubdifferentialOperator, QuadraticDistance): (
+        lambda op, d: (_coords(op.fn.a, d),),
+        lambda a: SubdifferentialOperator(QuadraticDistance(a))),
+    (SubdifferentialOperator, SquaredNorm): (
+        lambda op, d: (_coords(op.fn.omega, d),),
+        lambda omega: SubdifferentialOperator(SquaredNorm(omega))),
+    (SubdifferentialOperator, IndicatorFunction, Box): (
+        lambda op, d: _box_coords(op.fn.set, d),
+        lambda lo, hi: SubdifferentialOperator(IndicatorFunction(Box(lo, hi)))),
+    (ScaledIdentityMap,): (lambda op, d: (_coords(op.c, d), _coords(op.b, d)),
+                           ScaledIdentityMap),
+}
+
+
+def join_key(op):
+    """The key under which ``op`` joins others in ``join``: its exact class
+    and those of the function and set it wraps.  None for an operator that
+    joins nothing: one that is not separable, or of a subclass, which may
+    act otherwise."""
+    kind = type(op)
+    if kind is SubdifferentialOperator:
+        key = (kind, type(op.fn))
+        if key[1] is IndicatorFunction:
+            key += (type(op.fn.set),)
+    elif kind is NormalCone:
+        key = (kind, type(op.set))
+    else:
+        key = (kind,)
+    return key if key in _JOINS else None
+
+
+def join(ops, dims):
+    """The direct sum of ``ops``, operator j acting on block j of
+    consecutive blocks of sizes ``dims``, as one operator of their class
+    whose parameters hold a value per coordinate.  Its resolvent (or value,
+    for a Lipschitz map) on the joined vector is, coordinate for coordinate,
+    the same arithmetic as the per-block ones.  None when the operators do
+    not join: their join keys differ or are None, or a parameter does not
+    broadcast over its block."""
+    if len(ops) != len(dims):
+        raise ValueError(f"{len(ops)} operators for {len(dims)} blocks")
+    key = join_key(ops[0]) if ops else None
+    if key is None or any(join_key(op) != key for op in ops[1:]):
+        return None
+    params, build = _JOINS[key]
+    try:
+        parts = [params(op, d) for op, d in zip(ops, dims)]
+    except ValueError:
+        return None
+    return build(*(np.concatenate(p) for p in zip(*parts)))

@@ -316,7 +316,7 @@ def _conj_infconv_value(f, h, u):
     grad = h.gradient
     if isinstance(grad, ZeroMap):
         c, b = 0.0, 0.0
-    elif isinstance(grad, ScaledIdentityMap):
+    elif isinstance(grad, ScaledIdentityMap) and np.ndim(grad.c) == 0:
         c, b = grad.c, grad.b
     else:
         raise EvaluationError(f"h has gradient {grad.label}, not c Id + constant")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    SMALL_BLOCK_DIM,
     BlockVector,
     apply_adjoint,
     apply_block,
@@ -38,6 +39,8 @@ from .operators import (
     ParameterError,
     ZeroMap,
     graph_distance,
+    join,
+    join_key,
     shifted_inverse_resolvent,
 )
 
@@ -92,6 +95,29 @@ def compute_beta(prob):
     return beta
 
 
+def _runs(ops, slices):
+    """(operator, slice, j, stop) for the blocks of ``slices`` in order,
+    found in one pass: each maximal run j..stop-1 of two or more consecutive
+    blocks of at most SMALL_BLOCK_DIM coordinates whose operators join is
+    their joined operator on the run's slice; every other block keeps its
+    own operator and slice."""
+    dims = [sl.stop - sl.start for sl in slices]
+    out, j, n = [], 0, len(ops)
+    while j < n:
+        key = join_key(ops[j]) if dims[j] <= SMALL_BLOCK_DIM else None
+        stop = j + 1
+        while (key is not None and stop < n and dims[stop] <= SMALL_BLOCK_DIM
+               and join_key(ops[stop]) == key):
+            stop += 1
+        joined = join(ops[j:stop], dims[j:stop]) if stop - j > 1 else None
+        if joined is None:
+            out += ((ops[i], slices[i], i, i + 1) for i in range(j, stop))
+        else:
+            out.append((joined, slice(slices[j].start, slices[stop - 1].stop), j, stop))
+        j = stop
+    return out
+
+
 def product_space_pair(prob):
     """The set-valued/single-valued pair the iteration splits.
 
@@ -102,21 +128,29 @@ def product_space_pair(prob):
         Q(x, v) = (C_i x_i + sum_k L_ki^* v_k,  Dinv_k v_k - sum_i L_ki x_i)
 
     Q is monotone, the skew coupling term included, and beta-Lipschitz.
-    Each block is read and written through a fixed slice of the flat
-    product-space array; ZeroMap terms of Q are skipped.
+    The A_i, the B_k and the C_i and Dinv_k are each grouped once, at build
+    time: a run of consecutive small blocks whose operators join
+    (``operators.join``) is evaluated by one joined operator on one slice
+    of the flat product-space array, with its shifts z or r joined once as
+    well; every other block through its own slice.  ZeroMap terms of Q are
+    skipped.
     """
     sig = prob.sig
     dims = sig.dims_primal + sig.dims_dual
     size = sum(dims)
     n_primal = sum(sig.dims_primal)
     slices = block_slices(dims)
-    xs, vs = slices[: sig.m], slices[sig.m :]
-    primal_res = list(zip(prob.A, xs, prob.z.blocks))
-    dual_res = list(zip(prob.B, vs, prob.r.blocks))
-    forward = [
-        (op, sl) for op, sl in zip(prob.C + prob.Dinv, slices)
-        if not isinstance(op, ZeroMap)
-    ]
+
+    def shift(vec, j, stop):
+        # a lone block reads its own block of z or r, a run a joined copy
+        return vec.blocks[j] if stop - j == 1 else np.concatenate(vec.blocks[j:stop])
+
+    primal_res = [(op, sl, shift(prob.z, j, stop))
+                  for op, sl, j, stop in _runs(prob.A, slices[: sig.m])]
+    dual_res = [(op, sl, shift(prob.r, j, stop))
+                for op, sl, j, stop in _runs(prob.B, slices[sig.m :])]
+    forward = [(op, sl) for op, sl, _, _ in _runs(prob.C + prob.Dinv, slices)
+               if not isinstance(op, ZeroMap)]
 
     def P_resolvent(gamma, w):
         f = w.flat()

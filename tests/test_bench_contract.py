@@ -17,8 +17,12 @@ import pdsplit.fbf
 from conftest import random_coupled_problem
 from pdsplit import (
     BlockLinearOp,
+    BlockVector,
     FbfConfig,
+    L1Norm,
+    MultivariateMinProblem,
     ParallelSumProblem,
+    QuadraticDistance,
     ScaledIdentity,
     SpaceSig,
     ZeroMap,
@@ -26,6 +30,7 @@ from pdsplit import (
     lift_parallel_sum,
     solve_common_zero,
     solve_system,
+    zero_smooth,
 )
 from pdsplit.cli import main
 from pdsplit.demos import get_demo
@@ -154,3 +159,25 @@ def test_tracer_counts_the_cells_of_sparse_couplings():
         tracer._count_cells((L,), None)
         tracer._count_cells((L,), None)
         assert (tracer.counters["nnz"], tracer.counters["cells"]) == (2 * nnz, 2 * cells)
+
+
+def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
+    # tv_chain's shape: m scalar blocks with sqdist f_i and l1 g_k on their
+    # differences.  Each iteration resolves the f_i in one joined call and
+    # the g_k in another; only the final kkt_residual goes block by block.
+    m = 16
+    sig = SpaceSig((1,) * m, (1,) * (m - 1))
+    chain = {(k, k): 1.0 for k in range(m - 1)}
+    chain.update({(k, k + 1): -1.0 for k in range(m - 1)})
+    y = np.repeat([0.0, 2.0, -1.0, 1.0], m // 4)
+    prob = MultivariateMinProblem(
+        sig, [QuadraticDistance([yi]) for yi in y], [zero_smooth()] * m,
+        [L1Norm(0.5)] * (m - 1), [None] * (m - 1),
+        BlockVector.zeros(sig.dims_primal), BlockVector.zeros(sig.dims_dual),
+        BlockLinearOp(chain, sig))
+    mods = {name: importlib.import_module(f"pdsplit.{name}") for name in MODULES}
+    with Tracer(mods) as tracer:
+        report = mods["reductions"].solve_multivariate_min(prob, FbfConfig(residual_tol=1e-6))
+    assert report.converged and report.trace.iterations > 1
+    resolvents = tracer.totals["operators.resolvent"].calls
+    assert resolvents == 2 * report.trace.iterations + m + (m - 1)

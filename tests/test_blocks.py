@@ -17,7 +17,7 @@ from pdsplit import (
     lambda_conservative,
     lambda_power_iteration,
 )
-from pdsplit.blocks import EXACT_NORM_MAX_DIM, entry_norm_sq
+from pdsplit.blocks import EXACT_NORM_MAX_DIM, SMALL_BLOCK_DIM, entry_norm_sq
 from oracles import dense_coupling
 
 
@@ -344,3 +344,83 @@ def test_lambda_bound_on_scalar_rows_covers_rounding():
     # squares and sums that need no rounding are taken as they are
     L = BlockLinearOp([[0.5, -1.5, 3.0]], SpaceSig((2, 2, 2), (2,)))
     assert L.lambda_bound == 0.25 + 2.25 + 9.0
+
+
+def _coupling_grid(rng):
+    """A grid for the two ways cells are applied: scalar cells on small and
+    on large blocks, dense cells, empty cells, rows and columns, or else
+    every cell dense."""
+    m, K = (int(d) for d in rng.integers(1, 5, 2))
+    sizes = (1, 2, 3, SMALL_BLOCK_DIM, SMALL_BLOCK_DIM + 1)
+    dp = tuple(int(rng.choice(sizes)) for _ in range(m))
+    # most dual blocks copy a primal size, so scalar cells can sit there
+    dd = tuple(int(dp[rng.integers(m)] if rng.random() < 0.8 else rng.choice(sizes))
+               for _ in range(K))
+    all_dense = rng.random() < 0.2
+    empty_row, empty_col = int(rng.integers(0, 2 * K)), int(rng.integers(0, 2 * m))
+    entries = []
+    for k in range(K):
+        row = []
+        for i in range(m):
+            kind = 2 if all_dense else int(rng.integers(0, 3))
+            if not all_dense and (k == empty_row or i == empty_col or kind == 0):
+                row.append(None)
+            elif kind == 1 and dd[k] == dp[i]:
+                row.append(float(rng.uniform(-2.0, 2.0)))
+            else:
+                row.append(rng.standard_normal((dd[k], dp[i])))
+        entries.append(row)
+    return entries, SpaceSig(dp, dd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_coupling_matches_the_dense_grid(seed):
+    rng = np.random.default_rng(seed)
+    entries, sig = _coupling_grid(rng)
+    L = BlockLinearOp(entries, sig)
+    # the small scalar cells are gathered, every other cell is applied alone
+    small = {(k, i) for k, i, e in L.nonzeros
+             if isinstance(e, float) and sig.dims_primal[i] <= SMALL_BLOCK_DIM}
+    assert {(k, i) for k, i, _ in L.per_cell} == {(k, i) for k, i, _ in L.nonzeros} - small
+    assert (L.gather is None) == (not small)
+    D = dense_coupling(L)
+    x = BlockVector([rng.standard_normal(d) for d in sig.dims_primal])
+    v = BlockVector([rng.standard_normal(d) for d in sig.dims_dual])
+    Lx, Ltv = apply_block(L, x).flat(), apply_adjoint(L, v).flat()
+    assert Lx.dtype == Ltv.dtype == np.float64
+    for got, M, u in ((Lx, D, x.flat()), (Ltv, D.T, v.flat())):
+        scale = np.linalg.norm(np.abs(M) @ np.abs(u))
+        assert np.linalg.norm(got - M @ u) <= 1e-13 * scale
+    lhs, rhs = float(Lx @ v.flat()), float(x.flat() @ Ltv)
+    assert abs(lhs - rhs) <= 1e-13 * float(np.abs(v.flat()) @ np.abs(D) @ np.abs(x.flat()))
+
+
+def test_gathered_cells_add_in_cell_order():
+    # each dual coordinate sums its terms cell after cell, as the
+    # cell-by-cell loop did, so the products are exactly the same
+    sig = SpaceSig((2, 2, 2), (2,))
+    L = BlockLinearOp([[0.1, 0.2, 0.3]], sig)
+    x = BlockVector([[0.7, 1e16], [0.1, -1e16], [0.3, 1.0]])
+    want = np.zeros(2)
+    for s, xi in zip((0.1, 0.2, 0.3), x.blocks):
+        want += s * xi
+    np.testing.assert_array_equal(apply_block(L, x).flat(), want)
+    rows, cols, w = L.gather
+    np.testing.assert_array_equal(rows, [0, 1, 0, 1, 0, 1])
+    np.testing.assert_array_equal(cols, [0, 1, 2, 3, 4, 5])
+    np.testing.assert_array_equal(w, [0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
+
+
+def test_a_grid_without_small_scalar_cells_applies_in_float64():
+    # np.bincount over no terms returns int64 zeros: such grids must not use it
+    big = SMALL_BLOCK_DIM + 1
+    for entries, sig in (([[None]], SpaceSig((1,), (1,))),
+                         ([[2.0]], SpaceSig((big,), (big,))),
+                         ([[np.ones((1, 2))]], SpaceSig((2,), (1,)))):
+        L = BlockLinearOp(entries, sig)
+        assert L.gather is None
+        x = BlockVector.wrap(np.ones(sum(sig.dims_primal)), sig.dims_primal)
+        v = BlockVector.wrap(np.ones(sum(sig.dims_dual)), sig.dims_dual)
+        assert apply_block(L, x).flat().dtype == np.float64
+        assert apply_adjoint(L, v).flat().dtype == np.float64

@@ -218,6 +218,9 @@ op S 1 scaled_identity c=1
                  id="common-zero-entry"),
     pytest.param(SYSTEM_TEXT + "config epsilon 2\n", 14, id="config-epsilon-range"),
     pytest.param(SYSTEM_TEXT + "config max_iters 0\n", 14, id="config-max-iters-0"),
+    pytest.param(SYSTEM_TEXT + "config error_p 0.5\n", 14, id="config-error-p-without-eta"),
+    pytest.param(SYSTEM_TEXT + "config error_eta 0\nconfig error_p 1\n", 15,
+                 id="config-error-p-with-zero-eta"),
     pytest.param(COMMON_ZERO_TEXT + "config epsilon 0.5\n", 6,
                  id="config-epsilon-above-beta-bound"),
 ])
@@ -242,7 +245,7 @@ def test_config_flag_overrides_name_no_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--gamma", "5"], ["--epsilon", "2"], ["--epsilon", "0.6"],
-    ["--max-iters", "0"], ["--error-eta", "1e308"],
+    ["--max-iters", "0"], ["--error-eta", "1e308"], ["--error-p", "0.5"],
 ], ids=lambda f: " ".join(f))
 def test_demo_bad_flags_exit_one_with_one_error_line(tmp_path, capsys, flags):
     assert main(["demo", "twobox", *flags, "--output-dir", str(tmp_path)]) == 1

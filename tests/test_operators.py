@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
+    AffineMap,
     AffineOperator,
     Ball,
     Box,
@@ -11,6 +12,7 @@ from pdsplit import (
     Hyperplane,
     IndicatorFunction,
     L1Norm,
+    LipschitzOperator,
     NormalCone,
     ParameterError,
     Point,
@@ -19,6 +21,7 @@ from pdsplit import (
     ScaledIdentityMap,
     SquaredNorm,
     ZeroFunction,
+    ZeroMap,
     ZeroOperator,
     conjugate_prox,
     graph_distance,
@@ -28,6 +31,8 @@ from pdsplit import (
     yosida,
 )
 from oracles import resolvent_bisection
+from pdsplit.blocks import SMALL_BLOCK_DIM
+from pdsplit.operators import join, join_key
 
 
 def catalog_resolvents(rng, d):
@@ -286,3 +291,123 @@ def test_constructors_reject_nan():
             make()
     # infinite bounds still give orthants and the whole line
     assert Box([-np.inf], [np.inf]).project(np.array([3.0]))[0] == 3.0
+
+
+def test_separable_members_take_one_parameter_per_coordinate():
+    w = np.array([0.5, 2.0])
+    f = L1Norm(w)
+    np.testing.assert_array_equal(f.prox(1.0, np.array([1.0, 1.0])), [0.5, 0.0])
+    assert f([1.0, -3.0]) == 6.5
+    assert f.conjugate([0.5, -2.0]) == 0.0 and f.conjugate([0.6, 0.0]) == np.inf
+    g = SquaredNorm(w)
+    assert g(np.array([2.0, 1.0])) == 4.0
+    assert g.conjugate([1.0, 4.0]) == 2.5
+    np.testing.assert_array_equal(g.prox(1.0, np.array([2.0, 5.0])), [1.0, 1.0])
+    np.testing.assert_array_equal(ScaledIdentity(w).resolvent(2.0, [2.0, 5.0]), [1.0, 1.0])
+    M = ScaledIdentityMap(w, [1.0, 0.0])
+    np.testing.assert_array_equal(M([2.0, 1.0]), [2.0, 2.0])
+    assert M.lipschitz == 2.0
+    nan = float("nan")
+    for make in (ScaledIdentity, ScaledIdentityMap, L1Norm, SquaredNorm):
+        for bad in ([1.0, -1.0], [1.0, nan]):
+            with pytest.raises(ParameterError):
+                make(bad)
+    with pytest.raises(ParameterError):
+        SquaredNorm([1.0, 0.0])
+    # a scalar stays a float, however it is given
+    assert isinstance(L1Norm(np.float64(2.0)).weight, float)
+    assert isinstance(ScaledIdentity(np.array(1.0)).c, float)
+    assert isinstance(SquaredNorm(1).omega, float)
+
+
+# --- joins of separable operators ------------------------------------------
+
+def _param(rng, d, low):
+    """A scalar, a length-1 vector that broadcasts, or one value per coordinate."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return float(rng.uniform(low, 2.0))
+    return rng.uniform(low, 2.0, 1 if kind == 1 else d)
+
+
+def _box(rng, d):
+    size = 1 if rng.random() < 0.3 else d
+    lo, hi = -rng.uniform(0.0, 2.0, size), rng.uniform(0.0, 2.0, size)
+    lo[rng.random(size) < 0.2] = -np.inf
+    hi[rng.random(size) < 0.2] = np.inf
+    return Box(lo, hi)
+
+
+JOINABLE = {
+    "zero": lambda rng, d: ZeroOperator(),
+    "scaled_identity": lambda rng, d: ScaledIdentity(_param(rng, d, 0.0)),
+    "normal_cone_box": lambda rng, d: NormalCone(_box(rng, d)),
+    "zero_fn": lambda rng, d: ZeroFunction().subdifferential(),
+    "l1": lambda rng, d: L1Norm(_param(rng, d, 0.0)).subdifferential(),
+    "sqdist": lambda rng, d: QuadraticDistance(
+        rng.standard_normal(1 if rng.random() < 0.3 else d)).subdifferential(),
+    "sqnorm": lambda rng, d: SquaredNorm(_param(rng, d, 0.1)).subdifferential(),
+    "indicator_box": lambda rng, d: IndicatorFunction(_box(rng, d)).subdifferential(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOINABLE))
+def test_joined_resolvent_is_the_per_block_one_bitwise(name):
+    rng = np.random.default_rng(sorted(JOINABLE).index(name))
+    dims = [int(d) for d in rng.permutation(np.arange(1, SMALL_BLOCK_DIM + 1))]
+    ops = [JOINABLE[name](rng, d) for d in dims]
+    joined = join(ops, dims)
+    assert type(joined) is type(ops[0]) and join_key(joined) == join_key(ops[0])
+    cuts = np.cumsum(dims)[:-1]
+    for gamma in (0.3, 1.0, 7.0):
+        x, r = 3.0 * rng.standard_normal(sum(dims)), rng.standard_normal(sum(dims))
+        want = np.concatenate([op.resolvent(gamma, xi)
+                               for op, xi in zip(ops, np.split(x, cuts))])
+        assert np.array_equal(joined.resolvent(gamma, x), want)
+        want = np.concatenate([
+            shifted_inverse_resolvent(op, ri, gamma, xi)
+            for op, ri, xi in zip(ops, np.split(r, cuts), np.split(x, cuts))])
+        assert np.array_equal(shifted_inverse_resolvent(joined, r, gamma, x), want)
+
+
+def test_joined_scaled_identity_map_is_the_per_block_one_bitwise():
+    rng = np.random.default_rng(40)
+    dims = [int(d) for d in rng.permutation(np.arange(1, SMALL_BLOCK_DIM + 1))]
+    ops = [ScaledIdentityMap(_param(rng, d, 0.0),
+                             None if rng.random() < 0.5 else _param(rng, d, -2.0))
+           for d in dims]
+    joined = join(ops, dims)
+    assert type(joined) is ScaledIdentityMap
+    assert joined.lipschitz == max(op.lipschitz for op in ops)
+    x = 3.0 * rng.standard_normal(sum(dims))
+    want = np.concatenate([op(xi) for op, xi in zip(ops, np.split(x, np.cumsum(dims)[:-1]))])
+    assert np.array_equal(joined(x), want)
+
+
+class _ScaledL1(L1Norm):
+    """A subclass may act otherwise than its base, so it joins nothing."""
+
+
+def test_operators_that_do_not_join():
+    u = np.ones(2)
+    for op in (NormalCone(Hyperplane(u, 1.0)), NormalCone(Ball(u, 1.0)),
+               NormalCone(Halfspace(u, 1.0)), NormalCone(Point(u)),
+               IndicatorFunction(Ball(u, 1.0)).subdifferential(),
+               AffineOperator(np.eye(2)), AffineMap(np.eye(2)),
+               LipschitzOperator(lambda x: x, 1.0), ZeroMap(),
+               _ScaledL1(1.0).subdifferential()):
+        assert join_key(op) is None and join([op, op], [2, 2]) is None
+    # mixed kinds, even where they would act alike
+    for a, b in ((ZeroOperator(), ScaledIdentity(0.0)),
+                 (L1Norm(1.0).subdifferential(), SquaredNorm(1.0).subdifferential()),
+                 (NormalCone(Box([0.0], [1.0])),
+                  IndicatorFunction(Box([0.0], [1.0])).subdifferential()),
+                 (ScaledIdentity(1.0), ScaledIdentityMap(1.0))):
+        assert join([a, b], [1, 1]) is None and join([b, a], [1, 1]) is None
+    # a parameter that does not broadcast over its block
+    sq = [QuadraticDistance([1.0, 2.0, 3.0]).subdifferential(),
+          QuadraticDistance([1.0]).subdifferential()]
+    assert join(sq, [2, 1]) is None and join(sq, [3, 1]) is not None
+    assert join([], []) is None
+    with pytest.raises(ValueError):
+        join(sq, [3])

@@ -2,25 +2,36 @@ import numpy as np
 import pytest
 
 from pdsplit import (
+    AffineMap,
+    Ball,
     BlockLinearOp,
     BlockVector,
     Box,
     CoupledInclusionProblem,
     FbfConfig,
+    Hyperplane,
+    IndicatorFunction,
+    L1Norm,
+    LipschitzOperator,
     NormalCone,
     ParameterError,
     Point,
+    QuadraticDistance,
     ScaledIdentity,
     ScaledIdentityMap,
     SpaceSig,
+    SquaredNorm,
+    SubdifferentialOperator,
     SummableErrorSchedule,
     ZeroMap,
     compute_beta,
     kkt_residual,
+    product_space_pair,
     solve_system,
 )
 from conftest import random_coupled_problem
 from oracles import system_iterates
+from pdsplit.blocks import SMALL_BLOCK_DIM
 
 
 def two_box_problem():
@@ -167,3 +178,69 @@ def test_problem_validation():
             BlockLinearOp([[1.0, -1.0]], sig),
             BlockVector.zeros((1, 1)), BlockVector.zeros((1,)),
         )
+
+
+def interleaved_runs_problem(rng):
+    """Blocks whose operators join in runs, broken by operators that do not
+    join and by a block above SMALL_BLOCK_DIM, coupled by scalar and dense
+    cells."""
+    big = SMALL_BLOCK_DIM + 6
+    dp = (1, 2, 3, big, 2, 2, 1, 3, 1)
+    dd = (1, 2, big, 3, 1, 2)
+    box = NormalCone(Box(-np.ones(2), np.ones(2)))
+    A = [L1Norm(0.3).subdifferential(), L1Norm([0.1, 0.2]).subdifferential(),
+         L1Norm(0.5).subdifferential(),                                  # run of 3
+         NormalCone(Box(-np.ones(big), np.ones(big))),                    # large
+         box, NormalCone(Box([-0.5], [0.5])),                             # run of 2
+         NormalCone(Hyperplane([1.0], 0.2)),                              # does not join
+         SquaredNorm(0.7).subdifferential(), SquaredNorm(0.2).subdifferential()]
+    C = [ScaledIdentityMap(0.5), ScaledIdentityMap(0.2, [0.1, -0.3]), ZeroMap(),
+         ScaledIdentityMap(0.3), ScaledIdentityMap([0.1, 0.2]),
+         AffineMap(np.array([[1.0, 0.5], [-0.5, 0.2]])), ZeroMap(),
+         ScaledIdentityMap(0.4), LipschitzOperator(lambda x: 0.5 * x, 0.5)]
+    B = [ScaledIdentity(1.0), ScaledIdentity([0.5, 2.0]),               # run of 2
+         ScaledIdentity(1.0),                                             # large
+         NormalCone(Ball(np.zeros(3), 1.0)),                              # does not join
+         QuadraticDistance([0.3]).subdifferential(),
+         IndicatorFunction(Box([-1.0], [1.0])).subdifferential()]        # mixed kinds
+    Dinv = [ZeroMap(), ScaledIdentityMap(0.4), ScaledIdentityMap(0.1), ZeroMap(),
+            ScaledIdentityMap(0.2), ScaledIdentityMap(0.3)]
+    cells = {}
+    for k, dk in enumerate(dd):
+        for i, di in enumerate(dp):
+            kind = rng.random()
+            if kind < 0.35 and dk == di:
+                cells[(k, i)] = float(rng.uniform(-1.5, 1.5))
+            elif kind < 0.6:
+                cells[(k, i)] = rng.standard_normal((dk, di)) / np.sqrt(max(dk, di))
+    sig = SpaceSig(dp, dd)
+    return CoupledInclusionProblem(
+        sig, A, C, B, Dinv, BlockLinearOp(cells, sig),
+        BlockVector([rng.standard_normal(d) for d in dp]),
+        BlockVector([rng.standard_normal(d) for d in dd]))
+
+
+def test_engine_equivalence_over_interleaved_runs(monkeypatch):
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        prob = interleaved_runs_problem(rng)
+        errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
+        iterates = []
+        cfg = FbfConfig(max_iters=50, residual_tol=0.0, errors=errors,
+                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
+        rep = solve_system(prob, cfg)
+        iterates.append(rep.trace.w.flat())
+        gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
+        ref = system_iterates(prob, gamma, 50, errors)
+        gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
+        assert len(gaps) == 51 and max(gaps) <= 1e-12
+    # one resolvent per run: primal {0,1,2} {3} {4,5} {6} {7,8}, dual
+    # {0,1} {2} {3} {4} {5}
+    calls = []
+    for cls in (NormalCone, ScaledIdentity, SubdifferentialOperator):
+        original = cls.resolvent
+        monkeypatch.setattr(cls, "resolvent", lambda self, gamma, x, f=original:
+                            calls.append(x.size) or f(self, gamma, x))
+    P_resolvent, _ = product_space_pair(prob)
+    P_resolvent(0.1, BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual))
+    assert calls == [6, SMALL_BLOCK_DIM + 6, 4, 1, 4, 3, SMALL_BLOCK_DIM + 6, 3, 1, 2]
