@@ -41,7 +41,7 @@ _FBF_FIELDS = {"epsilon": "epsilon", "gamma": "gamma", "max_iters": "max_iters",
                "tol": "residual_tol"}
 # the config key behind each setting a ParameterError may name
 _CONFIG_KEY = {**{f: k for k, f in _FBF_FIELDS.items()},
-               "eta": "error_eta", "p": "error_p"}
+               "eta": "error_eta", "p": "error_p", "seed": "seed"}
 
 _EXIT_CODES = {"converged": 0, "max_iters": 2, "diverged": 1}
 
@@ -58,9 +58,8 @@ def make_config(file_cfg, args):
             merged[key] = getattr(args, key)
     # built, and so validated, whether or not it perturbs anything; a zero
     # eta leaves the run unperturbed without drawing zero vectors
-    errors = SummableErrorSchedule(
-        merged.get("error_eta", 0.0), merged.get("error_p", 2.0), int(merged.get("seed", 0))
-    )
+    errors = SummableErrorSchedule(merged.get("error_eta", 0.0), merged.get("error_p", 2.0),
+                                   merged.get("seed", 0))
     kwargs = {_FBF_FIELDS[k]: v for k, v in merged.items() if k in _FBF_FIELDS}
     return FbfConfig(errors=errors if errors.eta else None, **kwargs)
 

@@ -48,6 +48,8 @@ class SummableErrorSchedule:
             raise ParameterError(f"eta must be nonnegative, got {eta}", "eta")
         if not p > 1:
             raise ParameterError(f"p must exceed 1 for summability, got {p}", "p")
+        if not (float(seed).is_integer() and seed >= 0):
+            raise ParameterError(f"seed must be a nonnegative integer, got {seed}", "seed")
         self.eta = float(eta)
         self.p = float(p)
         self.seed = int(seed)

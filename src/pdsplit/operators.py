@@ -5,9 +5,10 @@ J_{gamma A} = (Id + gamma A)^{-1}; convex functions through their proximity
 operators.  Every catalog member is defined on the whole space, immutable
 after construction, and safe to evaluate concurrently.
 
-The separable members take their parameters as a scalar or as one value
-per coordinate, so that ``join`` can turn operators on consecutive blocks
-into a single operator of the same class on their direct sum.
+Each set carries its support function, the conjugate of its indicator.
+``_SEPARABLE`` declares the separable members, whose parameters are each a
+scalar or one value per coordinate, and ``_WRAPPERS`` the members that wrap
+one; through them ``join`` turns operators on consecutive blocks into one.
 """
 
 from __future__ import annotations
@@ -85,15 +86,28 @@ def _check_gamma(gamma):
         raise ParameterError(f"gamma must be positive, got {gamma}")
 
 
+def _affine(M, b):
+    """(M, b) of x -> M x + b as float arrays, b zero when None;
+    ParameterError unless M is square with M + M^T positive semidefinite."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ParameterError("M must be square")
+    if np.min(np.linalg.eigvalsh(0.5 * (M + M.T)), initial=0.0) < -1e-10:
+        raise ParameterError("M + M^T must be positive semidefinite")
+    return M, np.zeros(len(M)) if b is None else np.asarray(b, dtype=float).reshape(-1)
+
+
 # ---------------------------------------------------------------------------
 # Closed convex sets (projection targets)
 
 
 class ConvexSet:
-    label = "set"
-
     def project(self, x):
         raise NotImplementedError
+
+    def support(self, u):
+        """sup_{x in C} <x, u> for a 1-D float array u; may be +inf."""
+        raise NotImplementedError(f"no support function for {type(self).__name__}")
 
     def distance(self, x):
         return float(np.linalg.norm(x - self.project(x)))
@@ -110,10 +124,15 @@ class Box(ConvexSet):
         self.hi = np.asarray(hi, dtype=float).reshape(-1)
         if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
             raise ParameterError("box needs lo <= hi componentwise, without NaN")
-        self.label = "box"
 
     def project(self, x):
         return np.clip(x, self.lo, self.hi)
+
+    def support(self, u):
+        bound = np.where(u > 0, self.hi, self.lo)
+        # a round-off residue facing an infinite bound counts as 0
+        bound[np.isinf(bound) & (np.abs(u) <= INDICATOR_FEASIBILITY_TOL)] = 0.0
+        return float(np.sum(u * bound))
 
 
 class Ball(ConvexSet):
@@ -122,7 +141,6 @@ class Ball(ConvexSet):
         self.radius = float(radius)
         if not self.radius >= 0:
             raise ParameterError("radius must be nonnegative")
-        self.label = "ball"
 
     def project(self, x):
         d = x - self.center
@@ -131,18 +149,29 @@ class Ball(ConvexSet):
             return np.array(x, dtype=float)
         return self.center + (self.radius / n) * d
 
+    def support(self, u):
+        return float(self.center @ u) + self.radius * float(np.linalg.norm(u))
 
-class Halfspace(ConvexSet):
-    """{x : <x, u> <= rho}."""
+
+class _Cut(ConvexSet):
+    """A set cut out by the hyperplane <x, u> = rho, u nonzero."""
 
     def __init__(self, u, rho):
         self.u = np.asarray(u, dtype=float).reshape(-1)
         self.rho = float(rho)
-        nsq = float(self.u @ self.u)
-        if nsq == 0.0:
-            raise ParameterError("halfspace normal must be nonzero")
-        self._nsq = nsq
-        self.label = "halfspace"
+        self._nsq = float(self.u @ self.u)
+        if self._nsq == 0.0:
+            raise ParameterError(f"{type(self).__name__.lower()} normal must be nonzero")
+
+    def _along(self, u):
+        """t with u = t * self.u up to round-off; None off that line."""
+        t = float(u @ self.u) / self._nsq
+        resid = np.linalg.norm(u - t * self.u)
+        return None if resid > INDICATOR_FEASIBILITY_TOL * (1 + np.linalg.norm(u)) else t
+
+
+class Halfspace(_Cut):
+    """{x : <x, u> <= rho}."""
 
     def project(self, x):
         excess = float(x @ self.u) - self.rho
@@ -150,30 +179,32 @@ class Halfspace(ConvexSet):
             return np.array(x, dtype=float)
         return x - (excess / self._nsq) * self.u
 
+    def support(self, u):
+        t = self._along(u)
+        return (np.inf if t is None or t < -INDICATOR_FEASIBILITY_TOL
+                else max(t, 0.0) * self.rho)
 
-class Hyperplane(ConvexSet):
+
+class Hyperplane(_Cut):
     """{x : <x, u> = rho}."""
-
-    def __init__(self, u, rho):
-        self.u = np.asarray(u, dtype=float).reshape(-1)
-        self.rho = float(rho)
-        nsq = float(self.u @ self.u)
-        if nsq == 0.0:
-            raise ParameterError("hyperplane normal must be nonzero")
-        self._nsq = nsq
-        self.label = "hyperplane"
 
     def project(self, x):
         return x - ((float(x @ self.u) - self.rho) / self._nsq) * self.u
+
+    def support(self, u):
+        t = self._along(u)
+        return np.inf if t is None else t * self.rho
 
 
 class Point(ConvexSet):
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float).reshape(-1)
-        self.label = "point"
 
     def project(self, x):
         return self.c.copy()
+
+    def support(self, u):
+        return float(self.c @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +214,11 @@ class Point(ConvexSet):
 class MonotoneOperator:
     """Maximally monotone operator exposed through its resolvent."""
 
-    label = "monotone"
-
     def resolvent(self, gamma, x):
         raise NotImplementedError
 
 
 class ZeroOperator(MonotoneOperator):
-    label = "zero"
-
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
         return np.array(x, dtype=float)
@@ -204,10 +231,6 @@ class ScaledIdentity(MonotoneOperator):
     def __init__(self, c):
         self.c = _parameter(c, "scaled identity needs c >= 0 for monotonicity")
 
-    @property
-    def label(self):
-        return f"scaled_identity(c={self.c})"
-
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
         return np.asarray(x, dtype=float) / (1.0 + gamma * self.c)
@@ -217,20 +240,11 @@ class AffineOperator(MonotoneOperator):
     """x -> M x + b with M + M^T positive semidefinite."""
 
     def __init__(self, M, b=None):
-        self.M = np.asarray(M, dtype=float)
-        n = self.M.shape[0]
-        if self.M.shape != (n, n):
-            raise ParameterError("M must be square")
-        sym = 0.5 * (self.M + self.M.T)
-        if np.min(np.linalg.eigvalsh(sym)) < -1e-10:
-            raise ParameterError("M + M^T must be positive semidefinite")
-        self.b = np.zeros(n) if b is None else np.asarray(b, dtype=float).reshape(-1)
-        self.label = "affine"
+        self.M, self.b = _affine(M, b)
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        n = self.M.shape[0]
-        return np.linalg.solve(np.eye(n) + gamma * self.M, x - gamma * self.b)
+        return np.linalg.solve(np.eye(len(self.M)) + gamma * self.M, x - gamma * self.b)
 
     def __call__(self, x):
         return self.M @ x + self.b
@@ -241,7 +255,6 @@ class NormalCone(MonotoneOperator):
 
     def __init__(self, cset):
         self.set = cset
-        self.label = f"normal_cone[{cset.label}]"
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
@@ -253,7 +266,6 @@ class SubdifferentialOperator(MonotoneOperator):
 
     def __init__(self, fn):
         self.fn = fn
-        self.label = f"subdiff[{fn.label}]"
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
@@ -267,12 +279,11 @@ class SubdifferentialOperator(MonotoneOperator):
 class LipschitzOperator:
     """Monotone single-valued operator with a declared Lipschitz constant."""
 
-    def __init__(self, fn, lipschitz, label="lipschitz"):
+    def __init__(self, fn, lipschitz):
         if lipschitz < 0:
             raise ParameterError("Lipschitz constant must be nonnegative")
         self._fn = fn
         self.lipschitz = float(lipschitz)
-        self.label = label
 
     def __call__(self, x):
         return self._fn(x)
@@ -280,7 +291,7 @@ class LipschitzOperator:
 
 class ZeroMap(LipschitzOperator):
     def __init__(self):
-        super().__init__(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0, "zero_map")
+        super().__init__(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.0)
 
 
 class ScaledIdentityMap(LipschitzOperator):
@@ -296,21 +307,16 @@ class ScaledIdentityMap(LipschitzOperator):
             self.b = np.asarray(b, dtype=float).reshape(-1)
             fn = lambda x: self.c * np.asarray(x, dtype=float) + self.b
         lipschitz = self.c if isinstance(self.c, float) else float(np.max(self.c, initial=0.0))
-        super().__init__(fn, lipschitz, f"scaled_identity_map(c={c})")
+        super().__init__(fn, lipschitz)
 
 
 class AffineMap(LipschitzOperator):
     """x -> M x + b with M + M^T positive semidefinite."""
 
     def __init__(self, M, b=None):
-        self.M = np.asarray(M, dtype=float)
-        n = self.M.shape[0]
-        sym = 0.5 * (self.M + self.M.T)
-        if np.min(np.linalg.eigvalsh(sym)) < -1e-10:
-            raise ParameterError("M + M^T must be positive semidefinite")
-        self.b = np.zeros(n) if b is None else np.asarray(b, dtype=float).reshape(-1)
+        self.M, self.b = _affine(M, b)
         const = float(np.sqrt(max(np.linalg.eigvalsh(self.M.T @ self.M).max(), 0.0)))
-        super().__init__(lambda x: self.M @ x + self.b, const, "affine_map")
+        super().__init__(lambda x: self.M @ x + self.b, const)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +324,6 @@ class AffineMap(LipschitzOperator):
 
 
 class ConvexFunction:
-    label = "convex"
     real_valued = False
 
     def prox(self, gamma, x):
@@ -326,17 +331,16 @@ class ConvexFunction:
 
     def __call__(self, x):
         """Function value; may be +inf.  Raises if no evaluator exists."""
-        raise NotImplementedError(f"{self.label} has no value evaluator")
+        raise NotImplementedError(f"{type(self).__name__} has no value evaluator")
 
     def conjugate(self, u):
-        raise NotImplementedError(f"{self.label} has no conjugate evaluator")
+        raise NotImplementedError(f"{type(self).__name__} has no conjugate evaluator")
 
     def subdifferential(self):
         return SubdifferentialOperator(self)
 
 
 class ZeroFunction(ConvexFunction):
-    label = "zero_fn"
     real_valued = True
 
     def prox(self, gamma, x):
@@ -356,7 +360,6 @@ class IndicatorFunction(ConvexFunction):
 
     def __init__(self, cset):
         self.set = cset
-        self.label = f"indicator[{cset.label}]"
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -368,40 +371,13 @@ class IndicatorFunction(ConvexFunction):
         return np.inf
 
     def conjugate(self, u):
-        # support function of the set; closed forms per set kind
-        s = self.set
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if isinstance(s, Point):
-            return float(s.c @ u)
-        if isinstance(s, Box):
-            bound = np.where(u > 0, s.hi, s.lo)
-            # a round-off residue facing an infinite bound counts as 0
-            bound[np.isinf(bound) & (np.abs(u) <= INDICATOR_FEASIBILITY_TOL)] = 0.0
-            return float(np.sum(u * bound))
-        if isinstance(s, Ball):
-            return float(s.center @ u) + s.radius * float(np.linalg.norm(u))
-        if isinstance(s, Hyperplane):
-            t = float(u @ s.u) / s._nsq
-            resid = np.linalg.norm(u - t * s.u)
-            if resid > INDICATOR_FEASIBILITY_TOL * (1 + np.linalg.norm(u)):
-                return np.inf
-            return t * s.rho
-        if isinstance(s, Halfspace):
-            t = float(u @ s.u) / s._nsq
-            resid = np.linalg.norm(u - t * s.u)
-            if t < -INDICATOR_FEASIBILITY_TOL or resid > INDICATOR_FEASIBILITY_TOL * (
-                1 + np.linalg.norm(u)
-            ):
-                return np.inf
-            return max(t, 0.0) * s.rho
-        raise NotImplementedError(f"no support function for {s.label}")
+        return self.set.support(np.asarray(u, dtype=float).reshape(-1))
 
 
 class L1Norm(ConvexFunction):
     """sum_j weight_j |x_j|, the weight a scalar or one value per
     coordinate; prox is soft thresholding."""
 
-    label = "l1"
     real_valued = True
 
     def __init__(self, weight=1.0):
@@ -424,7 +400,6 @@ class L1Norm(ConvexFunction):
 class QuadraticDistance(ConvexFunction):
     """(1/2) ||x - a||^2."""
 
-    label = "sq_dist"
     real_valued = True
 
     def __init__(self, a):
@@ -447,7 +422,6 @@ class SquaredNorm(ConvexFunction):
     """sum_j omega_j x_j^2 with omega > 0, a scalar or one value per
     coordinate."""
 
-    label = "sq_norm"
     real_valued = True
 
     def __init__(self, omega):
@@ -521,58 +495,32 @@ def graph_distance(A, p, u):
 # Direct sums of separable operators
 
 
-def _coords(value, d):
-    """A parameter spread over the d coordinates of its block; ValueError
-    when it does not broadcast to them."""
-    return np.broadcast_to(value, (d,))
+# The separable classes with their per-coordinate parameters in constructor
+# order, and the classes that wrap another member with the attribute holding it.
+_SEPARABLE = {ZeroOperator: (), ScaledIdentity: ("c",), Box: ("lo", "hi"), ZeroFunction: (),
+              L1Norm: ("weight",), QuadraticDistance: ("a",), SquaredNorm: ("omega",),
+              ScaledIdentityMap: ("c", "b")}
+_WRAPPERS = {NormalCone: "set", SubdifferentialOperator: "fn", IndicatorFunction: "set"}
 
 
-def _box_coords(s, d):
-    return _coords(s.lo, d), _coords(s.hi, d)
-
-
-# For each join key: the per-coordinate parameters of an operator on a
-# block of dimension d, and the operator built from their concatenations
-# over consecutive blocks.
-_JOINS = {
-    (ZeroOperator,): (lambda op, d: (), ZeroOperator),
-    (ScaledIdentity,): (lambda op, d: (_coords(op.c, d),), ScaledIdentity),
-    (NormalCone, Box): (lambda op, d: _box_coords(op.set, d),
-                        lambda lo, hi: NormalCone(Box(lo, hi))),
-    (SubdifferentialOperator, ZeroFunction): (
-        lambda op, d: (), lambda: SubdifferentialOperator(ZeroFunction())),
-    (SubdifferentialOperator, L1Norm): (
-        lambda op, d: (_coords(op.fn.weight, d),),
-        lambda w: SubdifferentialOperator(L1Norm(w))),
-    (SubdifferentialOperator, QuadraticDistance): (
-        lambda op, d: (_coords(op.fn.a, d),),
-        lambda a: SubdifferentialOperator(QuadraticDistance(a))),
-    (SubdifferentialOperator, SquaredNorm): (
-        lambda op, d: (_coords(op.fn.omega, d),),
-        lambda omega: SubdifferentialOperator(SquaredNorm(omega))),
-    (SubdifferentialOperator, IndicatorFunction, Box): (
-        lambda op, d: _box_coords(op.fn.set, d),
-        lambda lo, hi: SubdifferentialOperator(IndicatorFunction(Box(lo, hi)))),
-    (ScaledIdentityMap,): (lambda op, d: (_coords(op.c, d), _coords(op.b, d)),
-                           ScaledIdentityMap),
-}
+def _unwrap(op):
+    """The classes of op and of the members it wraps, outermost first, and
+    the innermost member."""
+    kinds = (type(op),)
+    while kinds[-1] in _WRAPPERS:
+        op = getattr(op, _WRAPPERS[kinds[-1]])
+        kinds += (type(op),)
+    return kinds, op
 
 
 def join_key(op):
     """The key under which ``op`` joins others in ``join``: its exact class
-    and those of the function and set it wraps.  None for an operator that
-    joins nothing: one that is not separable, or of a subclass, which may
-    act otherwise."""
-    kind = type(op)
-    if kind is SubdifferentialOperator:
-        key = (kind, type(op.fn))
-        if key[1] is IndicatorFunction:
-            key += (type(op.fn.set),)
-    elif kind is NormalCone:
-        key = (kind, type(op.set))
-    else:
-        key = (kind,)
-    return key if key in _JOINS else None
+    and those of the function and set it wraps.  None for what joins
+    nothing: an operator that is not separable or is of a subclass, which
+    may act otherwise, and a bare set or function."""
+    kinds, _ = _unwrap(op)
+    operator = isinstance(op, (MonotoneOperator, LipschitzOperator))
+    return kinds if operator and kinds[-1] in _SEPARABLE else None
 
 
 def join(ops, dims):
@@ -588,9 +536,32 @@ def join(ops, dims):
     key = join_key(ops[0]) if ops else None
     if key is None or any(join_key(op) != key for op in ops[1:]):
         return None
-    params, build = _JOINS[key]
     try:
-        parts = [params(op, d) for op, d in zip(ops, dims)]
+        parts = [[np.broadcast_to(getattr(_unwrap(op)[1], name), (d,))
+                  for name in _SEPARABLE[key[-1]]] for op, d in zip(ops, dims)]
     except ValueError:
         return None
-    return build(*(np.concatenate(p) for p in zip(*parts)))
+    joined = key[-1](*(np.concatenate(p) for p in zip(*parts)))
+    for kind in reversed(key[:-1]):
+        joined = kind(joined)
+    return joined
+
+
+def misfit(op, d):
+    """Why catalog operator op does not fit a block of dimension d, or None:
+    a separable parameter needs 1 or d values, any other vector d.  Sizes
+    alone are read; callables and subclasses are not checked."""
+    kinds, inner = _unwrap(op)
+    kind = kinds[-1]
+    if kind in (AffineOperator, AffineMap) and inner.M.shape != (d, d):
+        return f"M has shape {inner.M.shape} for a block of dimension {d}"
+    names, sizes = _SEPARABLE.get(kind), (1, d)
+    if names is None:
+        names, sizes = {Ball: ("center",), Point: ("c",), Halfspace: ("u",),
+                        Hyperplane: ("u",), AffineOperator: ("b",),
+                        AffineMap: ("b",)}.get(kind, ()), (d,)
+    for name in names:
+        n = getattr(getattr(inner, name), "size", 1)      # a scalar is kept as a float
+        if n not in sizes:
+            return f"{name} has {n} entries for a block of dimension {d}"
+    return None

@@ -354,13 +354,11 @@ def _wrapped(table, wrap, prefix="", ids=None):
 
 
 def _sqdist_smooth(a):
-    return Smooth(lambda x: 0.5 * float((x - a) @ (x - a)),
-                  ScaledIdentityMap(1.0, -a), label="sqdist_smooth")
+    return Smooth(lambda x: 0.5 * float((x - a) @ (x - a)), ScaledIdentityMap(1.0, -a))
 
 
 def _sqnorm_smooth(w):
-    return Smooth(lambda x: w * float(x @ x), ScaledIdentityMap(2.0 * w),
-                  label="sqnorm_smooth")
+    return Smooth(lambda x: w * float(x @ x), ScaledIdentityMap(2.0 * w))
 
 
 _SETS = {

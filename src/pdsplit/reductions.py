@@ -229,17 +229,16 @@ class Smooth:
     """Differentiable convex function: a value evaluator plus its gradient
     (a LipschitzOperator)."""
 
-    def __init__(self, value, gradient, label="smooth"):
+    def __init__(self, value, gradient):
         self.value = value
         self.gradient = gradient
-        self.label = label
 
     def __call__(self, x):
         return self.value(x)
 
 
 def zero_smooth():
-    return Smooth(lambda x: 0.0, ZeroMap(), label="zero_smooth")
+    return Smooth(lambda x: 0.0, ZeroMap())
 
 
 class MultivariateMinProblem:
@@ -276,9 +275,7 @@ def _ellstar_grad(lk):
     if lk is None:
         return ZeroMap()
     # conjugate of omega ||.||^2 is ||.||^2 / (4 omega); gradient v/(2 omega)
-    return LipschitzOperator(
-        lambda v, w=lk.omega: v / (2.0 * w), 1.0 / (2.0 * lk.omega), "ellstar_grad"
-    )
+    return LipschitzOperator(lambda v, w=lk.omega: v / (2.0 * w), 1.0 / (2.0 * lk.omega))
 
 
 def min_problem_to_system(p):
@@ -319,7 +316,7 @@ def _conj_infconv_value(f, h, u):
     elif isinstance(grad, ScaledIdentityMap) and np.ndim(grad.c) == 0:
         c, b = grad.c, grad.b
     else:
-        raise EvaluationError(f"h has gradient {grad.label}, not c Id + constant")
+        raise EvaluationError(f"h has gradient {type(grad).__name__}, not c Id + constant")
     u = np.asarray(u, dtype=float)
     h0 = h(np.zeros_like(u))
     if c == 0.0:

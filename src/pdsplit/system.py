@@ -41,6 +41,7 @@ from .operators import (
     graph_distance,
     join,
     join_key,
+    misfit,
     shifted_inverse_resolvent,
 )
 
@@ -73,6 +74,12 @@ class CoupledInclusionProblem:
         for op in Dinv:
             if op.lipschitz < 0:
                 raise ParameterError("Dinv constants must be nonnegative")
+        for role, ops, dims in (("A", A, sig.dims_primal), ("C", C, sig.dims_primal),
+                                ("B", B, sig.dims_dual), ("Dinv", Dinv, sig.dims_dual)):
+            for i, (op, d) in enumerate(zip(ops, dims), 1):
+                why = misfit(op, d)
+                if why is not None:
+                    raise ParameterError(f"{role} {i}: {why}")
         self.A = list(A)
         self.C = list(C)
         self.B = list(B)

@@ -223,6 +223,9 @@ op S 1 scaled_identity c=1
                  id="config-error-p-with-zero-eta"),
     pytest.param(COMMON_ZERO_TEXT + "config epsilon 0.5\n", 6,
                  id="config-epsilon-above-beta-bound"),
+    pytest.param(SYSTEM_TEXT + "config seed -1\n", 14, id="config-negative-seed"),
+    pytest.param(SYSTEM_TEXT + "config error_eta 0.1\nconfig seed -1\n", 15,
+                 id="config-negative-seed-with-eta"),
 ])
 def test_solve_rejects_malformed_file_naming_its_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.prob"
@@ -246,6 +249,7 @@ def test_config_flag_overrides_name_no_line(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--gamma", "5"], ["--epsilon", "2"], ["--epsilon", "0.6"],
     ["--max-iters", "0"], ["--error-eta", "1e308"], ["--error-p", "0.5"],
+    ["--seed", "-1"], ["--seed", "-3", "--error-eta", "0.1"],
 ], ids=lambda f: " ".join(f))
 def test_demo_bad_flags_exit_one_with_one_error_line(tmp_path, capsys, flags):
     assert main(["demo", "twobox", *flags, "--output-dir", str(tmp_path)]) == 1

@@ -139,6 +139,18 @@ def test_error_schedule_rejects_non_summable():
         SummableErrorSchedule(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.7, float("nan"), float("inf")])
+def test_error_schedule_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ParameterError) as exc:
+        SummableErrorSchedule(0.1, 2.0, seed=seed)
+    assert exc.value.key == "seed"
+
+
+def test_error_schedule_takes_an_integral_seed_in_any_type():
+    for seed in (3, 3.0, np.int64(3)):
+        assert SummableErrorSchedule(0.1, 2.0, seed=seed).seed == 3
+
+
 def test_error_robustness_same_limit():
     P, Q = scalar_pair(NormalCone(Box([-1.0], [1.0])), lambda x: x - 2.0)
     clean = fbf_solve(P, Q, 1.0, BlockVector([[0.0]]),

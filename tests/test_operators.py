@@ -282,6 +282,27 @@ def test_box_support_function_with_infinite_bounds():
     assert finite.conjugate([1e-9, 0.0]) == 1e-9
 
 
+def test_halfspace_support_function():
+    # finite only along the outward normal: t rho for u = t n with t >= 0,
+    # 0 for a round-off t just below 0, +inf below that or off the normal
+    n = np.array([3.0, 4.0])
+    hs = IndicatorFunction(Halfspace(n, 2.0))
+    assert hs.conjugate(2.5 * n) == pytest.approx(5.0)
+    assert hs.conjugate(0.0 * n) == 0.0
+    assert hs.conjugate(-1e-7 * n) == 0.0
+    assert hs.conjugate(-1e-3 * n) == np.inf
+    assert hs.conjugate([4.0, -3.0]) == np.inf
+    assert hs.conjugate(2.5 * n + [1e-3, 0.0]) == np.inf
+
+
+def test_affine_classes_take_only_a_square_monotone_matrix():
+    for make in (AffineOperator, AffineMap):
+        with pytest.raises(ParameterError, match="square"):
+            make(np.ones((2, 3)))
+        with pytest.raises(ParameterError, match="semidefinite"):
+            make(-np.eye(2))
+
+
 def test_constructors_reject_nan():
     nan = float("nan")
     for make in (lambda: ScaledIdentity(nan), lambda: ScaledIdentityMap(nan),
@@ -411,3 +432,16 @@ def test_operators_that_do_not_join():
     assert join([], []) is None
     with pytest.raises(ValueError):
         join(sq, [3])
+
+
+class _Box(Box):
+    """A subclass of a set may act otherwise than its base."""
+
+
+def test_what_wraps_a_subclass_joins_nothing():
+    for op in (NormalCone(_Box([0.0], [1.0])),
+               IndicatorFunction(_Box([0.0], [1.0])).subdifferential()):
+        assert join_key(op) is None and join([op, op], [1, 1]) is None
+    # nor do sets and functions, outside an operator
+    for obj in (Box([0.0], [1.0]), L1Norm(1.0), IndicatorFunction(Box([0.0], [1.0]))):
+        assert join_key(obj) is None

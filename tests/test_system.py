@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from pdsplit import (
     SubdifferentialOperator,
     SummableErrorSchedule,
     ZeroMap,
+    ZeroOperator,
     compute_beta,
     kkt_residual,
     product_space_pair,
@@ -178,6 +181,43 @@ def test_problem_validation():
             BlockLinearOp([[1.0, -1.0]], sig),
             BlockVector.zeros((1, 1)), BlockVector.zeros((1,)),
         )
+    # an operator whose parameters do not fit its block is named by role
+    # and 1-based index, whatever wrapper it sits in
+    def problem(A=None, C=None, B=None, Dinv=None, dims=(1, 1)):
+        sig = SpaceSig(dims, (1,))
+        return CoupledInclusionProblem(
+            sig, A or [ZeroOperator()] * 2, C or [ZeroMap()] * 2,
+            B or [ScaledIdentity(1.0)], Dinv or [ZeroMap()],
+            BlockLinearOp({(0, 0): np.ones((1, dims[0]))}, sig),
+            BlockVector.zeros(dims), BlockVector.zeros((1,)))
+
+    box = NormalCone(Box([-1.0], [1.0]))
+    for bad, message in (
+        (dict(A=[NormalCone(Box([], [])), box]),
+         "A 1: lo has 0 entries for a block of dimension 1"),
+        (dict(A=[box, QuadraticDistance([1, 2]).subdifferential()]),
+         "A 2: a has 2 entries for a block of dimension 1"),
+        (dict(A=[NormalCone(Ball([0, 0], 1)), box]),
+         "A 1: center has 2 entries for a block of dimension 1"),
+        (dict(A=[box, IndicatorFunction(Box([0, 0], [1, 1])).subdifferential()]),
+         "A 2: lo has 2 entries"),
+        (dict(B=[NormalCone(Hyperplane([1, 1], 0.0))]), "B 1: u has 2 entries"),
+        (dict(B=[NormalCone(Point([0, 0]))]), "B 1: c has 2 entries"),
+        (dict(C=[ZeroMap(), AffineMap(np.eye(2))]), "C 2: M has shape (2, 2)"),
+        (dict(Dinv=[ScaledIdentityMap(1.0, [0, 0])]), "Dinv 1: b has 2 entries"),
+        (dict(Dinv=[AffineMap(np.eye(1), [0, 0])]), "Dinv 1: b has 2 entries"),
+    ):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            problem(**bad)
+    # a parameter of length 1 spreads over its block; a subclass and a
+    # callable are not checked
+    problem(A=[NormalCone(Box([-1.0], [1.0])), L1Norm([0.5]).subdifferential()], dims=(3, 2))
+    problem(A=[_ScaledIdentity([1.0, 2.0]), box],
+            C=[LipschitzOperator(lambda x: 0.0 * x, 0.0), ZeroMap()])
+
+
+class _ScaledIdentity(ScaledIdentity):
+    """A subclass is the caller's to fit to its block."""
 
 
 def interleaved_runs_problem(rng):
