@@ -211,7 +211,11 @@ def cmd_demo(args):
 def cmd_selftest(args):
     from .selftest import run_selftest
 
-    rows = run_selftest(seed=args.seed or 0, inject_fault=args.inject_fault)
+    if args.seed < 0:
+        print(f"error: selftest: seed must be a nonnegative integer, got {args.seed}",
+              file=sys.stderr)
+        return 1
+    rows = run_selftest(seed=args.seed, inject_fault=args.inject_fault)
     width = max(len(name) for name, _, _ in rows)
     failed = []
     for name, passed, detail in rows:

@@ -68,7 +68,9 @@ class SummableErrorSchedule:
         if nrm == 0.0:
             flat[0] = 1.0
             nrm = 1.0
-        return BlockVector.wrap(self.norm_at(n) * flat / nrm, dims)
+        flat *= self.norm_at(n)                 # in place: the same two roundings
+        flat /= nrm
+        return BlockVector.wrap(flat, dims)
 
     def __call__(self, n, dims):
         return tuple(self.vec(n, slot, dims) for slot in range(3))

@@ -2,8 +2,11 @@
 
 Set-valued operators are exposed exclusively through their resolvents
 J_{gamma A} = (Id + gamma A)^{-1}; convex functions through their proximity
-operators.  Every catalog member is defined on the whole space, immutable
-after construction, and safe to evaluate concurrently.
+operators.  Every catalog member is defined on the whole space, keeps the
+parameters it was built with, and is safe to evaluate concurrently.  The
+one piece of state is ``AffineOperator``'s memo of the inverse for its last
+repeated step, built from M: M and b must not be mutated in place after
+construction.
 
 Each set carries its support function, the conjugate of its indicator.
 ``_SEPARABLE`` declares the separable members, whose parameters are each a
@@ -237,14 +240,32 @@ class ScaledIdentity(MonotoneOperator):
 
 
 class AffineOperator(MonotoneOperator):
-    """x -> M x + b with M + M^T positive semidefinite."""
+    """x -> M x + b with M + M^T positive semidefinite.
+
+    The resolvent solves (I + gamma M) y = x - gamma b and remembers the
+    last step it was called with.  A call at a new step solves directly; a
+    second call in a row at the same step inverts I + gamma M once and
+    keeps the inverse, and each later call at that step is one matvec.  So
+    a constant step pays one solve and one inverse, a step that changes on
+    every call never pays for an inverse, and one inverse at most is held.
+    """
 
     def __init__(self, M, b=None):
         self.M, self.b = _affine(M, b)
+        # (last step, inv(I + step M) once that step repeats, else None),
+        # replaced in one assignment so that readers see a consistent pair
+        self._inv = (None, None)
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        return np.linalg.solve(np.eye(len(self.M)) + gamma * self.M, x - gamma * self.b)
+        step, inv = self._inv
+        if step != gamma:
+            self._inv = (gamma, None)
+            return np.linalg.solve(np.eye(len(self.M)) + gamma * self.M, x - gamma * self.b)
+        if inv is None:
+            inv = np.linalg.inv(np.eye(len(self.M)) + gamma * self.M)
+            self._inv = (gamma, inv)
+        return inv @ (x - gamma * self.b)
 
     def __call__(self, x):
         return self.M @ x + self.b

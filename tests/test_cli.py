@@ -157,6 +157,13 @@ def test_selftest_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_selftest_rejects_a_negative_seed_with_one_error_line(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: selftest: seed must be a nonnegative integer, got -1\n"
+
+
 def test_list_catalog(capsys):
     assert main(["list-catalog"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,66 @@ def test_affine_classes_take_only_a_square_monotone_matrix():
             make(np.ones((2, 3)))
         with pytest.raises(ParameterError, match="semidefinite"):
             make(-np.eye(2))
+
+
+def _skew_affine(rng, d=7):
+    """(M, b): M positive semidefinite plus a skew part, so not symmetric."""
+    W, S = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    return W @ W.T / d + 0.5 * (S - S.T), rng.standard_normal(d)
+
+
+def _dense_resolvent(M, b, gamma, x):
+    return np.linalg.solve(np.eye(len(M)) + gamma * M, x - gamma * b)
+
+
+def _rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("via", ["resolvent", "shifted_inverse_resolvent"])
+def test_affine_resolvent_matches_a_fresh_solve_across_step_changes(via):
+    # the memo of the last step's inverse must never serve another step
+    rng = np.random.default_rng(3)
+    M, b = _skew_affine(rng)
+    op, r, g = AffineOperator(M, b), rng.standard_normal(7), 0.37
+    for step in (g, g, g, 1.0, g, g, 1 / g, g, 1 / g, 1 / g):
+        x = rng.standard_normal(7)
+        if via == "resolvent":
+            got, want = op.resolvent(step, x), _dense_resolvent(M, b, step, x)
+        else:
+            got = shifted_inverse_resolvent(op, r, step, x)
+            want = x - step * (r + _dense_resolvent(M, b, 1 / step, x / step - r))
+        assert _rel_err(got, want) <= 1e-12, step
+
+
+def test_affine_resolvent_inverts_only_for_a_repeated_step(monkeypatch):
+    rng = np.random.default_rng(4)
+    M, b = _skew_affine(rng)
+    x = rng.standard_normal(7)
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
+    op = AffineOperator(M, b)
+    for _ in range(50):
+        op.resolvent(0.5, x)
+    assert len(inversions) == 1
+    op = AffineOperator(M, b)
+    for n in range(50):
+        op.resolvent(0.1 * (n + 1), x)
+    assert len(inversions) == 1
+
+
+def test_affine_resolvent_is_right_under_two_threads_at_two_steps():
+    rng = np.random.default_rng(5)
+    M, b = _skew_affine(rng)
+    op, xs = AffineOperator(M, b), rng.standard_normal((200, 7))
+
+    def worst(step):
+        return max(_rel_err(op.resolvent(step, x), _dense_resolvent(M, b, step, x))
+                   for x in xs)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert max(pool.map(worst, (0.3, 2.5))) <= 1e-12
 
 
 def test_constructors_reject_nan():
