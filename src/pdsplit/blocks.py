@@ -8,7 +8,8 @@ column plus a -Id diagonal) costs O(nnz) to build and to apply.  The
 scalar cells on blocks of at most SMALL_BLOCK_DIM coordinates are applied
 together, as one gather/scatter over their coordinates; dense cells and
 scalar cells on larger blocks are applied cell by cell.  This module is
-the only one that knows the K x m grid form of a coupling.
+the only one that knows the K x m grid form of a coupling and the form of
+its entries; other modules fit them to blocks with ``entry_misfit``.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def check_signature(vec, dims, side):
 
 def entry_apply(entry, x):
     if entry is None:
-        return None
+        return np.zeros(x.shape)
     if isinstance(entry, float):
         return entry * x
     return entry @ x
@@ -219,7 +220,7 @@ def entry_apply(entry, x):
 
 def entry_apply_adjoint(entry, v):
     if entry is None:
-        return None
+        return np.zeros(v.shape)
     if isinstance(entry, float):
         return entry * v
     return entry.T @ v
@@ -273,14 +274,31 @@ def _power_norm_sq(gram, n, cap, max_iters, tol):
 
 
 def normalize_entry(entry):
+    """The stored entry, from None, any real number (s * Id) or a real
+    matrix."""
     if entry is None:
         return None
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return float(entry)
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim != 2:
+        return float(entry)                             # the common case, kept cheap
+    arr = np.asarray(entry)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"entries must be real numbers or matrices, not {arr.dtype}")
+    if arr.ndim not in (0, 2):
         raise ValueError("dense entries must be 2-D matrices")
-    return arr
+    return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
+
+
+def entry_misfit(entry, rows, cols):
+    """Why ``entry`` does not fit a block of ``rows`` x ``cols`` (rows None:
+    any row count), or None when it fits."""
+    if entry is None:
+        return None
+    scalar = isinstance(entry, (int, float)) or np.ndim(entry) == 0
+    shape = (cols, cols) if scalar else np.shape(entry)
+    if shape == (rows or shape[0], cols):
+        return None
+    what = "a multiple of the identity" if scalar else " x ".join(map(str, shape))
+    return f"is {what} but its block is {rows or 'n'} x {cols}"
 
 
 class BlockLinearOp:
@@ -322,13 +340,10 @@ class BlockLinearOp:
             e = normalize_entry(e)
             if e is None:
                 continue
-            rows, cols = sig.dims_dual[k], sig.dims_primal[i]
-            scalar = isinstance(e, float)
-            if ((cols, cols) if scalar else e.shape) != (rows, cols):
-                what = "a multiple of Id" if scalar else f"of shape {e.shape}"
-                raise SignatureError(
-                    f"entry ({k},{i}) is {what} but its block is {rows} x {cols}")
-            if scalar and cols <= SMALL_BLOCK_DIM:
+            misfit = entry_misfit(e, sig.dims_dual[k], sig.dims_primal[i])
+            if misfit:
+                raise SignatureError(f"entry ({k},{i}) {misfit}")
+            if isinstance(e, float) and sig.dims_primal[i] <= SMALL_BLOCK_DIM:
                 small.append(len(self.nonzeros))
                 weights.append(e)
             else:

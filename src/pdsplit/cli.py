@@ -36,13 +36,6 @@ from .reductions import (
 
 CSV_HEADER = "iter,gamma,fixedpoint_residual,primal_kkt,dual_kkt,primal_obj,dual_obj,gap"
 
-# config keys that are FbfConfig fields, and the field each one sets
-_FBF_FIELDS = {"epsilon": "epsilon", "gamma": "gamma", "max_iters": "max_iters",
-               "tol": "residual_tol"}
-# the config key behind each setting a ParameterError may name
-_CONFIG_KEY = {**{f: k for k, f in _FBF_FIELDS.items()},
-               "eta": "error_eta", "p": "error_p", "seed": "seed"}
-
 _EXIT_CODES = {"converged": 0, "max_iters": 2, "diverged": 1}
 
 
@@ -56,12 +49,12 @@ def make_config(file_cfg, args):
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
+    settings = {CONFIG_KEYS[key][1]: val for key, val in merged.items()}
     # built, and so validated, whether or not it perturbs anything; a zero
     # eta leaves the run unperturbed without drawing zero vectors
-    errors = SummableErrorSchedule(merged.get("error_eta", 0.0), merged.get("error_p", 2.0),
-                                   merged.get("seed", 0))
-    kwargs = {_FBF_FIELDS[k]: v for k, v in merged.items() if k in _FBF_FIELDS}
-    return FbfConfig(errors=errors if errors.eta else None, **kwargs)
+    errors = SummableErrorSchedule(settings.pop("eta", 0.0), settings.pop("p", 2.0),
+                                   settings.pop("seed", 0))
+    return FbfConfig(errors=errors if errors.eta else None, **settings)
 
 
 def _final_objectives(kind, prob, report):
@@ -125,11 +118,11 @@ def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
 def _config_line(exc, pf, args):
     """'line N: ' when exc names a setting whose value came from the file's
     config line N rather than from a flag."""
-    key = _CONFIG_KEY.get(exc.key)
-    line = pf.lines.get(("config", key))
-    if line is None or getattr(args, key, None) is not None:
-        return ""
-    return f"line {line}: "
+    for key, (_, setting) in CONFIG_KEYS.items():
+        line = pf.lines.get(("config", key))
+        if setting == exc.key and line is not None and getattr(args, key, None) is None:
+            return f"line {line}: "
+    return ""
 
 
 def _finish(label, report, trace_path, message):
@@ -244,13 +237,8 @@ def cmd_list_catalog(args):
 
 
 def _add_run_flags(sp):
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--error-eta", dest="error_eta", type=float, default=None)
-    sp.add_argument("--error-p", dest="error_p", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    for key, (cast, _) in CONFIG_KEYS.items():
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None)
     sp.add_argument("--output-dir", dest="output_dir", default=".")
 
 

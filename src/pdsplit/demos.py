@@ -1,15 +1,15 @@
 """Built-in demo instances with independent oracles.
 
 Each demo solves a small instance with a solution computable by other
-means (closed form, normal equations, or projected gradient) and reports
-the deviation from that oracle.
+means (closed form or normal equations) and reports the deviation from
+that oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import BlockLinearOp, SpaceSig
+from .blocks import BlockLinearOp, BlockVector, SpaceSig
 from .operators import (
     Box,
     Hyperplane,
@@ -33,7 +33,7 @@ from .reductions import (
     zero_smooth,
 )
 
-__all__ = ["DEMO_NAMES", "get_demo", "projected_gradient_oracle"]
+__all__ = ["DEMO_NAMES", "get_demo"]
 
 # the solver of each problem kind a demo uses
 _SOLVERS = {
@@ -44,10 +44,9 @@ _SOLVERS = {
 
 
 class Demo:
-    def __init__(self, name, kind, description, build, oracle):
+    def __init__(self, name, kind, build, oracle):
         self.name = name
         self.kind = kind
-        self.description = description
         self.build = build
         self.oracle = oracle
 
@@ -75,16 +74,10 @@ def _two_box_coupling():
         h=[zero_smooth(), zero_smooth()],
         g=[QuadraticDistance([0.0])],
         ell=[None],
-        z=_zeros_bv((1, 1)),
-        r=_zeros_bv((1,)),
+        z=BlockVector.zeros((1, 1)),
+        r=BlockVector.zeros((1,)),
         L=L,
     )
-
-
-def _zeros_bv(dims):
-    from .blocks import BlockVector
-
-    return BlockVector.zeros(dims)
 
 
 def _legendre_instance():
@@ -119,45 +112,6 @@ def _box_line_relaxation():
     )
 
 
-def projected_gradient_oracle(p, step=1e-3, max_iters=1000000, tol=1e-13):
-    """Independent minimizer for relaxations whose hard constraints use
-    identity maps: projected gradient on the smooth quadratic penalties,
-    projecting onto the intersection handled constraint-by-constraint.
-
-    Only valid when every hard (indicator-penalty) constraint has an
-    identity coupling; the demos are constructed that way.
-    """
-    hard = []
-    soft = []
-    for k in range(p.K):
-        if isinstance(p.phi[k], SquaredNorm):
-            soft.append((p.phi[k].omega, p.sets[k], p.L[k]))
-        else:
-            if not (isinstance(p.L[k], float) and p.L[k] == 1.0):
-                raise ValueError("hard constraints must use identity couplings")
-            hard.append(p.sets[k])
-    x = np.zeros(p.dim)
-    for _ in range(max_iters):
-        grad = np.zeros(p.dim)
-        for omega, cset, Lk in soft:
-            if isinstance(Lk, float):
-                t = Lk * x
-                res = t - cset.project(t)
-                grad += 2.0 * omega * Lk * res
-            else:
-                t = Lk @ x
-                res = t - cset.project(t)
-                grad += 2.0 * omega * (Lk.T @ res)
-        x_new = x - step * grad
-        for cset in hard:
-            x_new = cset.project(x_new)
-        if np.linalg.norm(x_new - x) <= tol:
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
 def _lasso_instance():
     """Sparse denoising of b = (3, 0.2) with a unit l1 penalty; the
     solution is componentwise soft thresholding."""
@@ -169,25 +123,18 @@ def _lasso_instance():
         h=[zero_smooth()],
         g=[QuadraticDistance([3.0, 0.2])],
         ell=[None],
-        z=_zeros_bv((2,)),
-        r=_zeros_bv((2,)),
+        z=BlockVector.zeros((2,)),
+        r=BlockVector.zeros((2,)),
         L=L,
     )
 
 
 _DEMOS = {demo.name: demo for demo in (
-    Demo("twobox", "multivar_min",
-         "two box-constrained scalars with quadratic difference penalty",
-         _two_box_coupling, lambda p: np.array([2.0, 1.0])),
-    Demo("legendre", "common_zero",
-         "least-squares relaxation of three inconsistent lines",
-         _legendre_instance, lambda p: legendre_normal_equations(p.lines)),
-    Demo("boxhalf", "feasibility",
-         "box-constrained quadratic distance to an unreachable line",
-         _box_line_relaxation, lambda p: np.array([1.0, 1.0])),
-    Demo("lasso1d", "multivar_min",
-         "l1-penalized denoising solved against soft thresholding",
-         _lasso_instance, lambda p: np.array([2.0, 0.0])),
+    Demo("twobox", "multivar_min", _two_box_coupling, lambda p: np.array([2.0, 1.0])),
+    Demo("legendre", "common_zero", _legendre_instance,
+         lambda p: legendre_normal_equations(p.lines)),
+    Demo("boxhalf", "feasibility", _box_line_relaxation, lambda p: np.array([1.0, 1.0])),
+    Demo("lasso1d", "multivar_min", _lasso_instance, lambda p: np.array([2.0, 0.0])),
 )}
 DEMO_NAMES = tuple(_DEMOS)
 

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .blocks import BlockLinearOp, BlockVector, SpaceSig, entry_out_dim
+from .blocks import BlockLinearOp, BlockVector, SpaceSig, entry_misfit, entry_out_dim
 from .operators import (
     AffineMap, AffineOperator, Ball, Box, Halfspace, Hyperplane,
     IndicatorFunction, L1Norm, NormalCone, ParameterError, Point,
@@ -57,8 +57,13 @@ __all__ = ["ProblemFile", "ParseError", "parse_problem", "serialize_problem",
 KINDS = ("system", "parallel_sum", "common_zero", "multivar_min",
          "univar_min", "feasibility")
 
-CONFIG_KEYS = ("gamma", "epsilon", "max_iters", "tol", "error_eta",
-               "error_p", "seed")
+# config key -> (value type, setting): the FbfConfig field or error-schedule
+# argument it sets, named as ParameterError.key names it.  The file's key
+# order, the CLI's run flags and cli.make_config all read this table.
+CONFIG_KEYS = {"gamma": (float, "gamma"), "epsilon": (float, "epsilon"),
+               "max_iters": (int, "max_iters"), "tol": (float, "residual_tol"),
+               "error_eta": (float, "eta"), "error_p": (float, "p"),
+               "seed": (int, "seed")}
 
 # dimension directives and the least value each of their integers may take
 _DIM_MIN = {"primal_dims": 1, "dual_dims": 1, "dim": 1, "k1": 0, "k2": 0}
@@ -241,10 +246,9 @@ def parse_problem(text):
             value = tuple(vals) if key.endswith("_dims") else vals[0]
         elif key == "config":
             if len(args) != 2 or args[0] not in CONFIG_KEYS:
-                fail(f"config takes one of {CONFIG_KEYS} and a value")
-            cast = int if args[0] in ("max_iters", "seed") else float
+                fail(f"config takes one of {tuple(CONFIG_KEYS)} and a value")
             slot, table, name = ("config", args[0]), pf.config, args[0]
-            value = _number(cast, args[1], line)
+            value = _number(CONFIG_KEYS[name][0], args[1], line)
         else:
             fail(f"unknown directive {key!r}")
         if slot in pf.lines:
@@ -492,15 +496,10 @@ class _Reader:
         cells = {c: self.entries.pop(c) for c in list(self.entries)
                  if 0 <= c[0] < K and 0 <= c[1] < m}
         for (k, i), e in cells.items():
-            rows, cols = dims_out[k], dims_in[i]
-            scalar = isinstance(e, (int, float))
-            shape = (cols, cols) if scalar else np.shape(e)
-            if e is not None and shape != (rows or shape[0], cols):
+            misfit = entry_misfit(e, dims_out[k], dims_in[i])
+            if misfit:
                 slot = ("entry", k + 1, i + 1)
-                what = ("a multiple of the identity" if scalar
-                        else " x ".join(map(str, shape)))
-                raise ParseError(f"{self.where(slot)}{_text(slot)} is {what} "
-                                 f"but its block is {rows or 'n'} x {cols}")
+                raise ParseError(f"{self.where(slot)}{_text(slot)} {misfit}")
         return cells
 
     def column(self, dims_out, dim):

@@ -79,11 +79,6 @@ class EvaluationError(RuntimeError):
     """No finite evaluator is available for the requested quantity."""
 
 
-def _fwd_entry(entry, x, dim_out):
-    out = entry_apply(entry, x)
-    return np.zeros(dim_out) if out is None else out
-
-
 # ---------------------------------------------------------------------------
 # Parallel-sum couplings of a single primal variable
 
@@ -367,15 +362,17 @@ def check_qualification(p):
     as unknown, never as a failure.
     """
     if all(fn.real_valued for fn in p.f):
-        row_cells = [[] for _ in range(p.sig.K)]
-        for k, i, e in p.L.nonzeros:
-            row_cells[k].append((i, e))
-        cols, n = p.L.primal_slices, sum(p.sig.dims_primal)
-        for k, cells in enumerate(row_cells):
-            dk = p.sig.dims_dual[k]
-            row = np.zeros((dk, n))
-            for i, e in cells:
-                row[:, cols[i]] = e * np.eye(dk) if isinstance(e, float) else e
+        # row j of the row map of dual block k is L^* applied to the j-th
+        # unit vector of that block
+        dims = p.sig.dims_dual
+        unit, start = np.zeros(sum(dims)), 0
+        for dk in dims:
+            row = np.empty((dk, sum(p.sig.dims_primal)))
+            for j in range(start, start + dk):
+                unit[j] = 1.0
+                row[j - start] = apply_adjoint(p.L, BlockVector.wrap(unit, dims)).flat()
+                unit[j] = 0.0
+            start += dk
             sv = np.linalg.svd(row, compute_uv=False)
             if np.sum(sv > 1e-10) < dk:
                 break
@@ -518,7 +515,7 @@ def relaxation_objective(p, x, feas_tol=1e-6):
     x = np.asarray(x, dtype=float).reshape(-1)
     total = 0.0
     for k in range(p.K):
-        t = _fwd_entry(p.L[k], x, entry_out_dim(p.L[k], p.dim))
+        t = entry_apply(p.L[k], x)
         dist = p.sets[k].distance(t)
         if isinstance(p.phi[k], SquaredNorm):
             total += p.phi[k].omega * dist * dist

@@ -1,5 +1,6 @@
 """Independent references for the tests: a scalar resolvent by bisection,
-and the primal-dual and partitioned parallel-sum iterations written out on
+a projected-gradient minimizer for feasibility relaxations, and the
+primal-dual and partitioned parallel-sum iterations written out on
 flat arrays with the coupling assembled densely by np.block.
 
 The iteration references share no code with the solver's engine, its
@@ -8,6 +9,8 @@ error schedule as given.
 """
 
 import numpy as np
+
+from pdsplit.operators import SquaredNorm
 
 
 def resolvent_bisection(graph, gamma, x, tol=1e-12, max_expand=200):
@@ -208,3 +211,42 @@ def conj_l1_plus_sqnorm(weight, omega, u):
     max(|u| - weight, 0)^2 / (4 omega)."""
     t = np.maximum(np.abs(u) - weight, 0.0)
     return float(t @ t) / (4.0 * omega)
+
+
+def projected_gradient_oracle(p, step=1e-3, max_iters=1000000, tol=1e-13):
+    """Independent minimizer for relaxations whose hard constraints use
+    identity maps: projected gradient on the smooth quadratic penalties,
+    projecting onto the intersection handled constraint-by-constraint.
+
+    Only valid when every hard (indicator-penalty) constraint has an
+    identity coupling; the demos are constructed that way.
+    """
+    hard = []
+    soft = []
+    for k in range(p.K):
+        if isinstance(p.phi[k], SquaredNorm):
+            soft.append((p.phi[k].omega, p.sets[k], p.L[k]))
+        else:
+            if not (isinstance(p.L[k], float) and p.L[k] == 1.0):
+                raise ValueError("hard constraints must use identity couplings")
+            hard.append(p.sets[k])
+    x = np.zeros(p.dim)
+    for _ in range(max_iters):
+        grad = np.zeros(p.dim)
+        for omega, cset, Lk in soft:
+            if isinstance(Lk, float):
+                t = Lk * x
+                res = t - cset.project(t)
+                grad += 2.0 * omega * Lk * res
+            else:
+                t = Lk @ x
+                res = t - cset.project(t)
+                grad += 2.0 * omega * (Lk.T @ res)
+        x_new = x - step * grad
+        for cset in hard:
+            x_new = cset.project(x_new)
+        if np.linalg.norm(x_new - x) <= tol:
+            x = x_new
+            break
+        x = x_new
+    return x

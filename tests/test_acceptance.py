@@ -40,11 +40,10 @@ from pdsplit.demos import (
     DEMO_NAMES,
     get_demo,
     legendre_normal_equations,
-    projected_gradient_oracle,
 )
 from pdsplit.selftest import run_selftest
 from conftest import random_coupled_problem, random_parallel_sum
-from oracles import parallel_sum_iterates, system_iterates
+from oracles import parallel_sum_iterates, projected_gradient_oracle, system_iterates
 
 
 def verdict(name, ok, detail):

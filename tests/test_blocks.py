@@ -90,6 +90,26 @@ def test_shape_mismatch_raises():
         apply_block(L, BlockVector([[1.0, 2.0, 3.0]]))
 
 
+def test_misfit_entries_name_their_block():
+    sig = SpaceSig((2,), (3,))
+    for entry in (np.ones((2, 2)), 1.0):
+        with pytest.raises(SignatureError, match="entry \\(0,0\\) .* but its block is 3 x 2"):
+            BlockLinearOp([[entry]], sig)
+
+
+def test_numpy_scalar_entries_are_multiples_of_the_identity():
+    sig = SpaceSig((2,), (2,))
+    for scalar in (np.int64(1), np.float32(1), np.array(1.0), 1):
+        L = BlockLinearOp([[scalar]], sig)
+        assert L.entries == [[1.0]] and type(L.entries[0][0]) is float
+        assert L.lambda_bound == 1.0
+        np.testing.assert_array_equal(apply_block(L, BlockVector([[2.0, 3.0]])).flat(),
+                                      [2.0, 3.0])
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="bool"):
+            BlockLinearOp([[flag]], sig)
+
+
 def test_lambda_bound_must_be_a_nonnegative_number():
     sig = SpaceSig((1,), (1,))
     for bad in (-1.0, float("nan")):

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from pdsplit import cli
 from pdsplit.cli import CSV_HEADER, main
 from pdsplit.fbf import DEFAULT_EPSILON
+from pdsplit.probfile import CONFIG_KEYS, parse_problem
 
 FEAS_TEXT = """\
 problem feasibility
@@ -334,3 +338,82 @@ vec r 0 0
     summary = read_summary(tmp_path / "orthant.summary")
     assert abs(float(summary["gap"])) <= 1e-8
     assert abs(float(summary["dual_obj"])) <= 1e-8
+
+
+AFFINE_TEXT = SYSTEM_TEXT.replace(
+    "op A 1 normal_cone_box lo=-1,-1 hi=1,1", "op A 1 affine M=2,1;-1,2 b=1,0"
+).replace("op C 1 zero", "op C 1 affine M=1")
+
+
+def test_solve_affine_operators_from_a_file(tmp_path):
+    path = tmp_path / "affine.prob"
+    path.write_text(AFFINE_TEXT)
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "affine.summary")
+    assert float(summary["primal_kkt"]) <= 1e-7 and float(summary["dual_kkt"]) <= 1e-7
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("M=2,1;-1,2", "M=2,1,0;-1,2,0", "line 4: affine: parameter M needs shape (2, 2)"),
+    ("M=1", "M=1 b=1,2,3", "line 5: affine: parameter b needs shape (2,)"),
+    ("M=2,1;-1,2", "M=-1,0;0,1",
+     "line 4: affine: M + M^T must be positive semidefinite"),
+], ids=["M-shape", "b-shape", "M-not-monotone"])
+def test_solve_rejects_bad_affine_parameters(tmp_path, capsys, old, new, message):
+    path = tmp_path / "bad.prob"
+    path.write_text(AFFINE_TEXT.replace(old, new, 1))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+# per config key: a valid value and one its setting rejects
+CONFIG_VALUES = {"gamma": ("0.25", "-1"), "epsilon": ("0.05", "2"),
+                 "max_iters": ("77", "0"), "tol": ("1e-07", "-1"),
+                 "error_eta": ("0.5", "-1"), "error_p": ("3", "1"),
+                 "seed": ("5", "-1")}
+
+
+def _setting(cfg, setting):
+    """The value a config setting reached: an FbfConfig field or an argument
+    of its error schedule."""
+    return getattr(cfg, setting) if hasattr(cfg, setting) else getattr(cfg.errors, setting)
+
+
+def _flags(monkeypatch, argv):
+    """The parsed arguments of a solve command line."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args) or 0)
+    main(["solve", "any.prob", *argv])
+    return seen[0]
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_config_line_and_flag_reach_the_same_setting(monkeypatch, key):
+    cast, setting = CONFIG_KEYS[key]
+    value = CONFIG_VALUES[key][0]
+    # a nonzero eta keeps the error schedule, so that its arguments can be read
+    eta = {} if key == "error_eta" else {"error_eta": 0.1}
+    pf = parse_problem(SYSTEM_TEXT + f"config {key} {value}\n")
+    from_file = cli.make_config({**eta, **pf.config}, None)
+    args = _flags(monkeypatch, ["--" + key.replace("_", "-"), value])
+    from_flag = cli.make_config(eta, args)
+    assert _setting(from_file, setting) == _setting(from_flag, setting) == cast(value)
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_invalid_config_value_names_its_line(tmp_path, capsys, key):
+    path = tmp_path / "bad.prob"
+    path.write_text(SYSTEM_TEXT + f"config {key} {CONFIG_VALUES[key][1]}\n")
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad.prob: line 14: " in err
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_help_lists_one_flag_per_config_key(capsys, key):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+    assert options.count("--" + key.replace("_", "-")) == 1
+    assert len(options) == len(CONFIG_KEYS) + 1         # and --output-dir

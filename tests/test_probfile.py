@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdsplit import FbfConfig
+from pdsplit import BlockLinearOp, FbfConfig, SignatureError, SpaceSig
 from pdsplit.cli import main
 from pdsplit.probfile import (
     CATALOG_IDS,
@@ -152,6 +152,22 @@ def test_build_parallel_sum_and_univar():
     prob, solver = build_problem(parse_problem(uni))
     report = solver(prob, FbfConfig())
     assert report.primal[0][0] == pytest.approx(1.2, abs=1e-6)
+
+
+def test_univar_with_a_lipschitz_phi():
+    # phi_1 = ||.||^2 enters through its gradient (k1 = 0 < k2 = 1), and
+    # g_1 = indicator of {0} makes g_1 infconv phi_1 = phi_1: the minimizer
+    # of (x - 3)^2 / 2 + x^2 solves (x - 3) + 2x = 0
+    uni = (
+        "problem univar_min\ndim 1\ndual_dims 1\nk1 0\nk2 1\n"
+        "op f sqdist a=3\nop h zero\n"
+        "op g 1 indicator_point c=0\nop phi 1 sqnorm omega=1\n"
+        "L 1 identity\nvec r 0\n"
+    )
+    prob, solver = build_problem(parse_problem(uni))
+    report = solver(prob, FbfConfig())
+    assert report.converged
+    assert report.primal[0][0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_missing_declarations_raise():
@@ -421,6 +437,25 @@ def test_every_catalog_id_belongs_to_a_family():
 def test_operator_parameters_checked_with_op_line(old, new, pattern):
     with pytest.raises(ParseError, match=pattern):
         build_problem(parse_problem(SYSTEM_TEXT.replace(old, new)))
+
+
+def test_misfit_entry_names_its_line():
+    # 'L 1 identity' is line 10: a scalar entry on a 2 x 1 block
+    text = PSUM_TEXT.replace("dual_dims 1", "dual_dims 2").replace("vec r 0", "vec r 0 0")
+    with pytest.raises(ParseError, match="line 10: entry 1 1 is a multiple of the "
+                                         "identity but its block is 2 x 1"):
+        build_problem(parse_problem(text))
+
+
+def test_file_and_coupling_report_a_misfit_alike():
+    text = SYSTEM_TEXT.replace("1 0.5\n0 1\n", "1 0.5 2\n0 1 3\n")
+    with pytest.raises(ParseError) as from_file:
+        build_problem(parse_problem(text))
+    with pytest.raises(SignatureError) as from_grid:
+        BlockLinearOp([[np.ones((2, 3))]], SpaceSig((2,), (2,)))
+    tail = "is 2 x 3 but its block is 2 x 2"
+    assert str(from_file.value).endswith("entry 1 1 " + tail)
+    assert str(from_grid.value) == "entry (0,0) " + tail
 
 
 def test_scalar_parameter_fills_the_block():

@@ -43,11 +43,7 @@ from pdsplit import (
     solve_univariate_min,
     zero_smooth,
 )
-from pdsplit.demos import (
-    get_demo,
-    legendre_normal_equations,
-    projected_gradient_oracle,
-)
+from pdsplit.demos import get_demo, legendre_normal_equations
 from pdsplit.probfile import build_problem, parse_problem
 from conftest import random_parallel_sum
 from oracles import (
@@ -55,6 +51,7 @@ from oracles import (
     conj_l1_plus_sqnorm,
     dense_coupling,
     parallel_sum_iterates,
+    projected_gradient_oracle,
     resolvent_bisection,
 )
 
@@ -297,6 +294,18 @@ def test_qualification_cases():
     ) == "unknown"
 
 
+def test_qualification_needs_full_row_rank():
+    # a 2 x 1 row map cannot be onto R^2, however real-valued f is
+    sig = SpaceSig((1,), (2,))
+    p = MultivariateMinProblem(
+        sig, f=[L1Norm(1.0)], h=[zero_smooth()],
+        g=[IndicatorFunction(Box([0.0, 0.0], [1.0, 1.0]))], ell=[None],
+        z=BlockVector.zeros((1,)), r=BlockVector.zeros((2,)),
+        L=BlockLinearOp([[np.array([[1.0], [2.0]])]], sig),
+    )
+    assert check_qualification(p) == "unknown"
+
+
 def test_kkt_transfer_from_minimization():
     for name in ("twobox", "lasso1d"):
         report = solve_multivariate_min(get_demo(name).build(), FbfConfig())
@@ -456,3 +465,10 @@ def test_dual_objective_needs_quadratic_h():
         dual_objective(p, BlockVector.zeros((1,)))
     # the primal objective does not depend on the dual evaluator
     assert primal_objective(p, BlockVector([np.ones(2)])) == pytest.approx(2.0)
+
+
+def test_relaxation_objective_with_a_zero_coupling():
+    # L_2 = 0 maps every x to 0, at distance 3/sqrt(2) from the line
+    p = get_demo("boxhalf").build()
+    p = FeasibilityRelaxation(p.dim, p.sets, p.phi, [1.0, None])
+    assert relaxation_objective(p, [1.0, 1.0]) == pytest.approx(4.5, rel=1e-15)
