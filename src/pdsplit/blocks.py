@@ -103,11 +103,10 @@ class BlockVector:
     sequence of 1-D blocks.
 
     ``BlockVector(blocks)`` keeps the given blocks and joins them into the
-    flat array only when an operation first needs it; ``wrap`` goes the
-    other way and splits a flat array into block views on demand.  Vectors
-    are values: operations return new vectors and never write into their
-    operands, so blocks and flat array may share memory with each other and
-    with the caller's arrays.
+    flat array only when ``flat`` first needs it; ``wrap`` goes the other
+    way and splits a flat array into block views on demand.  Blocks and
+    flat array may share memory with each other and with the caller's
+    arrays.  Arithmetic is done on the flat arrays.
     """
 
     __slots__ = ("dims", "_blocks", "_flat")
@@ -159,34 +158,6 @@ class BlockVector:
         cut = sum(self.dims[:m])
         return (BlockVector.wrap(f[:cut], self.dims[:m]),
                 BlockVector.wrap(f[cut:], self.dims[m:]))
-
-    def copy(self):
-        return BlockVector.wrap(self.flat().copy(), self.dims)
-
-    def norm(self):
-        f = self.flat()
-        return math.sqrt(float(f @ f))
-
-    def dot(self, other):
-        return float(self.flat() @ other.flat())
-
-    def is_finite(self):
-        return bool(np.isfinite(self.flat()).all())
-
-    def _same_space(self, other):
-        if other.dims != self.dims:
-            raise SignatureError(f"blocks {other.dims} do not match {self.dims}")
-
-    def __add__(self, other):
-        self._same_space(other)
-        return BlockVector.wrap(self.flat() + other.flat(), self.dims)
-
-    def __sub__(self, other):
-        self._same_space(other)
-        return BlockVector.wrap(self.flat() - other.flat(), self.dims)
-
-    def __rmul__(self, scalar):
-        return BlockVector.wrap(scalar * self.flat(), self.dims)
 
     def __len__(self):
         return len(self.dims)

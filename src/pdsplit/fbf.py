@@ -12,9 +12,14 @@ and a stop reason: "converged", "max_iters" or "diverged".  A caller that
 needs more, such as the iterates or the residual split into blocks, sets
 ``FbfConfig.on_iteration``; it is called once per iteration and costs
 nothing when left unset.
+
+The engine iterates on one flat vector: w0, what P_resolvent and Q take
+and return, trace.w, trace.p and the hook's arguments are 1-D arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,8 +49,8 @@ class SummableErrorSchedule:
     """
 
     def __init__(self, eta, p, seed=0):
-        if not eta >= 0:
-            raise ParameterError(f"eta must be nonnegative, got {eta}", "eta")
+        if not 0 <= eta < math.inf:
+            raise ParameterError(f"eta must be finite and nonnegative, got {eta}", "eta")
         if not p > 1:
             raise ParameterError(f"p must exceed 1 for summability, got {p}", "p")
         if not (float(seed).is_integer() and seed >= 0):
@@ -81,9 +86,10 @@ class FbfConfig:
 
     gamma fixes a constant step; without it the largest admissible step
     (1 - epsilon)/chi is used.  errors, when set, must produce absolutely
-    summable perturbation triples (a_n, b_n, c_n).  on_iteration(n, w_n,
-    p_n), when set, is called once per iteration, after the trace row is
-    recorded and before the stopping test; it must not modify w_n or p_n.
+    summable perturbation triples (a_n, b_n, c_n), drawn as one block of
+    the whole vector.  on_iteration(n, w_n, p_n), when set, is called once
+    per iteration, after the trace row is recorded and before the stopping
+    test; it must not modify w_n or p_n.
     """
 
     def __init__(
@@ -99,8 +105,9 @@ class FbfConfig:
             raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}", "epsilon")
         if gamma is not None and not gamma > 0:
             raise ParameterError(f"gamma must be positive, got {gamma}", "gamma")
-        if not max_iters >= 1:
-            raise ParameterError(f"max_iters must be >= 1, got {max_iters}", "max_iters")
+        if not (1 <= max_iters < math.inf and max_iters % 1 == 0):
+            raise ParameterError(
+                f"max_iters must be a positive integer, got {max_iters}", "max_iters")
         if not residual_tol >= 0:
             raise ParameterError(
                 f"residual_tol must be nonnegative, got {residual_tol}", "residual_tol")
@@ -159,7 +166,7 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     ("converged"), the budget runs out ("max_iters"), or an update is not
     finite ("diverged", keeping the last finite iterate).
 
-    P_resolvent(gamma, w) evaluates the resolvent of the set-valued part; Q(w)
+    P_resolvent(gamma, s) evaluates the resolvent of the set-valued part; Q(w)
     the single-valued part.  chi must upper-bound Q's Lipschitz constant.
     """
     if not chi > 0:
@@ -168,13 +175,12 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
 
     trace = FbfTrace(chi)
     w = p = w0.copy()
-    dims = w.dims
     stop = "max_iters"
     for n in range(cfg.max_iters):
         # looked up once per iteration: bench/run.py wraps it as its clock
         gamma = gamma_for(cfg, chi, n)
         if cfg.errors is not None:
-            a, b, c = cfg.errors(n, dims)
+            a, b, c = (e.flat() for e in cfg.errors(n, (w.size,)))
         else:
             a = b = c = None
 
@@ -186,18 +192,22 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
         qp = Q(p)
         q = p - gamma * (qp if c is None else qp + c)
 
-        resid = (w - p).norm()
+        resid = _norm(w - p)
         trace.rows.append((n, gamma, resid))
         if cfg.on_iteration is not None:
             cfg.on_iteration(n, w, p)
-        if resid <= cfg.residual_tol * max(1.0, w.norm()):
+        if resid <= cfg.residual_tol * max(1.0, _norm(w)):
             stop = "converged"
             break
         w_next = w - s + q
-        if not w_next.is_finite():
+        if not np.isfinite(w_next).all():
             stop = "diverged"
             break
         w = w_next
 
     trace.w, trace.p, trace.stop_reason = w, p, stop
     return trace
+
+
+def _norm(f):
+    return math.sqrt(float(f @ f))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import ROUNDING_MARGIN
+
 __all__ = [
     "ParameterError",
     "ConvexSet",
@@ -332,11 +334,12 @@ class ScaledIdentityMap(LipschitzOperator):
 
 
 class AffineMap(LipschitzOperator):
-    """x -> M x + b with M + M^T positive semidefinite."""
+    """x -> M x + b with M + M^T positive semidefinite; its Lipschitz bound
+    is the SVD norm of M times 1 + ROUNDING_MARGIN."""
 
     def __init__(self, M, b=None):
         self.M, self.b = _affine(M, b)
-        const = float(np.sqrt(max(np.linalg.eigvalsh(self.M.T @ self.M).max(), 0.0)))
+        const = float(np.linalg.norm(self.M, 2)) * (1.0 + ROUNDING_MARGIN)
         super().__init__(lambda x: self.M @ x + self.b, const)
 
 

@@ -14,10 +14,13 @@ lambda.  The solver lifts the system to one inclusion on the primal x dual
 product space, the sum of a maximally monotone operator and a monotone
 Lipschitz one (``product_space_pair``), runs the forward-backward-forward
 engine ``fbf_solve`` on it, and splits the result back into x and v.
-The report carries the engine's trace, whose stop reason says how the run
-ended; a caller that wants per-iteration values, such as the primal and
-dual residuals x_n - p1_n and v_n - p2_n, reads them through
-``FbfConfig.on_iteration``.
+The engine iterates on one flat array w = (x, v); (x, v) solves the
+system exactly when w is a zero of the pair, which ``kkt_residual``
+measures with one evaluation of the pair at unit step.  The report
+carries the engine's trace, whose stop reason says how the run ended; a
+caller that wants per-iteration values, such as the primal and dual
+residuals x_n - p1_n and v_n - p2_n, reads them from the flat arrays
+``FbfConfig.on_iteration`` is given.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .fbf import FbfTrace, fbf_solve
 from .operators import (
     ParameterError,
     ZeroMap,
-    graph_distance,
     join,
     join_key,
     misfit,
@@ -128,7 +130,7 @@ def _runs(ops, slices):
 def product_space_pair(prob):
     """The set-valued/single-valued pair the iteration splits.
 
-    Returns (P_resolvent, Q) acting on stacked (x, v) block vectors:
+    Returns (P_resolvent, Q) acting on the flat array of stacked (x, v):
 
         P_resolvent(gamma, (x, v)) = (J_{gamma A_i}(x_i + gamma z_i),
                                       J_{gamma (r_k + B_k^{-1})}(v_k))
@@ -159,24 +161,22 @@ def product_space_pair(prob):
     forward = [(op, sl) for op, sl, _, _ in _runs(prob.C + prob.Dinv, slices)
                if not isinstance(op, ZeroMap)]
 
-    def P_resolvent(gamma, w):
-        f = w.flat()
+    def P_resolvent(gamma, s):
         out = np.empty(size)
         for op, sl, zi in primal_res:
-            out[sl] = op.resolvent(gamma, f[sl] + gamma * zi)
+            out[sl] = op.resolvent(gamma, s[sl] + gamma * zi)
         for op, sl, rk in dual_res:
-            out[sl] = shifted_inverse_resolvent(op, rk, gamma, f[sl])
-        return BlockVector.wrap(out, dims)
+            out[sl] = shifted_inverse_resolvent(op, rk, gamma, s[sl])
+        return out
 
     def Q(w):
-        x, v = w.split(sig.m)
-        f = w.flat()
         out = np.empty(size)
+        x, v = BlockVector.wrap(w, dims).split(sig.m)
         out[:n_primal] = apply_adjoint(prob.L, v).flat()
         np.negative(apply_block(prob.L, x).flat(), out=out[n_primal:])
         for op, sl in forward:
-            out[sl] += op(f[sl])
-        return BlockVector.wrap(out, dims)
+            out[sl] += op(w[sl])
+        return out
 
     return P_resolvent, Q
 
@@ -215,33 +215,46 @@ def solve_system(prob, cfg):
         x_i <- x_i - s1_i + q1_i
 
     plus optional summable perturbations in each evaluation.  The hook
-    cfg.on_iteration sees the stacked (x, v) iterate and (p1, p2).
+    cfg.on_iteration sees the flat arrays of the stacked (x, v) iterate and
+    of (p1, p2); the report's primal and dual are block views of the last
+    iterate.
     """
+    dims = prob.sig.dims_primal + prob.sig.dims_dual
     beta = compute_beta(prob)
     P_resolvent, Q = product_space_pair(prob)
-    w0 = BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual)
-    trace = fbf_solve(P_resolvent, Q, beta, w0, cfg)
-    x, v = trace.w.split(prob.sig.m)
+    trace = fbf_solve(P_resolvent, Q, beta, np.zeros(sum(dims)), cfg)
+    x, v = BlockVector.wrap(trace.w, dims).split(prob.sig.m)
     return SolveReport(x, v, trace, kkt_residual(prob, x, v))
 
 
 def kkt_residual(prob, x, v):
     """Max-over-blocks residuals of the primal and dual inclusions.
 
-    The primal inclusion z_i - sum_k L_ki^T v_k - C_i x_i in A_i x_i and the
-    dual inclusion sum_i L_ki x_i - r_k - Dinv_k v_k in B_k^{-1} v_k are each
-    certified through the resolvent fixed-point characterization of graph
-    membership.
+    The primal inclusion u_i = z_i - sum_k L_ki^T v_k - C_i x_i in A_i x_i
+    and the dual inclusion y_k = sum_i L_ki x_i - r_k - Dinv_k v_k in
+    B_k^{-1} v_k are certified through the resolvent fixed-point
+    characterization of graph membership: u in A(p) <=> p = J_A(p + u).
+    Both come from one evaluation of the pair at unit step on w = (x, v):
+    with s = w - Q(w) and d = w - P_resolvent(1, s), block i of d is
+    x_i - J_{A_i}(x_i + u_i), block k is J_{B_k}(v_k + y_k) - y_k, and
+    s - w + (z, -r) = (u, y), formed in place of s.  Block j reports
+    ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).
     """
-    Lstar_v = apply_adjoint(prob.L, v)
-    Lx = apply_block(prob.L, x)
-    primal = 0.0
-    for i in range(prob.sig.m):
-        u = prob.z[i] - Lstar_v[i] - prob.C[i](x[i])
-        primal = max(primal, graph_distance(prob.A[i], x[i], u))
-    dual = 0.0
-    for k in range(prob.sig.K):
-        w = Lx[k] - prob.r[k] - prob.Dinv[k](v[k])
-        # w in B_k^{-1}(v_k)  <=>  v_k in B_k(w)
-        dual = max(dual, graph_distance(prob.B[k], w, v[k]))
-    return primal, dual
+    sig = prob.sig
+    check_signature(x, sig.dims_primal, "primal")
+    check_signature(v, sig.dims_dual, "dual")
+    P_resolvent, Q = product_space_pair(prob)
+    n_primal = sum(sig.dims_primal)
+    w = np.concatenate((x.flat(), v.flat()))
+    u = w - Q(w)
+    d = w - P_resolvent(1.0, u)
+    u -= w
+    u[:n_primal] += prob.z.flat()
+    u[n_primal:] -= prob.r.flat()
+    starts = np.cumsum((0,) + sig.dims_primal + sig.dims_dual[:-1])
+
+    def norms(a):                       # of the blocks of a, squaring a in place
+        return np.sqrt(np.add.reduceat(np.square(a, out=a), starts))
+
+    ratio = norms(d) / (1.0 + norms(w) + norms(u))
+    return float(ratio[: sig.m].max()), float(ratio[sig.m :].max())

@@ -60,9 +60,9 @@ def test_01_engine_equivalence():
         errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
         iterates = []
         cfg = FbfConfig(max_iters=50, residual_tol=0.0, errors=errors,
-                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
+                        on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_system(prob, cfg)
-        iterates.append(rep.trace.w.flat())
+        iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
         ref = system_iterates(prob, gamma, 50, errors)
         assert len(iterates) == len(ref) == 51
@@ -235,8 +235,7 @@ def test_06_duality_gap_and_weak_duality():
         iterates.append(report.trace.w)
         m = p.sig.m
         for w in iterates:
-            x = BlockVector(w.blocks[:m])
-            v = BlockVector(w.blocks[m:])
+            x, v = BlockVector.wrap(w, p.sig.dims_primal + p.sig.dims_dual).split(m)
             pv, dv = evaluate_objectives(p, x, v)
             if np.isfinite(pv) and np.isfinite(dv):
                 worst_neg = min(worst_neg, pv + dv)
@@ -284,7 +283,7 @@ def test_09_square_summable_residuals():
     for name in DEMO_NAMES:
         diffs = []
         report, _ = get_demo(name).solve(
-            FbfConfig(on_iteration=lambda n, w, p: diffs.append((w - p).flat()))
+            FbfConfig(on_iteration=lambda n, w, p: diffs.append(w - p))
         )
         runs.append((name, report, diffs))
     worst_tail = 0.0
@@ -312,9 +311,9 @@ def test_10_lifting_soundness():
         p = random_parallel_sum(rng)
         iterates = []
         cfg = FbfConfig(max_iters=50, residual_tol=0.0,
-                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
+                        on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_parallel_sum(p, cfg)
-        iterates.append(rep.trace.w.flat())
+        iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
         ref = parallel_sum_iterates(p, gamma, 50)
         assert len(ref) == 51

@@ -25,6 +25,7 @@ from pdsplit import (
     QuadraticDistance,
     ScaledIdentity,
     SpaceSig,
+    SummableErrorSchedule,
     ZeroMap,
     ZeroOperator,
     lift_parallel_sum,
@@ -161,10 +162,22 @@ def test_tracer_counts_the_cells_of_sparse_couplings():
         assert (tracer.counters["nnz"], tracer.counters["cells"]) == (2 * nnz, 2 * cells)
 
 
+def test_tracer_counts_the_bytes_of_every_error_draw():
+    # the tracer reads the .blocks of the three vectors an error draw returns
+    prob = random_coupled_problem(np.random.default_rng(5))
+    size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+    cfg = FbfConfig(max_iters=40, errors=SummableErrorSchedule(0.05, 2.0, seed=2))
+    mods = {name: importlib.import_module(f"pdsplit.{name}") for name in MODULES}
+    with Tracer(mods) as tracer:
+        report = solve_system(prob, cfg)
+    assert report.trace.iterations > 1
+    assert tracer.counters["error_bytes"] == 3 * 8 * size * report.trace.iterations
+
+
 def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
     # tv_chain's shape: m scalar blocks with sqdist f_i and l1 g_k on their
     # differences.  Each iteration resolves the f_i in one joined call and
-    # the g_k in another; only the final kkt_residual goes block by block.
+    # the g_k in another, and so does the final kkt_residual at unit step.
     m = 16
     sig = SpaceSig((1,) * m, (1,) * (m - 1))
     chain = {(k, k): 1.0 for k in range(m - 1)}
@@ -180,4 +193,4 @@ def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
         report = mods["reductions"].solve_multivariate_min(prob, FbfConfig(residual_tol=1e-6))
     assert report.converged and report.trace.iterations > 1
     resolvents = tracer.totals["operators.resolvent"].calls
-    assert resolvents == 2 * report.trace.iterations + m + (m - 1)
+    assert resolvents == 2 * (report.trace.iterations + 1)

@@ -259,7 +259,8 @@ def test_config_flag_overrides_name_no_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--gamma", "5"], ["--epsilon", "2"], ["--epsilon", "0.6"],
-    ["--max-iters", "0"], ["--error-eta", "1e308"], ["--error-p", "0.5"],
+    ["--max-iters", "0"], ["--error-eta", "1e308"], ["--error-eta", "inf"],
+    ["--error-p", "0.5"],
     ["--seed", "-1"], ["--seed", "-3", "--error-eta", "0.1"],
 ], ids=lambda f: " ".join(f))
 def test_demo_bad_flags_exit_one_with_one_error_line(tmp_path, capsys, flags):

@@ -305,6 +305,15 @@ def test_affine_classes_take_only_a_square_monotone_matrix():
             make(-np.eye(2))
 
 
+def test_affine_map_bound_is_at_least_the_svd_norm(rng):
+    # sqrt(max eig(M^T M)) can round below ||M||_2; the bound may not
+    for _ in range(300):
+        d = int(rng.integers(2, 7))
+        W, S = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        M = W @ W.T / d + 0.5 * (S - S.T)
+        assert AffineMap(M).lipschitz >= np.linalg.norm(M, 2)
+
+
 def _skew_affine(rng, d=7):
     """(M, b): M positive semidefinite plus a skew part, so not symmetric."""
     W, S = rng.standard_normal((d, d)), rng.standard_normal((d, d))

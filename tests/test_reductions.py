@@ -108,9 +108,9 @@ def test_lifting_soundness_iterates_match(rng):
         p = random_parallel_sum(rng)
         iterates = []
         cfg = FbfConfig(max_iters=50, residual_tol=0.0,
-                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
+                        on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_parallel_sum(p, cfg)
-        iterates.append(rep.trace.w.flat())
+        iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
         ref = parallel_sum_iterates(p, gamma, 50)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]

@@ -5,6 +5,7 @@ import pytest
 
 from pdsplit import (
     AffineMap,
+    AffineOperator,
     Ball,
     BlockLinearOp,
     BlockVector,
@@ -33,8 +34,9 @@ from pdsplit import (
     solve_system,
 )
 from conftest import random_coupled_problem
-from oracles import system_iterates
-from pdsplit.blocks import SMALL_BLOCK_DIM
+from oracles import kkt_residual_blockwise, system_iterates
+from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
+from pdsplit.system import _runs
 
 
 def two_box_problem():
@@ -125,15 +127,39 @@ def test_kkt_residual_positive_off_solution(rng):
     assert max(pk, dk) > 1e-3
 
 
+def test_kkt_residual_matches_the_blockwise_reference():
+    # at unit step the pair's residual is the per-block graph distance, up
+    # to rounding; checked at converged and at random points, over runs of
+    # joined blocks, lone blocks and affine operators
+    rng = np.random.default_rng(21)
+    seen = set()
+    for n in range(16):
+        prob = (random_coupled_problem(rng, max_blocks=6) if n % 8
+                else interleaved_runs_problem(rng))
+        sig = prob.sig
+        slices = block_slices(sig.dims_primal + sig.dims_dual)
+        for ops, sl in ((prob.A, slices[: sig.m]), (prob.B, slices[sig.m :])):
+            seen.update("run" if stop - j > 1 else "lone" for _, _, j, stop in _runs(ops, sl))
+        if any(isinstance(op, AffineOperator) for op in prob.A + prob.B):
+            seen.add("affine")
+        report = solve_system(prob, FbfConfig(max_iters=400, residual_tol=1e-10))
+        x = BlockVector([rng.standard_normal(d) for d in sig.dims_primal])
+        v = BlockVector([3 * rng.standard_normal(d) for d in sig.dims_dual])
+        for got, want in ((report.kkt, kkt_residual_blockwise(prob, report.primal, report.dual)),
+                          (kkt_residual(prob, x, v), kkt_residual_blockwise(prob, x, v))):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-15
+    assert seen == {"run", "lone", "affine"}
+
+
 def test_engine_equivalence_iterate_for_iterate(rng):
     for _ in range(5):
         prob = random_coupled_problem(rng)
         errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
         iterates = []
         cfg = FbfConfig(max_iters=50, residual_tol=0.0, errors=errors,
-                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
+                        on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_system(prob, cfg)
-        iterates.append(rep.trace.w.flat())
+        iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
         ref = system_iterates(prob, gamma, 50, errors)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
@@ -155,7 +181,7 @@ def test_square_summable_block_residuals():
     prob = two_box_problem()
     diffs = []
     cfg = FbfConfig(residual_tol=0.0, max_iters=500,
-                    on_iteration=lambda n, w, p: diffs.append((w - p).flat()))
+                    on_iteration=lambda n, w, p: diffs.append(w - p))
     report = solve_system(prob, cfg)
     split = len(diffs[0]) - len(report.dual.flat())
     sp = np.array([np.linalg.norm(d[:split]) for d in diffs]) ** 2
@@ -267,9 +293,9 @@ def test_engine_equivalence_over_interleaved_runs(monkeypatch):
         errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
         iterates = []
         cfg = FbfConfig(max_iters=50, residual_tol=0.0, errors=errors,
-                        on_iteration=lambda n, w, p: iterates.append(w.flat().copy()))
+                        on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_system(prob, cfg)
-        iterates.append(rep.trace.w.flat())
+        iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
         ref = system_iterates(prob, gamma, 50, errors)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
@@ -282,5 +308,5 @@ def test_engine_equivalence_over_interleaved_runs(monkeypatch):
         monkeypatch.setattr(cls, "resolvent", lambda self, gamma, x, f=original:
                             calls.append(x.size) or f(self, gamma, x))
     P_resolvent, _ = product_space_pair(prob)
-    P_resolvent(0.1, BlockVector.zeros(prob.sig.dims_primal + prob.sig.dims_dual))
+    P_resolvent(0.1, np.zeros(sum(prob.sig.dims_primal + prob.sig.dims_dual)))
     assert calls == [6, SMALL_BLOCK_DIM + 6, 4, 1, 4, 3, SMALL_BLOCK_DIM + 6, 3, 1, 2]
