@@ -43,8 +43,12 @@ class SummableErrorSchedule:
     """Deterministic perturbation sequence with norms eta / (n+1)^p.
 
     For p > 1 the norms are absolutely summable, which is exactly the
-    perturbation regime under which convergence is retained.  Directions are
-    pseudo-random but fully determined by (seed, slot, n), so the same
+    perturbation regime under which convergence is retained: the theorem
+    asks only that the sums of ||a_n||, ||b_n|| and ||c_n|| be finite, and
+    says nothing of where the errors point.  So each draw takes its
+    direction uniformly from the cube [-1/2, 1/2)^d, the cheapest draw
+    numpy makes, and is scaled to norm exactly eta / (n+1)^p.  Directions
+    are pseudo-random but fully determined by (seed, slot, n), so the same
     schedule can be replayed or split across sub-blocks consistently.
     """
 
@@ -68,7 +72,8 @@ class SummableErrorSchedule:
         if self.eta == 0.0:
             return BlockVector.zeros(dims)
         rng = np.random.default_rng((self.seed, slot, n))
-        flat = rng.standard_normal(sum(dims))
+        flat = rng.random(sum(dims))
+        flat -= 0.5
         nrm = np.linalg.norm(flat)
         if nrm == 0.0:
             flat[0] = 1.0
@@ -163,8 +168,8 @@ class FbfTrace:
 def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     """Run the error-tolerant iteration until the relative fixed-point
     residual ||w_n - p_n|| / max(1, ||w_n||) drops below the tolerance
-    ("converged"), the budget runs out ("max_iters"), or an update is not
-    finite ("diverged", keeping the last finite iterate).
+    ("converged"), the budget runs out ("max_iters"), or the residual or
+    the update is not finite ("diverged", keeping the last finite iterate).
 
     P_resolvent(gamma, s) evaluates the resolvent of the set-valued part; Q(w)
     the single-valued part.  chi must upper-bound Q's Lipschitz constant.
@@ -196,6 +201,9 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
         trace.rows.append((n, gamma, resid))
         if cfg.on_iteration is not None:
             cfg.on_iteration(n, w, p)
+        if not math.isfinite(resid):        # else inf <= tol * inf reads converged
+            stop = "diverged"
+            break
         if resid <= cfg.residual_tol * max(1.0, _norm(w)):
             stop = "converged"
             break

@@ -172,15 +172,16 @@ def _check_yosida(rng, fault):
 def _check_error_schedule(rng, fault):
     s1 = SummableErrorSchedule(1.0, 2.0, seed=11)
     s2 = SummableErrorSchedule(1.0, 2.0, seed=11)
-    same = all(
-        np.array_equal(s1.vec(n, slot, (2, 3)).flat(), s2.vec(n, slot, (2, 3)).flat())
-        for n in range(20)
-        for slot in range(3)
-    )
+    same, slip = True, 0.0
+    for n in range(20):
+        for slot in range(3):
+            e = s1.vec(n, slot, (2, 3)).flat()
+            same &= np.array_equal(e, s2.vec(n, slot, (2, 3)).flat())
+            slip = max(slip, abs(np.linalg.norm(e) / s1.norm_at(n) - 1.0))
     partial = sum(s1.norm_at(n) for n in range(100000))
     return (
-        same and partial <= np.pi ** 2 / 6,
-        f"deterministic={same}, partial sum {partial:.4f}",
+        same and slip <= 1e-15 and partial <= np.pi ** 2 / 6,
+        f"deterministic={same}, norm slip {slip:.1e}, partial sum {partial:.4f}",
     )
 
 

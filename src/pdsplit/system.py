@@ -224,7 +224,7 @@ def solve_system(prob, cfg):
     P_resolvent, Q = product_space_pair(prob)
     trace = fbf_solve(P_resolvent, Q, beta, np.zeros(sum(dims)), cfg)
     x, v = BlockVector.wrap(trace.w, dims).split(prob.sig.m)
-    return SolveReport(x, v, trace, kkt_residual(prob, x, v))
+    return SolveReport(x, v, trace, _kkt(prob, P_resolvent, Q, trace.w))
 
 
 def kkt_residual(prob, x, v):
@@ -240,21 +240,30 @@ def kkt_residual(prob, x, v):
     s - w + (z, -r) = (u, y), formed in place of s.  Block j reports
     ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).
     """
-    sig = prob.sig
-    check_signature(x, sig.dims_primal, "primal")
-    check_signature(v, sig.dims_dual, "dual")
-    P_resolvent, Q = product_space_pair(prob)
-    n_primal = sum(sig.dims_primal)
+    check_signature(x, prob.sig.dims_primal, "primal")
+    check_signature(v, prob.sig.dims_dual, "dual")
     w = np.concatenate((x.flat(), v.flat()))
-    u = w - Q(w)
-    d = w - P_resolvent(1.0, u)
+    return _kkt(prob, *product_space_pair(prob), w)
+
+
+def _kkt(prob, P_resolvent, Q, w):
+    """``kkt_residual`` at the flat w = (x, v) on the problem's pair, built
+    once by the caller; w is read, not written.  Every step after the
+    calls to Q and P_resolvent works in place in their outputs."""
+    sig = prob.sig
+    n_primal = sum(sig.dims_primal)
+    u = Q(w)
+    np.subtract(w, u, out=u)
+    d = P_resolvent(1.0, u)
+    np.subtract(w, d, out=d)
     u -= w
     u[:n_primal] += prob.z.flat()
     u[n_primal:] -= prob.r.flat()
     starts = np.cumsum((0,) + sig.dims_primal + sig.dims_dual[:-1])
 
-    def norms(a):                       # of the blocks of a, squaring a in place
-        return np.sqrt(np.add.reduceat(np.square(a, out=a), starts))
+    def norms(a, out):                  # of the blocks of a, squaring a into out
+        return np.sqrt(np.add.reduceat(np.square(a, out=out), starts))
 
-    ratio = norms(d) / (1.0 + norms(w) + norms(u))
+    nd = norms(d, d)                    # d is spent: it takes w's squares next
+    ratio = nd / (1.0 + norms(w, d) + norms(u, u))
     return float(ratio[: sig.m].max()), float(ratio[sig.m :].max())

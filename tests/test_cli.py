@@ -269,6 +269,16 @@ def test_demo_bad_flags_exit_one_with_one_error_line(tmp_path, capsys, flags):
     assert err.count("\n") == 1 and err.startswith("error: demo twobox: ")
 
 
+def test_demo_whose_residual_overflows_is_an_error_not_convergence(tmp_path, capsys):
+    # errors of norm 1e200 square past the largest float: the residual is
+    # inf, which must not pass the relative stop test inf <= tol * inf
+    assert main(["demo", "twobox", "--error-eta", "1e200",
+                 "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: demo twobox: ")
+    assert "diverged" in err
+
+
 def test_solve_divergence_writes_partial_outputs(feas_file, tmp_path, capsys):
     out = tmp_path / "div"
     assert main(["solve", str(feas_file), "--error-eta", "1e308",

@@ -82,12 +82,22 @@ def test_square_summable_residuals():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_iteration():
     # declare a wildly wrong Lipschitz constant so the step expands by
-    # 9703x per iteration; the update of iteration 77 overflows
+    # 9703x per iteration; the residual of iteration 39 overflows
     P, Q = scalar_pair(ZeroOperator(), lambda x: 10.0 * x)
     tr = fbf_solve(P, Q, 0.1, np.ones(1), FbfConfig(residual_tol=0.0))
     assert tr.stop_reason == "diverged" and not tr.converged
-    assert tr.iterations == 78 and tr.rows[-1][0] == 77
+    assert tr.iterations == 40 and tr.rows[-1][0] == 39
     assert np.isfinite(tr.w).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_residual_is_divergence_at_any_tolerance():
+    # inf <= tol * inf holds, so without its own check an overflowing
+    # residual would read as convergence at the default tolerance
+    P, Q = scalar_pair(ZeroOperator(), lambda x: 10.0 * x)
+    tr = fbf_solve(P, Q, 0.1, np.ones(1), FbfConfig())
+    assert tr.stop_reason == "diverged" and not tr.converged
+    assert tr.rows[-1][2] == np.inf and np.isfinite(tr.w).all()
 
 
 def test_chi_and_epsilon_validation():
@@ -127,6 +137,28 @@ def test_error_schedule_determinism():
         for slot in range(3):
             d = s1.vec(n, slot, (2, 2)).flat() - s2.vec(n, slot, (2, 2)).flat()
             assert np.linalg.norm(d) == 0.0
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 3), (7, 1, 40), (100000,)])
+def test_error_draw_has_the_scheduled_norm_and_a_bounded_direction(dims):
+    s = SummableErrorSchedule(0.7, 1.5, seed=3)
+    for n in (0, 1, 9, 250):
+        draws = [s.vec(n, slot, dims).flat() for slot in range(3)]
+        for e in draws:
+            assert e.shape == (sum(dims),) and e.dtype == np.float64
+            assert abs(np.linalg.norm(e) / s.norm_at(n) - 1.0) <= 1e-15
+            assert np.abs(e).max() <= s.norm_at(n)
+        if sum(dims) > 1:                       # the three slots differ
+            assert len({e.tobytes() for e in draws}) == 3
+
+
+def test_error_draw_over_split_dims_is_the_flat_draw():
+    s = SummableErrorSchedule(0.3, 2.0, seed=8)
+    for n in (0, 4):
+        for slot in range(3):
+            split = s.vec(n, slot, (3, 1, 5))
+            assert [b.size for b in split.blocks] == [3, 1, 5]
+            assert np.array_equal(split.flat(), s.vec(n, slot, (9,)).flat())
 
 
 def test_error_schedule_rejects_non_summable():
