@@ -261,10 +261,12 @@ def normalize_entry(entry):
 
 def entry_misfit(entry, rows, cols):
     """Why ``entry`` does not fit a block of ``rows`` x ``cols`` (rows None:
-    any row count), or None when it fits."""
+    any row count) or is not finite, or None when it fits."""
     if entry is None:
         return None
     scalar = isinstance(entry, (int, float)) or np.ndim(entry) == 0
+    if not (math.isfinite(entry) if scalar else np.isfinite(entry).all()):
+        return "is not finite"
     shape = (cols, cols) if scalar else np.shape(entry)
     if shape == (rows or shape[0], cols):
         return None
@@ -330,9 +332,9 @@ class BlockLinearOp:
             self.gather = _gather_layout(sig, self.cell_rows[small],
                                          self.cell_cols[small], weights)
         if lambda_bound is None:
-            lambda_bound = lambda_conservative(self)
-        if not lambda_bound >= 0:
-            raise ValueError(f"lambda_bound must be nonnegative, got {lambda_bound}")
+            lambda_bound = lambda_conservative(self)    # inf where entry norms overflow
+        elif not 0 <= lambda_bound < math.inf:
+            raise ValueError(f"lambda_bound must be nonnegative and finite, got {lambda_bound}")
         self.lambda_bound = float(lambda_bound)
 
     @property
@@ -359,41 +361,45 @@ def _gather_layout(sig, k, i, w):
     return rows, cols, np.repeat(np.array(w), size)
 
 
+def _check_flat(a, n, side):
+    if getattr(a, "shape", None) != (n,):
+        raise SignatureError(f"{side} vector must be a 1-D array of length {n}, "
+                             f"got {getattr(a, 'shape', type(a).__name__)}")
+
+
 def apply_block(L, x):
-    """Apply the grid: dual block k is sum_i L_ki x_i, the small scalar
-    cells as one scatter of their products, then the other cells one by
-    one."""
-    check_signature(x, L.sig.dims_primal, "primal")
-    xf = x.flat()
-    n = sum(L.sig.dims_dual)
+    """Apply the grid to the flat primal array x: dual block k of the new
+    flat dual array is sum_i L_ki x_i, the small scalar cells as one
+    scatter of their products, then the other cells one by one."""
+    n = L.dual_slices[-1].stop
+    _check_flat(x, L.primal_slices[-1].stop, "primal")
     if L.gather is None:
         out = np.zeros(n)
     else:
         # bincount adds each coordinate's terms in cell order, as a loop
         # over the cells would (over no terms it would return int64 zeros)
         rows, cols, w = L.gather
-        out = np.bincount(rows, w * xf[cols], n)
+        out = np.bincount(rows, w * x[cols], n)
     rows, cols = L.dual_slices, L.primal_slices
     for k, i, e in L.per_cell:
-        out[rows[k]] += entry_apply(e, xf[cols[i]])
-    return BlockVector.wrap(out, L.sig.dims_dual)
+        out[rows[k]] += entry_apply(e, x[cols[i]])
+    return out
 
 
 def apply_adjoint(L, v):
-    """Apply the adjoint grid: primal block i is sum_k L_ki^T v_k, in the
-    same two passes as ``apply_block`` with rows and columns swapped."""
-    check_signature(v, L.sig.dims_dual, "dual")
-    vf = v.flat()
-    n = sum(L.sig.dims_primal)
+    """Apply the adjoint grid to the flat dual array v: primal block i is
+    sum_k L_ki^T v_k, as ``apply_block`` does with rows and columns swapped."""
+    n = L.primal_slices[-1].stop
+    _check_flat(v, L.dual_slices[-1].stop, "dual")
     if L.gather is None:
         out = np.zeros(n)
     else:
         rows, cols, w = L.gather
-        out = np.bincount(cols, w * vf[rows], n)
+        out = np.bincount(cols, w * v[rows], n)
     rows, cols = L.dual_slices, L.primal_slices
     for k, i, e in L.per_cell:
-        out[cols[i]] += entry_apply_adjoint(e, vf[rows[k]])
-    return BlockVector.wrap(out, L.sig.dims_primal)
+        out[cols[i]] += entry_apply_adjoint(e, v[rows[k]])
+    return out
 
 
 def lambda_conservative(L):
@@ -463,9 +469,5 @@ def lambda_power_iteration(L, iters=1000, tol=1e-12):
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    dims = L.sig.dims_primal
-
-    def gram(x):
-        return apply_adjoint(L, apply_block(L, BlockVector.wrap(x, dims))).flat()
-
-    return _power_norm_sq(gram, sum(dims), lambda_conservative(L), iters, tol)
+    return _power_norm_sq(lambda x: apply_adjoint(L, apply_block(L, x)),
+                          sum(L.sig.dims_primal), lambda_conservative(L), iters, tol)

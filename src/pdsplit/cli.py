@@ -27,12 +27,7 @@ from .probfile import (
     build_problem,
     parse_problem,
 )
-from .reductions import (
-    EvaluationError,
-    dual_objective,
-    primal_objective,
-    relaxation_objective,
-)
+from .reductions import evaluate_objectives, relaxation_objective
 
 CSV_HEADER = "iter,gamma,fixedpoint_residual,primal_kkt,dual_kkt,primal_obj,dual_obj,gap"
 
@@ -59,19 +54,11 @@ def make_config(file_cfg, args):
 
 def _final_objectives(kind, prob, report):
     """(primal_obj, dual_obj, gap), with None for what has no evaluator."""
-
-    def value(fn, *args):
-        try:
-            return fn(*args)
-        except (EvaluationError, NotImplementedError):
-            return None
-
     p = d = None
     if kind == "multivar_min":
-        p = value(primal_objective, prob, report.primal)
-        d = value(dual_objective, prob, report.dual)
+        p, d = evaluate_objectives(prob, report.primal, report.dual)
     elif kind == "feasibility":
-        p = value(relaxation_objective, prob, report.primal.flat())
+        p = relaxation_objective(prob, report.primal.flat())
     return p, d, None if p is None or d is None else p + d
 
 

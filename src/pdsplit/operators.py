@@ -70,16 +70,16 @@ class ParameterError(ValueError):
 
 
 def _parameter(value, message, positive=False):
-    """A parameter that must be nonnegative (positive if ``positive``),
-    given as a scalar, kept as a float, or as one value per coordinate,
-    kept as a 1-D float array; ParameterError(message) otherwise, for NaN
-    too."""
+    """A parameter that must be finite and nonnegative (positive if
+    ``positive``), given as a scalar, kept as a float, or as one value per
+    coordinate, kept as a 1-D float array; ParameterError(message)
+    otherwise, for NaN and inf too."""
     if isinstance(value, (int, float)):                # the common case, kept cheap
         value = float(value)
-        ok = value > 0 if positive else value >= 0
+        ok = (value > 0 if positive else value >= 0) and value < np.inf
     else:
         arr = np.asarray(value, dtype=float)
-        ok = np.all(arr > 0 if positive else arr >= 0)
+        ok = np.all((arr > 0 if positive else arr >= 0) & (arr < np.inf))
         value = float(arr) if arr.ndim == 0 else arr.reshape(-1)
     if not ok:
         raise ParameterError(message)
@@ -91,15 +91,27 @@ def _check_gamma(gamma):
         raise ParameterError(f"gamma must be positive, got {gamma}")
 
 
+def _finite(vec, message):
+    """vec as a 1-D float array; ParameterError(message) unless every
+    entry is finite."""
+    vec = np.asarray(vec, dtype=float).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise ParameterError(message)
+    return vec
+
+
 def _affine(M, b):
     """(M, b) of x -> M x + b as float arrays, b zero when None;
-    ParameterError unless M is square with M + M^T positive semidefinite."""
+    ParameterError unless M is square with M + M^T positive semidefinite
+    and M and b are finite."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterError("M must be square")
+    if not np.isfinite(M).all():
+        raise ParameterError("M must be finite")
     if np.min(np.linalg.eigvalsh(0.5 * (M + M.T)), initial=0.0) < -1e-10:
         raise ParameterError("M + M^T must be positive semidefinite")
-    return M, np.zeros(len(M)) if b is None else np.asarray(b, dtype=float).reshape(-1)
+    return M, np.zeros(len(M)) if b is None else _finite(b, "b must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +246,7 @@ class ScaledIdentity(MonotoneOperator):
     x / (1 + gamma c)."""
 
     def __init__(self, c):
-        self.c = _parameter(c, "scaled identity needs c >= 0 for monotonicity")
+        self.c = _parameter(c, "scaled identity needs c >= 0 and finite")
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
@@ -303,8 +315,9 @@ class LipschitzOperator:
     """Monotone single-valued operator with a declared Lipschitz constant."""
 
     def __init__(self, fn, lipschitz):
-        if lipschitz < 0:
-            raise ParameterError("Lipschitz constant must be nonnegative")
+        if not 0 <= lipschitz < np.inf:
+            raise ParameterError(f"Lipschitz constant must be nonnegative and finite, "
+                                 f"got {lipschitz}")
         self._fn = fn
         self.lipschitz = float(lipschitz)
 
@@ -322,12 +335,12 @@ class ScaledIdentityMap(LipschitzOperator):
     shift b defaults to zero."""
 
     def __init__(self, c, b=None):
-        self.c = _parameter(c, "scaled identity map needs c >= 0")
+        self.c = _parameter(c, "scaled identity map needs c >= 0 and finite")
         if b is None:
             self.b = 0.0
             fn = lambda x: self.c * np.asarray(x, dtype=float)
         else:
-            self.b = np.asarray(b, dtype=float).reshape(-1)
+            self.b = _finite(b, "scaled identity map needs a finite b")
             fn = lambda x: self.c * np.asarray(x, dtype=float) + self.b
         lipschitz = self.c if isinstance(self.c, float) else float(np.max(self.c, initial=0.0))
         super().__init__(fn, lipschitz)
@@ -405,7 +418,7 @@ class L1Norm(ConvexFunction):
     real_valued = True
 
     def __init__(self, weight=1.0):
-        self.weight = _parameter(weight, "l1 weight must be nonnegative")
+        self.weight = _parameter(weight, "l1 weight must be nonnegative and finite")
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -449,7 +462,7 @@ class SquaredNorm(ConvexFunction):
     real_valued = True
 
     def __init__(self, omega):
-        self.omega = _parameter(omega, "omega must be positive", positive=True)
+        self.omega = _parameter(omega, "omega must be positive and finite", positive=True)
 
     def prox(self, gamma, x):
         _check_gamma(gamma)

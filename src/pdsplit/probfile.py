@@ -347,7 +347,7 @@ class _Params:
 
     def matrix(self, name):
         val = self._take(name, _REQUIRED, (self.dim, self.dim))
-        return val * np.eye(self.dim) if isinstance(val, float) else val
+        return np.diag(np.full(self.dim, val)) if isinstance(val, float) else val
 
 
 def _wrapped(table, wrap, prefix="", ids=None):

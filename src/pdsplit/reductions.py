@@ -327,7 +327,7 @@ def primal_objective(p, x):
     total = 0.0
     for i in range(p.sig.m):
         total += p.f[i](x[i]) + p.h[i](x[i]) - float(x[i] @ p.z[i])
-    Lx = apply_block(p.L, x)
+    Lx = BlockVector.wrap(apply_block(p.L, x.flat()), p.sig.dims_dual)
     for k in range(p.sig.K):
         total += _infconv_value(p.g[k], p.ell[k], Lx[k] - p.r[k])
     return float(total)
@@ -336,7 +336,7 @@ def primal_objective(p, x):
 def dual_objective(p, v):
     """Dual objective at v; EvaluationError unless each grad h_i is c Id + b."""
     total = 0.0
-    Lstar_v = apply_adjoint(p.L, v)
+    Lstar_v = BlockVector.wrap(apply_adjoint(p.L, v.flat()), p.sig.dims_primal)
     for i in range(p.sig.m):
         total += _conj_infconv_value(p.f[i], p.h[i], p.z[i] - Lstar_v[i])
     for k in range(p.sig.K):
@@ -347,9 +347,18 @@ def dual_objective(p, v):
 
 
 def evaluate_objectives(p, x, v):
-    """Primal and dual objective values at (x, v).  The duality gap is
-    their sum: nonnegative everywhere, zero at a primal-dual solution."""
-    return primal_objective(p, x), dual_objective(p, v)
+    """Primal and dual objective values at (x, v), None for a side whose
+    evaluator raises EvaluationError or NotImplementedError.  The duality
+    gap is their sum: nonnegative everywhere, zero at a primal-dual
+    solution."""
+
+    def value(fn, *args):
+        try:
+            return fn(*args)
+        except (EvaluationError, NotImplementedError):
+            return None
+
+    return value(primal_objective, p, x), value(dual_objective, p, v)
 
 
 def check_qualification(p):
@@ -370,7 +379,7 @@ def check_qualification(p):
             row = np.empty((dk, sum(p.sig.dims_primal)))
             for j in range(start, start + dk):
                 unit[j] = 1.0
-                row[j - start] = apply_adjoint(p.L, BlockVector.wrap(unit, dims)).flat()
+                row[j - start] = apply_adjoint(p.L, unit)
                 unit[j] = 0.0
             start += dk
             sv = np.linalg.svd(row, compute_uv=False)

@@ -61,8 +61,8 @@ def _check_adjoint(rng, fault):
         L = _random_grid(rng)
         x = BlockVector([rng.standard_normal(d) for d in L.sig.dims_primal])
         v = BlockVector([rng.standard_normal(d) for d in L.sig.dims_dual])
-        lhs = float(apply_block(L, x).flat() @ v.flat())
-        rhs = float(x.flat() @ apply_adjoint(L, v).flat())
+        lhs = float(apply_block(L, x.flat()) @ v.flat())
+        rhs = float(x.flat() @ apply_adjoint(L, v.flat()))
         scale = 1.0 + np.linalg.norm(x.flat()) * np.linalg.norm(v.flat())
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst <= 1e-10, f"max scaled defect {worst:.3e}"
@@ -74,7 +74,7 @@ def _check_norm_bound(rng, fault):
         L = _random_grid(rng, fault_factor=0.5 if fault else 1.0)
         for lam in (L.lambda_bound, lambda_power_iteration(L)):
             x = BlockVector([rng.standard_normal(d) for d in L.sig.dims_primal])
-            lhs = np.linalg.norm(apply_block(L, x).flat()) ** 2
+            lhs = np.linalg.norm(apply_block(L, x.flat())) ** 2
             rhs = lam * np.linalg.norm(x.flat()) ** 2 * (1 + 1e-10)
             worst = max(worst, lhs - rhs)
     return worst <= 0.0, f"max bound excess {worst:.3e}"

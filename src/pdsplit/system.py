@@ -26,6 +26,7 @@ residuals x_n - p1_n and v_n - p2_n, reads them from the flat arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,12 @@ class CoupledInclusionProblem:
         self.z = z
         self.r = r
 
+    @cached_property
+    def _pair(self):
+        """``product_space_pair(self)``, built at the first solve or
+        certificate and kept: the problem is immutable."""
+        return product_space_pair(self)
+
 
 def compute_beta(prob):
     """Lipschitz bound of the single-valued part:
@@ -142,9 +149,10 @@ def product_space_pair(prob):
     (``operators.join``) is evaluated by one joined operator on one slice
     of the flat product-space array, with its shifts z or r joined once as
     well; every other block through its own slice.  ZeroMap terms of Q are
-    skipped.
+    skipped.  Neither function holds the problem, which keeps its pair
+    (``CoupledInclusionProblem._pair``) without a reference cycle.
     """
-    sig = prob.sig
+    sig, L = prob.sig, prob.L
     dims = sig.dims_primal + sig.dims_dual
     size = sum(dims)
     n_primal = sum(sig.dims_primal)
@@ -171,9 +179,8 @@ def product_space_pair(prob):
 
     def Q(w):
         out = np.empty(size)
-        x, v = BlockVector.wrap(w, dims).split(sig.m)
-        out[:n_primal] = apply_adjoint(prob.L, v).flat()
-        np.negative(apply_block(prob.L, x).flat(), out=out[n_primal:])
+        out[:n_primal] = apply_adjoint(L, w[n_primal:])
+        np.negative(apply_block(L, w[:n_primal]), out=out[n_primal:])
         for op, sl in forward:
             out[sl] += op(w[sl])
         return out
@@ -221,10 +228,9 @@ def solve_system(prob, cfg):
     """
     dims = prob.sig.dims_primal + prob.sig.dims_dual
     beta = compute_beta(prob)
-    P_resolvent, Q = product_space_pair(prob)
-    trace = fbf_solve(P_resolvent, Q, beta, np.zeros(sum(dims)), cfg)
+    trace = fbf_solve(*prob._pair, beta, np.zeros(sum(dims)), cfg)
     x, v = BlockVector.wrap(trace.w, dims).split(prob.sig.m)
-    return SolveReport(x, v, trace, _kkt(prob, P_resolvent, Q, trace.w))
+    return SolveReport(x, v, trace, kkt_residual(prob, x, v))
 
 
 def kkt_residual(prob, x, v):
@@ -238,20 +244,16 @@ def kkt_residual(prob, x, v):
     with s = w - Q(w) and d = w - P_resolvent(1, s), block i of d is
     x_i - J_{A_i}(x_i + u_i), block k is J_{B_k}(v_k + y_k) - y_k, and
     s - w + (z, -r) = (u, y), formed in place of s.  Block j reports
-    ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).
+    ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).  The pair is the problem's
+    own, built at its first use; every step after the calls to Q and
+    P_resolvent works in place in their outputs.
     """
-    check_signature(x, prob.sig.dims_primal, "primal")
-    check_signature(v, prob.sig.dims_dual, "dual")
-    w = np.concatenate((x.flat(), v.flat()))
-    return _kkt(prob, *product_space_pair(prob), w)
-
-
-def _kkt(prob, P_resolvent, Q, w):
-    """``kkt_residual`` at the flat w = (x, v) on the problem's pair, built
-    once by the caller; w is read, not written.  Every step after the
-    calls to Q and P_resolvent works in place in their outputs."""
     sig = prob.sig
+    check_signature(x, sig.dims_primal, "primal")
+    check_signature(v, sig.dims_dual, "dual")
+    w = np.concatenate((x.flat(), v.flat()))
     n_primal = sum(sig.dims_primal)
+    P_resolvent, Q = prob._pair
     u = Q(w)
     np.subtract(w, u, out=u)
     d = P_resolvent(1.0, u)

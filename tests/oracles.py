@@ -12,7 +12,7 @@ product-space pair.
 
 import numpy as np
 
-from pdsplit.blocks import apply_adjoint, apply_block
+from pdsplit.blocks import BlockVector, apply_adjoint, apply_block
 from pdsplit.operators import SquaredNorm, graph_distance
 
 
@@ -69,8 +69,8 @@ def kkt_residual_blockwise(prob, x, v):
     certified through the resolvent fixed-point characterization of graph
     membership.
     """
-    Lstar_v = apply_adjoint(prob.L, v)
-    Lx = apply_block(prob.L, x)
+    Lstar_v = BlockVector.wrap(apply_adjoint(prob.L, v.flat()), prob.sig.dims_primal)
+    Lx = BlockVector.wrap(apply_block(prob.L, x.flat()), prob.sig.dims_dual)
     primal = 0.0
     for i in range(prob.sig.m):
         u = prob.z[i] - Lstar_v[i] - prob.C[i](x[i])

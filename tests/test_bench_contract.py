@@ -77,6 +77,37 @@ vec z 0 0
 vec r 0
 """
 
+MULTIVAR_TEXT = """\
+problem multivar_min
+primal_dims 1 1 1
+dual_dims 1 1
+op f 1 sqdist a=0
+op f 2 sqdist a=2
+op f 3 sqdist a=1
+op h 1 zero
+op h 2 zero
+op h 3 zero
+op g 1 l1 weight=0.5
+op g 2 l1 weight=0.5
+op ell 1 none
+op ell 2 none
+entry 1 1 scale 1
+entry 1 2 scale -1
+entry 2 2 scale 1
+entry 2 3 scale -1
+vec z 0 0 0
+vec r 0 0
+"""
+
+# every span a file solve passes through, from reading the file to writing
+# the outputs
+SOLVE_PATH_SPANS = (
+    "probfile.parse", "probfile.build", "reductions.multivariate_min", "system.solve",
+    "system.beta", "system.kkt", "fbf.solve", "blocks.apply_block",
+    "blocks.apply_adjoint", "operators.resolvent", "reductions.objectives",
+    "cli.write_outputs",
+)
+
 
 def _attributes(mods):
     """(owner, name) -> value for every module global and every attribute
@@ -194,3 +225,16 @@ def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
     assert report.converged and report.trace.iterations > 1
     resolvents = tracer.totals["operators.resolvent"].calls
     assert resolvents == 2 * (report.trace.iterations + 1)
+
+
+def test_a_file_solve_passes_through_every_solve_path_span(tmp_path):
+    path = tmp_path / "tv.prob"
+    path.write_text(MULTIVAR_TEXT)
+    mods = {name: importlib.import_module(f"pdsplit.{name}") for name in MODULES}
+    with Tracer(mods) as tracer:
+        assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    missing = [name for name in SOLVE_PATH_SPANS
+               if name not in tracer.totals or tracer.totals[name].calls < 1]
+    assert not missing
+    summary = (tmp_path / "tv.summary").read_text()
+    assert "primal_obj " in summary and "gap " in summary

@@ -43,17 +43,17 @@ def test_block_vector_round_trip():
 def test_apply_block_identity():
     sig = SpaceSig((2,), (2,))
     L = BlockLinearOp([[1.0]], sig)
-    out = apply_block(L, BlockVector([[1.0, 2.0]]))
-    np.testing.assert_array_equal(out[0], [1.0, 2.0])
+    out = apply_block(L, np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(out, [1.0, 2.0])
 
 
 def test_apply_block_difference_row():
     # one dual block coupling two scalars with [Id, -Id]
     sig = SpaceSig((1, 1), (1,))
     L = BlockLinearOp([[1.0, -1.0]], sig)
-    out = apply_block(L, BlockVector([[3.0], [1.0]]))
-    np.testing.assert_array_equal(out[0], [2.0])
-    back = apply_adjoint(L, BlockVector([[5.0]]))
+    out = apply_block(L, np.array([3.0, 1.0]))
+    np.testing.assert_array_equal(out, [2.0])
+    back = BlockVector.wrap(apply_adjoint(L, np.array([5.0])), sig.dims_primal)
     np.testing.assert_array_equal(back[0], [5.0])
     np.testing.assert_array_equal(back[1], [-5.0])
 
@@ -65,10 +65,10 @@ def test_apply_block_matches_dense_flatten():
     L = BlockLinearOp(entries, sig)
     dense = np.block(entries)
     x = BlockVector([rng.standard_normal(2), rng.standard_normal(2)])
-    np.testing.assert_allclose(apply_block(L, x).flat(), dense @ x.flat(),
+    np.testing.assert_allclose(apply_block(L, x.flat()), dense @ x.flat(),
                                atol=1e-12)
     v = BlockVector([rng.standard_normal(2), rng.standard_normal(2)])
-    np.testing.assert_allclose(apply_adjoint(L, v).flat(), dense.T @ v.flat(),
+    np.testing.assert_allclose(apply_adjoint(L, v.flat()), dense.T @ v.flat(),
                                atol=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_shape_mismatch_raises():
         BlockLinearOp([[np.ones((3, 2))]], sig)
     L = BlockLinearOp([[1.0]], sig)
     with pytest.raises(SignatureError):
-        apply_block(L, BlockVector([[1.0, 2.0, 3.0]]))
+        apply_block(L, np.array([1.0, 2.0, 3.0]))
 
 
 def test_misfit_entries_name_their_block():
@@ -94,8 +94,7 @@ def test_numpy_scalar_entries_are_multiples_of_the_identity():
         L = BlockLinearOp([[scalar]], sig)
         assert L.entries == [[1.0]] and type(L.entries[0][0]) is float
         assert L.lambda_bound == 1.0
-        np.testing.assert_array_equal(apply_block(L, BlockVector([[2.0, 3.0]])).flat(),
-                                      [2.0, 3.0])
+        np.testing.assert_array_equal(apply_block(L, np.array([2.0, 3.0])), [2.0, 3.0])
     for flag in (True, np.bool_(True)):
         with pytest.raises(ValueError, match="bool"):
             BlockLinearOp([[flag]], sig)
@@ -103,9 +102,17 @@ def test_numpy_scalar_entries_are_multiples_of_the_identity():
 
 def test_lambda_bound_must_be_a_nonnegative_number():
     sig = SpaceSig((1,), (1,))
-    for bad in (-1.0, float("nan")):
+    for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lambda_bound"):
             BlockLinearOp([[1.0]], sig, lambda_bound=bad)
+
+
+def test_non_finite_entries_are_rejected():
+    sig = SpaceSig((2,), (2,))
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for entry in (bad, [[1.0, 0.0], [bad, 1.0]]):
+            with pytest.raises(SignatureError, match=r"entry \(0,0\) is not finite"):
+                BlockLinearOp([[entry]], sig)
 
 
 def _cells(entries):
@@ -162,8 +169,7 @@ def test_a_long_chain_builds_from_its_cells_in_linear_time():
     assert time.process_time() - start < 1.0
     assert len(L.nonzeros) == 2 * (m - 1)
     assert L.lambda_bound <= 4.0 * (1 + 1e-9)
-    x = BlockVector.wrap(np.arange(m, dtype=float), sig.dims_primal)
-    np.testing.assert_array_equal(apply_block(L, x).flat(), -np.ones(m - 1))
+    np.testing.assert_array_equal(apply_block(L, np.arange(m, dtype=float)), -np.ones(m - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,8 +185,8 @@ def test_adjoint_identity_random(seed):
     )
     x = BlockVector([rng.standard_normal(d) for d in dp])
     v = BlockVector([rng.standard_normal(d) for d in dd])
-    lhs = float(apply_block(L, x).flat() @ v.flat())
-    rhs = float(x.flat() @ apply_adjoint(L, v).flat())
+    lhs = float(apply_block(L, x.flat()) @ v.flat())
+    rhs = float(x.flat() @ apply_adjoint(L, v.flat()))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + np.linalg.norm(x.flat()) * np.linalg.norm(v.flat()))
 
 
@@ -244,7 +250,7 @@ def test_norm_bound_validity(rng):
             sig,
         )
         x = BlockVector([rng.standard_normal(d) for d in dp])
-        nrm = np.linalg.norm(apply_block(L, x).flat()) ** 2
+        nrm = np.linalg.norm(apply_block(L, x.flat())) ** 2
         for lam in (L.lambda_bound, lambda_power_iteration(L)):
             assert nrm <= lam * np.linalg.norm(x.flat()) ** 2 * (1 + 1e-10)
 
@@ -398,7 +404,7 @@ def test_coupling_matches_the_dense_grid(seed):
     D = dense_coupling(L)
     x = BlockVector([rng.standard_normal(d) for d in sig.dims_primal])
     v = BlockVector([rng.standard_normal(d) for d in sig.dims_dual])
-    Lx, Ltv = apply_block(L, x).flat(), apply_adjoint(L, v).flat()
+    Lx, Ltv = apply_block(L, x.flat()), apply_adjoint(L, v.flat())
     assert Lx.dtype == Ltv.dtype == np.float64
     for got, M, u in ((Lx, D, x.flat()), (Ltv, D.T, v.flat())):
         scale = np.linalg.norm(np.abs(M) @ np.abs(u))
@@ -416,7 +422,7 @@ def test_gathered_cells_add_in_cell_order():
     want = np.zeros(2)
     for s, xi in zip((0.1, 0.2, 0.3), x.blocks):
         want += s * xi
-    np.testing.assert_array_equal(apply_block(L, x).flat(), want)
+    np.testing.assert_array_equal(apply_block(L, x.flat()), want)
     rows, cols, w = L.gather
     np.testing.assert_array_equal(rows, [0, 1, 0, 1, 0, 1])
     np.testing.assert_array_equal(cols, [0, 1, 2, 3, 4, 5])
@@ -431,7 +437,26 @@ def test_a_grid_without_small_scalar_cells_applies_in_float64():
                          ([[np.ones((1, 2))]], SpaceSig((2,), (1,)))):
         L = BlockLinearOp(entries, sig)
         assert L.gather is None
-        x = BlockVector.wrap(np.ones(sum(sig.dims_primal)), sig.dims_primal)
-        v = BlockVector.wrap(np.ones(sum(sig.dims_dual)), sig.dims_dual)
-        assert apply_block(L, x).flat().dtype == np.float64
-        assert apply_adjoint(L, v).flat().dtype == np.float64
+        assert apply_block(L, np.ones(sum(sig.dims_primal))).dtype == np.float64
+        assert apply_adjoint(L, np.ones(sum(sig.dims_dual))).dtype == np.float64
+
+
+def test_the_coupling_takes_and_returns_flat_arrays_only():
+    sig = SpaceSig((1, 2), (2,))
+    L = BlockLinearOp([[None, 2.0]], sig)
+    for fn, n in ((apply_block, 3), (apply_adjoint, 2)):
+        bad = (BlockVector.zeros((n,)), np.zeros((n, 1)), np.zeros((1, n)), np.zeros(n + 1),
+               np.zeros(n - 1), [0.0] * n)
+        for arg in bad:
+            with pytest.raises(SignatureError, match=f"length {n}, got") as err:
+                fn(L, arg)
+            assert "\n" not in str(err.value)
+        a = np.arange(n, dtype=float)
+        out = fn(L, a)
+        assert out.dtype == np.float64 and out.ndim == 1
+        assert not np.shares_memory(out, a)
+        keep = a.copy()
+        out += 1.0
+        np.testing.assert_array_equal(a, keep)
+    np.testing.assert_array_equal(apply_block(L, np.array([5.0, 1.0, 2.0])), [2.0, 4.0])
+    np.testing.assert_array_equal(apply_adjoint(L, np.array([1.0, 2.0])), [0.0, 2.0, 4.0])

@@ -378,6 +378,37 @@ def test_solve_rejects_bad_affine_parameters(tmp_path, capsys, old, new, message
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("op A 1 normal_cone_box lo=-1,-1 hi=1,1", "op A 1 affine M=inf",
+     "line 4: affine: M must be finite"),
+    ("op A 1 normal_cone_box lo=-1,-1 hi=1,1", "op A 1 affine M=1 b=0,inf",
+     "line 4: affine: b must be finite"),
+    ("op C 1 zero", "op C 1 scaled_identity c=inf",
+     "line 5: scaled_identity: scaled identity map needs c >= 0 and finite"),
+    ("op C 1 zero", "op C 1 affine M=inf", "line 5: affine: M must be finite"),
+    ("op B 1 scaled_identity c=1", "op B 1 scaled_identity c=inf",
+     "line 6: scaled_identity: scaled identity needs c >= 0 and finite"),
+    ("op B 1 scaled_identity c=1", "op B 1 subdiff_l1 weight=inf",
+     "line 6: subdiff_l1: l1 weight must be nonnegative and finite"),
+    ("op B 1 scaled_identity c=1", "op B 1 subdiff_sqnorm omega=inf",
+     "line 6: subdiff_sqnorm: omega must be positive and finite"),
+    ("op Dinv 1 zero", "op Dinv 1 affine M=1 b=-inf",
+     "line 7: affine: b must be finite"),
+    ("0 1\nend", "0 inf\nend", "line 8: entry 1 1 is not finite"),
+], ids=["A-affine-M", "A-affine-b", "C-scaled", "C-affine-M", "B-scaled", "B-l1",
+        "B-sqnorm", "Dinv-affine-b", "entry"])
+def test_solve_rejects_non_finite_constants_naming_the_line(tmp_path, capsys, old, new,
+                                                            message):
+    # an infinite constant used to slip through: M=inf made every resolvent
+    # 0 and the run "converged", c=inf failed later without naming a line
+    path = tmp_path / "inf.prob"
+    path.write_text(SYSTEM_TEXT.replace(old, new, 1))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "inf.summary").exists()
+
+
 # per config key: a valid value and one its setting rejects
 CONFIG_VALUES = {"gamma": ("0.25", "-1"), "epsilon": ("0.05", "2"),
                  "max_iters": ("77", "0"), "tol": ("1e-07", "-1"),

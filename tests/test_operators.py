@@ -516,3 +516,21 @@ def test_what_wraps_a_subclass_joins_nothing():
     # nor do sets and functions, outside an operator
     for obj in (Box([0.0], [1.0]), L1Norm(1.0), IndicatorFunction(Box([0.0], [1.0]))):
         assert join_key(obj) is None
+
+
+def test_non_finite_constants_are_rejected():
+    inf, nan = float("inf"), float("nan")
+    for bad in (inf, -inf, nan):
+        for make in (ScaledIdentity, ScaledIdentityMap, L1Norm, SquaredNorm):
+            for arg in (bad, [1.0, bad]):
+                with pytest.raises(ParameterError, match="finite"):
+                    make(arg)
+        with pytest.raises(ParameterError, match="finite"):
+            LipschitzOperator(np.abs, bad)
+        for make in (AffineOperator, AffineMap):
+            with pytest.raises(ParameterError, match="M must be finite"):
+                make([[1.0, 0.0], [0.0, bad]])
+            with pytest.raises(ParameterError, match="b must be finite"):
+                make(np.eye(2), [0.0, bad])
+        with pytest.raises(ParameterError, match="finite b"):
+            ScaledIdentityMap(1.0, [0.0, bad])

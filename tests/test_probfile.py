@@ -433,6 +433,7 @@ def test_every_catalog_id_belongs_to_a_family():
     ("c=1", "c=-1", "line 6: scaled_identity: scaled identity needs c >= 0"),
     ("hi=1,1", "hi=1,-2", "line 4: normal_cone_box: box needs lo <= hi"),
     ("op C 1 zero", "op C 1 box lo=0 hi=1", "line 5: catalog id 'box' is not in the Lipschitz operator family"),
+    ("op C 1 zero", "op C 1 affine M=inf", "line 5: affine: M must be finite"),
 ])
 def test_operator_parameters_checked_with_op_line(old, new, pattern):
     with pytest.raises(ParseError, match=pattern):

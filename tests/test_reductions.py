@@ -467,6 +467,19 @@ def test_dual_objective_needs_quadratic_h():
     assert primal_objective(p, BlockVector([np.ones(2)])) == pytest.approx(2.0)
 
 
+
+def test_evaluate_objectives_gives_none_for_a_side_without_evaluator():
+    from pdsplit import ConvexFunction, LipschitzOperator, Smooth
+
+    p = _one_block_min_problem("op f 1 zero\nop h 1 zero\n", np.zeros(2))
+    p.h[0] = Smooth(lambda x: float(np.sum(x ** 4)),
+                    LipschitzOperator(lambda x: 4 * x ** 3, 1.0))
+    x, v = BlockVector([np.ones(2)]), BlockVector.zeros((1,))
+    assert evaluate_objectives(p, x, v) == (pytest.approx(2.0), None)
+    p.f[0] = ConvexFunction()                   # no value evaluator either
+    assert evaluate_objectives(p, x, v) == (None, None)
+
+
 def test_relaxation_objective_with_a_zero_coupling():
     # L_2 = 0 maps every x to 0, at distance 3/sqrt(2) from the line
     p = get_demo("boxhalf").build()

@@ -151,6 +151,31 @@ def test_kkt_residual_matches_the_blockwise_reference():
     assert seen == {"run", "lone", "affine"}
 
 
+def test_a_problem_builds_its_pair_once_and_holds_no_cycle(rng, monkeypatch):
+    import gc
+    import weakref
+
+    import pdsplit.system
+
+    builds = []
+    original = pdsplit.system.product_space_pair
+    monkeypatch.setattr(pdsplit.system, "product_space_pair",
+                        lambda prob: builds.append(None) or original(prob))
+    prob = random_coupled_problem(rng)
+    assert not builds                     # nothing is built at set-up
+    report = solve_system(prob, FbfConfig(max_iters=50))
+    solve_system(prob, FbfConfig(max_iters=50))
+    kkt_residual(prob, report.primal, report.dual)
+    assert len(builds) == 1
+    gone = weakref.ref(prob)
+    gc.disable()
+    try:
+        del prob
+        assert gone() is None             # freed without the cycle collector
+    finally:
+        gc.enable()
+
+
 def test_engine_equivalence_iterate_for_iterate(rng):
     for _ in range(5):
         prob = random_coupled_problem(rng)
