@@ -57,7 +57,22 @@ SMALL_BLOCK_DIM = 64
 # Most power steps taken by lambda_conservative, which stops earlier once
 # its bound stops falling; each step costs two passes over the nonzeros.
 CW_STEPS = 32
+
+# What a coupling file or ParameterError says of the entry (k, i) with the
+# largest norm when the bound on ||L||^2 overflows.
+ENTRY_TOO_LARGE = "is too large: the bound on ||L||^2 overflows"
 _TINY = np.finfo(float).tiny
+
+
+class ParameterError(ValueError):
+    """Invalid operator/step parameter (e.g. gamma <= 0).  key, when set,
+    names what is at fault, so a front end can point at where that value
+    came from: the solver setting (an FbfConfig or error-schedule argument)
+    or the coupling cell (k, i)."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class SignatureError(ValueError):
@@ -218,7 +233,8 @@ def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
     if isinstance(entry, float):
         return entry * entry
     if min(entry.shape) <= EXACT_NORM_MAX_DIM:
-        return float(np.linalg.norm(entry, 2)) ** 2 * (1.0 + ROUNDING_MARGIN)
+        norm = float(np.linalg.norm(entry, 2))        # norm ** 2 would raise on overflow
+        return norm * norm * (1.0 + ROUNDING_MARGIN)
     gram = entry.T @ entry if dim_in <= dim_out else entry @ entry.T
     return _power_norm_sq(gram.__matmul__, gram.shape[0], float(np.trace(gram)),
                           max_iters, tol)
@@ -290,7 +306,8 @@ class BlockLinearOp:
 
     ``lambda_bound`` is any valid upper bound on sup ||Lx||^2 / ||x||^2; by
     default the certified grid-of-entry-norms bound ``lambda_conservative``
-    is used.
+    is used, and where it overflows a ParameterError names the cell with
+    the largest entry norm as its key.
     """
 
     def __init__(self, entries, sig, lambda_bound=None):
@@ -332,7 +349,7 @@ class BlockLinearOp:
             self.gather = _gather_layout(sig, self.cell_rows[small],
                                          self.cell_cols[small], weights)
         if lambda_bound is None:
-            lambda_bound = lambda_conservative(self)    # inf where entry norms overflow
+            lambda_bound = lambda_conservative(self)
         elif not 0 <= lambda_bound < math.inf:
             raise ValueError(f"lambda_bound must be nonnegative and finite, got {lambda_bound}")
         self.lambda_bound = float(lambda_bound)
@@ -415,13 +432,24 @@ def lambda_conservative(L):
     until one leaves the ratio where it was, CW_STEPS at most; the least
     ratio, inflated by ROUNDING_MARGIN, is capped by the sum of squared
     entry norms, which bounds ||N||^2 as well and is inflated too unless
-    exact.
+    exact.  Where the bound overflows, ParameterError keyed by the cell
+    (k, i) with the largest entry norm.
     """
     sq = [entry_norm_sq(e, L.sig.dims_primal[i], L.sig.dims_dual[k])
           for k, i, e in L.nonzeros]
+    bound = _grid_bound(L, sq)
+    if not bound < math.inf:
+        k, i, _ = L.nonzeros[sq.index(max(sq))]
+        raise ParameterError(f"entry ({k},{i}) {ENTRY_TOO_LARGE}", key=(k, i))
+    return bound
+
+
+def _grid_bound(L, sq):
+    """lambda_conservative's bound from the squared norms ``sq`` of L's
+    nonzero entries; inf where it overflows."""
     top = max(sq, default=0.0)
-    if top == 0.0:
-        return 0.0
+    if top in (0.0, math.inf):                  # no coupling, or an entry norm overflows
+        return top
     rows, cols = L.cell_rows, L.cell_cols
     n = np.sqrt(np.array(sq) / top)
     K, m = L.sig.K, L.sig.m
@@ -443,7 +471,10 @@ def lambda_conservative(L):
         best = ratio
         y = np.maximum(y_next, _TINY)
     bound = float(best) * top * (1.0 + ROUNDING_MARGIN)
-    total = math.fsum(sq)
+    try:
+        total = math.fsum(sq)
+    except OverflowError:                       # the squares add up past the float range
+        total = math.inf
     # the cap binds where N has rank about one, so that the sum is about
     # ||N||^2 itself: it is taken as is only when no rounding entered it
     if total < bound and not _exact_scalar_sum(L.nonzeros, sq, total):

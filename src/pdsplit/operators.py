@@ -9,16 +9,24 @@ repeated step, built from M: M and b must not be mutated in place after
 construction.
 
 Each set carries its support function, the conjugate of its indicator.
-``_SEPARABLE`` declares the separable members, whose parameters are each a
-scalar or one value per coordinate, and ``_WRAPPERS`` the members that wrap
-one; through them ``join`` turns operators on consecutive blocks into one.
+Tables declare how members join and what fits a block.  ``_SEPARABLE``
+lists the separable members, whose parameters are each a scalar or one
+value per coordinate.  ``_PER_BLOCK`` lists the sets whose parameters are
+given per block, hyperplanes and halfspaces: vector parameters with one
+entry per coordinate and scalar ones with one value per block.
+``_VECTORS`` lists the vector parameters of the other members, which do
+not join.  ``_WRAPPERS`` lists the members that wrap one.  Through them
+``join`` turns operators on consecutive blocks into one: a separable one
+with a parameter per coordinate, or a set given per block as one set with
+a segment per block, whose projection is one vectorised expression over
+all segments.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import ROUNDING_MARGIN
+from .blocks import ROUNDING_MARGIN, ParameterError
 
 __all__ = [
     "ParameterError",
@@ -57,16 +65,6 @@ __all__ = [
 # Relative slack used when deciding whether a nearly-feasible point counts
 # as feasible for an indicator evaluation.
 INDICATOR_FEASIBILITY_TOL = 1e-6
-
-
-class ParameterError(ValueError):
-    """Invalid operator/step parameter (e.g. gamma <= 0).  key, when set,
-    names the solver setting at fault (an FbfConfig or error-schedule
-    argument), so a front end can point at where that value came from."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
 
 
 def _parameter(value, message, positive=False):
@@ -152,9 +150,55 @@ class Box(ConvexSet):
         return float(np.sum(u * bound))
 
 
+class _Whole:
+    """The one segment of a set that is not joined, whose parameters given
+    per segment are floats: a segment's inner product is that of the whole
+    arrays, and a value per segment spreads over them by broadcasting."""
+
+    @staticmethod
+    def dot(a, b):
+        return float(a @ b)
+
+    @staticmethod
+    def spread(t):
+        return t
+
+
+class _Segments:
+    """Consecutive segments of the sizes ``dims`` of a 1-D array of
+    ``size`` entries: a parameter given per segment holds one value each,
+    ``dot`` is the inner product on each segment, and ``spread`` copies a
+    value per segment to each of its entries."""
+
+    def __init__(self, size, dims):
+        self.dims = tuple(int(d) for d in dims)
+        if sum(self.dims) != size or min(self.dims, default=0) < 1:
+            raise ParameterError(f"segment sizes {self.dims} must be positive "
+                                 f"and add up to {size}")
+        self._starts = np.cumsum((0,) + self.dims[:-1])
+        self._index = np.repeat(np.arange(len(self.dims)), self.dims)
+
+    def each(self, value):
+        value = np.asarray(value, dtype=float).reshape(-1)
+        if value.size != len(self.dims):
+            raise ParameterError(f"{value.size} values for {len(self.dims)} segments")
+        return value
+
+    def dot(self, a, b):
+        return np.add.reduceat(a * b, self._starts)
+
+    def spread(self, t):
+        return t[self._index]
+
+
+_WHOLE = _Whole()
+
+
 class Ball(ConvexSet):
+    """{x : ||x - center|| <= radius}; radius inf is the whole space."""
+
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float).reshape(-1)
+        self.center = _finite(center, "ball needs a finite center")
         self.radius = float(radius)
         if not self.radius >= 0:
             raise ParameterError("radius must be nonnegative")
@@ -167,55 +211,68 @@ class Ball(ConvexSet):
         return self.center + (self.radius / n) * d
 
     def support(self, u):
-        return float(self.center @ u) + self.radius * float(np.linalg.norm(u))
+        n = float(np.linalg.norm(u))
+        # u = 0 adds 0, at radius inf too
+        return float(self.center @ u) + (self.radius * n if n else 0.0)
 
 
 class _Cut(ConvexSet):
-    """A set cut out by the hyperplane <x, u> = rho, u nonzero."""
+    """A set cut out by the hyperplane <x, u> = rho, u nonzero, whose
+    normal cone at a point of that hyperplane is {t u : t >= _T_MIN}.  With
+    ``dims``, the direct sum of such sets on consecutive segments of those
+    sizes, with a normal and an offset rho per segment.  A normal whose
+    squared norm overflows is refused, as are inf and NaN."""
 
-    def __init__(self, u, rho):
-        self.u = np.asarray(u, dtype=float).reshape(-1)
-        self.rho = float(rho)
-        self._nsq = float(self.u @ self.u)
-        if self._nsq == 0.0:
-            raise ParameterError(f"{type(self).__name__.lower()} normal must be nonzero")
+    def __init__(self, u, rho, dims=None):
+        self.u = u = np.asarray(u, dtype=float).reshape(-1)
+        if dims is None:                # the common case, kept cheap: no arrays
+            # vdot is u @ u, bit for bit, but flags no overflow, refused below
+            self._seg, self.rho, self._nsq = _WHOLE, float(rho), float(np.vdot(u, u))
+            ok = abs(self.rho) < np.inf and 0 < self._nsq < np.inf
+        else:
+            self._seg = seg = _Segments(u.size, dims)
+            with np.errstate(over="ignore"):
+                self.rho, self._nsq = seg.each(rho), seg.dot(u, u)
+            ok = np.all((abs(self.rho) < np.inf) & (0 < self._nsq) & (self._nsq < np.inf))
+        if not ok:
+            raise ParameterError(f"{type(self).__name__.lower()} needs a finite rho and "
+                                 "a nonzero normal u with a finite norm")
 
-    def _along(self, u):
-        """t with u = t * self.u up to round-off; None off that line."""
-        t = float(u @ self.u) / self._nsq
-        resid = np.linalg.norm(u - t * self.u)
-        return None if resid > INDICATOR_FEASIBILITY_TOL * (1 + np.linalg.norm(u)) else t
+    def project(self, x):
+        # on each segment, x moves along u by its excess <x, u> - rho, at
+        # least _T_MIN, over ||u||^2
+        excess = np.maximum(self._seg.dot(x, self.u) - self.rho, self._T_MIN)
+        return x - self._seg.spread(excess / self._nsq) * self.u
+
+    def support(self, u):
+        """The sum over the segments of t * rho where u = t * self.u, up to
+        round-off, with t >= _T_MIN (a t below it by round-off counts as
+        _T_MIN); inf where u is off that line or t lies further below."""
+        seg = self._seg
+        t = seg.dot(u, self.u) / self._nsq
+        off = u - seg.spread(t) * self.u
+        tol = INDICATOR_FEASIBILITY_TOL * (1 + np.sqrt(seg.dot(u, u)))
+        if (np.any(np.sqrt(seg.dot(off, off)) > tol)
+                or np.any(t < self._T_MIN - INDICATOR_FEASIBILITY_TOL)):
+            return np.inf
+        return float(np.sum(np.maximum(t, self._T_MIN) * self.rho))
 
 
 class Halfspace(_Cut):
     """{x : <x, u> <= rho}."""
 
-    def project(self, x):
-        excess = float(x @ self.u) - self.rho
-        if excess <= 0:
-            return np.array(x, dtype=float)
-        return x - (excess / self._nsq) * self.u
-
-    def support(self, u):
-        t = self._along(u)
-        return (np.inf if t is None or t < -INDICATOR_FEASIBILITY_TOL
-                else max(t, 0.0) * self.rho)
+    _T_MIN = 0.0
 
 
 class Hyperplane(_Cut):
     """{x : <x, u> = rho}."""
 
-    def project(self, x):
-        return x - ((float(x @ self.u) - self.rho) / self._nsq) * self.u
-
-    def support(self, u):
-        t = self._along(u)
-        return np.inf if t is None else t * self.rho
+    _T_MIN = -np.inf
 
 
 class Point(ConvexSet):
     def __init__(self, c):
-        self.c = np.asarray(c, dtype=float).reshape(-1)
+        self.c = _finite(c, "point needs a finite c")
 
     def project(self, x):
         return self.c.copy()
@@ -440,7 +497,7 @@ class QuadraticDistance(ConvexFunction):
     real_valued = True
 
     def __init__(self, a):
-        self.a = np.asarray(a, dtype=float).reshape(-1)
+        self.a = _finite(a, "quadratic distance needs a finite a")
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -533,10 +590,16 @@ def graph_distance(A, p, u):
 
 
 # The separable classes with their per-coordinate parameters in constructor
-# order, and the classes that wrap another member with the attribute holding it.
+# order; the sets whose parameters are given per block, with their vector
+# parameters, one entry per coordinate, and their scalar ones, one value per
+# block, in constructor order; the other classes with vector parameters, one
+# entry per coordinate, which do not join; and the classes that wrap another
+# member with the attribute holding it.
 _SEPARABLE = {ZeroOperator: (), ScaledIdentity: ("c",), Box: ("lo", "hi"), ZeroFunction: (),
               L1Norm: ("weight",), QuadraticDistance: ("a",), SquaredNorm: ("omega",),
               ScaledIdentityMap: ("c", "b")}
+_PER_BLOCK = {Hyperplane: (("u",), ("rho",)), Halfspace: (("u",), ("rho",))}
+_VECTORS = {Ball: ("center",), Point: ("c",), AffineOperator: ("b",), AffineMap: ("b",)}
 _WRAPPERS = {NormalCone: "set", SubdifferentialOperator: "fn", IndicatorFunction: "set"}
 
 
@@ -553,50 +616,64 @@ def _unwrap(op):
 def join_key(op):
     """The key under which ``op`` joins others in ``join``: its exact class
     and those of the function and set it wraps.  None for what joins
-    nothing: an operator that is not separable or is of a subclass, which
-    may act otherwise, and a bare set or function."""
+    nothing: an operator that is neither separable nor given per block or
+    is of a subclass, which may act otherwise, and a bare set or function."""
     kinds, _ = _unwrap(op)
     operator = isinstance(op, (MonotoneOperator, LipschitzOperator))
-    return kinds if operator and kinds[-1] in _SEPARABLE else None
+    return kinds if operator and (kinds[-1] in _SEPARABLE or kinds[-1] in _PER_BLOCK) else None
 
 
 def join(ops, dims):
     """The direct sum of ``ops``, operator j acting on block j of
-    consecutive blocks of sizes ``dims``, as one operator of their class
-    whose parameters hold a value per coordinate.  Its resolvent (or value,
-    for a Lipschitz map) on the joined vector is, coordinate for coordinate,
-    the same arithmetic as the per-block ones.  None when the operators do
-    not join: their join keys differ or are None, or a parameter does not
-    broadcast over its block."""
+    consecutive blocks of sizes ``dims``, as one operator of their class.
+    A separable one holds a value per coordinate for each parameter, and
+    its resolvent (or value, for a Lipschitz map) on the joined vector is,
+    coordinate for coordinate, the same arithmetic as the per-block ones.
+    A set given per block is the concatenation of its vector parameters
+    with a segment per block, whose projection acts on each segment as the
+    block's own does, summing over a segment in its own order.  None when
+    the operators do not join: their join keys differ or are None, or a
+    parameter does not fit its block."""
     if len(ops) != len(dims):
         raise ValueError(f"{len(ops)} operators for {len(dims)} blocks")
     key = join_key(ops[0]) if ops else None
     if key is None or any(join_key(op) != key for op in ops[1:]):
         return None
-    try:
-        parts = [[np.broadcast_to(getattr(_unwrap(op)[1], name), (d,))
-                  for name in _SEPARABLE[key[-1]]] for op, d in zip(ops, dims)]
-    except ValueError:
-        return None
-    joined = key[-1](*(np.concatenate(p) for p in zip(*parts)))
-    for kind in reversed(key[:-1]):
-        joined = kind(joined)
+    kind, inners = key[-1], [_unwrap(op)[1] for op in ops]
+    if kind in _SEPARABLE:
+        try:
+            parts = [[np.broadcast_to(getattr(inner, name), (d,)) for name in _SEPARABLE[kind]]
+                     for inner, d in zip(inners, dims)]
+        except ValueError:
+            return None
+        joined = kind(*(np.concatenate(p) for p in zip(*parts)))
+    else:
+        vectors, scalars = _PER_BLOCK[kind]
+        if any(getattr(inner, name).size != d for inner, d in zip(inners, dims)
+               for name in vectors):
+            return None
+        # a segment per block, or the segments of a joined one
+        segments = sum((getattr(inner._seg, "dims", (d,)) for inner, d in zip(inners, dims)), ())
+        joined = kind(*(np.hstack([getattr(inner, name) for inner in inners])
+                        for name in vectors + scalars), segments)
+    for wrap in reversed(key[:-1]):
+        joined = wrap(joined)
     return joined
 
 
 def misfit(op, d):
     """Why catalog operator op does not fit a block of dimension d, or None:
-    a separable parameter needs 1 or d values, any other vector d.  Sizes
-    alone are read; callables and subclasses are not checked."""
+    a separable parameter needs 1 or d values, any other vector parameter
+    d, and an affine one's M is d x d.  Sizes alone are read; callables and
+    subclasses are not checked."""
     kinds, inner = _unwrap(op)
     kind = kinds[-1]
     if kind in (AffineOperator, AffineMap) and inner.M.shape != (d, d):
         return f"M has shape {inner.M.shape} for a block of dimension {d}"
     names, sizes = _SEPARABLE.get(kind), (1, d)
     if names is None:
-        names, sizes = {Ball: ("center",), Point: ("c",), Halfspace: ("u",),
-                        Hyperplane: ("u",), AffineOperator: ("b",),
-                        AffineMap: ("b",)}.get(kind, ()), (d,)
+        vectors = _PER_BLOCK[kind][0] if kind in _PER_BLOCK else _VECTORS.get(kind, ())
+        names, sizes = vectors, (d,)
     for name in names:
         n = getattr(getattr(inner, name), "size", 1)      # a scalar is kept as a float
         if n not in sizes:

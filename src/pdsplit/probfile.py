@@ -36,7 +36,8 @@ import math
 
 import numpy as np
 
-from .blocks import BlockLinearOp, BlockVector, SpaceSig, entry_misfit, entry_out_dim
+from .blocks import (ENTRY_TOO_LARGE, BlockLinearOp, BlockVector, SpaceSig, entry_misfit,
+                     entry_out_dim)
 from .operators import (
     AffineMap, AffineOperator, Ball, Box, Halfspace, Hyperplane,
     IndicatorFunction, L1Norm, NormalCone, ParameterError, Point,
@@ -531,7 +532,11 @@ def build_problem(pf):
     if kind in ("system", "multivar_min"):
         sig = SpaceSig(rd.need("primal_dims"), rd.need("dual_dims"))
         dp, dd = sig.dims_primal, sig.dims_dual
-        L = BlockLinearOp(rd.grid(dd, dp), sig)
+        try:
+            L = BlockLinearOp(rd.grid(dd, dp), sig)
+        except ParameterError as exc:       # the norm bound overflows
+            slot = ("entry", exc.key[0] + 1, exc.key[1] + 1)
+            raise ParseError(f"{rd.where(slot)}{_text(slot)} {ENTRY_TOO_LARGE}") from None
         z, r = rd.vec("z", dp), rd.vec("r", dd)
         if kind == "system":
             built = CoupledInclusionProblem(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pdsplit import (
     BlockLinearOp,
     BlockVector,
+    ParameterError,
     SignatureError,
     SpaceSig,
     apply_adjoint,
@@ -460,3 +461,19 @@ def test_the_coupling_takes_and_returns_flat_arrays_only():
         np.testing.assert_array_equal(a, keep)
     np.testing.assert_array_equal(apply_block(L, np.array([5.0, 1.0, 2.0])), [2.0, 4.0])
     np.testing.assert_array_equal(apply_adjoint(L, np.array([1.0, 2.0])), [0.0, 2.0, 4.0])
+
+
+def test_an_overflowing_norm_bound_names_the_largest_cell():
+    sig, row = SpaceSig((1, 2), (1, 2)), SpaceSig((1, 1), (1,))
+    for sg, cells, cell in ((sig, {(0, 0): 1.0, (1, 1): 1e200}, (1, 1)),
+                            (sig, {(0, 0): 1e154, (1, 1): np.full((2, 2), 1e154)}, (1, 1)),
+                            (sig, {(0, 0): 1e200, (1, 1): np.full((2, 2), 1e200)}, (0, 0)),
+                            (row, {(0, 0): 1.3e154, (0, 1): 1.3e154}, (0, 0))):  # a sum
+        with pytest.raises(ParameterError, match=r"entry \(%d,%d\) is too large" % cell) as info:
+            BlockLinearOp(cells, sg)
+        assert info.value.key == cell
+    # squares that add up past the float range leave a finite bound alone
+    L = BlockLinearOp({(0, 0): 1.3e154, (1, 1): 1.3e154}, sig)
+    assert 1.3e154 ** 2 <= L.lambda_bound < math.inf
+    # a bound the caller gives is not recomputed
+    assert BlockLinearOp({(0, 0): 1e200}, sig, lambda_bound=1.0).lambda_bound == 1.0

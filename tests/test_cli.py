@@ -459,3 +459,37 @@ def test_help_lists_one_flag_per_config_key(capsys, key):
     options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
     assert options.count("--" + key.replace("_", "-")) == 1
     assert len(options) == len(CONFIG_KEYS) + 1         # and --output-dir
+
+
+@pytest.mark.parametrize("new, message", [
+    ("op A 1 normal_cone_hyperplane u=inf,1 rho=0",
+     "line 4: normal_cone_hyperplane: hyperplane needs a finite rho"),
+    ("op A 1 normal_cone_hyperplane u=1,1 rho=-inf",
+     "line 4: normal_cone_hyperplane: hyperplane needs a finite rho"),
+    ("op A 1 indicator_halfspace u=1,inf rho=0",
+     "line 4: indicator_halfspace: halfspace needs a finite rho"),
+    ("op A 1 normal_cone_ball center=inf,0 radius=1",
+     "line 4: normal_cone_ball: ball needs a finite center"),
+    ("op A 1 normal_cone_point c=-inf,0", "line 4: normal_cone_point: point needs a finite c"),
+    ("op A 1 subdiff_sqdist a=inf", "line 4: subdiff_sqdist: quadratic distance needs a finite a"),
+], ids=["hyperplane-u", "hyperplane-rho", "halfspace-u", "ball-center", "point-c", "sqdist-a"])
+def test_solve_rejects_non_finite_set_parameters_naming_the_line(tmp_path, capsys, new,
+                                                                 message):
+    path = tmp_path / "inf.prob"
+    path.write_text(SYSTEM_TEXT.replace("op A 1 normal_cone_box lo=-1,-1 hi=1,1", new))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("entry", ["entry 1 1 scale 1e200", "entry 1 1 dense\n1e200 0.5\n0 1\nend"])
+def test_solve_names_the_entry_whose_norm_bound_overflows(tmp_path, capsys, entry):
+    # used to fail with "epsilon 0.01 must be below 1/(chi+1) = 0.0", which
+    # blamed epsilon and named no line
+    path = tmp_path / "huge.prob"
+    path.write_text(SYSTEM_TEXT.replace("entry 1 1 dense\n1 0.5\n0 1\nend", entry))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "line 8: entry 1 1 is too large: the bound on ||L||^2 overflows" in err
+    assert not (tmp_path / "huge.summary").exists()

@@ -476,14 +476,103 @@ def test_joined_scaled_identity_map_is_the_per_block_one_bitwise():
     assert np.array_equal(joined(x), want)
 
 
+# --- joins of sets given per block ------------------------------------------
+
+def _per_block_set(rng, kind, x, inside):
+    """A set of ``kind`` on the block of x, holding x when ``inside``."""
+    u = rng.standard_normal(x.size)
+    if kind == "hyperplane":
+        return Hyperplane(u, float(rng.uniform(-2.0, 2.0)))
+    return Halfspace(u, float(x @ u) + (1.0 if inside else -1.0) * rng.uniform(0.1, 2.0))
+
+
+def _rel(got, want, *operands):
+    """||got - want|| relative to the operands and want: a projection's
+    result may cancel, and summing in another order moves it by round-off
+    of the operands' size."""
+    scale = sum(float(np.linalg.norm(a)) for a in (want,) + operands)
+    return float(np.linalg.norm(got - want)) / scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(["halfspace", "hyperplane"]),
+       count=st.integers(2, 8),
+    wrap=st.sampled_from([NormalCone, lambda s: IndicatorFunction(s).subdifferential()]))
+def test_joined_set_projection_is_the_per_block_one(seed, kind, count, wrap):
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 6, count)]
+    cuts = np.cumsum(dims)[:-1]
+    x = 3.0 * rng.standard_normal(sum(dims))
+    xs = np.split(x, cuts)
+    inside = rng.random(count) < 0.5           # each block on either side
+    ops = [wrap(_per_block_set(rng, kind, xi, bool(k))) for xi, k in zip(xs, inside)]
+    joined = join(ops, dims)
+    assert join_key(joined) == join_key(ops[0])
+    for gamma in (1.0, float(rng.uniform(0.05, 20.0))):
+        want = np.concatenate([op.resolvent(gamma, xi) for op, xi in zip(ops, xs)])
+        assert _rel(joined.resolvent(gamma, x), want, x) <= 1e-15
+        r = rng.standard_normal(x.size)
+        want = np.concatenate([shifted_inverse_resolvent(op, ri, gamma, xi)
+                               for op, ri, xi in zip(ops, np.split(r, cuts), xs)])
+        assert _rel(shifted_inverse_resolvent(joined, r, gamma, x), want, x, gamma * r) <= 1e-15
+    # a point held inside stays bitwise where it is
+    if kind == "halfspace":
+        got = np.split(joined.resolvent(1.0, x), cuts)
+        assert all(np.array_equal(g, xi) for g, xi, k in zip(got, xs, inside) if k)
+
+
+def test_set_parameters_must_be_finite():
+    inf, nan = float("inf"), float("nan")
+    for make in (lambda: Hyperplane([inf, 1.0], 0.0), lambda: Hyperplane([1.0, 1.0], nan),
+                 lambda: Hyperplane([1.0, 1.0], inf), lambda: Halfspace([1.0, nan], 0.0),
+                 lambda: Ball([inf, 0.0], 1.0),
+                 lambda: Ball([0.0], nan), lambda: Point([nan, 0.0]),
+                 lambda: QuadraticDistance([inf])):
+        with pytest.raises(ParameterError):
+            make()
+    # so is a normal whose squared norm overflows
+    for dims in (None, (1, 1)):
+        with pytest.raises(ParameterError):
+            Halfspace([1e200, 1.0], 0.0 if dims is None else [0.0, 0.0], dims=dims)
+    # a ball of infinite radius is the whole space
+    x = np.array([1e3, -2.0])
+    assert np.array_equal(Ball([0.0, 0.0], inf).project(x), x)
+    assert Ball([1.0, 0.0], inf).support(np.array([0.0, 0.0])) == 0.0
+    assert Ball([1.0, 0.0], inf).support(np.array([0.0, 1e-9])) == inf
+
+
+def test_segmented_sets_check_their_segments():
+    for make in (lambda: Hyperplane([1.0, 1.0, 1.0], [0.0, 1.0], dims=(2, 2)),
+                 lambda: Hyperplane([1.0, 1.0, 1.0], [0.0], dims=(2, 1)),
+                 lambda: Hyperplane([1.0, 0.0, 1.0], [0.0, 1.0, 2.0], dims=(1, 1, 1))):
+        with pytest.raises(ParameterError):
+            make()
+    # support functions add up over the segments
+    hp = Hyperplane([1.0, 0.0, 2.0], [3.0, 1.0], dims=(2, 1))
+    assert hp.support(np.array([2.0, 0.0, -4.0])) == pytest.approx(4.0)
+    assert hp.support(np.array([2.0, 1.0, -4.0])) == np.inf
+    hs = Halfspace([1.0, 0.0, 2.0], [3.0, 1.0], dims=(2, 1))
+    assert hs.support(np.array([2.0, 0.0, 4.0])) == pytest.approx(8.0)
+    assert hs.support(np.array([2.0, 0.0, -4.0])) == np.inf
+    # a vector that does not fit its block joins nothing; joined sets join again
+    one = NormalCone(Hyperplane([1.0, 2.0], 1.0))
+    assert join([one, one], [2, 1]) is None
+    pair, x = join([one, one], [2, 2]), np.arange(8.0)
+    assert np.array_equal(join([pair, pair], [4, 4]).resolvent(1.0, x),
+                          join([one] * 4, [2] * 4).resolvent(1.0, x))
+
+
 class _ScaledL1(L1Norm):
     """A subclass may act otherwise than its base, so it joins nothing."""
 
 
 def test_operators_that_do_not_join():
     u = np.ones(2)
-    for op in (NormalCone(Hyperplane(u, 1.0)), NormalCone(Ball(u, 1.0)),
-               NormalCone(Halfspace(u, 1.0)), NormalCone(Point(u)),
+    # hyperplanes and halfspaces join, as one segmented set of their class
+    for op in (NormalCone(Hyperplane(u, 1.0)), NormalCone(Halfspace(u, 1.0)),
+               IndicatorFunction(Halfspace(u, 1.0)).subdifferential()):
+        assert join_key(op) is not None and join_key(join([op, op], [2, 2])) == join_key(op)
+    for op in (NormalCone(Ball(u, 1.0)), NormalCone(Point(u)),
                IndicatorFunction(Ball(u, 1.0)).subdifferential(),
                AffineOperator(np.eye(2)), AffineMap(np.eye(2)),
                LipschitzOperator(lambda x: x, 1.0), ZeroMap(),
@@ -494,7 +583,10 @@ def test_operators_that_do_not_join():
                  (L1Norm(1.0).subdifferential(), SquaredNorm(1.0).subdifferential()),
                  (NormalCone(Box([0.0], [1.0])),
                   IndicatorFunction(Box([0.0], [1.0])).subdifferential()),
-                 (ScaledIdentity(1.0), ScaledIdentityMap(1.0))):
+                 (ScaledIdentity(1.0), ScaledIdentityMap(1.0)),
+                 (NormalCone(Hyperplane([1.0], 0.0)), NormalCone(Halfspace([1.0], 0.0))),
+                 (NormalCone(Halfspace([1.0], 0.0)),
+                  IndicatorFunction(Halfspace([1.0], 0.0)).subdifferential())):
         assert join([a, b], [1, 1]) is None and join([b, a], [1, 1]) is None
     # a parameter that does not broadcast over its block
     sq = [QuadraticDistance([1.0, 2.0, 3.0]).subdifferential(),

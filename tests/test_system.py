@@ -17,6 +17,7 @@ from pdsplit import (
     L1Norm,
     LipschitzOperator,
     NormalCone,
+    ParallelSumProblem,
     ParameterError,
     Point,
     QuadraticDistance,
@@ -30,6 +31,7 @@ from pdsplit import (
     ZeroOperator,
     compute_beta,
     kkt_residual,
+    lift_parallel_sum,
     product_space_pair,
     solve_system,
 )
@@ -335,3 +337,24 @@ def test_engine_equivalence_over_interleaved_runs(monkeypatch):
     P_resolvent, _ = product_space_pair(prob)
     P_resolvent(0.1, np.zeros(sum(prob.sig.dims_primal + prob.sig.dims_dual)))
     assert calls == [6, SMALL_BLOCK_DIM + 6, 4, 1, 4, 3, SMALL_BLOCK_DIM + 6, 3, 1, 2]
+
+
+def test_hyperplane_dual_blocks_of_a_parallel_sum_join_into_one_run():
+    # the common-zero family: K hyperplanes in R^dim, each its own dual block
+    rng = np.random.default_rng(14)
+    K, dim = 6, 3
+    B = [NormalCone(Hyperplane(rng.standard_normal(dim), float(rng.uniform(-2.0, 2.0))))
+         for _ in range(K)]
+    psum = ParallelSumProblem(dim, (dim,) * K, K, K, ZeroOperator(), ZeroMap(), np.zeros(dim),
+                              [np.zeros(dim)] * K, B, [ScaledIdentity(1.0)] * K, [1.0] * K)
+    prob = lift_parallel_sum(psum)
+    [(op, sl, j, stop)] = _runs(prob.B, block_slices(prob.sig.dims_dual))
+    assert (sl, j, stop) == (slice(0, K * dim), 0, K)
+    assert type(op) is NormalCone and type(op.set) is Hyperplane
+    # a lone block above SMALL_BLOCK_DIM keeps its own operator, and splits
+    # the run it stands in
+    big = NormalCone(Hyperplane(np.ones(SMALL_BLOCK_DIM + 1), 1.0))
+    ops = B[:2] + [big] + B[2:]
+    runs = _runs(ops, block_slices((dim, dim, SMALL_BLOCK_DIM + 1) + (dim,) * (K - 2)))
+    assert [(j, stop) for _, _, j, stop in runs] == [(0, 2), (2, 3), (3, K + 1)]
+    assert runs[1][0] is big
