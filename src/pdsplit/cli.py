@@ -25,6 +25,7 @@ from .probfile import (
     KINDS,
     ParseError,
     build_problem,
+    entry_too_large,
     parse_problem,
 )
 from .reductions import evaluate_objectives, relaxation_objective
@@ -102,14 +103,17 @@ def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
     return trace_path, summary_path
 
 
-def _config_line(exc, pf, args):
-    """'line N: ' when exc names a setting whose value came from the file's
-    config line N rather than from a flag."""
+def _located(exc, pf, args):
+    """exc's message, led by 'line N: ' where pf's line N gave the value at
+    fault: the entry of a lifted coupling cell whose norm bound overflows,
+    or the config line of a setting that no flag overrode."""
+    if isinstance(exc.key, tuple):
+        return entry_too_large(pf, exc.key)
     for key, (_, setting) in CONFIG_KEYS.items():
         line = pf.lines.get(("config", key))
         if setting == exc.key and line is not None and getattr(args, key, None) is None:
-            return f"line {line}: "
-    return ""
+            return f"line {line}: {exc}"
+    return str(exc)
 
 
 def _finish(label, report, trace_path, message):
@@ -141,7 +145,7 @@ def cmd_solve(args):
         t0 = time.perf_counter()
         report = solver(prob, cfg)
     except ParameterError as exc:
-        print(f"error: {path}: {_config_line(exc, pf, args)}{exc}", file=sys.stderr)
+        print(f"error: {path}: {_located(exc, pf, args)}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0
     trace_path, _ = write_outputs(
@@ -195,7 +199,7 @@ def cmd_selftest(args):
         print(f"error: selftest: seed must be a nonnegative integer, got {args.seed}",
               file=sys.stderr)
         return 1
-    rows = run_selftest(seed=args.seed, inject_fault=args.inject_fault)
+    rows = run_selftest(seed=args.seed)
     width = max(len(name) for name, _, _ in rows)
     failed = []
     for name, passed, detail in rows:
@@ -248,8 +252,6 @@ def main(argv=None):
 
     sp = sub.add_parser("selftest", help="run the property suite")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--inject-fault", action="store_true",
-                    help="corrupt a norm bound to exercise the failure path")
     sp.set_defaults(fn=cmd_selftest)
 
     sp = sub.add_parser("list-catalog", help="list kinds, catalog ids, demos")

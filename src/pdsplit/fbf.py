@@ -113,9 +113,9 @@ class FbfConfig:
         if not (1 <= max_iters < math.inf and max_iters % 1 == 0):
             raise ParameterError(
                 f"max_iters must be a positive integer, got {max_iters}", "max_iters")
-        if not residual_tol >= 0:
-            raise ParameterError(
-                f"residual_tol must be nonnegative, got {residual_tol}", "residual_tol")
+        if not 0 <= residual_tol < math.inf:     # every finite residual is <= inf
+            raise ParameterError(f"residual_tol must be finite and nonnegative, "
+                                 f"got {residual_tol}", "residual_tol")
         self.epsilon = float(epsilon)
         self.gamma = None if gamma is None else float(gamma)
         self.max_iters = int(max_iters)

@@ -5,8 +5,9 @@ J_{gamma A} = (Id + gamma A)^{-1}; convex functions through their proximity
 operators.  Every catalog member is defined on the whole space, keeps the
 parameters it was built with, and is safe to evaluate concurrently.  The
 one piece of state is ``AffineOperator``'s memo of the inverse for its last
-repeated step, built from M: M and b must not be mutated in place after
-construction.
+step, built from M: M and b must not be mutated in place after
+construction.  The memo changes the cost of a call, never its value: every
+resolvent depends on (gamma, x) alone.
 
 Each set carries its support function, the conjugate of its indicator.
 Tables declare how members join and what fits a block.  ``_SEPARABLE``
@@ -63,7 +64,8 @@ __all__ = [
 ]
 
 # Relative slack used when deciding whether a nearly-feasible point counts
-# as feasible for an indicator evaluation.
+# as feasible: ``ConvexSet.contains``, and through it indicator values and
+# the hard constraints of a feasibility relaxation, all read this one value.
 INDICATOR_FEASIBILITY_TOL = 1e-6
 
 
@@ -127,8 +129,9 @@ class ConvexSet:
     def distance(self, x):
         return float(np.linalg.norm(x - self.project(x)))
 
-    def contains(self, x, tol=1e-10):
-        return self.distance(x) <= tol * (1.0 + float(np.linalg.norm(x)))
+    def contains(self, x):
+        scale = 1.0 + float(np.linalg.norm(x))
+        return self.distance(x) <= INDICATOR_FEASIBILITY_TOL * scale
 
 
 class Box(ConvexSet):
@@ -313,27 +316,23 @@ class ScaledIdentity(MonotoneOperator):
 class AffineOperator(MonotoneOperator):
     """x -> M x + b with M + M^T positive semidefinite.
 
-    The resolvent solves (I + gamma M) y = x - gamma b and remembers the
-    last step it was called with.  A call at a new step solves directly; a
-    second call in a row at the same step inverts I + gamma M once and
-    keeps the inverse, and each later call at that step is one matvec.  So
-    a constant step pays one solve and one inverse, a step that changes on
-    every call never pays for an inverse, and one inverse at most is held.
+    The resolvent is inv(I + gamma M) (x - gamma b).  A call at a step
+    other than the last one's inverts I + gamma M and keeps the inverse, so
+    each later call at that step is one matvec and one inverse at most is
+    held.  Every call goes through the inverse, so the result depends on
+    (gamma, x) alone, not on the steps called before.
     """
 
     def __init__(self, M, b=None):
         self.M, self.b = _affine(M, b)
-        # (last step, inv(I + step M) once that step repeats, else None),
-        # replaced in one assignment so that readers see a consistent pair
+        # (last step, inv(I + step M)), replaced in one assignment so that
+        # readers see a consistent pair
         self._inv = (None, None)
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
         step, inv = self._inv
         if step != gamma:
-            self._inv = (gamma, None)
-            return np.linalg.solve(np.eye(len(self.M)) + gamma * self.M, x - gamma * self.b)
-        if inv is None:
             inv = np.linalg.inv(np.eye(len(self.M)) + gamma * self.M)
             self._inv = (gamma, inv)
         return inv @ (x - gamma * self.b)
@@ -460,7 +459,7 @@ class IndicatorFunction(ConvexFunction):
         return self.set.project(x)
 
     def __call__(self, x):
-        if self.set.contains(x, tol=INDICATOR_FEASIBILITY_TOL):
+        if self.set.contains(x):
             return 0.0
         return np.inf
 

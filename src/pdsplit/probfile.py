@@ -120,6 +120,15 @@ def _text(slot):
     return " ".join(map(str, slot))
 
 
+def entry_too_large(pf, cell):
+    """The error for the coupling cell (k, i), 0-based, whose norm bound
+    overflows, led by the line of pf it came from: ``entry k+1 i+1``, or
+    ``L k+1`` for the cell (k, 0) of a lifted grid."""
+    slot = ("entry", cell[0] + 1, cell[1] + 1)
+    line = pf.lines.get(slot)
+    return f"{'' if line is None else f'line {line}: '}{_text(slot)} {ENTRY_TOO_LARGE}"
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -535,8 +544,7 @@ def build_problem(pf):
         try:
             L = BlockLinearOp(rd.grid(dd, dp), sig)
         except ParameterError as exc:       # the norm bound overflows
-            slot = ("entry", exc.key[0] + 1, exc.key[1] + 1)
-            raise ParseError(f"{rd.where(slot)}{_text(slot)} {ENTRY_TOO_LARGE}") from None
+            raise ParseError(entry_too_large(pf, exc.key)) from None
         z, r = rd.vec("z", dp), rd.vec("r", dd)
         if kind == "system":
             built = CoupledInclusionProblem(

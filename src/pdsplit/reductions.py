@@ -518,17 +518,16 @@ def solve_feasibility_relaxation(p, cfg):
     return solve_univariate_min(feasibility_to_univariate(p), cfg)
 
 
-def relaxation_objective(p, x, feas_tol=1e-6):
+def relaxation_objective(p, x):
     """sum_k min_{y in C_k} phi_k(L_k x - y); +inf when a hard constraint
-    is violated beyond the feasibility tolerance."""
+    is violated, by the feasibility test of ``ConvexSet.contains``."""
     x = np.asarray(x, dtype=float).reshape(-1)
     total = 0.0
     for k in range(p.K):
         t = entry_apply(p.L[k], x)
-        dist = p.sets[k].distance(t)
         if isinstance(p.phi[k], SquaredNorm):
+            dist = p.sets[k].distance(t)
             total += p.phi[k].omega * dist * dist
-        else:
-            if dist > feas_tol * (1.0 + float(np.linalg.norm(t))):
-                return float(np.inf)
+        elif not p.sets[k].contains(t):
+            return float(np.inf)
     return float(total)

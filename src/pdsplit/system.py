@@ -112,11 +112,11 @@ def compute_beta(prob):
 
 
 def _runs(ops, slices):
-    """(operator, slice, j, stop) for the blocks of ``slices`` in order,
-    found in one pass: each maximal run j..stop-1 of two or more consecutive
-    blocks of at most SMALL_BLOCK_DIM coordinates whose operators join is
-    their joined operator on the run's slice; every other block keeps its
-    own operator and slice."""
+    """(operator, slice) for the blocks of ``slices`` in order, found in one
+    pass: each maximal run of two or more consecutive blocks of at most
+    SMALL_BLOCK_DIM coordinates whose operators join is their joined
+    operator on the run's slice; every other block keeps its own operator
+    and slice."""
     dims = [sl.stop - sl.start for sl in slices]
     out, j, n = [], 0, len(ops)
     while j < n:
@@ -127,9 +127,9 @@ def _runs(ops, slices):
             stop += 1
         joined = join(ops[j:stop], dims[j:stop]) if stop - j > 1 else None
         if joined is None:
-            out += ((ops[i], slices[i], i, i + 1) for i in range(j, stop))
+            out += zip(ops[j:stop], slices[j:stop])
         else:
-            out.append((joined, slice(slices[j].start, slices[stop - 1].stop), j, stop))
+            out.append((joined, slice(slices[j].start, slices[stop - 1].stop)))
         j = stop
     return out
 
@@ -147,10 +147,11 @@ def product_space_pair(prob):
     The A_i, the B_k and the C_i and Dinv_k are each grouped once, at build
     time: a run of consecutive small blocks whose operators join
     (``operators.join``) is evaluated by one joined operator on one slice
-    of the flat product-space array, with its shifts z or r joined once as
-    well; every other block through its own slice.  ZeroMap terms of Q are
-    skipped.  Neither function holds the problem, which keeps its pair
-    (``CoupledInclusionProblem._pair``) without a reference cycle.
+    of the flat product-space array, every other block through its own
+    slice, and reads its shift as the matching slice of the flat z or r.
+    ZeroMap terms of Q are skipped.  Neither function holds the problem,
+    which keeps its pair (``CoupledInclusionProblem._pair``) without a
+    reference cycle.
     """
     sig, L = prob.sig, prob.L
     dims = sig.dims_primal + sig.dims_dual
@@ -158,15 +159,11 @@ def product_space_pair(prob):
     n_primal = sum(sig.dims_primal)
     slices = block_slices(dims)
 
-    def shift(vec, j, stop):
-        # a lone block reads its own block of z or r, a run a joined copy
-        return vec.blocks[j] if stop - j == 1 else np.concatenate(vec.blocks[j:stop])
-
-    primal_res = [(op, sl, shift(prob.z, j, stop))
-                  for op, sl, j, stop in _runs(prob.A, slices[: sig.m])]
-    dual_res = [(op, sl, shift(prob.r, j, stop))
-                for op, sl, j, stop in _runs(prob.B, slices[sig.m :])]
-    forward = [(op, sl) for op, sl, _, _ in _runs(prob.C + prob.Dinv, slices)
+    z, r = prob.z.flat(), prob.r.flat()
+    primal_res = [(op, sl, z[sl]) for op, sl in _runs(prob.A, slices[: sig.m])]
+    dual_res = [(op, sl, r[sl.start - n_primal : sl.stop - n_primal])
+                for op, sl in _runs(prob.B, slices[sig.m :])]
+    forward = [(op, sl) for op, sl in _runs(prob.C + prob.Dinv, slices)
                if not isinstance(op, ZeroMap)]
 
     def P_resolvent(gamma, s):

@@ -18,7 +18,7 @@ from pdsplit import (
     lambda_conservative,
     lambda_power_iteration,
 )
-from pdsplit.blocks import EXACT_NORM_MAX_DIM, SMALL_BLOCK_DIM, entry_norm_sq
+from pdsplit.blocks import EXACT_NORM_MAX_DIM, SMALL_BLOCK_DIM, check_signature, entry_norm_sq
 from oracles import dense_coupling
 
 
@@ -477,3 +477,17 @@ def test_an_overflowing_norm_bound_names_the_largest_cell():
     assert 1.3e154 ** 2 <= L.lambda_bound < math.inf
     # a bound the caller gives is not recomputed
     assert BlockLinearOp({(0, 0): 1e200}, sig, lambda_bound=1.0).lambda_bound == 1.0
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: check_signature(BlockVector.zeros((1,)), (2,), "primal"), SignatureError,
+     "primal vector has blocks (1,), expected (2,)"),
+    (lambda: BlockLinearOp({(0, 0): np.ones(2)}, SpaceSig((2,), (1,))), ValueError,
+     "dense entries must be 2-D matrices"),
+    (lambda: BlockLinearOp([[1.0, 1.0], [1.0]], SpaceSig((1, 1), (1, 1))), SignatureError,
+     "entry grid must be 2 x 2, got 2 x {1, 2}"),
+], ids=["signature", "1-D-entry", "ragged-grid"])
+def test_malformed_vectors_and_grids_are_rejected(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message

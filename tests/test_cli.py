@@ -148,10 +148,32 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selftest_inject_fault_fails_norm_bound(capsys):
-    assert main(["selftest", "--inject-fault"]) == 1
+def test_selftest_inject_fault_fails_norm_bound(monkeypatch, capsys):
+    import pdsplit.blocks
+    from pdsplit import selftest
+
+    # an understated norm bound is caught by the bound check alone
+    certified = pdsplit.blocks.lambda_conservative
+    monkeypatch.setattr(pdsplit.blocks, "lambda_conservative", lambda L: 0.5 * certified(L))
+    assert main(["selftest"]) == 1
     captured = capsys.readouterr()
-    assert "norm_bound_validity" in captured.err
+    assert captured.err == "failed properties: norm_bound_validity\n"
+    assert re.search(r"^norm_bound_validity +FAIL  max bound excess ", captured.out, re.M)
+    monkeypatch.undo()
+
+    # a check that raises is a failed row, and the later checks still run
+    def broken(rng):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(selftest, "_CHECKS", tuple(
+        (name, broken if name == "norm_bound_validity" else fn)
+        for name, fn in selftest._CHECKS))
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "failed properties: norm_bound_validity\n"
+    assert re.search(r"^norm_bound_validity +FAIL  raised RuntimeError: broken check$",
+                     captured.out, re.M)
+    assert captured.out.count("PASS") == len(selftest.SELFTEST_NAMES) - 1
 
 
 def test_selftest_deterministic(capsys):
@@ -493,3 +515,50 @@ def test_solve_names_the_entry_whose_norm_bound_overflows(tmp_path, capsys, entr
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "line 8: entry 1 1 is too large: the bound on ||L||^2 overflows" in err
     assert not (tmp_path / "huge.summary").exists()
+
+
+PSUM_TEXT = """\
+problem parallel_sum
+dim 1
+dual_dims 1 1
+k1 2
+k2 2
+op A normal_cone_box lo=0 hi=1
+op C zero
+op B 1 normal_cone_box lo=0 hi=1
+op B 2 normal_cone_box lo=0 hi=1
+op S 1 scaled_identity c=1
+op S 2 scaled_identity c=1
+L 1 identity
+L 2 identity
+vec r 0 0
+"""
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (PSUM_TEXT, "L 2 identity", "L 2 scale 1e200", "line 13: entry 2 1 "),
+    (FEAS_TEXT, "entry 2 1 identity", "entry 2 1 scale 1e200", "line 8: entry 2 1 "),
+], ids=["parallel_sum", "feasibility"])
+def test_a_lifted_coupling_names_the_line_whose_norm_bound_overflows(tmp_path, capsys, text,
+                                                                     old, new, message):
+    # the lifted grid is built at solve time, and its cell (k, 0) is the
+    # file's L k+1; this used to name the 0-based cell "(1,0)" and no line
+    path = tmp_path / "huge.prob"
+    path.write_text(text.replace(old, new))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message + "is too large: the bound on ||L||^2 overflows" in err
+    assert not (tmp_path / "huge.summary").exists()
+
+
+def test_an_infinite_tol_is_rejected_naming_its_line(tmp_path, capsys):
+    # every finite residual is <= inf, so the run used to "converge" at once
+    path = tmp_path / "lax.prob"
+    path.write_text(SYSTEM_TEXT + "config tol inf\n")
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: line 14: residual_tol must be "
+                                       "finite and nonnegative, got inf\n")
+    assert main(["demo", "twobox", "--tol", "inf", "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("error: demo twobox: residual_tol must be finite "
+                                       "and nonnegative, got inf\n")

@@ -100,6 +100,16 @@ def test_an_overflowing_residual_is_divergence_at_any_tolerance():
     assert tr.rows[-1][2] == np.inf and np.isfinite(tr.w).all()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_update_is_divergence():
+    # the residual ||w - p|| is finite, but Q overflows at p, and so does
+    # the update built from Q(p)
+    P = lambda gamma, s: np.full(1, 1e10)
+    tr = fbf_solve(P, lambda w: 1e300 * w, 1.0, np.ones(1), FbfConfig(residual_tol=0.0))
+    assert tr.stop_reason == "diverged" and tr.iterations == 1
+    assert np.isfinite(tr.rows[-1][2]) and np.array_equal(tr.w, np.ones(1))
+
+
 def test_chi_and_epsilon_validation():
     P, Q = scalar_pair(ZeroOperator(), lambda x: x)
     with pytest.raises(ParameterError):
@@ -198,7 +208,8 @@ def test_error_robustness_same_limit():
 
 def test_config_rejects_nan():
     for kwargs in ({"gamma": float("nan")}, {"epsilon": float("nan")},
-                   {"residual_tol": float("nan")}, {"gamma": 0.0},
+                   {"residual_tol": float("nan")}, {"residual_tol": float("inf")},
+                   {"gamma": 0.0},
                    {"max_iters": float("inf")}, {"max_iters": 2.5}):
         with pytest.raises(ParameterError) as exc:
             FbfConfig(**kwargs)

@@ -344,7 +344,7 @@ def test_affine_resolvent_matches_a_fresh_solve_across_step_changes(via):
         assert _rel_err(got, want) <= 1e-12, step
 
 
-def test_affine_resolvent_inverts_only_for_a_repeated_step(monkeypatch):
+def test_affine_resolvent_inverts_once_per_step_change(monkeypatch):
     rng = np.random.default_rng(4)
     M, b = _skew_affine(rng)
     x = rng.standard_normal(7)
@@ -355,10 +355,11 @@ def test_affine_resolvent_inverts_only_for_a_repeated_step(monkeypatch):
     for _ in range(50):
         op.resolvent(0.5, x)
     assert len(inversions) == 1
+    # steps alternating in pairs: the memo serves the second call of each pair
     op = AffineOperator(M, b)
     for n in range(50):
-        op.resolvent(0.1 * (n + 1), x)
-    assert len(inversions) == 1
+        op.resolvent((0.5, 2.0)[n // 2 % 2], x)
+    assert len(inversions) == 1 + 25
 
 
 def test_affine_resolvent_is_right_under_two_threads_at_two_steps():
@@ -626,3 +627,17 @@ def test_non_finite_constants_are_rejected():
                 make(np.eye(2), [0.0, bad])
         with pytest.raises(ParameterError, match="finite b"):
             ScaledIdentityMap(1.0, [0.0, bad])
+
+
+def test_catalog_resolvents_depend_on_step_and_point_alone():
+    # a resolvent is a function of (gamma, x): no call before it, at another
+    # step or at the same one, may change its bits
+    from pdsplit.selftest import _catalog_resolvents
+
+    rng = np.random.default_rng(8)
+    for op in _catalog_resolvents(rng, 4):
+        x, y = rng.standard_normal(4), rng.standard_normal(4)
+        first = op.resolvent(0.3, x)
+        op.resolvent(1.7, y)
+        for _ in range(2):
+            assert np.array_equal(op.resolvent(0.3, x), first), type(op).__name__

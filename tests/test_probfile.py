@@ -490,3 +490,51 @@ def test_op_numbering_without_gaps():
     text = COMMON_ZERO_TEXT + "op B 9 zero\n"
     with pytest.raises(ParseError, match="line 8: op B 9: 'op B' lines must be numbered"):
         build_problem(parse_problem(text))
+
+
+def _load(text):
+    return build_problem(parse_problem(text))
+
+
+def _with_nan_lower_bound():
+    pf = parse_problem(SYSTEM_TEXT)
+    pf.ops["A"][0] = ("normal_cone_box", {"lo": np.array([np.nan, -1.0]), "hi": 1.0})
+    return build_problem(pf)
+
+
+def _system_with(old, new):
+    return lambda: _load(SYSTEM_TEXT.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ProblemFile("bogus"), "unknown problem kind 'bogus'"),
+    (lambda: _load("dim 2\n"), "line 1: file must start with 'problem <kind>'"),
+    (_system_with("op C 1 zero", "op C"), "line 5: op needs a role and a catalog id"),
+    (_system_with("op C 1 zero", "op C 1"), "line 5: op with an index needs a catalog id"),
+    (_system_with("lo=-1,-1", "lo"), "line 4: malformed parameter 'lo'"),
+    (_system_with("op A 1 normal_cone_box lo=-1,-1 hi=1,1", "op A 1 affine M=1,0;0"),
+     "line 4: matrix '1,0;0' has ragged rows"),
+    (_system_with("entry 1 1 dense", "entry 1"), "line 8: entry needs row, column, and a tag"),
+    (_system_with("entry 1 1 dense", "L 1"), "line 8: L needs an index and a tag"),
+    (_system_with("entry 1 1 dense\n1 0.5\n0 1\nend", "entry 1 1 dense\nend"),
+     "line 8: dense block has no rows"),
+    (_system_with("entry 1 1 dense\n1 0.5\n0 1\nend", "entry 1 1 scale"),
+     "line 8: entry tag 'scale' is not one of 'zero', 'identity', 'scale <number>', 'dense'"),
+    (_system_with("vec r 0 0", "vec"), "line 13: vec needs a name"),
+    (lambda: _load(COMMON_ZERO_TEXT.replace("dim 2", "dim 2 2")), "line 2: dim takes one integer"),
+    (_system_with("primal_dims 2", "primal_dims 0"), "line 2: primal_dims takes integers >= 1"),
+    (lambda: _load(SYSTEM_TEXT + "config gamma\n"),
+     "line 14: config takes one of ('gamma', 'epsilon', 'max_iters', 'tol', 'error_eta', "
+     "'error_p', 'seed') and a value"),
+    (_with_nan_lower_bound, "line 4: normal_cone_box: parameter lo is NaN"),
+    (_system_with("dual_dims 2\n", ""), "system problem requires a 'dual_dims' line"),
+    (lambda: _load(COMMON_ZERO_TEXT.replace("op B 1", "# ").replace("op B 2", "# ")),
+     "missing 'op B 1 ...' declaration"),
+    (_system_with("vec z 0.3 -0.2", "vec z 0.3"), "line 12: vec z has 1 components, expected 2"),
+], ids=["kind", "no-problem-line", "op-role", "op-id", "op-parameter", "ragged-matrix",
+        "entry-tag", "L-tag", "dense-empty", "entry-bad-tag", "vec-name", "dim-count",
+        "dims-minimum", "config", "nan-array", "missing-dims", "missing-op", "vec-length"])
+def test_malformed_files_are_rejected_naming_the_line(make, message):
+    with pytest.raises(ParseError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -485,3 +485,36 @@ def test_relaxation_objective_with_a_zero_coupling():
     p = get_demo("boxhalf").build()
     p = FeasibilityRelaxation(p.dim, p.sets, p.phi, [1.0, None])
     assert relaxation_objective(p, [1.0, 1.0]) == pytest.approx(4.5, rel=1e-15)
+
+
+_SIG = SpaceSig((1, 1), (1,))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ParallelSumProblem(1, (1,), 1, 1, ZeroOperator(), ZeroMap(), [0.0], [[0.0]],
+                                [], [ScaledIdentity(1.0)], [1.0]),
+     "need K entries in each of r, B, S, L"),
+    (lambda: CommonZeroProblem(1, ZeroOperator(), [], []), "need K >= 1 operators in B and S"),
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()], [zero_smooth()] * 2,
+                                    [ZeroFunction()], [None], None, None, None),
+     "need 2 functions in f and h"),
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [zero_smooth()] * 2,
+                                    [ZeroFunction()], [], None, None, None),
+     "need 1 functions in g and ell"),
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [zero_smooth()] * 2,
+                                    [ZeroFunction()], [L1Norm(1.0)], None, None, None),
+     "ell entries must be None or SquaredNorm couplings"),
+    (lambda: UnivariateMinProblem(1, (1,), 1, 0, ZeroFunction(), zero_smooth(),
+                                  [ZeroFunction()], [L1Norm(1.0)], None, None, None),
+     "invalid partition 0 <= 1 <= 0 <= 1"),
+    (lambda: UnivariateMinProblem(1, (1,), 0, 0, ZeroFunction(), zero_smooth(),
+                                  [ZeroFunction()], [L1Norm(1.0)], None, None, None),
+     "strongly convex phi entries must be SquaredNorm"),
+    (lambda: FeasibilityRelaxation(1, [], [], []),
+     "need matching nonempty sets, phi, and L lists"),
+], ids=["psum-count", "common-zero-count", "multivar-f", "multivar-g", "multivar-ell",
+        "univar-partition", "univar-phi", "feasibility-count"])
+def test_a_malformed_front_end_problem_is_rejected(make, message):
+    with pytest.raises(ParameterError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -41,19 +41,15 @@ from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
 from pdsplit.system import _runs
 
 
-def two_box_problem():
-    """Two box-constrained scalars coupled through their difference."""
+def two_box_problem(**changes):
+    """Two box-constrained scalars coupled through their difference, with
+    the constructor arguments named in ``changes`` replaced."""
     sig = SpaceSig((1, 1), (1,))
-    return CoupledInclusionProblem(
-        sig,
-        [NormalCone(Box([2.0], [3.0])), NormalCone(Box([0.0], [1.0]))],
-        [ZeroMap(), ZeroMap()],
-        [ScaledIdentity(1.0)],
-        [ZeroMap()],
-        BlockLinearOp([[1.0, -1.0]], sig),
-        BlockVector.zeros((1, 1)),
-        BlockVector.zeros((1,)),
-    )
+    parts = dict(sig=sig, A=[NormalCone(Box([2.0], [3.0])), NormalCone(Box([0.0], [1.0]))],
+                 C=[ZeroMap(), ZeroMap()], B=[ScaledIdentity(1.0)], Dinv=[ZeroMap()],
+                 L=BlockLinearOp([[1.0, -1.0]], sig), z=BlockVector.zeros((1, 1)),
+                 r=BlockVector.zeros((1,)))
+    return CoupledInclusionProblem(**{**parts, **changes})
 
 
 def test_compute_beta_formula():
@@ -141,7 +137,7 @@ def test_kkt_residual_matches_the_blockwise_reference():
         sig = prob.sig
         slices = block_slices(sig.dims_primal + sig.dims_dual)
         for ops, sl in ((prob.A, slices[: sig.m]), (prob.B, slices[sig.m :])):
-            seen.update("run" if stop - j > 1 else "lone" for _, _, j, stop in _runs(ops, sl))
+            seen.update("lone" if run in sl else "run" for _, run in _runs(ops, sl))
         if any(isinstance(op, AffineOperator) for op in prob.A + prob.B):
             seen.add("affine")
         report = solve_system(prob, FbfConfig(max_iters=400, residual_tol=1e-10))
@@ -348,13 +344,45 @@ def test_hyperplane_dual_blocks_of_a_parallel_sum_join_into_one_run():
     psum = ParallelSumProblem(dim, (dim,) * K, K, K, ZeroOperator(), ZeroMap(), np.zeros(dim),
                               [np.zeros(dim)] * K, B, [ScaledIdentity(1.0)] * K, [1.0] * K)
     prob = lift_parallel_sum(psum)
-    [(op, sl, j, stop)] = _runs(prob.B, block_slices(prob.sig.dims_dual))
-    assert (sl, j, stop) == (slice(0, K * dim), 0, K)
+    [(op, sl)] = _runs(prob.B, block_slices(prob.sig.dims_dual))
+    assert sl == slice(0, K * dim)
     assert type(op) is NormalCone and type(op.set) is Hyperplane
     # a lone block above SMALL_BLOCK_DIM keeps its own operator, and splits
     # the run it stands in
     big = NormalCone(Hyperplane(np.ones(SMALL_BLOCK_DIM + 1), 1.0))
     ops = B[:2] + [big] + B[2:]
     runs = _runs(ops, block_slices((dim, dim, SMALL_BLOCK_DIM + 1) + (dim,) * (K - 2)))
-    assert [(j, stop) for _, _, j, stop in runs] == [(0, 2), (2, 3), (3, K + 1)]
+    cut = 2 * dim + SMALL_BLOCK_DIM + 1
+    assert [sl for _, sl in runs] == [slice(0, 2 * dim), slice(2 * dim, cut),
+                                      slice(cut, cut + (K - 2) * dim)]
     assert runs[1][0] is big
+
+
+def test_the_certificate_is_the_same_on_a_second_call():
+    # report.kkt is a function of the problem and the point: an affine
+    # resolvent that answered a new step by a solve and a repeated one by a
+    # kept inverse made a second call read differently in its last bits
+    affine = 0
+    for seed in range(40):
+        prob = random_coupled_problem(np.random.default_rng(seed))
+        affine += any(isinstance(op, AffineOperator) for op in prob.A + prob.B)
+        report = solve_system(prob, FbfConfig(max_iters=200))
+        assert report.kkt == kkt_residual(prob, report.primal, report.dual), seed
+    assert affine == 26
+
+
+# a duck-typed map: LipschitzOperator itself rejects a negative constant
+_NEGATIVE = type("NegativeMap", (), {"lipschitz": -1.0})()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"B": [ScaledIdentity(1.0)] * 2}, "need 1 dual operators B and Dinv"),
+    ({"L": BlockLinearOp([[1.0]], SpaceSig((1,), (1,)))},
+     "coupling grid signature does not match the problem"),
+    ({"C": [_NEGATIVE, ZeroMap()]}, "C constants must be nonnegative"),
+    ({"Dinv": [_NEGATIVE]}, "Dinv constants must be nonnegative"),
+], ids=["dual-count", "signature", "C-constant", "Dinv-constant"])
+def test_a_malformed_system_is_rejected(changes, message):
+    with pytest.raises(ParameterError) as exc:
+        two_box_problem(**changes)
+    assert str(exc.value) == message
