@@ -42,7 +42,6 @@ from .operators import (
     ZeroMap,
     ZeroOperator,
     conjugate_prox,
-    graph_distance,
     prox,
     resolvent,
     shifted_inverse_resolvent,
@@ -56,8 +55,6 @@ from .reductions import (
     ParallelSumProblem,
     Smooth,
     UnivariateMinProblem,
-    check_consistency_theorem,
-    check_qualification,
     dual_objective,
     evaluate_objectives,
     lift_parallel_sum,

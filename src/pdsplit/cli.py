@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve (run a problem file), demo (built-in instances with
-oracles), selftest (property suite), list-catalog.  Every run that reaches
-the iteration writes a per-iteration CSV trace and a summary file, which
-names its stop reason.  The exit code follows that reason: 0 when the run
-converged, 2 when it hit its budget, 1 when it diverged.  Invalid input
-exits 1 before the iteration, with one error line and no outputs.
+Subcommands: solve (run a problem file), demo (run a built-in problem
+file and compare with its oracle), selftest (property suite),
+list-catalog.  solve and demo share one path from text to outputs.  Every
+run that reaches the iteration writes a per-iteration CSV trace and a
+summary file, which names its stop reason.  The exit code follows that
+reason: 0 when the run converged, 2 when it hit its budget, 1 when it
+diverged.  Invalid input exits 1 before the iteration, with one error
+line and no outputs.
 """
 
 from __future__ import annotations
@@ -127,6 +129,40 @@ def _finish(label, report, trace_path, message):
     return _EXIT_CODES[trace.stop_reason]
 
 
+def _run(label, stem, text, args, oracle=None):
+    """Solve the problem file text under the config of its file and args'
+    flags, write the outputs named stem and return the exit code; errors
+    are led by label.  oracle, when given, maps the built problem to its
+    known solution, whose deviation the summary and the message report."""
+    try:
+        pf = parse_problem(text)
+        prob, solver = build_problem(pf)
+    except (ParseError, ParameterError) as exc:
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        return 1
+    try:
+        cfg = make_config(pf.config, args)
+        t0 = time.perf_counter()
+        report = solver(prob, cfg)
+    except ParameterError as exc:
+        print(f"error: {label}: {_located(exc, pf, args)}", file=sys.stderr)
+        return 1
+    wall = time.perf_counter() - t0
+    extra = []
+    message = (f"{'converged' if report.converged else 'not converged'} "
+               f"after {report.trace.iterations} iterations")
+    if oracle is not None:
+        x, want = report.primal.flat(), oracle(prob)
+        deviation = float(np.linalg.norm(x - want))
+        extra = ["solution " + ",".join(_fmt(t) for t in x),
+                 "oracle " + ",".join(_fmt(t) for t in want),
+                 f"oracle_deviation {_fmt(deviation)}"]
+        message = (f"{stem}: solution [" + ", ".join(_fmt(t) for t in x) + "], "
+                   f"oracle deviation {deviation:.3e}")
+    trace_path, _ = write_outputs(stem, args.output_dir, pf.kind, prob, report, wall, extra)
+    return _finish(label, report, trace_path, f"{message}; trace at {trace_path}")
+
+
 def cmd_solve(args):
     path = Path(args.path)
     try:
@@ -134,26 +170,7 @@ def cmd_solve(args):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 1
-    try:
-        pf = parse_problem(text)
-        prob, solver = build_problem(pf)
-    except (ParseError, ParameterError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        cfg = make_config(pf.config, args)
-        t0 = time.perf_counter()
-        report = solver(prob, cfg)
-    except ParameterError as exc:
-        print(f"error: {path}: {_located(exc, pf, args)}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - t0
-    trace_path, _ = write_outputs(
-        path.stem, args.output_dir, pf.kind, prob, report, wall
-    )
-    return _finish(path, report, trace_path,
-                   f"{'converged' if report.converged else 'not converged'} "
-                   f"after {report.trace.iterations} iterations; trace at {trace_path}")
+    return _run(path, path.stem, text, args)
 
 
 def cmd_demo(args):
@@ -168,28 +185,7 @@ def cmd_demo(args):
             file=sys.stderr,
         )
         return 1
-    prob = demo.build()
-    try:
-        cfg = make_config({}, args)
-        t0 = time.perf_counter()
-        report, x = demo.run(prob, cfg)
-    except ParameterError as exc:
-        print(f"error: demo {demo.name}: {exc}", file=sys.stderr)
-        return 1
-    wall = time.perf_counter() - t0
-    oracle = demo.oracle(prob)
-    deviation = float(np.linalg.norm(x - oracle))
-    extra = [
-        "solution " + ",".join(_fmt(t) for t in x),
-        "oracle " + ",".join(_fmt(t) for t in oracle),
-        f"oracle_deviation {_fmt(deviation)}",
-    ]
-    trace_path, _ = write_outputs(
-        demo.name, args.output_dir, demo.kind, prob, report, wall, extra
-    )
-    return _finish(f"demo {demo.name}", report, trace_path,
-                   f"{demo.name}: solution [" + ", ".join(_fmt(t) for t in x) + "], "
-                   f"oracle deviation {deviation:.3e}; trace at {trace_path}")
+    return _run(f"demo {demo.name}", demo.name, demo.text, args, demo.oracle)
 
 
 def cmd_selftest(args):

@@ -1,140 +1,109 @@
 """Built-in demo instances with independent oracles.
 
-Each demo solves a small instance with a solution computable by other
-means (closed form or normal equations) and reports the deviation from
-that oracle.
+Each demo is a problem file in the ``solve`` format together with an
+oracle: the solution computed by other means (closed form or normal
+equations) from the built problem.  ``pdsplit demo`` solves the file as
+``pdsplit solve`` would and reports the deviation from that oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blocks import BlockLinearOp, BlockVector, SpaceSig
-from .operators import (
-    Box,
-    Hyperplane,
-    IndicatorFunction,
-    Point,
-    QuadraticDistance,
-    L1Norm,
-    ScaledIdentity,
-    NormalCone,
-    SquaredNorm,
-    ZeroMap,
-    ZeroOperator,
-)
-from .reductions import (
-    CommonZeroProblem,
-    FeasibilityRelaxation,
-    MultivariateMinProblem,
-    solve_common_zero,
-    solve_feasibility_relaxation,
-    solve_multivariate_min,
-    zero_smooth,
-)
+from .probfile import build_problem, parse_problem
 
 __all__ = ["DEMO_NAMES", "get_demo"]
 
-# the solver of each problem kind a demo uses
-_SOLVERS = {
-    "multivar_min": solve_multivariate_min,
-    "common_zero": solve_common_zero,
-    "feasibility": solve_feasibility_relaxation,
-}
-
 
 class Demo:
-    def __init__(self, name, kind, build, oracle):
+    def __init__(self, name, text, oracle):
         self.name = name
-        self.kind = kind
-        self.build = build
+        self.text = text
         self.oracle = oracle
 
-    def run(self, prob, cfg):
-        """Returns (report, solution-as-flat-array)."""
-        report = _SOLVERS[self.kind](prob, cfg)
-        return report, report.primal.flat()
+    def build(self):
+        return build_problem(parse_problem(self.text))[0]
 
     def solve(self, cfg):
-        return self.run(self.build(), cfg)
-
-
-def _two_box_coupling():
-    """Two box-constrained scalars coupled by a quadratic penalty on their
-    difference; the minimizer pushes both variables to the facing box
-    edges."""
-    sig = SpaceSig((1, 1), (1,))
-    L = BlockLinearOp([[1.0, -1.0]], sig)
-    return MultivariateMinProblem(
-        sig=sig,
-        f=[
-            IndicatorFunction(Box([2.0], [3.0])),
-            IndicatorFunction(Box([0.0], [1.0])),
-        ],
-        h=[zero_smooth(), zero_smooth()],
-        g=[QuadraticDistance([0.0])],
-        ell=[None],
-        z=BlockVector.zeros((1, 1)),
-        r=BlockVector.zeros((1,)),
-        L=L,
-    )
-
-
-def _legendre_instance():
-    """Three pairwise-inconsistent lines in the plane, each relaxed by a
-    quadratic coupling; the relaxation solves the least-squares problem."""
-    lines = [
-        (np.array([1.0, 0.0]), 1.0),
-        (np.array([0.0, 1.0]), 2.0),
-        (np.array([1.0, 1.0]) / np.sqrt(2.0), 0.0),
-    ]
-    B = [NormalCone(Hyperplane(u, rho)) for u, rho in lines]
-    S = [ScaledIdentity(1.0) for _ in lines]
-    prob = CommonZeroProblem(2, ZeroOperator(), B, S)
-    prob.lines = lines
-    return prob
+        """Returns (report, solution-as-flat-array)."""
+        prob, solver = build_problem(parse_problem(self.text))
+        report = solver(prob, cfg)
+        return report, report.primal.flat()
 
 
 def legendre_normal_equations(lines):
+    """The least-squares point of the lines <x, u> = rho given as (u, rho)."""
     G = sum(np.outer(u, u) for u, _ in lines)
     b = sum(rho * u for u, rho in lines)
     return np.linalg.solve(G, b)
 
 
-def _box_line_relaxation():
-    """Hard box constraint [0,1]^2 with a soft quadratic attraction to the
-    line x1 + x2 = 3; the minimizer is the box corner nearest the line."""
-    return FeasibilityRelaxation(
-        dim=2,
-        sets=[Box([0.0, 0.0], [1.0, 1.0]), Hyperplane([1.0, 1.0], 3.0)],
-        phi=[IndicatorFunction(Point([0.0, 0.0])), SquaredNorm(1.0)],
-        L=[1.0, 1.0],
-    )
+# Two box-constrained scalars coupled by a quadratic penalty on their
+# difference; the minimizer pushes both variables to the facing box edges.
+_TWOBOX = """\
+problem multivar_min
+primal_dims 1 1
+dual_dims 1
+op f 1 indicator_box lo=2 hi=3
+op f 2 indicator_box lo=0 hi=1
+op h 1 zero
+op h 2 zero
+op g 1 sqdist a=0
+op ell 1 none
+entry 1 1 scale 1
+entry 1 2 scale -1
+vec z 0 0
+vec r 0
+"""
 
+# Three pairwise-inconsistent lines in the plane, each relaxed by a
+# quadratic coupling; the relaxation solves the least-squares problem.
+_LEGENDRE = """\
+problem common_zero
+dim 2
+op A zero
+op B 1 normal_cone_hyperplane u=1,0 rho=1
+op B 2 normal_cone_hyperplane u=0,1 rho=2
+op B 3 normal_cone_hyperplane u=0.7071067811865475,0.7071067811865475 rho=0
+op S 1 scaled_identity c=1
+op S 2 scaled_identity c=1
+op S 3 scaled_identity c=1
+"""
 
-def _lasso_instance():
-    """Sparse denoising of b = (3, 0.2) with a unit l1 penalty; the
-    solution is componentwise soft thresholding."""
-    sig = SpaceSig((2,), (2,))
-    L = BlockLinearOp([[1.0]], sig)
-    return MultivariateMinProblem(
-        sig=sig,
-        f=[L1Norm(1.0)],
-        h=[zero_smooth()],
-        g=[QuadraticDistance([3.0, 0.2])],
-        ell=[None],
-        z=BlockVector.zeros((2,)),
-        r=BlockVector.zeros((2,)),
-        L=L,
-    )
+# Hard box constraint [0,1]^2 with a soft quadratic attraction to the line
+# x1 + x2 = 3; the minimizer is the box corner nearest the line.
+_BOXHALF = """\
+problem feasibility
+dim 2
+op set 1 box lo=0,0 hi=1,1
+op set 2 hyperplane u=1,1 rho=3
+op phi 1 point_zero
+op phi 2 sqnorm omega=1
+entry 1 1 identity
+entry 2 1 identity
+"""
 
+# Sparse denoising of b = (3, 0.2) with a unit l1 penalty; the solution is
+# componentwise soft thresholding.
+_LASSO1D = """\
+problem multivar_min
+primal_dims 2
+dual_dims 2
+op f 1 l1 weight=1
+op h 1 zero
+op g 1 sqdist a=3,0.2
+op ell 1 none
+entry 1 1 identity
+vec z 0 0
+vec r 0 0
+"""
 
 _DEMOS = {demo.name: demo for demo in (
-    Demo("twobox", "multivar_min", _two_box_coupling, lambda p: np.array([2.0, 1.0])),
-    Demo("legendre", "common_zero", _legendre_instance,
-         lambda p: legendre_normal_equations(p.lines)),
-    Demo("boxhalf", "feasibility", _box_line_relaxation, lambda p: np.array([1.0, 1.0])),
-    Demo("lasso1d", "multivar_min", _lasso_instance, lambda p: np.array([2.0, 0.0])),
+    Demo("twobox", _TWOBOX, lambda p: np.array([2.0, 1.0])),
+    Demo("legendre", _LEGENDRE, lambda p: legendre_normal_equations(
+        [(Bk.set.u, Bk.set.rho) for Bk in p.B])),
+    Demo("boxhalf", _BOXHALF, lambda p: np.array([1.0, 1.0])),
+    Demo("lasso1d", _LASSO1D, lambda p: np.array([2.0, 0.0])),
 )}
 DEMO_NAMES = tuple(_DEMOS)
 

@@ -58,7 +58,6 @@ __all__ = [
     "conjugate_prox",
     "shifted_inverse_resolvent",
     "yosida",
-    "graph_distance",
     "join_key",
     "join",
 ]
@@ -135,13 +134,20 @@ class ConvexSet:
 
 
 class Box(ConvexSet):
-    """Axis-aligned box; infinite bounds give orthants and the whole space."""
+    """Axis-aligned box; infinite bounds give orthants and the whole space.
+    A coordinate with lo = hi = +inf or -inf would make it empty."""
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float).reshape(-1)
-        self.hi = np.asarray(hi, dtype=float).reshape(-1)
-        if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
-            raise ParameterError("box needs lo <= hi componentwise, without NaN")
+        self.lo = lo = np.asarray(lo, dtype=float).reshape(-1)
+        self.hi = hi = np.asarray(hi, dtype=float).reshape(-1)
+        if lo.shape != hi.shape:
+            raise ParameterError("box needs lo and hi of one shape")
+        below = lo < hi                 # one pass; the rest only where it fails
+        if not below.all():
+            tie = lo[~below]
+            if not np.all((tie == hi[~below]) & (abs(tie) < np.inf)):
+                raise ParameterError("box needs lo <= hi componentwise, without NaN, "
+                                     "and no lo = hi = +-inf")
 
     def project(self, x):
         return np.clip(x, self.lo, self.hi)
@@ -573,15 +579,6 @@ def yosida(B, gamma, x):
     _check_gamma(gamma)
     x = np.asarray(x, dtype=float)
     return (x - B.resolvent(gamma, x)) / gamma
-
-
-def graph_distance(A, p, u):
-    """Residual of the membership u in A(p), certified through the resolvent
-    identity u in A(p) <=> p = J_A(p + u).  Returns the scaled distance."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    d = float(np.linalg.norm(p - A.resolvent(1.0, p + u)))
-    return d / (1.0 + float(np.linalg.norm(p)) + float(np.linalg.norm(u)))
 
 
 # ---------------------------------------------------------------------------

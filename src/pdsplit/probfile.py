@@ -1,6 +1,6 @@
 """Line-oriented text format for problem instances.
 
-A problem file looks like
+A problem file looks like the ``twobox`` demo (``pdsplit demo twobox``)
 
     problem multivar_min
     primal_dims 1 1
@@ -15,19 +15,21 @@ A problem file looks like
     entry 1 2 scale -1
     vec z 0 0
     vec r 0
-    config gamma 0.2
 
-One directive per line, indices 1-based, '#' starts a comment line.  Dense
-matrices are whitespace-separated rows between ``entry k i dense`` and
-``end``.  Vector parameters use commas (``lo=0,0``), matrices semicolons
-between rows (``M=2,0;0,2``); a single number stands for the constant
-vector (or multiple of the identity) of the operator's block size.
+One directive per line, indices 1-based, '#' starts a comment line; a line
+such as ``config gamma 0.2`` sets a solver setting.  Dense matrices are
+whitespace-separated rows between ``entry k i dense`` and ``end``.  Vector
+parameters use commas (``lo=0,0``), matrices semicolons between rows
+(``M=2,0;0,2``); a single number stands for the constant vector (or
+multiple of the identity) of the operator's block size.
 
 Reading is strict: a second line for the same slot, a malformed or NaN
-number (±inf passes), or a directive that ``build_problem`` does not read
-for the kind is a ``ParseError`` starting with its line.  The catalog is
-one table of constructors per family; ``CATALOG_IDS`` and ``pdsplit
-list-catalog`` are derived from it.  The README lists what each kind reads.
+number, an infinite ``vec`` component, or a directive that
+``build_problem`` does not read for the kind is a ``ParseError`` starting
+with its line; an infinite parameter is left to its operator to reject.
+The catalog is one table of constructors per family; ``CATALOG_IDS`` and
+``pdsplit list-catalog`` are derived from it.  The README lists what each
+kind reads.
 """
 
 from __future__ import annotations
@@ -195,6 +197,8 @@ def parse_problem(text):
                 if len(args) < 3:
                     fail("op with an index needs a catalog id")
                 n = _number(int, args[1], line)
+                if n < 1:
+                    fail("op indices start at 1")
                 slot, name, cid, rest = ("op", role, n), n - 1, args[2], args[3:]
             else:
                 slot, name, cid, rest = ("op", role), None, args[1], args[2:]
@@ -497,6 +501,8 @@ class _Reader:
         if flat.size != sum(dims):
             raise ParseError(f"{self.where(('vec', name))}vec {name} has "
                              f"{flat.size} components, expected {sum(dims)}")
+        if not np.isfinite(flat).all():
+            raise ParseError(f"{self.where(('vec', name))}vec {name} must be finite")
         return BlockVector.from_flat(flat, dims)
 
     def grid(self, dims_out, dims_in):

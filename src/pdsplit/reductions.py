@@ -36,10 +36,8 @@ from .blocks import (  # noqa: F401
     normalize_entry,
 )
 from .operators import (
-    ConvexFunction,
     IndicatorFunction,
     LipschitzOperator,
-    MonotoneOperator,
     ParameterError,
     Point,
     ScaledIdentityMap,
@@ -47,7 +45,6 @@ from .operators import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
-    graph_distance,
 )
 from .system import CoupledInclusionProblem, solve_system
 
@@ -57,7 +54,6 @@ __all__ = [
     "solve_parallel_sum",
     "CommonZeroProblem",
     "solve_common_zero",
-    "check_consistency_theorem",
     "Smooth",
     "zero_smooth",
     "MultivariateMinProblem",
@@ -65,7 +61,6 @@ __all__ = [
     "evaluate_objectives",
     "primal_objective",
     "dual_objective",
-    "check_qualification",
     "UnivariateMinProblem",
     "solve_univariate_min",
     "FeasibilityRelaxation",
@@ -203,17 +198,6 @@ def solve_common_zero(p, cfg):
     sqrt(K + 1).
     """
     return solve_parallel_sum(_as_parallel_sum(p), cfg)
-
-
-def check_consistency_theorem(p, x, tol):
-    """True iff x is within tol of being a simultaneous zero of A and every
-    B_k.  When the common zero set is nonempty, solutions of the relaxed
-    inclusion are exactly its members, so converged outputs must pass."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    zero = np.zeros_like(x)
-    if graph_distance(p.A, x, zero) > tol:
-        return False
-    return all(graph_distance(Bk, x, zero) <= tol for Bk in p.B)
 
 
 # ---------------------------------------------------------------------------
@@ -359,43 +343,6 @@ def evaluate_objectives(p, x, v):
             return None
 
     return value(primal_objective, p, x), value(dual_objective, p, v)
-
-
-def check_qualification(p):
-    """Mechanical sufficient conditions for the subdifferential sum rule
-    behind the primal-dual correspondence.
-
-    Checks only the two cases decidable from catalog flags and numerical
-    rank: all f_i real-valued with each stacked row map surjective, or each
-    coupling having a real-valued g_k or ell_k.  Anything else is reported
-    as unknown, never as a failure.
-    """
-    if all(fn.real_valued for fn in p.f):
-        # row j of the row map of dual block k is L^* applied to the j-th
-        # unit vector of that block
-        dims = p.sig.dims_dual
-        unit, start = np.zeros(sum(dims)), 0
-        for dk in dims:
-            row = np.empty((dk, sum(p.sig.dims_primal)))
-            for j in range(start, start + dk):
-                unit[j] = 1.0
-                row[j - start] = apply_adjoint(p.L, unit)
-                unit[j] = 0.0
-            start += dk
-            sv = np.linalg.svd(row, compute_uv=False)
-            if np.sum(sv > 1e-10) < dk:
-                break
-        else:
-            return "holds_by_iii"
-    ok = True
-    for k in range(p.sig.K):
-        ell_real = p.ell[k] is not None  # SquaredNorm is real-valued
-        if not (p.g[k].real_valued or ell_real):
-            ok = False
-            break
-    if ok:
-        return "holds_by_iv"
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .blocks import (
     apply_block,
     lambda_power_iteration,
 )
+from .demos import DEMO_NAMES, get_demo
 from .fbf import SummableErrorSchedule
 from .operators import (
     AffineOperator,
@@ -176,23 +177,14 @@ def _check_error_schedule(rng):
 
 
 def _check_roundtrip(rng):
-    text = (
-        "problem multivar_min\n"
-        "primal_dims 1 1\n"
-        "dual_dims 1\n"
-        "op f 1 indicator_box lo=2 hi=3\n"
-        "op f 2 indicator_box lo=0 hi=1\n"
-        "op h 1 zero\nop h 2 zero\n"
-        "op g 1 sqdist a=0\n"
-        "op ell 1 none\n"
-        "entry 1 1 scale 1\nentry 1 2 scale -1\n"
-        "vec z 0 0\nvec r 0\n"
-        "config gamma 0.2\n"
-    )
-    pf = parse_problem(text)
-    again = parse_problem(serialize_problem(pf))
-    ok = pf == again
-    return ok, "parse/serialize/parse fixed point" if ok else "round trip drifted"
+    drifted = []
+    for name in DEMO_NAMES:
+        pf = parse_problem(get_demo(name).text)
+        if parse_problem(serialize_problem(pf)) != pf:
+            drifted.append(name)
+    if drifted:
+        return False, "round trip drifted: " + ", ".join(drifted)
+    return True, f"parse/serialize/parse fixed point on {len(DEMO_NAMES)} demo files"
 
 
 _CHECKS = (

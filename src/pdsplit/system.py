@@ -148,7 +148,8 @@ def product_space_pair(prob):
     time: a run of consecutive small blocks whose operators join
     (``operators.join``) is evaluated by one joined operator on one slice
     of the flat product-space array, every other block through its own
-    slice, and reads its shift as the matching slice of the flat z or r.
+    slice, and reads its shift as the matching slice of the flat z or r,
+    which must be finite (ParameterError otherwise).
     ZeroMap terms of Q are skipped.  Neither function holds the problem,
     which keeps its pair (``CoupledInclusionProblem._pair``) without a
     reference cycle.
@@ -160,6 +161,9 @@ def product_space_pair(prob):
     slices = block_slices(dims)
 
     z, r = prob.z.flat(), prob.r.flat()
+    for name, shift in (("z", z), ("r", r)):
+        if not np.isfinite(shift).all():
+            raise ParameterError(f"the shift {name} must be finite")
     primal_res = [(op, sl, z[sl]) for op, sl in _runs(prob.A, slices[: sig.m])]
     dual_res = [(op, sl, r[sl.start - n_primal : sl.stop - n_primal])
                 for op, sl in _runs(prob.B, slices[sig.m :])]

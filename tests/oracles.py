@@ -1,5 +1,7 @@
 """Independent references for the tests: a scalar resolvent by bisection,
-a projected-gradient minimizer for feasibility relaxations, the KKT
+the distance of a point pair from an operator's graph, the consistency
+check of a common zero and the qualification check of a minimization, a
+projected-gradient minimizer for feasibility relaxations, the KKT
 residuals block by block, and the primal-dual and partitioned
 parallel-sum iterations written out on flat arrays with the coupling
 assembled densely by np.block.
@@ -13,7 +15,7 @@ product-space pair.
 import numpy as np
 
 from pdsplit.blocks import BlockVector, apply_adjoint, apply_block
-from pdsplit.operators import SquaredNorm, graph_distance
+from pdsplit.operators import SquaredNorm
 
 
 def resolvent_bisection(graph, gamma, x, tol=1e-12, max_expand=200):
@@ -59,6 +61,58 @@ def resolvent_bisection(graph, gamma, x, tol=1e-12, max_expand=200):
         if b - a <= tol:
             break
     return 0.5 * (a + b)
+
+
+def graph_distance(A, p, u):
+    """Residual of the membership u in A(p), certified through the resolvent
+    identity u in A(p) <=> p = J_A(p + u).  Returns the scaled distance."""
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    d = float(np.linalg.norm(p - A.resolvent(1.0, p + u)))
+    return d / (1.0 + float(np.linalg.norm(p)) + float(np.linalg.norm(u)))
+
+
+def check_consistency_theorem(p, x, tol):
+    """True iff x is within tol of being a simultaneous zero of A and every
+    B_k.  When the common zero set is nonempty, solutions of the relaxed
+    inclusion are exactly its members, so converged outputs must pass."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    zero = np.zeros_like(x)
+    if graph_distance(p.A, x, zero) > tol:
+        return False
+    return all(graph_distance(Bk, x, zero) <= tol for Bk in p.B)
+
+
+def check_qualification(p):
+    """Mechanical sufficient conditions for the subdifferential sum rule
+    behind the primal-dual correspondence of a MultivariateMinProblem.
+
+    Checks only the two cases decidable from catalog flags and numerical
+    rank: all f_i real-valued with each stacked row map surjective, or each
+    coupling having a real-valued g_k or ell_k.  Anything else is reported
+    as unknown, never as a failure.
+    """
+    if all(fn.real_valued for fn in p.f):
+        # row j of the row map of dual block k is L^* applied to the j-th
+        # unit vector of that block
+        dims = p.sig.dims_dual
+        unit, start = np.zeros(sum(dims)), 0
+        for dk in dims:
+            row = np.empty((dk, sum(p.sig.dims_primal)))
+            for j in range(start, start + dk):
+                unit[j] = 1.0
+                row[j - start] = apply_adjoint(p.L, unit)
+                unit[j] = 0.0
+            start += dk
+            sv = np.linalg.svd(row, compute_uv=False)
+            if np.sum(sv > 1e-10) < dk:
+                break
+        else:
+            return "holds_by_iii"
+    # SquaredNorm, the only ell_k, is real-valued
+    if all(g.real_valued or ell is not None for g, ell in zip(p.g, p.ell)):
+        return "holds_by_iv"
+    return "unknown"
 
 
 def kkt_residual_blockwise(prob, x, v):

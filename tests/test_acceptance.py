@@ -25,7 +25,6 @@ from pdsplit import (
     SummableErrorSchedule,
     ZeroMap,
     ZeroOperator,
-    check_consistency_theorem,
     compute_beta,
     evaluate_objectives,
     lift_parallel_sum,
@@ -43,7 +42,8 @@ from pdsplit.demos import (
 )
 from pdsplit.selftest import run_selftest
 from conftest import random_coupled_problem, random_parallel_sum
-from oracles import parallel_sum_iterates, projected_gradient_oracle, system_iterates
+from oracles import (check_consistency_theorem, parallel_sum_iterates,
+                     projected_gradient_oracle, system_iterates)
 
 
 def verdict(name, ok, detail):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdsplit import cli
 from pdsplit.cli import CSV_HEADER, main
+from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import DEFAULT_EPSILON
 from pdsplit.probfile import CONFIG_KEYS, parse_problem
 
@@ -417,8 +422,12 @@ def test_solve_rejects_bad_affine_parameters(tmp_path, capsys, old, new, message
     ("op Dinv 1 zero", "op Dinv 1 affine M=1 b=-inf",
      "line 7: affine: b must be finite"),
     ("0 1\nend", "0 inf\nend", "line 8: entry 1 1 is not finite"),
+    ("vec z 0.3 -0.2", "vec z inf -0.2", "line 12: vec z must be finite"),
+    ("vec r 0 0", "vec r 0 -inf", "line 13: vec r must be finite"),
+    ("lo=-1,-1 hi=1,1", "lo=-1,inf hi=1,inf",
+     "line 4: normal_cone_box: box needs lo <= hi"),
 ], ids=["A-affine-M", "A-affine-b", "C-scaled", "C-affine-M", "B-scaled", "B-l1",
-        "B-sqnorm", "Dinv-affine-b", "entry"])
+        "B-sqnorm", "Dinv-affine-b", "entry", "vec-z", "vec-r", "box-empty"])
 def test_solve_rejects_non_finite_constants_naming_the_line(tmp_path, capsys, old, new,
                                                             message):
     # an infinite constant used to slip through: M=inf made every resolvent
@@ -562,3 +571,63 @@ def test_an_infinite_tol_is_rejected_naming_its_line(tmp_path, capsys):
     assert main(["demo", "twobox", "--tol", "inf", "--output-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == ("error: demo twobox: residual_tol must be finite "
                                        "and nonnegative, got inf\n")
+
+
+# -- the demo files, mutated -------------------------------------------------
+
+# a number of a directive: an index, a size, a parameter, a component, a scale
+NUMBER = re.compile(r"(?<![\w.+-])-?\d+(?:\.\d*)?(?:e-?\d+)?(?![\w.])")
+SIZE_LINES = ("primal_dims", "dual_dims", "dim", "k1", "k2")
+
+
+@st.composite
+def mutated_demos(draw):
+    """The lines of a demo file with one mutation, and the 1-based line the
+    mutation puts at fault: the changed line or the repeated copy, None for
+    a dropped line.  Sizes only shrink to 0 or below, so no mutant
+    allocates more than its demo."""
+    lines = get_demo(draw(st.sampled_from(DEMO_NAMES))).text.splitlines()
+    how = draw(st.sampled_from(["number", "drop", "repeat"]))
+    if how == "number":
+        n, m = draw(st.sampled_from([(n, m) for n, line in enumerate(lines)
+                                     for m in NUMBER.finditer(line)]))
+        values = ["0", "-1"]
+        if lines[n].split()[0] not in SIZE_LINES:
+            values += ["inf", "-inf", "nan", "1e308", "-1e308", repr(-float(m.group()))]
+        lines[n] = lines[n][:m.start()] + draw(st.sampled_from(values)) + lines[n][m.end():]
+        return lines, n + 1
+    n = draw(st.integers(0, len(lines) - 1))
+    if how == "drop":
+        del lines[n]
+        return lines, None
+    at = draw(st.integers(n + 1, len(lines)))
+    lines.insert(at, lines[n])
+    return lines, at + 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_demos())
+def test_a_mutated_demo_file_ends_with_an_exit_code(fuzz_dir, mutant):
+    lines, fault = mutant
+    path = fuzz_dir / "mutant.prob"
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["solve", str(path), "--max-iters", "200",
+                     "--output-dir", str(fuzz_dir)])
+    assert code in (0, 1, 2), lines
+    if code == 1:
+        msg, head = err.getvalue(), f"error: {path}: "
+        assert msg.count("\n") == 1 and msg.startswith(head), (lines, msg)
+        if fault is not None and not msg.startswith(head + "diverged at iteration"):
+            assert msg.startswith(f"{head}line {fault}: "), (lines, msg)
+    elif code == 0:
+        summary = read_summary(fuzz_dir / "mutant.summary")
+        for key in ("final_residual", "primal_kkt", "dual_kkt"):
+            assert np.isfinite(float(summary[key])), (lines, summary)

@@ -26,13 +26,12 @@ from pdsplit import (
     ZeroMap,
     ZeroOperator,
     conjugate_prox,
-    graph_distance,
     prox,
     resolvent,
     shifted_inverse_resolvent,
     yosida,
 )
-from oracles import resolvent_bisection
+from oracles import graph_distance, resolvent_bisection
 from pdsplit.blocks import SMALL_BLOCK_DIM
 from pdsplit.operators import join, join_key
 
@@ -641,3 +640,12 @@ def test_catalog_resolvents_depend_on_step_and_point_alone():
         op.resolvent(1.7, y)
         for _ in range(2):
             assert np.array_equal(op.resolvent(0.3, x), first), type(op).__name__
+
+
+def test_a_box_rejects_an_empty_coordinate_and_keeps_a_pinned_one():
+    # lo = hi = +-inf passes lo <= hi but leaves no point in the box
+    for lo, hi in (([np.inf], [np.inf]), ([0.0, -np.inf], [1.0, -np.inf])):
+        with pytest.raises(ParameterError, match="box needs lo <= hi"):
+            Box(lo, hi)
+    box = Box([1.0, -np.inf, 0.0], [1.0, np.inf, np.inf])
+    np.testing.assert_array_equal(box.project(np.array([5.0, -7.0, -2.0])), [1.0, -7.0, 0.0])

@@ -511,6 +511,7 @@ def _system_with(old, new):
     (lambda: _load("dim 2\n"), "line 1: file must start with 'problem <kind>'"),
     (_system_with("op C 1 zero", "op C"), "line 5: op needs a role and a catalog id"),
     (_system_with("op C 1 zero", "op C 1"), "line 5: op with an index needs a catalog id"),
+    (_system_with("op C 1 zero", "op C 0 zero"), "line 5: op indices start at 1"),
     (_system_with("lo=-1,-1", "lo"), "line 4: malformed parameter 'lo'"),
     (_system_with("op A 1 normal_cone_box lo=-1,-1 hi=1,1", "op A 1 affine M=1,0;0"),
      "line 4: matrix '1,0;0' has ragged rows"),
@@ -531,7 +532,7 @@ def _system_with(old, new):
     (lambda: _load(COMMON_ZERO_TEXT.replace("op B 1", "# ").replace("op B 2", "# ")),
      "missing 'op B 1 ...' declaration"),
     (_system_with("vec z 0.3 -0.2", "vec z 0.3"), "line 12: vec z has 1 components, expected 2"),
-], ids=["kind", "no-problem-line", "op-role", "op-id", "op-parameter", "ragged-matrix",
+], ids=["kind", "no-problem-line", "op-role", "op-id", "op-index", "op-parameter", "ragged-matrix",
         "entry-tag", "L-tag", "dense-empty", "entry-bad-tag", "vec-name", "dim-count",
         "dims-minimum", "config", "nan-array", "missing-dims", "missing-op", "vec-length"])
 def test_malformed_files_are_rejected_naming_the_line(make, message):

@@ -10,7 +10,6 @@ from pdsplit import (
     CommonZeroProblem,
     FbfConfig,
     FeasibilityRelaxation,
-    Halfspace,
     Hyperplane,
     IndicatorFunction,
     L1Norm,
@@ -28,8 +27,6 @@ from pdsplit import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
-    check_consistency_theorem,
-    check_qualification,
     compute_beta,
     dual_objective,
     evaluate_objectives,
@@ -43,10 +40,12 @@ from pdsplit import (
     solve_univariate_min,
     zero_smooth,
 )
-from pdsplit.demos import get_demo, legendre_normal_equations
+from pdsplit.demos import get_demo
 from pdsplit.probfile import build_problem, parse_problem
 from conftest import random_parallel_sum
 from oracles import (
+    check_consistency_theorem,
+    check_qualification,
     conj_box_plus_sqdist,
     conj_l1_plus_sqnorm,
     dense_coupling,
@@ -222,7 +221,11 @@ def test_common_zero_least_squares_lines():
     prob = demo.build()
     report = solve_common_zero(prob, FbfConfig())
     assert report.converged
-    want = legendre_normal_equations(prob.lines)
+    # the lines x1 = 1, x2 = 2 and x1 + x2 = 0: G = [[1.5, 0.5], [0.5, 1.5]],
+    # b = (1, 2), so the least-squares point is (0.25, 1.25), which the
+    # oracle reads back from the hyperplanes of the built problem
+    want = np.array([0.25, 1.25])
+    np.testing.assert_allclose(demo.oracle(prob), want, rtol=1e-15)
     np.testing.assert_allclose(report.primal.flat(), want, atol=1e-6)
 
 

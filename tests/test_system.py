@@ -386,3 +386,17 @@ def test_a_malformed_system_is_rejected(changes, message):
     with pytest.raises(ParameterError) as exc:
         two_box_problem(**changes)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"z": BlockVector([[np.inf], [0.0]])}, "the shift z must be finite"),
+    ({"r": BlockVector([[-np.inf]])}, "the shift r must be finite"),
+    ({"z": BlockVector([[0.0], [np.nan]])}, "the shift z must be finite"),
+], ids=["z-inf", "r-inf", "z-nan"])
+def test_a_non_finite_shift_is_rejected_when_the_pair_is_built(changes, message):
+    # z = (inf, 0) used to "converge" after 9 iterations with kkt (0, 8e-12):
+    # the certificate divided by 1 + ||u|| = inf
+    prob = two_box_problem(**changes)
+    with pytest.raises(ParameterError) as exc:
+        solve_system(prob, FbfConfig())
+    assert str(exc.value) == message
