@@ -53,7 +53,6 @@ from .reductions import (
     FeasibilityRelaxation,
     MultivariateMinProblem,
     ParallelSumProblem,
-    Smooth,
     UnivariateMinProblem,
     dual_objective,
     evaluate_objectives,
@@ -65,7 +64,6 @@ from .reductions import (
     solve_multivariate_min,
     solve_parallel_sum,
     solve_univariate_min,
-    zero_smooth,
 )
 from .system import (
     CoupledInclusionProblem,

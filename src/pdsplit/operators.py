@@ -25,6 +25,8 @@ all segments.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .blocks import ROUNDING_MARGIN, ParameterError
@@ -423,6 +425,9 @@ class AffineMap(LipschitzOperator):
 
 
 class ConvexFunction:
+    """A convex function through its prox.  A differentiable member also
+    has a ``gradient``, a LipschitzOperator."""
+
     real_valued = False
 
     def prox(self, gamma, x):
@@ -441,6 +446,7 @@ class ConvexFunction:
 
 class ZeroFunction(ConvexFunction):
     real_valued = True
+    gradient = ZeroMap()
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -504,6 +510,10 @@ class QuadraticDistance(ConvexFunction):
     def __init__(self, a):
         self.a = _finite(a, "quadratic distance needs a finite a")
 
+    @cached_property
+    def gradient(self):
+        return ScaledIdentityMap(1.0, -self.a)
+
     def prox(self, gamma, x):
         _check_gamma(gamma)
         return (x + gamma * self.a) / (1.0 + gamma)
@@ -525,6 +535,10 @@ class SquaredNorm(ConvexFunction):
 
     def __init__(self, omega):
         self.omega = _parameter(omega, "omega must be positive and finite", positive=True)
+
+    @cached_property
+    def gradient(self):
+        return ScaledIdentityMap(2.0 * self.omega)
 
     def prox(self, gamma, x):
         _check_gamma(gamma)

@@ -48,7 +48,7 @@ from .operators import (
 )
 from .reductions import (
     CommonZeroProblem, FeasibilityRelaxation, MultivariateMinProblem,
-    ParallelSumProblem, Smooth, UnivariateMinProblem, zero_smooth,
+    ParallelSumProblem, UnivariateMinProblem,
     solve_common_zero, solve_feasibility_relaxation, solve_multivariate_min,
     solve_parallel_sum, solve_univariate_min,
 )
@@ -371,14 +371,6 @@ def _wrapped(table, wrap, prefix="", ids=None):
             for cid in (table if ids is None else ids)}
 
 
-def _sqdist_smooth(a):
-    return Smooth(lambda x: 0.5 * float((x - a) @ (x - a)), ScaledIdentityMap(1.0, -a))
-
-
-def _sqnorm_smooth(w):
-    return Smooth(lambda x: w * float(x @ x), ScaledIdentityMap(2.0 * w))
-
-
 _SETS = {
     "box": lambda p: Box(p.vector("lo"), p.vector("hi")),
     "ball": lambda p: Ball(p.vector("center"), p.scalar("radius")),
@@ -414,11 +406,7 @@ _CATALOG = {
         "scaled_identity": lambda p: ScaledIdentityMap(p.scalar("c")),
         "affine": lambda p: AffineMap(p.matrix("M"), p.vector("b", None)),
     },
-    "smooth function": {
-        "zero": lambda p: zero_smooth(),
-        "sqdist": lambda p: _sqdist_smooth(p.vector("a")),
-        "sqnorm": lambda p: _sqnorm_smooth(p.scalar("omega")),
-    },
+    "smooth function": {cid: _FUNCTIONS[cid] for cid in ("zero", "sqdist", "sqnorm")},
     "strongly convex function": _STRONGLY_CONVEX,
     "ell coupling": {"none": lambda p: None, **_STRONGLY_CONVEX},
     "feasibility penalty": {

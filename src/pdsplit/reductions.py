@@ -37,7 +37,6 @@ from .blocks import (  # noqa: F401
 )
 from .operators import (
     IndicatorFunction,
-    LipschitzOperator,
     ParameterError,
     Point,
     ScaledIdentityMap,
@@ -54,8 +53,6 @@ __all__ = [
     "solve_parallel_sum",
     "CommonZeroProblem",
     "solve_common_zero",
-    "Smooth",
-    "zero_smooth",
     "MultivariateMinProblem",
     "solve_multivariate_min",
     "evaluate_objectives",
@@ -72,6 +69,12 @@ __all__ = [
 
 class EvaluationError(RuntimeError):
     """No finite evaluator is available for the requested quantity."""
+
+
+def _need_gradient(fn, role):
+    """ParameterError unless fn, the function in ``role``, has a gradient."""
+    if not hasattr(fn, "gradient"):
+        raise ParameterError(f"{role} is {type(fn).__name__}, which has no gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -204,30 +207,14 @@ def solve_common_zero(p, cfg):
 # Multivariate structured minimization
 
 
-class Smooth:
-    """Differentiable convex function: a value evaluator plus its gradient
-    (a LipschitzOperator)."""
-
-    def __init__(self, value, gradient):
-        self.value = value
-        self.gradient = gradient
-
-    def __call__(self, x):
-        return self.value(x)
-
-
-def zero_smooth():
-    return Smooth(lambda x: 0.0, ZeroMap())
-
-
 class MultivariateMinProblem:
     """Minimize sum_i f_i(x_i) + sum_k (g_k infconv ell_k)(sum_i L_ki x_i
     - r_k) + sum_i (h_i(x_i) - <x_i, z_i>).
 
     ell[k] is None for the exact-penalty coupling (the infimal convolution
     collapses to g_k and the dual smoothing term vanishes) or a SquaredNorm,
-    whose conjugate gradient is linear.  h[i] is a Smooth (zero_smooth()
-    when absent).
+    whose conjugate gradient is linear.  h[i] is a ConvexFunction with a
+    ``gradient`` (ZeroFunction() when absent).
     """
 
     def __init__(self, sig, f, h, g, ell, z, r, L):
@@ -240,6 +227,8 @@ class MultivariateMinProblem:
                 raise ParameterError(
                     "ell entries must be None or SquaredNorm couplings"
                 )
+        for i, hi in enumerate(h):
+            _need_gradient(hi, f"h {i + 1}")
         self.sig = sig
         self.f = list(f)
         self.h = list(h)
@@ -251,10 +240,8 @@ class MultivariateMinProblem:
 
 
 def _ellstar_grad(lk):
-    if lk is None:
-        return ZeroMap()
     # conjugate of omega ||.||^2 is ||.||^2 / (4 omega); gradient v/(2 omega)
-    return LipschitzOperator(lambda v, w=lk.omega: v / (2.0 * w), 1.0 / (2.0 * lk.omega))
+    return ZeroMap() if lk is None else ScaledIdentityMap(0.5 / lk.omega)
 
 
 def min_problem_to_system(p):
@@ -273,13 +260,14 @@ def solve_multivariate_min(p, cfg):
 
 def _infconv_value(g, ell, t):
     """(g infconv ell)(t) with ell None (collapses to g) or SquaredNorm
-    (inner minimizer available through the prox of g)."""
+    with a scalar omega (inner minimizer available through the prox of g);
+    EvaluationError for an omega per coordinate."""
     if ell is None:
         return g(t)
-    w = ell.omega
-    ystar = g.prox(1.0 / (2.0 * w), t)
-    d = t - ystar
-    return g(ystar) + w * float(d @ d)
+    if np.ndim(ell.omega):
+        raise EvaluationError("g infconv ell has no closed form for an omega per coordinate")
+    ystar = g.prox(1.0 / (2.0 * ell.omega), t)
+    return g(ystar) + ell(t - ystar)
 
 
 def _conj_infconv_value(f, h, u):
@@ -326,7 +314,7 @@ def dual_objective(p, v):
     for k in range(p.sig.K):
         total += p.g[k].conjugate(v[k]) + float(v[k] @ p.r[k])
         if p.ell[k] is not None:
-            total += float(v[k] @ v[k]) / (4.0 * p.ell[k].omega)
+            total += p.ell[k].conjugate(v[k])
     return float(total)
 
 
@@ -353,20 +341,23 @@ class UnivariateMinProblem:
     """Minimize f(x) + sum_k (g_k infconv phi_k)(L_k x - r_k) + h(x)
     - <x, z> over a single variable x.
 
-    phi[k] role by 0-based partition index: k < K1 a ConvexFunction (prox
-    access), K1 <= k < K2 a Smooth with Lipschitz gradient, k >= K2 a
-    strongly convex SquaredNorm (conjugate gradient is linear).
+    h is a ConvexFunction with a ``gradient`` (ZeroFunction() when
+    absent).  phi[k] role by 0-based partition index: k < K1 a
+    ConvexFunction (prox access), K1 <= k < K2 one with a ``gradient``,
+    k >= K2 a strongly convex SquaredNorm (conjugate gradient is linear).
     """
 
     def __init__(self, dim, dual_dims, K1, K2, f, h, g, phi, z, r, L):
         K = len(dual_dims)
         if not 0 <= K1 <= K2 <= K or K < 1:
             raise ParameterError(f"invalid partition 0 <= {K1} <= {K2} <= {K}")
-        for k in range(K2, K):
-            if not isinstance(phi[k], SquaredNorm):
-                raise ParameterError(
-                    "strongly convex phi entries must be SquaredNorm"
-                )
+        if not all(isinstance(ph, SquaredNorm) for ph in phi[K2:]):
+            raise ParameterError("strongly convex phi entries must be SquaredNorm")
+        if len(g) != K or len(phi) != K or len(r) != K or len(L) != K:
+            raise ParameterError("need K entries in each of g, phi, r, L")
+        _need_gradient(h, "h")
+        for k in range(K1, K2):
+            _need_gradient(phi[k], f"phi {k + 1}")
         self.dim = int(dim)
         self.dual_dims = tuple(int(d) for d in dual_dims)
         self.K1, self.K2, self.K = int(K1), int(K2), K
@@ -449,7 +440,7 @@ def feasibility_to_univariate(p):
         K1=p.K,
         K2=p.K,
         f=ZeroFunction(),
-        h=zero_smooth(),
+        h=ZeroFunction(),
         g=[IndicatorFunction(s) for s in p.sets],
         phi=p.phi,
         z=np.zeros(p.dim),
@@ -473,8 +464,7 @@ def relaxation_objective(p, x):
     for k in range(p.K):
         t = entry_apply(p.L[k], x)
         if isinstance(p.phi[k], SquaredNorm):
-            dist = p.sets[k].distance(t)
-            total += p.phi[k].omega * dist * dist
+            total += p.phi[k](t - p.sets[k].project(t))
         elif not p.sets[k].contains(t):
             return float(np.inf)
     return float(total)

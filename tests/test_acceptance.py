@@ -23,6 +23,7 @@ from pdsplit import (
     SpaceSig,
     SquaredNorm,
     SummableErrorSchedule,
+    ZeroFunction,
     ZeroMap,
     ZeroOperator,
     compute_beta,
@@ -33,7 +34,6 @@ from pdsplit import (
     solve_multivariate_min,
     solve_parallel_sum,
     solve_system,
-    zero_smooth,
 )
 from pdsplit.demos import (
     DEMO_NAMES,
@@ -212,7 +212,7 @@ def _random_quadratic_min(rng):
     return MultivariateMinProblem(
         sig,
         f=[QuadraticDistance(rng.standard_normal(d)) for d in dp],
-        h=[zero_smooth() for _ in range(m)],
+        h=[ZeroFunction() for _ in range(m)],
         g=[QuadraticDistance(rng.standard_normal(d)) for d in dd],
         ell=ell,
         z=BlockVector([0.1 * rng.standard_normal(d) for d in dp]),

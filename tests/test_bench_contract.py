@@ -26,12 +26,12 @@ from pdsplit import (
     ScaledIdentity,
     SpaceSig,
     SummableErrorSchedule,
+    ZeroFunction,
     ZeroMap,
     ZeroOperator,
     lift_parallel_sum,
     solve_common_zero,
     solve_system,
-    zero_smooth,
 )
 from pdsplit.cli import main
 from pdsplit.demos import get_demo
@@ -215,7 +215,7 @@ def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
     chain.update({(k, k + 1): -1.0 for k in range(m - 1)})
     y = np.repeat([0.0, 2.0, -1.0, 1.0], m // 4)
     prob = MultivariateMinProblem(
-        sig, [QuadraticDistance([yi]) for yi in y], [zero_smooth()] * m,
+        sig, [QuadraticDistance([yi]) for yi in y], [ZeroFunction()] * m,
         [L1Norm(0.5)] * (m - 1), [None] * (m - 1),
         BlockVector.zeros(sig.dims_primal), BlockVector.zeros(sig.dims_dual),
         BlockLinearOp(chain, sig))

@@ -11,7 +11,7 @@ from pdsplit import cli
 from pdsplit.cli import CSV_HEADER, main
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import DEFAULT_EPSILON
-from pdsplit.probfile import CONFIG_KEYS, parse_problem
+from pdsplit.probfile import _CATALOG, CATALOG_IDS, CONFIG_KEYS, KINDS, parse_problem
 
 FEAS_TEXT = """\
 problem feasibility
@@ -321,8 +321,6 @@ def test_solve_divergence_writes_partial_outputs(feas_file, tmp_path, capsys):
 
 
 def test_list_catalog_names_every_catalog_id(capsys):
-    from pdsplit.probfile import CATALOG_IDS
-
     assert main(["list-catalog"]) == 0
     listed = {line.strip() for line in capsys.readouterr().out.splitlines()}
     assert CATALOG_IDS <= listed
@@ -616,18 +614,193 @@ def fuzz_dir(tmp_path_factory):
 def test_a_mutated_demo_file_ends_with_an_exit_code(fuzz_dir, mutant):
     lines, fault = mutant
     path = fuzz_dir / "mutant.prob"
-    path.write_text("\n".join(lines) + "\n")
+    msg = solve_ends_with_an_exit_code(path, "\n".join(lines) + "\n")
+    head = f"error: {path}: "
+    if fault is not None and msg and not msg.startswith(head + "diverged at iteration"):
+        assert msg.startswith(f"{head}line {fault}: "), (lines, msg)
+
+
+def solve_ends_with_an_exit_code(path, text):
+    """Write text to path and solve it in-process for at most 200
+    iterations: the exit code is 0, 1 or 2; on 1 stderr is one error line,
+    returned; on 0 the summary's residuals are finite."""
+    path.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(["solve", str(path), "--max-iters", "200",
-                     "--output-dir", str(fuzz_dir)])
-    assert code in (0, 1, 2), lines
+                     "--output-dir", str(path.parent)])
+    assert code in (0, 1, 2), text
     if code == 1:
-        msg, head = err.getvalue(), f"error: {path}: "
-        assert msg.count("\n") == 1 and msg.startswith(head), (lines, msg)
-        if fault is not None and not msg.startswith(head + "diverged at iteration"):
-            assert msg.startswith(f"{head}line {fault}: "), (lines, msg)
-    elif code == 0:
-        summary = read_summary(fuzz_dir / "mutant.summary")
+        msg = err.getvalue()
+        assert msg.count("\n") == 1 and msg.startswith(f"error: {path}: "), (text, msg)
+        return msg
+    if code == 0:
+        summary = read_summary(path.with_suffix(".summary"))
         for key in ("final_residual", "primal_kkt", "dual_kkt"):
-            assert np.isfinite(float(summary[key])), (lines, summary)
+            assert np.isfinite(float(summary[key])), (text, summary)
+    return None
+
+
+# -- whole problem files, generated ------------------------------------------
+
+# the roles of each kind: (role, family, blocks), the family a catalog
+# family of probfile or, for a partitioned role, one per part (k < k1,
+# k1 <= k < k2, k >= k2); blocks is "primal", "dual" or None for one op
+MONO, LIP, FN, SMOOTH = ("monotone operator", "Lipschitz operator", "convex function",
+                         "smooth function")
+ROLES = {
+    "system": [("A", MONO, "primal"), ("C", LIP, "primal"), ("B", MONO, "dual"),
+               ("Dinv", LIP, "dual")],
+    "multivar_min": [("f", FN, "primal"), ("h", SMOOTH, "primal"), ("g", FN, "dual"),
+                     ("ell", "ell coupling", "dual")],
+    "parallel_sum": [("A", MONO, None), ("C", LIP, None), ("B", MONO, "dual"),
+                     ("S", (MONO, LIP, LIP), "dual")],
+    "univar_min": [("f", FN, None), ("h", SMOOTH, None), ("g", FN, "dual"),
+                   ("phi", (FN, SMOOTH, "strongly convex function"), "dual")],
+    "common_zero": [("A", MONO, None), ("B", MONO, "dual"), ("S", MONO, "dual")],
+    "feasibility": [("set", "convex set", "dual"), ("phi", "feasibility penalty", "dual")],
+}
+NUMS = st.integers(-8, 8).map(lambda n: n / 4)
+POSITIVE = st.integers(1, 8).map(lambda n: n / 4)
+
+
+def _numbers(draw, d):
+    return [repr(float(t)) for t in draw(st.lists(NUMS, min_size=d, max_size=d))]
+
+
+def _vector(draw, d):
+    """d numbers as one parameter value, or one number for all of them."""
+    vals = _numbers(draw, d)
+    return ",".join(vals) if len(set(vals)) > 1 else vals[0]
+
+
+def _matrix(rows):
+    return ";".join(",".join(repr(float(t)) for t in row) for row in rows)
+
+
+def _monotone_matrix(draw, d):
+    """G G^T plus a skew part: M + M^T is positive semidefinite."""
+    G, S = (np.array(draw(st.lists(st.integers(-1, 1), min_size=d * d, max_size=d * d)),
+                     dtype=float).reshape(d, d) for _ in range(2))
+    return _matrix(G @ G.T + S - S.T)
+
+
+def _box(draw, d):
+    lo = draw(st.lists(NUMS, min_size=d, max_size=d))
+    hi = [t + draw(POSITIVE) for t in lo]
+    if draw(st.booleans()):
+        hi[draw(st.integers(0, d - 1))] = np.inf
+    return {"lo": ",".join(map(repr, lo)), "hi": ",".join(map(repr, hi))}
+
+
+def _cut(draw, d):
+    u = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any))
+    return {"u": ",".join(map(repr, map(float, u))), "rho": repr(draw(NUMS))}
+
+
+def _affine(draw, d):
+    params = {"M": _monotone_matrix(draw, d)}
+    if draw(st.booleans()):
+        params["b"] = _vector(draw, d)
+    return params
+
+
+# the parameters of each catalog id, after its "subdiff_", "normal_cone_"
+# or "indicator_" prefix, for a block of size d
+PARAMS = {
+    "zero": lambda draw, d: {}, "none": lambda draw, d: {},
+    "point_zero": lambda draw, d: {},
+    "box": _box, "halfspace": _cut, "hyperplane": _cut,
+    "ball": lambda draw, d: {"center": _vector(draw, d), "radius": repr(draw(POSITIVE))},
+    "point": lambda draw, d: {"c": _vector(draw, d)},
+    "l1": lambda draw, d: {"weight": repr(draw(POSITIVE))} if draw(st.booleans()) else {},
+    "sqdist": lambda draw, d: {"a": _vector(draw, d)},
+    "sqnorm": lambda draw, d: {"omega": repr(draw(POSITIVE))},
+    "scaled_identity": lambda draw, d: {"c": repr(draw(POSITIVE))},
+    "affine": _affine,
+}
+
+
+def _base_id(cid):
+    return re.sub(r"^(subdiff_|normal_cone_|indicator_)", "", cid)
+
+
+def _op_line(draw, role, idx, family, d):
+    cid = draw(st.sampled_from(sorted(_CATALOG[family])))
+    params = PARAMS[_base_id(cid)](draw, d)
+    head = f"op {role}" if idx is None else f"op {role} {idx + 1}"
+    return " ".join([head, cid] + [f"{k}={v}" for k, v in params.items()])
+
+
+def _entry_lines(draw, head, d_out, d_in):
+    """The lines of one coupling entry mapping a block of size d_in to one
+    of size d_out, none for an absent (zero) entry; only a dense one when
+    the sizes differ."""
+    tags = ["absent", "zero", "identity", "scale", "dense"] if d_out == d_in else ["dense"]
+    tag = draw(st.sampled_from(tags))
+    if tag == "absent":
+        return []
+    if tag == "scale":
+        return [f"{head} scale {draw(NUMS)!r}"]
+    if tag != "dense":
+        return [f"{head} {tag}"]
+    rows = [" ".join(_numbers(draw, d_in)) for _ in range(d_out)]
+    return [f"{head} dense", *rows, "end"]
+
+
+SIZES = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def problem_files(draw, kind):
+    """A valid problem file of the kind: block sizes up to 3, an op of each
+    role's catalog family per block with valid parameters, couplings,
+    vectors and config lines."""
+    lines = [f"problem {kind}"]
+    if kind in ("system", "multivar_min"):
+        dp, dd = draw(SIZES), draw(SIZES)
+        lines += ["primal_dims " + " ".join(map(str, dp)), "dual_dims " + " ".join(map(str, dd))]
+        for k, i in np.ndindex(len(dd), len(dp)):
+            lines += _entry_lines(draw, f"entry {k + 1} {i + 1}", dd[k], dp[i])
+        lines += ["vec z " + " ".join(_numbers(draw, sum(dp))),
+                  "vec r " + " ".join(_numbers(draw, sum(dd)))]
+    else:
+        dim = draw(st.integers(1, 3))
+        dp, lines = [dim], lines + [f"dim {dim}"]
+        if kind == "common_zero":
+            dd = [dim] * draw(st.integers(1, 3))
+        elif kind == "feasibility":
+            dd = draw(SIZES)
+            for k, d in enumerate(dd):
+                lines += _entry_lines(draw, f"L {k + 1}", d, dim)
+        else:
+            dd = draw(SIZES)
+            k1 = draw(st.integers(0, len(dd)))
+            k2 = draw(st.integers(k1, len(dd)))
+            lines += ["dual_dims " + " ".join(map(str, dd)), f"k1 {k1}", f"k2 {k2}",
+                      "vec r " + " ".join(_numbers(draw, sum(dd)))]
+            if draw(st.booleans()):
+                lines.append("vec z " + " ".join(_numbers(draw, dim)))
+            for k, d in enumerate(dd):
+                lines += _entry_lines(draw, f"L {k + 1}", d, dim)
+    for role, family, blocks in ROLES[kind]:
+        if blocks is None:
+            lines.append(_op_line(draw, role, None, family, dim))
+            continue
+        for idx, d in enumerate(dp if blocks == "primal" else dd):
+            part = family
+            if isinstance(family, tuple):
+                part = family[(idx >= k1) + (idx >= k2)]
+            lines.append(_op_line(draw, role, idx, part, d))
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True)):
+        lines.append(f"config {key} {CONFIG_VALUES[key][0]}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_generated_problem_file_ends_with_an_exit_code(fuzz_dir, kind, data):
+    assert set(PARAMS) == {_base_id(cid) for cid in CATALOG_IDS}
+    solve_ends_with_an_exit_code(fuzz_dir / "generated.prob", data.draw(problem_files(kind)))

@@ -8,11 +8,14 @@ from pdsplit import (
     BlockVector,
     Box,
     CommonZeroProblem,
+    ConvexFunction,
+    EvaluationError,
     FbfConfig,
     FeasibilityRelaxation,
     Hyperplane,
     IndicatorFunction,
     L1Norm,
+    LipschitzOperator,
     MultivariateMinProblem,
     NormalCone,
     ParallelSumProblem,
@@ -38,7 +41,6 @@ from pdsplit import (
     solve_multivariate_min,
     solve_parallel_sum,
     solve_univariate_min,
-    zero_smooth,
 )
 from pdsplit.demos import get_demo
 from pdsplit.probfile import build_problem, parse_problem
@@ -244,7 +246,7 @@ def test_singleton_functions_pin_solution():
     sig = SpaceSig((2,), (2,))
     c = np.array([0.7, -0.3])
     p = MultivariateMinProblem(
-        sig, f=[IndicatorFunction(Point(c))], h=[zero_smooth()],
+        sig, f=[IndicatorFunction(Point(c))], h=[ZeroFunction()],
         g=[QuadraticDistance([5.0, 5.0])], ell=[None],
         z=BlockVector.zeros((2,)), r=BlockVector.zeros((2,)),
         L=BlockLinearOp([[1.0]], sig),
@@ -282,7 +284,7 @@ def test_qualification_cases():
     boxes = [IndicatorFunction(Box([0.0], [1.0])),
              IndicatorFunction(Box([2.0], [3.0]))]
     mk = lambda f, g, grid: MultivariateMinProblem(
-        sig, f=f, h=[zero_smooth(), zero_smooth()], g=[g], ell=[None],
+        sig, f=f, h=[ZeroFunction(), ZeroFunction()], g=[g], ell=[None],
         z=zeros[0], r=zeros[1], L=grid,
     )
     assert check_qualification(
@@ -301,7 +303,7 @@ def test_qualification_needs_full_row_rank():
     # a 2 x 1 row map cannot be onto R^2, however real-valued f is
     sig = SpaceSig((1,), (2,))
     p = MultivariateMinProblem(
-        sig, f=[L1Norm(1.0)], h=[zero_smooth()],
+        sig, f=[L1Norm(1.0)], h=[ZeroFunction()],
         g=[IndicatorFunction(Box([0.0, 0.0], [1.0, 1.0]))], ell=[None],
         z=BlockVector.zeros((1,)), r=BlockVector.zeros((2,)),
         L=BlockLinearOp([[np.array([[1.0], [2.0]])]], sig),
@@ -327,11 +329,11 @@ def test_univariate_degenerate_matches_multivariate():
     om = 0.8
     uni = UnivariateMinProblem(
         dim=2, dual_dims=(2,), K1=0, K2=0,
-        f=f, h=zero_smooth(), g=[g], phi=[SquaredNorm(om)],
+        f=f, h=ZeroFunction(), g=[g], phi=[SquaredNorm(om)],
         z=np.zeros(2), r=[np.zeros(2)], L=[1.0],
     )
     multi = MultivariateMinProblem(
-        sig, f=[f], h=[zero_smooth()], g=[g], ell=[SquaredNorm(om)],
+        sig, f=[f], h=[ZeroFunction()], g=[g], ell=[SquaredNorm(om)],
         z=BlockVector.zeros((2,)), r=BlockVector.zeros((2,)),
         L=BlockLinearOp([[1.0]], sig),
     )
@@ -341,10 +343,39 @@ def test_univariate_degenerate_matches_multivariate():
     np.testing.assert_allclose(r1.primal.flat(), r2.primal.flat(), atol=1e-6)
 
 
+def test_an_omega_per_coordinate_couples_as_ell_and_as_phi():
+    # g the indicator of {c} makes g infconv omega||.||^2 the weighted
+    # distance to c: min ||x - a||^2 / 2 + sum_j w_j (x_j - c_j)^2 is
+    # attained at x_j = (a_j + 2 w_j c_j) / (1 + 2 w_j)
+    a, c, w = np.array([1.0, -2.0]), np.array([0.5, 3.0]), np.array([0.25, 2.0])
+    x = (a + 2 * w * c) / (1 + 2 * w)
+    value = 0.5 * (x - a) @ (x - a) + w @ (x - c) ** 2
+    sig = SpaceSig((2,), (2,))
+    multi = MultivariateMinProblem(
+        sig, f=[QuadraticDistance(a)], h=[ZeroFunction()], g=[IndicatorFunction(Point(c))],
+        ell=[SquaredNorm(w)], z=BlockVector.zeros((2,)), r=BlockVector.zeros((2,)),
+        L=BlockLinearOp([[1.0]], sig),
+    )
+    report = solve_multivariate_min(multi, FbfConfig())
+    assert report.converged
+    np.testing.assert_allclose(report.primal.flat(), x, atol=1e-6)
+    # the primal inner minimizer has no closed form; the dual value does
+    assert evaluate_objectives(multi, report.primal, report.dual) == (
+        None, pytest.approx(-value, abs=1e-6))
+    uni = UnivariateMinProblem(
+        dim=2, dual_dims=(2,), K1=0, K2=0,
+        f=QuadraticDistance(a), h=ZeroFunction(), g=[IndicatorFunction(Point(c))],
+        phi=[SquaredNorm(w)], z=np.zeros(2), r=[np.zeros(2)], L=[1.0],
+    )
+    report = solve_univariate_min(uni, FbfConfig())
+    assert report.converged
+    np.testing.assert_allclose(report.primal.flat(), x, atol=1e-6)
+
+
 def test_univariate_singleton_objective():
     uni = UnivariateMinProblem(
         dim=1, dual_dims=(1,), K1=1, K2=1,
-        f=IndicatorFunction(Point([1.2])), h=zero_smooth(),
+        f=IndicatorFunction(Point([1.2])), h=ZeroFunction(),
         g=[QuadraticDistance([0.0])], phi=[IndicatorFunction(Point([0.0]))],
         z=np.zeros(1), r=[np.zeros(1)], L=[1.0],
     )
@@ -415,6 +446,23 @@ def test_feasibility_rejects_unvetted_penalty():
         )
 
 
+def test_an_omega_per_coordinate_weighs_a_feasibility_penalty():
+    # sum_j w_j dist_j^2 to the box [0, 1]^2 plus sum_j v_j (x_j - c_j)^2:
+    # per coordinate the minimizer weighs the nearest face against c
+    w, v, c = np.array([0.5, 2.0]), np.array([1.5, 0.25]), np.array([3.0, -2.0])
+    p = FeasibilityRelaxation(2, [Box([0.0, 0.0], [1.0, 1.0]), Point(c)],
+                              [SquaredNorm(w), SquaredNorm(v)], [1.0, 1.0])
+    for x in ([0.5, 0.5], [2.0, -1.0], [-1.0, 4.0]):
+        x = np.array(x)
+        d = x - np.clip(x, 0.0, 1.0)
+        assert relaxation_objective(p, x) == pytest.approx(w @ d ** 2 + v @ (x - c) ** 2,
+                                                           rel=1e-14)
+    report = solve_feasibility_relaxation(p, FbfConfig())
+    assert report.converged
+    want = (w * np.array([1.0, 0.0]) + v * c) / (w + v)
+    np.testing.assert_allclose(report.primal.flat(), want, atol=1e-6)
+
+
 def test_relaxation_objective_hard_violation_is_infinite():
     p = get_demo("boxhalf").build()
     assert relaxation_objective(p, np.array([5.0, 5.0])) == np.inf
@@ -441,11 +489,11 @@ def test_dual_objective_exact_for_quadratic_h():
         want = conj_box_plus_sqdist(np.array([-1, 0, 0.5]), np.array([1, 2, 0.5]),
                                     np.array([0.3, -2, 1]), u)
         assert dual_objective(p, BlockVector.zeros((1,))) == pytest.approx(
-            want, abs=1e-12)
+            want, rel=1e-14, abs=0)
         p = _one_block_min_problem(
             "op f 1 l1 weight=0.7\nop h 1 sqnorm omega=1.5\n", u)
         assert dual_objective(p, BlockVector.zeros((1,))) == pytest.approx(
-            conj_l1_plus_sqnorm(0.7, 1.5, u), abs=1e-12)
+            conj_l1_plus_sqnorm(0.7, 1.5, u), rel=1e-14, abs=0)
 
 
 def test_sqdist_h_builds_in_linear_time():
@@ -458,12 +506,18 @@ def test_sqdist_h_builds_in_linear_time():
     assert np.array_equal(grad(np.full(2000, 3.0)), np.full(2000, 2.0))
 
 
-def test_dual_objective_needs_quadratic_h():
-    from pdsplit import EvaluationError, LipschitzOperator, Smooth
+class _Quartic(ConvexFunction):
+    """sum_j x_j^4, whose gradient is not c Id + b."""
 
+    gradient = LipschitzOperator(lambda x: 4 * x ** 3, 1.0)
+
+    def __call__(self, x):
+        return float(np.sum(x ** 4))
+
+
+def test_dual_objective_needs_quadratic_h():
     p = _one_block_min_problem("op f 1 zero\nop h 1 zero\n", np.zeros(2))
-    p.h[0] = Smooth(lambda x: float(np.sum(x ** 4)),
-                    LipschitzOperator(lambda x: 4 * x ** 3, 1.0))
+    p.h[0] = _Quartic()
     with pytest.raises(EvaluationError):
         dual_objective(p, BlockVector.zeros((1,)))
     # the primal objective does not depend on the dual evaluator
@@ -472,11 +526,8 @@ def test_dual_objective_needs_quadratic_h():
 
 
 def test_evaluate_objectives_gives_none_for_a_side_without_evaluator():
-    from pdsplit import ConvexFunction, LipschitzOperator, Smooth
-
     p = _one_block_min_problem("op f 1 zero\nop h 1 zero\n", np.zeros(2))
-    p.h[0] = Smooth(lambda x: float(np.sum(x ** 4)),
-                    LipschitzOperator(lambda x: 4 * x ** 3, 1.0))
+    p.h[0] = _Quartic()
     x, v = BlockVector([np.ones(2)]), BlockVector.zeros((1,))
     assert evaluate_objectives(p, x, v) == (pytest.approx(2.0), None)
     p.f[0] = ConvexFunction()                   # no value evaluator either
@@ -498,25 +549,40 @@ _SIG = SpaceSig((1, 1), (1,))
                                 [], [ScaledIdentity(1.0)], [1.0]),
      "need K entries in each of r, B, S, L"),
     (lambda: CommonZeroProblem(1, ZeroOperator(), [], []), "need K >= 1 operators in B and S"),
-    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()], [zero_smooth()] * 2,
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()], [ZeroFunction()] * 2,
                                     [ZeroFunction()], [None], None, None, None),
      "need 2 functions in f and h"),
-    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [zero_smooth()] * 2,
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [ZeroFunction()] * 2,
                                     [ZeroFunction()], [], None, None, None),
      "need 1 functions in g and ell"),
-    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [zero_smooth()] * 2,
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [ZeroFunction()] * 2,
                                     [ZeroFunction()], [L1Norm(1.0)], None, None, None),
      "ell entries must be None or SquaredNorm couplings"),
-    (lambda: UnivariateMinProblem(1, (1,), 1, 0, ZeroFunction(), zero_smooth(),
+    (lambda: UnivariateMinProblem(1, (1,), 1, 0, ZeroFunction(), ZeroFunction(),
                                   [ZeroFunction()], [L1Norm(1.0)], None, None, None),
      "invalid partition 0 <= 1 <= 0 <= 1"),
-    (lambda: UnivariateMinProblem(1, (1,), 0, 0, ZeroFunction(), zero_smooth(),
+    (lambda: UnivariateMinProblem(1, (1,), 0, 0, ZeroFunction(), ZeroFunction(),
                                   [ZeroFunction()], [L1Norm(1.0)], None, None, None),
      "strongly convex phi entries must be SquaredNorm"),
+    (lambda: UnivariateMinProblem(1, (1, 1), 0, 0, ZeroFunction(), ZeroFunction(),
+                                  [ZeroFunction()] * 2, [SquaredNorm(1.0)], None,
+                                  [[0.0]] * 2, [1.0] * 2),
+     "need K entries in each of g, phi, r, L"),
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [ZeroFunction(), L1Norm(1.0)],
+                                    [ZeroFunction()], [None], None, None, None),
+     "h 2 is L1Norm, which has no gradient"),
+    (lambda: UnivariateMinProblem(1, (1,), 1, 1, ZeroFunction(), L1Norm(1.0),
+                                  [ZeroFunction()], [ZeroFunction()], None, [[0.0]], [1.0]),
+     "h is L1Norm, which has no gradient"),
+    (lambda: UnivariateMinProblem(1, (1, 1), 0, 2, ZeroFunction(), ZeroFunction(),
+                                  [ZeroFunction()] * 2, [ZeroFunction(), L1Norm(1.0)], None,
+                                  [[0.0]] * 2, [1.0] * 2),
+     "phi 2 is L1Norm, which has no gradient"),
     (lambda: FeasibilityRelaxation(1, [], [], []),
      "need matching nonempty sets, phi, and L lists"),
 ], ids=["psum-count", "common-zero-count", "multivar-f", "multivar-g", "multivar-ell",
-        "univar-partition", "univar-phi", "feasibility-count"])
+        "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
+        "univar-h-gradient", "univar-phi-gradient", "feasibility-count"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
     with pytest.raises(ParameterError) as exc:
         make()
