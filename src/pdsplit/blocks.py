@@ -218,7 +218,7 @@ def entry_out_dim(entry, dim_in):
     return dim_in if np.ndim(entry) == 0 else np.shape(entry)[0]
 
 
-def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
+def entry_norm_sq(entry):
     """Upper bound on the squared spectral norm of a single grid entry.
 
     Scalars are exact.  A dense entry with at most EXACT_NORM_MAX_DIM rows
@@ -226,35 +226,36 @@ def entry_norm_sq(entry, dim_in, dim_out, tol=1e-12, max_iters=10000):
     gets a power-iteration estimate on its smaller Gram matrix, inflated by
     POWER_SAFETY_FACTOR and capped by the squared Frobenius norm: the one
     case where the bound is inflated rather than certified.  When the
-    iteration does not settle, the Frobenius bound is returned.
+    iteration does not settle within 10000 steps, as near a tie of the two
+    largest singular values, the Frobenius bound is returned.
     """
     if entry is None:
         return 0.0
     if isinstance(entry, float):
         return entry * entry
-    if min(entry.shape) <= EXACT_NORM_MAX_DIM:
+    rows, cols = entry.shape
+    if min(rows, cols) <= EXACT_NORM_MAX_DIM:
         norm = float(np.linalg.norm(entry, 2))        # norm ** 2 would raise on overflow
         return norm * norm * (1.0 + ROUNDING_MARGIN)
-    gram = entry.T @ entry if dim_in <= dim_out else entry @ entry.T
-    return _power_norm_sq(gram.__matmul__, gram.shape[0], float(np.trace(gram)),
-                          max_iters, tol)
+    gram = entry.T @ entry if cols <= rows else entry @ entry.T       # the smaller one
+    return _power_norm_sq(gram.__matmul__, gram.shape[0], float(np.trace(gram)), 10000)
 
 
-def _power_norm_sq(gram, n, cap, max_iters, tol):
+def _power_norm_sq(gram, n, cap, steps):
     """Power estimate of the top eigenvalue of the positive semidefinite
-    map ``gram`` on R^n, inflated by POWER_SAFETY_FACTOR and capped by the
-    certified bound ``cap``, which is returned as is when the iteration does
-    not settle within ``max_iters`` steps."""
+    map ``gram`` on R^n, settled to 1e-12 relative, inflated by
+    POWER_SAFETY_FACTOR and capped by the certified bound ``cap``, which is
+    returned as is when the iteration does not settle within ``steps``."""
     x = np.random.default_rng(0).standard_normal(n)
     x /= np.linalg.norm(x)
     val = 0.0
-    for _ in range(max_iters):
+    for _ in range(steps):
         y = gram(x)
         new_val = float(np.linalg.norm(y))
         if new_val == 0.0:
             return 0.0
         x = y / new_val
-        if abs(new_val - val) <= tol * max(1.0, new_val):
+        if abs(new_val - val) <= 1e-12 * max(1.0, new_val):
             return min(new_val * POWER_SAFETY_FACTOR, cap)
         val = new_val
     return cap
@@ -435,8 +436,7 @@ def lambda_conservative(L):
     exact.  Where the bound overflows, ParameterError keyed by the cell
     (k, i) with the largest entry norm.
     """
-    sq = [entry_norm_sq(e, L.sig.dims_primal[i], L.sig.dims_dual[k])
-          for k, i, e in L.nonzeros]
+    sq = [entry_norm_sq(e) for _, _, e in L.nonzeros]
     bound = _grid_bound(L, sq)
     if not bound < math.inf:
         k, i, _ = L.nonzeros[sq.index(max(sq))]
@@ -490,15 +490,13 @@ def _exact_scalar_sum(nonzeros, sq, total):
             and math.fsum(sq + [-total]) == 0.0)
 
 
-def lambda_power_iteration(L, iters=1000, tol=1e-12):
+def lambda_power_iteration(L):
     """Estimate ||L||^2 by power iteration on L*L, inflated by a safety
     factor and capped at the certified bound ``lambda_conservative(L)``.
 
     The estimate approaches ||L||^2 from below, so only the cap is
     certified.  Returns the cap when the iteration does not settle within
-    ``iters`` steps.
+    1000 steps, as near a tie of the two largest singular values.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     return _power_norm_sq(lambda x: apply_adjoint(L, apply_block(L, x)),
-                          sum(L.sig.dims_primal), lambda_conservative(L), iters, tol)
+                          sum(L.sig.dims_primal), lambda_conservative(L), 1000)

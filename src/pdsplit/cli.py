@@ -137,8 +137,13 @@ def _run(label, stem, text, args, oracle=None):
     try:
         pf = parse_problem(text)
         prob, solver = build_problem(pf)
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)    # before the solve
     except (ParseError, ParameterError) as exc:
         print(f"error: {label}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {label}: cannot create output directory {args.output_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 1
     try:
         cfg = make_config(pf.config, args)
@@ -169,6 +174,10 @@ def cmd_solve(args):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1     # of the first bad byte
+        print(f"error: {path}: line {line}: not UTF-8: {exc.reason}", file=sys.stderr)
         return 1
     return _run(path, path.stem, text, args)
 

@@ -69,8 +69,6 @@ class SummableErrorSchedule:
     def vec(self, n, slot, dims):
         """Error vector for iteration n and slot (0=a, 1=b, 2=c)."""
         dims = tuple(int(d) for d in dims)
-        if self.eta == 0.0:
-            return BlockVector.zeros(dims)
         rng = np.random.default_rng((self.seed, slot, n))
         flat = rng.random(sum(dims))
         flat -= 0.5
@@ -90,11 +88,12 @@ class FbfConfig:
     """Iteration parameters.
 
     gamma fixes a constant step; without it the largest admissible step
-    (1 - epsilon)/chi is used.  errors, when set, must produce absolutely
-    summable perturbation triples (a_n, b_n, c_n), drawn as one block of
-    the whole vector.  on_iteration(n, w_n, p_n), when set, is called once
-    per iteration, after the trace row is recorded and before the stopping
-    test; it must not modify w_n or p_n.
+    (1 - epsilon)/chi is used; ``gamma_for`` checks both against chi.
+    errors, when set, must produce absolutely summable perturbation triples
+    (a_n, b_n, c_n), drawn as one block of the whole vector.
+    on_iteration(n, w_n, p_n), when set, is called once per iteration,
+    after the trace row is recorded and before the stopping test; it must
+    not modify w_n or p_n.
     """
 
     def __init__(
@@ -123,17 +122,14 @@ class FbfConfig:
         self.errors = errors
         self.on_iteration = on_iteration
 
-    def check_against(self, chi):
-        if self.epsilon >= 1.0 / (chi + 1.0):
-            raise ParameterError(
-                f"epsilon {self.epsilon} must be below 1/(chi+1) = {1.0 / (chi + 1.0)}",
-                "epsilon",
-            )
-
 
 def gamma_for(cfg, chi, n):
-    """Step size for iteration n, validated against [epsilon, (1-epsilon)/chi].
-    The step is constant: cfg.gamma, or else the upper end of that range."""
+    """Step size for iteration n, constant: cfg.gamma, or else (1-epsilon)/chi.
+    The one check of epsilon < 1/(chi+1) (ParameterError keyed "epsilon")
+    and of the step in [epsilon, (1-epsilon)/chi] (keyed "gamma")."""
+    if cfg.epsilon >= 1.0 / (chi + 1.0):
+        raise ParameterError(f"epsilon {cfg.epsilon} must be below 1/(chi+1) = "
+                             f"{1.0 / (chi + 1.0)}", "epsilon")
     hi = (1.0 - cfg.epsilon) / chi
     g = hi if cfg.gamma is None else cfg.gamma
     if not cfg.epsilon <= g <= hi * (1 + 1e-12):
@@ -172,11 +168,11 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     the update is not finite ("diverged", keeping the last finite iterate).
 
     P_resolvent(gamma, s) evaluates the resolvent of the set-valued part; Q(w)
-    the single-valued part.  chi must upper-bound Q's Lipschitz constant.
+    the single-valued part.  chi > 0 must upper-bound Q's Lipschitz
+    constant; ``gamma_for`` checks cfg's epsilon and step against it.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
-    cfg.check_against(chi)
 
     trace = FbfTrace(chi)
     w = p = w0.copy()

@@ -99,16 +99,12 @@ class CoupledInclusionProblem:
 
 
 def compute_beta(prob):
-    """Lipschitz bound of the single-valued part:
-    max{max_i mu_i, max_k nu_k} + sqrt(lambda)."""
-    mu = max(op.lipschitz for op in prob.C)
-    nu = max(op.lipschitz for op in prob.Dinv)
-    beta = max(mu, nu) + float(np.sqrt(prob.L.lambda_bound))
-    if beta == 0.0:
-        raise ParameterError(
-            "beta = 0: the problem is fully decoupled; solve each block directly"
-        )
-    return beta
+    """Positive Lipschitz bound of the single-valued part:
+    max{max_i mu_i, max_k nu_k} + sqrt(lambda), or 1 where that is 0.
+    Q is then constant, so every positive number bounds its Lipschitz
+    constant, and 1 gives the step 1 - epsilon."""
+    mu_nu = max(op.lipschitz for op in prob.C + prob.Dinv)
+    return mu_nu + float(np.sqrt(prob.L.lambda_bound)) or 1.0
 
 
 def _runs(ops, slices):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdsplit import cli
+from pdsplit import cli, system
 from pdsplit.cli import CSV_HEADER, main
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import DEFAULT_EPSILON
@@ -109,6 +109,47 @@ def test_solve_exit_one_on_out_of_range_entry(tmp_path, capsys):
 
 def test_solve_exit_one_on_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.prob")]) == 1
+
+
+def test_solve_exit_one_on_a_file_that_is_not_utf8_naming_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.prob"
+    bad.write_bytes(b"problem system\n\xff\xfe\n")
+    assert main(["solve", str(bad), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 2: not UTF-8: invalid start byte\n"
+    assert sorted(tmp_path.iterdir()) == [bad]
+
+
+def test_an_unusable_output_dir_is_an_error_before_the_solve(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(system, "fbf_solve", no_solve)
+    target = tmp_path / "file"
+    target.write_text("kept")
+    assert main(["demo", "twobox", "--output-dir", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: demo twobox: cannot create output directory {target}: ")
+    assert sorted(tmp_path.iterdir()) == [target] and target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("text", [TWOBOX_TEXT, get_demo("twobox").text],
+                         ids=["system", "multivar_min"])
+def test_a_decoupled_file_solves_at_beta_one(tmp_path, text):
+    # with no coupling and no Lipschitz term Q is constant: every positive
+    # number bounds its Lipschitz constant, and beta is 1
+    coupling = "entry 1 1 scale 1\nentry 1 2 scale -1\n"
+    assert coupling in text
+    path = tmp_path / "decoupled.prob"
+    path.write_text(text.replace(coupling, "").replace("vec r 0\n", "vec r 2\n"))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path / "decoupled.summary")
+    assert summary["beta"] == "1"
+    assert float(summary["primal_kkt"]) <= 1e-6 and float(summary["dual_kkt"]) <= 1e-6
+    gamma = float((tmp_path / "decoupled.trace.csv").read_text().splitlines()[1].split(",")[1])
+    assert gamma == 1.0 - DEFAULT_EPSILON
 
 
 def test_cli_overrides_beat_file_config(feas_file, tmp_path):

@@ -11,6 +11,7 @@ from pdsplit import (
     ZeroOperator,
     fbf_solve,
 )
+from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import gamma_for
 
 
@@ -126,6 +127,26 @@ def test_gamma_for_validates_range():
         gamma_for(FbfConfig(gamma=5.0), 2.0, 0)
     with pytest.raises(ParameterError):
         gamma_for(FbfConfig(gamma=1e-4), 2.0, 0)
+
+
+def test_gamma_for_checks_the_epsilon_window_first_under_its_own_key():
+    # chi = 1 allows epsilon below 1/2; the step 5 is out of range too
+    with pytest.raises(ParameterError, match=r"^epsilon 0\.6 must be below "
+                       r"1/\(chi\+1\) = 0\.5$") as exc:
+        gamma_for(FbfConfig(epsilon=0.6, gamma=5.0), 1.0, 0)
+    assert exc.value.key == "epsilon"
+    with pytest.raises(ParameterError, match=r"^gamma 5\.0 at iteration 3 ") as exc:
+        gamma_for(FbfConfig(gamma=5.0), 1.0, 3)
+    assert exc.value.key == "gamma"
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_a_zero_error_schedule_runs_as_no_schedule(name):
+    # its draws are scaled to norm 0, which leaves every evaluation as it is
+    clean, _ = get_demo(name).solve(FbfConfig())
+    zero, _ = get_demo(name).solve(FbfConfig(errors=SummableErrorSchedule(0.0, 2.0, 3)))
+    assert zero.trace.iterations == clean.trace.iterations
+    assert np.array_equal(zero.trace.w, clean.trace.w) and zero.kkt == clean.kkt
 
 
 def test_error_schedule_zero_eta():

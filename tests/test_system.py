@@ -62,8 +62,8 @@ def test_compute_beta_formula():
     )
     assert compute_beta(mk(2.0, 0.0, 0.0)) == pytest.approx(np.sqrt(2.0))
     assert compute_beta(mk(4.0, 3.0, 1.0)) == pytest.approx(5.0)
-    with pytest.raises(ParameterError):
-        compute_beta(mk(0.0, 0.0, 0.0))
+    # Q is constant: every positive number bounds its Lipschitz constant
+    assert compute_beta(mk(0.0, 0.0, 0.0)) == 1.0
 
 
 def test_solve_two_box_coupling():
