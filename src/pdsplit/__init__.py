@@ -42,8 +42,6 @@ from .operators import (
     ZeroMap,
     ZeroOperator,
     conjugate_prox,
-    prox,
-    resolvent,
     shifted_inverse_resolvent,
     yosida,
 )

@@ -1,13 +1,17 @@
 """Catalog of maximally monotone operators and convex functions.
 
 Set-valued operators are exposed exclusively through their resolvents
-J_{gamma A} = (Id + gamma A)^{-1}; convex functions through their proximity
-operators.  Every catalog member is defined on the whole space, keeps the
-parameters it was built with, and is safe to evaluate concurrently.  The
-one piece of state is ``AffineOperator``'s memo of the inverse for its last
-step, built from M: M and b must not be mutated in place after
-construction.  The memo changes the cost of a call, never its value: every
-resolvent depends on (gamma, x) alone.
+J_{gamma A} = (Id + gamma A)^{-1}, so ``AffineOperator`` has no forward
+map (``AffineMap`` is x -> M x + b in the forward role); convex functions
+through their proximity operators.  Each member's own
+``resolvent(gamma, x)`` or ``prox(gamma, x)`` takes x as a list or an
+array and refuses a step gamma <= 0.  Every catalog member is
+defined on the whole space, keeps the parameters it was built with, and is
+safe to evaluate concurrently.  The one piece of state is
+``AffineOperator``'s memo of the inverse for its last step, built from M:
+M and b must not be mutated in place after construction.  The memo
+changes the cost of a call, never its value: every resolvent depends on
+(gamma, x) alone.
 
 Each set carries its support function, the conjugate of its indicator.
 Tables declare how members join and what fits a block.  ``_SEPARABLE``
@@ -17,10 +21,10 @@ given per block, hyperplanes and halfspaces: vector parameters with one
 entry per coordinate and scalar ones with one value per block.
 ``_VECTORS`` lists the vector parameters of the other members, which do
 not join.  ``_WRAPPERS`` lists the members that wrap one.  Through them
-``join`` turns operators on consecutive blocks into one: a separable one
-with a parameter per coordinate, or a set given per block as one set with
-a segment per block, whose projection is one vectorised expression over
-all segments.
+``join`` turns operators on consecutive blocks that share a ``join_key``
+and fit their blocks into one: a separable one with a parameter per
+coordinate, or a set given per block as one set with a segment per block,
+whose projection is one vectorised expression over all segments.
 """
 
 from __future__ import annotations
@@ -55,8 +59,6 @@ __all__ = [
     "L1Norm",
     "QuadraticDistance",
     "SquaredNorm",
-    "resolvent",
-    "prox",
     "conjugate_prox",
     "shifted_inverse_resolvent",
     "yosida",
@@ -345,9 +347,6 @@ class AffineOperator(MonotoneOperator):
             self._inv = (gamma, inv)
         return inv @ (x - gamma * self.b)
 
-    def __call__(self, x):
-        return self.M @ x + self.b
-
 
 class NormalCone(MonotoneOperator):
     """Normal cone of a closed convex set; resolvent is the projection."""
@@ -529,12 +528,20 @@ class QuadraticDistance(ConvexFunction):
 
 class SquaredNorm(ConvexFunction):
     """sum_j omega_j x_j^2 with omega > 0, a scalar or one value per
-    coordinate."""
+    coordinate, in the range where 2 omega, the scale of its gradient, and
+    0.5 / omega, that of its conjugate's gradient, are finite: about
+    2.8e-309 <= omega <= 8.9e307."""
 
     real_valued = True
 
     def __init__(self, omega):
-        self.omega = _parameter(omega, "omega must be positive and finite", positive=True)
+        self.omega = omega = _parameter(omega, "omega must be positive and finite",
+                                        positive=True)
+        with np.errstate(over="ignore"):
+            ok = np.all((2.0 * omega < np.inf) & (0.5 / omega < np.inf))
+        if not ok:
+            raise ParameterError("omega needs 2 omega and 0.5 / omega finite "
+                                 "(about 2.8e-309 <= omega <= 8.9e307)")
 
     @cached_property
     def gradient(self):
@@ -555,18 +562,6 @@ class SquaredNorm(ConvexFunction):
 
 # ---------------------------------------------------------------------------
 # Resolvent calculus
-
-
-def resolvent(A, gamma, x):
-    """J_{gamma A}(x) = (Id + gamma A)^{-1} x."""
-    _check_gamma(gamma)
-    return A.resolvent(gamma, np.asarray(x, dtype=float))
-
-
-def prox(f, gamma, x):
-    """Unique minimizer of f + ||x - .||^2 / (2 gamma)."""
-    _check_gamma(gamma)
-    return f.prox(gamma, np.asarray(x, dtype=float))
 
 
 def conjugate_prox(f, gamma, x):
@@ -636,37 +631,29 @@ def join_key(op):
 def join(ops, dims):
     """The direct sum of ``ops``, operator j acting on block j of
     consecutive blocks of sizes ``dims``, as one operator of their class.
-    A separable one holds a value per coordinate for each parameter, and
-    its resolvent (or value, for a Lipschitz map) on the joined vector is,
-    coordinate for coordinate, the same arithmetic as the per-block ones.
-    A set given per block is the concatenation of its vector parameters
-    with a segment per block, whose projection acts on each segment as the
-    block's own does, summing over a segment in its own order.  None when
-    the operators do not join: their join keys differ or are None, or a
-    parameter does not fit its block."""
-    if len(ops) != len(dims):
-        raise ValueError(f"{len(ops)} operators for {len(dims)} blocks")
-    key = join_key(ops[0]) if ops else None
-    if key is None or any(join_key(op) != key for op in ops[1:]):
-        return None
-    kind, inners = key[-1], [_unwrap(op)[1] for op in ops]
+    The caller guarantees that they join, as ``system._runs`` does: two or
+    more operators, one per block, that share a ``join_key`` other than
+    None and each fit their block (``misfit`` is None), which
+    ``CoupledInclusionProblem`` checks at construction.  A separable one
+    holds a value per coordinate for each parameter, and its resolvent (or
+    value, for a Lipschitz map) on the joined vector is, coordinate for
+    coordinate, the same arithmetic as the per-block ones.  A set given per
+    block is the concatenation of its vector parameters with a segment per
+    block, whose projection acts on each segment as the block's own does,
+    summing over a segment in its own order; a joined set joins again."""
+    kinds, inners = _unwrap(ops[0])[0], [_unwrap(op)[1] for op in ops]
+    kind = kinds[-1]
     if kind in _SEPARABLE:
-        try:
-            parts = [[np.broadcast_to(getattr(inner, name), (d,)) for name in _SEPARABLE[kind]]
-                     for inner, d in zip(inners, dims)]
-        except ValueError:
-            return None
+        parts = [[np.broadcast_to(getattr(inner, name), (d,)) for name in _SEPARABLE[kind]]
+                 for inner, d in zip(inners, dims)]
         joined = kind(*(np.concatenate(p) for p in zip(*parts)))
     else:
         vectors, scalars = _PER_BLOCK[kind]
-        if any(getattr(inner, name).size != d for inner, d in zip(inners, dims)
-               for name in vectors):
-            return None
         # a segment per block, or the segments of a joined one
         segments = sum((getattr(inner._seg, "dims", (d,)) for inner, d in zip(inners, dims)), ())
         joined = kind(*(np.hstack([getattr(inner, name) for inner in inners])
                         for name in vectors + scalars), segments)
-    for wrap in reversed(key[:-1]):
+    for wrap in reversed(kinds[:-1]):
         joined = wrap(joined)
     return joined
 

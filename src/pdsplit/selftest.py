@@ -25,6 +25,7 @@ from .operators import (
     Ball,
     Box,
     Halfspace,
+    Hyperplane,
     IndicatorFunction,
     L1Norm,
     NormalCone,
@@ -112,24 +113,32 @@ def _check_firm(rng):
 
 
 def _check_moreau(rng):
-    worst = 0.0
-    fns = [ZeroFunction(), L1Norm(1.0), QuadraticDistance(np.ones(3)),
-           SquaredNorm(0.5), IndicatorFunction(Box(-np.ones(3), np.ones(3)))]
+    """Moreau's decomposition x = prox_{gamma f}(x) + gamma prox_{f*/gamma}(x
+    / gamma), and Fenchel-Young's equality f(p) + f*(q) = <p, q> at p =
+    prox_{gamma f}(x), q = (x - p) / gamma.  ``conjugate_prox`` is built
+    from the prox, so the decomposition holds for any map in its place;
+    the equality reads the function's own value and conjugate, independent
+    formulas, and holds only where q is a subgradient at p."""
+    d = 3
+    fns = [ZeroFunction(), L1Norm(1.0), QuadraticDistance(np.ones(d)), SquaredNorm(0.5)]
+    fns += [IndicatorFunction(cset) for cset in (
+        Box(-np.ones(d), np.ones(d)), Ball(np.zeros(d), 1.0), Halfspace(np.ones(d), 1.0),
+        Hyperplane(np.ones(d), 0.5), Point(np.zeros(d)))]
+    defects = []                        # np.max keeps a NaN, which fails the row
     for fn in fns:
         for _ in range(100):
             gamma = float(rng.uniform(0.1, 3.0))
-            x = rng.standard_normal(3)
+            x = rng.standard_normal(d)
+            p = fn.prox(gamma, x)
+            q = (x - p) / gamma
+            pq = float(p @ q)
             # unit-step split plus the scaled decomposition
             recon1 = fn.prox(1.0, x) + conjugate_prox(fn, 1.0, x)
-            recon2 = fn.prox(gamma, x) + gamma * conjugate_prox(
-                fn, 1.0 / gamma, x / gamma
-            )
-            worst = max(
-                worst,
-                float(np.max(np.abs(recon1 - x))),
-                float(np.max(np.abs(recon2 - x))),
-            )
-    return worst <= 1e-12, f"max decomposition defect {worst:.3e}"
+            recon2 = p + gamma * conjugate_prox(fn, 1.0 / gamma, x / gamma)
+            defects += [np.max(np.abs(recon1 - x)), np.max(np.abs(recon2 - x)),
+                        abs(fn(p) + fn.conjugate(q) - pq) / (1.0 + abs(pq))]
+    worst = float(np.max(defects))
+    return worst <= 1e-12, f"max decomposition and Fenchel-Young defect {worst:.3e}"
 
 
 def _check_shifted_inverse(rng):

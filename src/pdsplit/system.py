@@ -110,9 +110,10 @@ def compute_beta(prob):
 def _runs(ops, slices):
     """(operator, slice) for the blocks of ``slices`` in order, found in one
     pass: each maximal run of two or more consecutive blocks of at most
-    SMALL_BLOCK_DIM coordinates whose operators join is their joined
-    operator on the run's slice; every other block keeps its own operator
-    and slice."""
+    SMALL_BLOCK_DIM coordinates whose operators share a join key other than
+    None is their joined operator (``operators.join``) on the run's slice;
+    every other block keeps its own operator and slice.  The operators are
+    a problem's, so each fits its block, which ``join`` takes as given."""
     dims = [sl.stop - sl.start for sl in slices]
     out, j, n = [], 0, len(ops)
     while j < n:
@@ -121,11 +122,11 @@ def _runs(ops, slices):
         while (key is not None and stop < n and dims[stop] <= SMALL_BLOCK_DIM
                and join_key(ops[stop]) == key):
             stop += 1
-        joined = join(ops[j:stop], dims[j:stop]) if stop - j > 1 else None
-        if joined is None:
-            out += zip(ops[j:stop], slices[j:stop])
+        if stop - j > 1:
+            out.append((join(ops[j:stop], dims[j:stop]),
+                        slice(slices[j].start, slices[stop - 1].stop)))
         else:
-            out.append((joined, slice(slices[j].start, slices[stop - 1].stop)))
+            out.append((ops[j], slices[j]))
         j = stop
     return out
 

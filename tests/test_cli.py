@@ -222,6 +222,19 @@ def test_selftest_inject_fault_fails_norm_bound(monkeypatch, capsys):
     assert captured.out.count("PASS") == len(selftest.SELFTEST_NAMES) - 1
 
 
+def test_selftest_a_wrong_prox_fails_the_moreau_row(monkeypatch, capsys):
+    from pdsplit import SquaredNorm
+
+    # an affine map in place of the prox still splits x with conjugate_prox,
+    # which is built from it, and is firmly nonexpansive: the Fenchel-Young
+    # equality of the Moreau row is what catches it
+    monkeypatch.setattr(SquaredNorm, "prox", lambda self, gamma, x: 0.3 * np.asarray(x) + 1.7)
+    assert main(["selftest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "failed properties: moreau_identity\n"
+    assert re.search(r"^moreau_identity +FAIL  ", captured.out, re.M)
+
+
 def test_selftest_deterministic(capsys):
     main(["selftest", "--seed", "7"])
     first = capsys.readouterr().out
@@ -305,6 +318,10 @@ op S 1 scaled_identity c=1
     pytest.param(SYSTEM_TEXT + "config seed -1\n", 14, id="config-negative-seed"),
     pytest.param(SYSTEM_TEXT + "config error_eta 0.1\nconfig seed -1\n", 15,
                  id="config-negative-seed-with-eta"),
+    pytest.param(get_demo("twobox").text.replace("op ell 1 none", "op ell 1 sqnorm omega=1e-320"),
+                 9, id="sqnorm-omega-below-range"),
+    pytest.param(get_demo("twobox").text.replace("op h 1 zero", "op h 1 sqnorm omega=1e308"),
+                 6, id="sqnorm-omega-above-range"),
 ])
 def test_solve_rejects_malformed_file_naming_its_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.prob"

@@ -1,17 +1,24 @@
-"""Every name a module of the package imports is read by that module.
+"""Every name a module of the package imports is read by that module, and
+every function and class it defines has a caller.
 
-No linter ships with the package, so this test parses each module with
+No linter ships with the package, so these tests parse each module with
 ``ast`` instead: a name bound by an import must appear as a name somewhere
 else in the module, or in its ``__all__``.  The package's ``__init__`` is
-skipped, because its imports are the package's public names.
+skipped, because its imports are the package's public names.  A
+module-level function or class must be read as a name by a module of the
+package, or as a name or an attribute by the benchmark (``bench/*.py``) or
+a python example of the README: a public name that only the package's
+``__init__`` and the tests reach is code no solve path runs.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pdsplit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pdsplit"
 
 # names imported on purpose and never read, with the reason
 KEPT = {
@@ -47,3 +54,34 @@ def test_the_check_finds_an_unread_import():
 def test_every_import_is_read(module):
     unread = unread_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert unread == {name for mod, name in KEPT if mod == module}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def referenced_names():
+    """The names the package's modules read, and the names and attributes
+    that bench/*.py and the README's python examples read."""
+    refs = {node.id for path in SRC.glob("*.py") if path.stem != "__init__"
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    outside = [_parse(path) for path in (ROOT / "bench").glob("*.py")]
+    outside += [ast.parse(block) for block in re.findall(
+        r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)]
+    for tree in outside:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+def test_every_module_level_function_and_class_has_a_caller():
+    refs = referenced_names()
+    uncalled = sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
+                      for node in _parse(path).body
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and node.name not in refs)
+    assert uncalled == []

@@ -44,6 +44,7 @@ from pdsplit import (
 )
 from pdsplit.demos import get_demo
 from pdsplit.probfile import build_problem, parse_problem
+from pdsplit.reductions import univariate_to_parallel_sum
 from conftest import random_parallel_sum
 from oracles import (
     check_consistency_theorem,
@@ -370,6 +371,24 @@ def test_an_omega_per_coordinate_couples_as_ell_and_as_phi():
     report = solve_univariate_min(uni, FbfConfig())
     assert report.converged
     np.testing.assert_allclose(report.primal.flat(), x, atol=1e-6)
+
+
+def test_an_omega_whose_gradient_overflows_is_refused_by_squared_norm():
+    # 2 omega scales SquaredNorm's gradient and 0.5 / omega its conjugate's,
+    # which an ell or a strongly convex phi lifts to: an omega, or one of its
+    # coordinates, that overflows either fails in SquaredNorm, not at solve
+    # time in a map the caller never built
+    for omega in (1e-320, 1e308, [1.0, 1e-320], [1e308, 1.0]):
+        with pytest.raises(ParameterError, match="omega needs 2 omega and 0.5 / omega finite"):
+            SquaredNorm(omega)
+    # the edges of the range lift to finite constants
+    for omega in ([2.8e-309, 1.0], [1.0, 8.9e307]):
+        uni = UnivariateMinProblem(
+            dim=2, dual_dims=(2,), K1=0, K2=0, f=ZeroFunction(), h=SquaredNorm(omega),
+            g=[ZeroFunction()], phi=[SquaredNorm(omega)], z=np.zeros(2), r=[np.zeros(2)],
+            L=[1.0],
+        )
+        assert compute_beta(lift_parallel_sum(univariate_to_parallel_sum(uni))) < np.inf
 
 
 def test_univariate_singleton_objective():
