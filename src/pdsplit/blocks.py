@@ -146,16 +146,6 @@ class BlockVector:
         dims = tuple(int(d) for d in dims)
         return cls.wrap(np.zeros(sum(dims)), dims)
 
-    @classmethod
-    def from_flat(cls, flat, dims):
-        flat = np.array(flat, dtype=float).reshape(-1)
-        dims = tuple(int(d) for d in dims)
-        if flat.size != sum(dims):
-            raise SignatureError(
-                f"flat vector of size {flat.size} cannot be split into blocks {dims}"
-            )
-        return cls.wrap(flat, dims)
-
     @property
     def blocks(self):
         if self._blocks is None:
@@ -173,9 +163,6 @@ class BlockVector:
         cut = sum(self.dims[:m])
         return (BlockVector.wrap(f[:cut], self.dims[:m]),
                 BlockVector.wrap(f[cut:], self.dims[m:]))
-
-    def __len__(self):
-        return len(self.dims)
 
     def __getitem__(self, i):
         return self.blocks[i]
@@ -379,7 +366,8 @@ def _gather_layout(sig, k, i, w):
     return rows, cols, np.repeat(np.array(w), size)
 
 
-def _check_flat(a, n, side):
+def check_flat(a, n, side):
+    """SignatureError unless ``a`` is a 1-D array of length n."""
     if getattr(a, "shape", None) != (n,):
         raise SignatureError(f"{side} vector must be a 1-D array of length {n}, "
                              f"got {getattr(a, 'shape', type(a).__name__)}")
@@ -390,7 +378,7 @@ def apply_block(L, x):
     flat dual array is sum_i L_ki x_i, the small scalar cells as one
     scatter of their products, then the other cells one by one."""
     n = L.dual_slices[-1].stop
-    _check_flat(x, L.primal_slices[-1].stop, "primal")
+    check_flat(x, L.primal_slices[-1].stop, "primal")
     if L.gather is None:
         out = np.zeros(n)
     else:
@@ -408,7 +396,7 @@ def apply_adjoint(L, v):
     """Apply the adjoint grid to the flat dual array v: primal block i is
     sum_k L_ki^T v_k, as ``apply_block`` does with rows and columns swapped."""
     n = L.primal_slices[-1].stop
-    _check_flat(v, L.dual_slices[-1].stop, "dual")
+    check_flat(v, L.dual_slices[-1].stop, "dual")
     if L.gather is None:
         out = np.zeros(n)
     else:

@@ -92,8 +92,9 @@ class FbfConfig:
     errors, when set, must produce absolutely summable perturbation triples
     (a_n, b_n, c_n), drawn as one block of the whole vector.
     on_iteration(n, w_n, p_n), when set, is called once per iteration,
-    after the trace row is recorded and before the stopping test; it must
-    not modify w_n or p_n.
+    after the trace row is recorded and before the stopping test, with
+    numpy's overflow and invalid-value warnings off, as the whole loop
+    runs; it must not modify w_n or p_n.
     """
 
     def __init__(
@@ -177,37 +178,40 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     trace = FbfTrace(chi)
     w = p = w0.copy()
     stop = "max_iters"
-    for n in range(cfg.max_iters):
-        # looked up once per iteration: bench/run.py wraps it as its clock
-        gamma = gamma_for(cfg, chi, n)
-        if cfg.errors is not None:
-            a, b, c = (e.flat() for e in cfg.errors(n, (w.size,)))
-        else:
-            a = b = c = None
+    # a non-finite residual or update is the "diverged" stop: numpy's
+    # overflow and invalid-value warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.max_iters):
+            # looked up once per iteration: bench/run.py wraps it as its clock
+            gamma = gamma_for(cfg, chi, n)
+            if cfg.errors is not None:
+                a, b, c = (e.flat() for e in cfg.errors(n, (w.size,)))
+            else:
+                a = b = c = None
 
-        qw = Q(w)
-        s = w - gamma * (qw if a is None else qw + a)
-        p = P_resolvent(gamma, s)
-        if b is not None:
-            p = p + b
-        qp = Q(p)
-        q = p - gamma * (qp if c is None else qp + c)
+            qw = Q(w)
+            s = w - gamma * (qw if a is None else qw + a)
+            p = P_resolvent(gamma, s)
+            if b is not None:
+                p = p + b
+            qp = Q(p)
+            q = p - gamma * (qp if c is None else qp + c)
 
-        resid = _norm(w - p)
-        trace.rows.append((n, gamma, resid))
-        if cfg.on_iteration is not None:
-            cfg.on_iteration(n, w, p)
-        if not math.isfinite(resid):        # else inf <= tol * inf reads converged
-            stop = "diverged"
-            break
-        if resid <= cfg.residual_tol * max(1.0, _norm(w)):
-            stop = "converged"
-            break
-        w_next = w - s + q
-        if not np.isfinite(w_next).all():
-            stop = "diverged"
-            break
-        w = w_next
+            resid = _norm(w - p)
+            trace.rows.append((n, gamma, resid))
+            if cfg.on_iteration is not None:
+                cfg.on_iteration(n, w, p)
+            if not math.isfinite(resid):        # else inf <= tol * inf reads converged
+                stop = "diverged"
+                break
+            if resid <= cfg.residual_tol * max(1.0, _norm(w)):
+                stop = "converged"
+                break
+            w_next = w - s + q
+            if not np.isfinite(w_next).all():
+                stop = "diverged"
+                break
+            w = w_next
 
     trace.w, trace.p, trace.stop_reason = w, p, stop
     return trace

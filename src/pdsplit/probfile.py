@@ -491,7 +491,7 @@ class _Reader:
                              f"{flat.size} components, expected {sum(dims)}")
         if not np.isfinite(flat).all():
             raise ParseError(f"{self.where(('vec', name))}vec {name} must be finite")
-        return BlockVector.from_flat(flat, dims)
+        return BlockVector.wrap(flat.copy(), dims)   # shares no memory with the file
 
     def grid(self, dims_out, dims_in):
         """The entries of the coupling grid as {(k, i): entry}; a None in

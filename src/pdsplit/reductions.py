@@ -147,13 +147,12 @@ def solve_parallel_sum(p, cfg):
     """Solve the lifted problem with the system solver and unlift it.
 
     Every Lipschitz S_k enters only through forward evaluations.  The
-    report's primal is x alone; aux holds the auxiliary y_1..y_{K2}, and
-    the trace runs over the lifted (x, y, v) space.
+    report's primal is x alone; the trace runs over the lifted (x, y, v)
+    space, so the auxiliary y_1..y_{K2} stay in report.trace.w, between
+    x and v.
     """
     report = solve_system(lift_parallel_sum(p), cfg)
-    x, y = report.primal.split(1)
-    report.primal = x
-    report.aux = [yk.copy() for yk in y.blocks]
+    report.primal = report.primal.split(1)[0]
     return report
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from .blocks import (
     BlockLinearOp,
-    BlockVector,
     SpaceSig,
     apply_adjoint,
     apply_block,
@@ -59,11 +58,11 @@ def _check_adjoint(rng):
     worst = 0.0
     for _ in range(100):
         L = _random_grid(rng)
-        x = BlockVector([rng.standard_normal(d) for d in L.sig.dims_primal])
-        v = BlockVector([rng.standard_normal(d) for d in L.sig.dims_dual])
-        lhs = float(apply_block(L, x.flat()) @ v.flat())
-        rhs = float(x.flat() @ apply_adjoint(L, v.flat()))
-        scale = 1.0 + np.linalg.norm(x.flat()) * np.linalg.norm(v.flat())
+        x = rng.standard_normal(sum(L.sig.dims_primal))
+        v = rng.standard_normal(sum(L.sig.dims_dual))
+        lhs = float(apply_block(L, x) @ v)
+        rhs = float(x @ apply_adjoint(L, v))
+        scale = 1.0 + np.linalg.norm(x) * np.linalg.norm(v)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst <= 1e-10, f"max scaled defect {worst:.3e}"
 
@@ -73,9 +72,9 @@ def _check_norm_bound(rng):
     for _ in range(100):
         L = _random_grid(rng)
         for lam in (L.lambda_bound, lambda_power_iteration(L)):
-            x = BlockVector([rng.standard_normal(d) for d in L.sig.dims_primal])
-            lhs = np.linalg.norm(apply_block(L, x.flat())) ** 2
-            rhs = lam * np.linalg.norm(x.flat()) ** 2 * (1 + 1e-10)
+            x = rng.standard_normal(sum(L.sig.dims_primal))
+            lhs = np.linalg.norm(apply_block(L, x)) ** 2
+            rhs = lam * np.linalg.norm(x) ** 2 * (1 + 1e-10)
             worst = max(worst, lhs - rhs)
     return worst <= 0.0, f"max bound excess {worst:.3e}"
 

@@ -36,6 +36,7 @@ from .blocks import (
     apply_adjoint,
     apply_block,
     block_slices,
+    check_flat,
     check_signature,
 )
 from .fbf import FbfTrace, fbf_solve
@@ -189,15 +190,15 @@ def product_space_pair(prob):
 @dataclass(eq=False)
 class SolveReport:
     """Solver output: primal/dual points at the last finite iterate, the
-    engine's trace, and the KKT residuals there; aux holds a reduction's
-    auxiliary variables, when it has any.  Per-iteration quantities come
-    from the trace or from ``FbfConfig.on_iteration``."""
+    engine's trace, and the KKT residuals there.  A reduction's auxiliary
+    variables, when it has any, stay in trace.w, between x and v.
+    Per-iteration quantities come from the trace or from
+    ``FbfConfig.on_iteration``."""
 
     primal: BlockVector
     dual: BlockVector
     trace: FbfTrace
     kkt: tuple
-    aux: list | None = None
 
     @property
     def converged(self):
@@ -228,42 +229,45 @@ def solve_system(prob, cfg):
     beta = compute_beta(prob)
     trace = fbf_solve(*prob._pair, beta, np.zeros(sum(dims)), cfg)
     x, v = BlockVector.wrap(trace.w, dims).split(prob.sig.m)
-    return SolveReport(x, v, trace, kkt_residual(prob, x, v))
+    return SolveReport(x, v, trace, kkt_residual(prob, trace.w))
 
 
-def kkt_residual(prob, x, v):
-    """Max-over-blocks residuals of the primal and dual inclusions.
+def kkt_residual(prob, w):
+    """Max-over-blocks residuals of the primal and dual inclusions at the
+    flat primal-dual point w = (x, v), laid out as trace.w is.
 
     The primal inclusion u_i = z_i - sum_k L_ki^T v_k - C_i x_i in A_i x_i
     and the dual inclusion y_k = sum_i L_ki x_i - r_k - Dinv_k v_k in
     B_k^{-1} v_k are certified through the resolvent fixed-point
     characterization of graph membership: u in A(p) <=> p = J_A(p + u).
-    Both come from one evaluation of the pair at unit step on w = (x, v):
+    Both come from one evaluation of the pair at unit step on w:
     with s = w - Q(w) and d = w - P_resolvent(1, s), block i of d is
     x_i - J_{A_i}(x_i + u_i), block k is J_{B_k}(v_k + y_k) - y_k, and
     s - w + (z, -r) = (u, y), formed in place of s.  Block j reports
     ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).  The pair is the problem's
-    own, built at its first use; every step after the calls to Q and
-    P_resolvent works in place in their outputs.
+    own, built at its first use; w is only read, and every step after the
+    calls to Q and P_resolvent works in place in their outputs.  Anything
+    but a 1-D array of the product space's length raises SignatureError.
+    At a diverged iterate the residuals may be inf or nan, without
+    numpy's overflow and invalid-value warnings.
     """
     sig = prob.sig
-    check_signature(x, sig.dims_primal, "primal")
-    check_signature(v, sig.dims_dual, "dual")
-    w = np.concatenate((x.flat(), v.flat()))
     n_primal = sum(sig.dims_primal)
+    check_flat(w, n_primal + sum(sig.dims_dual), "primal-dual")
     P_resolvent, Q = prob._pair
-    u = Q(w)
-    np.subtract(w, u, out=u)
-    d = P_resolvent(1.0, u)
-    np.subtract(w, d, out=d)
-    u -= w
-    u[:n_primal] += prob.z.flat()
-    u[n_primal:] -= prob.r.flat()
     starts = np.cumsum((0,) + sig.dims_primal + sig.dims_dual[:-1])
 
     def norms(a, out):                  # of the blocks of a, squaring a into out
         return np.sqrt(np.add.reduceat(np.square(a, out=out), starts))
 
-    nd = norms(d, d)                    # d is spent: it takes w's squares next
-    ratio = nd / (1.0 + norms(w, d) + norms(u, u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = Q(w)
+        np.subtract(w, u, out=u)
+        d = P_resolvent(1.0, u)
+        np.subtract(w, d, out=d)
+        u -= w
+        u[:n_primal] += prob.z.flat()
+        u[n_primal:] -= prob.r.flat()
+        nd = norms(d, d)                # d is spent: it takes w's squares next
+        ratio = nd / (1.0 + norms(w, d) + norms(u, u))
     return float(ratio[: sig.m].max()), float(ratio[sig.m :].max())

@@ -35,10 +35,6 @@ def test_block_vector_round_trip():
     v = BlockVector([[1.0, 2.0], [3.0]])
     assert v.dims == (2, 1)
     np.testing.assert_array_equal(v.flat(), [1.0, 2.0, 3.0])
-    w = BlockVector.from_flat(v.flat(), v.dims)
-    assert np.linalg.norm(v.flat() - w.flat()) == 0.0
-    with pytest.raises(SignatureError):
-        BlockVector.from_flat([1.0, 2.0], (3,))
 
 
 def test_apply_block_identity():

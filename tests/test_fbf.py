@@ -13,6 +13,7 @@ from pdsplit import (
 )
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import gamma_for
+from pdsplit.probfile import build_problem, parse_problem
 
 
 def scalar_pair(P, q):
@@ -80,7 +81,6 @@ def test_square_summable_residuals():
     assert sq[-n // 10 :].sum() < sq[: n // 10].sum()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_iteration():
     # declare a wildly wrong Lipschitz constant so the step expands by
     # 9703x per iteration; the residual of iteration 39 overflows
@@ -91,7 +91,6 @@ def test_divergence_raises_with_iteration():
     assert np.isfinite(tr.w).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_residual_is_divergence_at_any_tolerance():
     # inf <= tol * inf holds, so without its own check an overflowing
     # residual would read as convergence at the default tolerance
@@ -101,7 +100,6 @@ def test_an_overflowing_residual_is_divergence_at_any_tolerance():
     assert tr.rows[-1][2] == np.inf and np.isfinite(tr.w).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_update_is_divergence():
     # the residual ||w - p|| is finite, but Q overflows at p, and so does
     # the update built from Q(p)
@@ -109,6 +107,30 @@ def test_an_overflowing_update_is_divergence():
     tr = fbf_solve(P, lambda w: 1e300 * w, 1.0, np.ones(1), FbfConfig(residual_tol=0.0))
     assert tr.stop_reason == "diverged" and tr.iterations == 1
     assert np.isfinite(tr.rows[-1][2]) and np.array_equal(tr.w, np.ones(1))
+
+
+# (demo, text replaced, replacement): a finite number near the float range
+# overflows the first iteration
+_NEAR_MAX = [("legendre", "rho=1\n", "rho=1e308\n"), ("lasso1d", "vec r 0 0", "vec r 1e308 0"),
+             ("twobox", "vec r 0", "vec r 1e308"), ("boxhalf", "rho=3", "rho=1e308")]
+
+
+@pytest.mark.parametrize("name, old, new", (
+    [pytest.param(n, None, None, id=f"{n}-eta1e200") for n in DEMO_NAMES]
+    + [pytest.param(*case, id=f"{case[0]}-1e308") for case in _NEAR_MAX]))
+def test_a_diverging_solve_and_its_certificate_warn_nothing(name, old, new):
+    # the non-finite residual or update is the "diverged" stop; under the
+    # suite's warnings-as-errors a numpy overflow warning from the engine
+    # or from kkt_residual would raise instead
+    if old is None:
+        cfg = FbfConfig(errors=SummableErrorSchedule(1e200, 2.0, 3))
+        report = get_demo(name).solve(cfg)[0]
+    else:
+        text = get_demo(name).text
+        assert old in text
+        prob, solver = build_problem(parse_problem(text.replace(old, new, 1)))
+        report = solver(prob, FbfConfig(max_iters=200))
+    assert report.trace.stop_reason == "diverged"
 
 
 def test_chi_and_epsilon_validation():

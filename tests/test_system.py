@@ -23,6 +23,7 @@ from pdsplit import (
     QuadraticDistance,
     ScaledIdentity,
     ScaledIdentityMap,
+    SignatureError,
     SpaceSig,
     SquaredNorm,
     SubdifferentialOperator,
@@ -111,17 +112,13 @@ def test_scalar_linear_system():
 
 def test_kkt_residual_at_closed_form_solution():
     prob = two_box_problem()
-    x = BlockVector([[2.0], [1.0]])
-    v = BlockVector([[1.0]])
-    pk, dk = kkt_residual(prob, x, v)
+    pk, dk = kkt_residual(prob, np.array([2.0, 1.0, 1.0]))
     assert pk <= 1e-8 and dk <= 1e-8
 
 
 def test_kkt_residual_positive_off_solution(rng):
     prob = two_box_problem()
-    x = BlockVector([[2.7], [0.1]])
-    v = BlockVector([[-0.4]])
-    pk, dk = kkt_residual(prob, x, v)
+    pk, dk = kkt_residual(prob, np.array([2.7, 0.1, -0.4]))
     assert max(pk, dk) > 1e-3
 
 
@@ -144,7 +141,8 @@ def test_kkt_residual_matches_the_blockwise_reference():
         x = BlockVector([rng.standard_normal(d) for d in sig.dims_primal])
         v = BlockVector([3 * rng.standard_normal(d) for d in sig.dims_dual])
         for got, want in ((report.kkt, kkt_residual_blockwise(prob, report.primal, report.dual)),
-                          (kkt_residual(prob, x, v), kkt_residual_blockwise(prob, x, v))):
+                          (kkt_residual(prob, np.concatenate((x.flat(), v.flat()))),
+                           kkt_residual_blockwise(prob, x, v))):
             assert np.abs(np.subtract(got, want)).max() <= 1e-15
     assert seen == {"run", "lone", "affine"}
 
@@ -163,7 +161,7 @@ def test_a_problem_builds_its_pair_once_and_holds_no_cycle(rng, monkeypatch):
     assert not builds                     # nothing is built at set-up
     report = solve_system(prob, FbfConfig(max_iters=50))
     solve_system(prob, FbfConfig(max_iters=50))
-    kkt_residual(prob, report.primal, report.dual)
+    kkt_residual(prob, report.trace.w)
     assert len(builds) == 1
     gone = weakref.ref(prob)
     gc.disable()
@@ -367,8 +365,44 @@ def test_the_certificate_is_the_same_on_a_second_call():
         prob = random_coupled_problem(np.random.default_rng(seed))
         affine += any(isinstance(op, AffineOperator) for op in prob.A + prob.B)
         report = solve_system(prob, FbfConfig(max_iters=200))
-        assert report.kkt == kkt_residual(prob, report.primal, report.dual), seed
+        assert report.kkt == kkt_residual(prob, report.trace.w), seed
     assert affine == 26
+
+
+def test_a_hook_certifies_the_point_it_is_given(monkeypatch):
+    # the hook's w is the flat iterate kkt_residual takes; on a converged
+    # run the last one is trace.w, so its certificate is report.kkt
+    import pdsplit.system
+
+    builds = []
+    original = pdsplit.system.product_space_pair
+    monkeypatch.setattr(pdsplit.system, "product_space_pair",
+                        lambda prob: builds.append(None) or original(prob))
+    solved = 0
+    for seed in range(12):
+        prob = random_coupled_problem(np.random.default_rng(seed))
+        seen = []
+        cfg = FbfConfig(max_iters=2000, on_iteration=lambda n, w, p: seen.append(
+            kkt_residual(prob, w)))
+        report = solve_system(prob, cfg)
+        if report.converged:
+            solved += 1
+            assert seen[-1] == report.kkt, seed
+        assert len(seen) == report.trace.iterations and len(builds) == seed + 1, seed
+    assert solved >= 10
+
+
+def test_the_certificate_refuses_what_is_not_the_flat_iterate_and_leaves_it_alone():
+    prob = two_box_problem()
+    for w in (BlockVector([[2.0], [1.0], [1.0]]), [2.0, 1.0, 1.0],
+              np.array([[2.0, 1.0, 1.0]]), np.array([2.0, 1.0])):
+        with pytest.raises(SignatureError, match=r"^primal-dual vector must be a 1-D "
+                                                 r"array of length 3, got "):
+            kkt_residual(prob, w)
+    w = np.array([2.7, 0.1, -0.4])
+    kept = w.copy()
+    kkt_residual(prob, w)
+    assert np.array_equal(w, kept)
 
 
 # a duck-typed map: LipschitzOperator itself rejects a negative constant
