@@ -41,9 +41,7 @@ from .operators import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
-    conjugate_prox,
     shifted_inverse_resolvent,
-    yosida,
 )
 from .reductions import (
     CommonZeroProblem,

@@ -238,8 +238,13 @@ def _add_run_flags(sp):
     sp.add_argument("--output-dir", dest="output_dir", default=".")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # invalid input exits 1; 2 is a run out of budget
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdsplit",
         description="primal-dual splitting solver for coupled monotone inclusions",
     )

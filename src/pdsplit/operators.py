@@ -59,9 +59,7 @@ __all__ = [
     "L1Norm",
     "QuadraticDistance",
     "SquaredNorm",
-    "conjugate_prox",
     "shifted_inverse_resolvent",
-    "yosida",
     "join_key",
     "join",
 ]
@@ -564,13 +562,6 @@ class SquaredNorm(ConvexFunction):
 # Resolvent calculus
 
 
-def conjugate_prox(f, gamma, x):
-    """prox_{gamma f*}(x) via the Moreau decomposition."""
-    _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    return x - gamma * f.prox(1.0 / gamma, x / gamma)
-
-
 def shifted_inverse_resolvent(A, r, gamma, x):
     """J_{gamma (r + A^{-1})}(x) = x - gamma (r + J_{A/gamma}(x/gamma - r)).
 
@@ -581,13 +572,6 @@ def shifted_inverse_resolvent(A, r, gamma, x):
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     return x - gamma * (r + A.resolvent(1.0 / gamma, x / gamma - r))
-
-
-def yosida(B, gamma, x):
-    """Yosida regularization (x - J_{gamma B} x) / gamma; (1/gamma)-Lipschitz."""
-    _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    return (x - B.resolvent(gamma, x)) / gamma
 
 
 # ---------------------------------------------------------------------------

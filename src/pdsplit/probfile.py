@@ -54,8 +54,8 @@ from .reductions import (
 )
 from .system import CoupledInclusionProblem, solve_system
 
-__all__ = ["ProblemFile", "ParseError", "parse_problem", "serialize_problem",
-           "build_problem", "KINDS", "CATALOG_IDS"]
+__all__ = ["ProblemFile", "ParseError", "parse_problem", "build_problem", "KINDS",
+           "CATALOG_IDS"]
 
 KINDS = ("system", "parallel_sum", "common_zero", "multivar_min",
          "univar_min", "feasibility")
@@ -89,25 +89,6 @@ class ProblemFile:
         self.vecs = {}       # name -> 1-D ndarray
         self.config = {}     # solver overrides
         self.lines = {}      # slot of each directive -> its line number
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return _same(
-            (self.kind, self.dims, self.ops, self.entries, self.vecs, self.config),
-            (other.kind, other.dims, other.ops, other.entries, other.vecs,
-             other.config))
-
-
-def _same(a, b):
-    """Equal parsed values: containers item by item, arrays exactly."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_same, a, b))
-    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 # A slot is what one directive fills, as a tuple of its leading tokens:
@@ -156,15 +137,6 @@ def _param_value(tok, line):
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError(f"line {line}: matrix {tok!r} has ragged rows")
     return np.array(rows if ";" in tok else rows[0])
-
-
-def _format_value(val):
-    if isinstance(val, float):
-        return format(val, ".17g")
-    arr = np.asarray(val)
-    if arr.ndim == 1:
-        return ",".join(format(x, ".17g") for x in arr)
-    return ";".join(",".join(format(x, ".17g") for x in row) for row in arr)
 
 
 def parse_problem(text):
@@ -272,42 +244,6 @@ def parse_problem(text):
     if pf is None:
         raise ParseError("empty problem file")
     return pf
-
-
-def serialize_problem(pf):
-    out = [f"problem {pf.kind}"]
-    for key in _DIM_MIN:
-        if key in pf.dims:
-            val = pf.dims[key]
-            val = val if key.endswith("_dims") else [val]
-            out.append(f"{key} " + " ".join(map(str, val)))
-    for role in sorted(pf.ops):
-        table = pf.ops[role]
-        for idx in sorted(table, key=lambda t: -1 if t is None else t):
-            cid, params = table[idx]
-            parts = [_text(_op_slot(role, idx)), cid]
-            parts += [f"{name}={_format_value(params[name])}" for name in sorted(params)]
-            out.append(" ".join(parts))
-    for name in sorted(pf.vecs):
-        out.append(f"vec {name} " + " ".join(format(x, ".17g") for x in pf.vecs[name]))
-    for (k, col) in sorted(pf.entries):
-        val = pf.entries[(k, col)]
-        head = f"entry {k + 1} {col + 1}"
-        if val is None:
-            out.append(f"{head} zero")
-        elif isinstance(val, float):
-            out.append(f"{head} scale {format(val, '.17g')}")
-        else:
-            out.append(f"{head} dense")
-            for row in val:
-                out.append(" ".join(format(x, ".17g") for x in row))
-            out.append("end")
-    for name in CONFIG_KEYS:
-        if name in pf.config:
-            val = pf.config[name]
-            val = str(val) if isinstance(val, int) else format(val, ".17g")
-            out.append(f"config {name} {val}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

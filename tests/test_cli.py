@@ -225,9 +225,8 @@ def test_selftest_inject_fault_fails_norm_bound(monkeypatch, capsys):
 def test_selftest_a_wrong_prox_fails_the_moreau_row(monkeypatch, capsys):
     from pdsplit import SquaredNorm
 
-    # an affine map in place of the prox still splits x with conjugate_prox,
-    # which is built from it, and is firmly nonexpansive: the Fenchel-Young
-    # equality of the Moreau row is what catches it
+    # an affine map in place of the prox is firmly nonexpansive: the
+    # Fenchel-Young equality of the Moreau row is what catches it
     monkeypatch.setattr(SquaredNorm, "prox", lambda self, gamma, x: 0.3 * np.asarray(x) + 1.7)
     assert main(["selftest"]) == 1
     captured = capsys.readouterr()
@@ -247,6 +246,22 @@ def test_selftest_rejects_a_negative_seed_with_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: selftest: seed must be a nonnegative integer, got -1\n"
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["demo", "twobox", "--max-iters", "abc"], "pdsplit demo"),
+    (["selftest", "--seed", "x"], "pdsplit selftest"),
+    (["bogus"], "pdsplit"),
+    (["solve"], "pdsplit solve"),
+], ids=" ".join)
+def test_a_usage_error_exits_one_with_one_error_line(capsys, argv, prog):
+    # exit code 2 is a run that hit its budget, so bad flags are invalid input
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {prog}: ")
 
 
 def test_list_catalog(capsys):
@@ -541,8 +556,9 @@ def test_invalid_config_value_names_its_line(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("key", list(CONFIG_KEYS))
 def test_help_lists_one_flag_per_config_key(capsys, key):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])
+    assert exc.value.code == 0
     options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
     assert options.count("--" + key.replace("_", "-")) == 1
     assert len(options) == len(CONFIG_KEYS) + 1         # and --output-dir

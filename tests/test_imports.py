@@ -7,8 +7,12 @@ else in the module, or in its ``__all__``.  The package's ``__init__`` is
 skipped, because its imports are the package's public names.  A
 module-level function or class must be read as a name by a module of the
 package, or as a name or an attribute by the benchmark (``bench/*.py``) or
-a python example of the README: a public name that only the package's
-``__init__`` and the tests reach is code no solve path runs.
+a python example of the README, or named by a string of the benchmark,
+whose tracer patches functions by name: a public name that only the
+package's ``__init__`` and the tests reach is code no solve path runs.
+The property checks of ``selftest`` are not callers either, so the names
+it imports from the other modules do not count; its reads of its own
+helpers do.
 """
 
 import ast
@@ -27,15 +31,21 @@ KEPT = {
 }
 
 
-def unread_imports(source):
-    """The names an import in source binds that source never reads."""
-    tree = ast.parse(source)
+def _imported(tree):
+    """The names the imports of tree bind."""
     bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound.update(a.asname or a.name for a in node.names)
+    return bound
+
+
+def unread_imports(source):
+    """The names an import in source binds that source never reads."""
+    tree = ast.parse(source)
+    bound = _imported(tree)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
@@ -56,32 +66,43 @@ def test_every_import_is_read(module):
     assert unread == {name for mod, name in KEPT if mod == module}
 
 
-def _parse(path):
-    return ast.parse(path.read_text(encoding="utf-8"))
-
-
-def referenced_names():
-    """The names the package's modules read, and the names and attributes
-    that bench/*.py and the README's python examples read."""
-    refs = {node.id for path in SRC.glob("*.py") if path.stem != "__init__"
-            for node in ast.walk(_parse(path))
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    outside = [_parse(path) for path in (ROOT / "bench").glob("*.py")]
-    outside += [ast.parse(block) for block in re.findall(
-        r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)]
-    for tree in outside:
-        for node in ast.walk(tree):
+def uncalled(package, bench, examples):
+    """The module-level functions and classes of package (module stem ->
+    source, ``__init__`` left out) that nothing reads: no module of the
+    package as a name, selftest through its imports aside; no bench or
+    example source as a name or an attribute; no bench source as a string."""
+    trees = {stem: ast.parse(source) for stem, source in package.items()}
+    refs = set()
+    for stem, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        refs |= read - _imported(tree) if stem == "selftest" else read
+    for sources, strings in ((bench, True), (examples, False)):
+        for node in (node for source in sources for node in ast.walk(ast.parse(source))):
             if isinstance(node, ast.Name):
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
-    return refs
+            elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                refs.add(node.value)
+    return sorted(f"{stem}.{node.name}" for stem, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in refs)
+
+
+def test_the_check_counts_no_selftest_import_and_every_bench_string():
+    package = {"lib": "def f(): pass\ndef g(): pass\n",
+               "selftest": "from .lib import f, g\ndef _row(): f()\nROWS = (_row, g)\n"}
+    assert uncalled(package, [], []) == ["lib.f", "lib.g"]
+    assert uncalled(package, ["patch(lib, 'f')\n"], ["print('g')\n"]) == ["lib.g"]
 
 
 def test_every_module_level_function_and_class_has_a_caller():
-    refs = referenced_names()
-    uncalled = sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
-                      for node in _parse(path).body
-                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                      and node.name not in refs)
-    assert uncalled == []
+    package = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")
+               if path.stem != "__init__"}
+    bench = [path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py")]
+    examples = re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert uncalled(package, bench, examples) == []

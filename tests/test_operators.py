@@ -25,9 +25,7 @@ from pdsplit import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
-    conjugate_prox,
     shifted_inverse_resolvent,
-    yosida,
 )
 from oracles import graph_distance, resolvent_bisection
 from pdsplit.blocks import SMALL_BLOCK_DIM
@@ -105,49 +103,13 @@ def test_prox_minimizes_objective(rng):
             assert obj(p) <= np.min([obj(y) for y in grid]) + 1e-5
 
 
-# --- conjugate prox and Moreau ----------------------------------------------
-
-def test_conjugate_prox_l1_projects_onto_interval():
-    assert conjugate_prox(L1Norm(1.0), 1.0, [3.0])[0] == pytest.approx(1.0)
-
-
-def test_conjugate_prox_zero_function():
-    np.testing.assert_allclose(conjugate_prox(ZeroFunction(), 2.5, [7.0, -3.0]),
-                               [0.0, 0.0])
-
-
-def test_conjugate_prox_self_conjugate_quadratic():
-    # omega = 1/2 makes ||.||^2/2 self-conjugate
-    f = SquaredNorm(0.5)
-    assert conjugate_prox(f, 1.0, [4.0])[0] == pytest.approx(
-        f.prox(1.0, np.array([4.0]))[0]
-    ) == pytest.approx(2.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_moreau_decomposition(seed):
-    rng = np.random.default_rng(seed)
-    gamma = float(rng.uniform(0.1, 3.0))
-    x = rng.standard_normal(3)
-    for fn in (ZeroFunction(), L1Norm(1.0), QuadraticDistance(np.ones(3)),
-               SquaredNorm(0.5), IndicatorFunction(Box(-np.ones(3), np.ones(3)))):
-        # unit-step split is exact ...
-        np.testing.assert_allclose(
-            fn.prox(1.0, x) + conjugate_prox(fn, 1.0, x), x, atol=1e-12
-        )
-        # ... and so is the scaled decomposition
-        np.testing.assert_allclose(
-            fn.prox(gamma, x) + gamma * conjugate_prox(fn, 1.0 / gamma, x / gamma),
-            x, atol=1e-12,
-        )
-
+# --- Moreau ------------------------------------------------------------------
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_the_selftest_moreau_row_holds_at_any_seed(seed):
-    # the row's Fenchel-Young equality reads each function's value and
-    # conjugate, which the decomposition above never does
+    # the row's Fenchel-Young equality ties each function's prox to its own
+    # value and conjugate, which every seed must keep
     passed, detail = _check_moreau(np.random.default_rng(seed))
     assert passed, detail
 
@@ -196,18 +158,46 @@ def test_shifted_inverse_closed_form_scaled_identity(rng):
                                    atol=1e-10)
 
 
-# --- yosida ------------------------------------------------------------------
+# --- the dual kernel at r = 0: conjugate prox and Yosida map -----------------
+# J_{gamma (df)^{-1}} is prox_{gamma f*}, and J_{(1/gamma) B^{-1}}(x / gamma)
+# is the Yosida map (x - J_{gamma B} x) / gamma, by Moreau's identity
+
+
+def _conjugate_prox(f, gamma, x):
+    return shifted_inverse_resolvent(f.subdifferential(), 0.0, gamma, x)
+
+
+def _yosida(B, gamma, x):
+    return shifted_inverse_resolvent(B, 0.0, 1.0 / gamma, np.asarray(x) / gamma)
+
+
+def test_conjugate_prox_l1_projects_onto_interval():
+    assert _conjugate_prox(L1Norm(1.0), 1.0, [3.0])[0] == pytest.approx(1.0)
+
+
+def test_conjugate_prox_zero_function():
+    np.testing.assert_allclose(_conjugate_prox(ZeroFunction(), 2.5, [7.0, -3.0]),
+                               [0.0, 0.0])
+
+
+def test_conjugate_prox_self_conjugate_quadratic():
+    # omega = 1/2 makes ||.||^2/2 self-conjugate
+    f = SquaredNorm(0.5)
+    assert _conjugate_prox(f, 1.0, [4.0])[0] == pytest.approx(
+        f.prox(1.0, np.array([4.0]))[0]
+    ) == pytest.approx(2.0)
+
 
 def test_yosida_point_cone():
-    assert yosida(NormalCone(Point([0.0])), 2.0, [6.0])[0] == pytest.approx(3.0)
+    assert _yosida(NormalCone(Point([0.0])), 2.0, [6.0])[0] == pytest.approx(3.0)
 
 
 def test_yosida_zero_operator():
-    np.testing.assert_allclose(yosida(ZeroOperator(), 0.3, [1.0, -2.0]), 0.0)
+    np.testing.assert_allclose(_yosida(ZeroOperator(), 0.3, [1.0, -2.0]), 0.0)
 
 
 def test_yosida_projection_residual():
-    assert yosida(NormalCone(Box([0.0], [1.0])), 1.0, [3.0])[0] == pytest.approx(2.0)
+    assert _yosida(NormalCone(Box([0.0], [1.0])), 1.0, [3.0])[0] == pytest.approx(2.0)
 
 
 def test_yosida_lipschitz_bound(rng):
@@ -215,7 +205,7 @@ def test_yosida_lipschitz_bound(rng):
     for _ in range(100):
         gamma = float(rng.uniform(0.1, 3.0))
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        diff = np.linalg.norm(yosida(B, gamma, x) - yosida(B, gamma, y))
+        diff = np.linalg.norm(_yosida(B, gamma, x) - _yosida(B, gamma, y))
         assert diff <= np.linalg.norm(x - y) / gamma * (1 + 1e-10)
 
 
