@@ -20,11 +20,18 @@ value per coordinate.  ``_PER_BLOCK`` lists the sets whose parameters are
 given per block, hyperplanes and halfspaces: vector parameters with one
 entry per coordinate and scalar ones with one value per block.
 ``_VECTORS`` lists the vector parameters of the other members, which do
-not join.  ``_WRAPPERS`` lists the members that wrap one.  Through them
-``join`` turns operators on consecutive blocks that share a ``join_key``
-and fit their blocks into one: a separable one with a parameter per
-coordinate, or a set given per block as one set with a segment per block,
-whose projection is one vectorised expression over all segments.
+not join.  ``_WRAPPERS`` lists the members that wrap one, and
+``_BLOCKWISE`` those that take the sizes of the blocks they were joined
+over.  Through them ``join`` turns operators or functions on consecutive
+blocks that share a ``join_key`` and fit their blocks into one: a
+separable one with a parameter per coordinate, or a set given per block
+as one set with a segment per block, whose projection is one vectorised
+expression over all segments.  The solver's pair resolves a run of joined
+blocks in one call, and ``reductions`` evaluates the objectives once per
+run: a joined value or conjugate is the sum of the blocks' own, except
+that the two that compare a norm with a threshold, a zero function's
+conjugate and an indicator's value, compare each block's norm, so that
+joining moves no +inf edge.
 """
 
 from __future__ import annotations
@@ -115,56 +122,11 @@ def _affine(M, b):
     return M, np.zeros(len(M)) if b is None else _finite(b, "b must be finite")
 
 
-# ---------------------------------------------------------------------------
-# Closed convex sets (projection targets)
-
-
-class ConvexSet:
-    def project(self, x):
-        raise NotImplementedError
-
-    def support(self, u):
-        """sup_{x in C} <x, u> for a 1-D float array u; may be +inf."""
-        raise NotImplementedError(f"no support function for {type(self).__name__}")
-
-    def distance(self, x):
-        return float(np.linalg.norm(x - self.project(x)))
-
-    def contains(self, x):
-        scale = 1.0 + float(np.linalg.norm(x))
-        return self.distance(x) <= INDICATOR_FEASIBILITY_TOL * scale
-
-
-class Box(ConvexSet):
-    """Axis-aligned box; infinite bounds give orthants and the whole space.
-    A coordinate with lo = hi = +inf or -inf would make it empty."""
-
-    def __init__(self, lo, hi):
-        self.lo = lo = np.asarray(lo, dtype=float).reshape(-1)
-        self.hi = hi = np.asarray(hi, dtype=float).reshape(-1)
-        if lo.shape != hi.shape:
-            raise ParameterError("box needs lo and hi of one shape")
-        below = lo < hi                 # one pass; the rest only where it fails
-        if not below.all():
-            tie = lo[~below]
-            if not np.all((tie == hi[~below]) & (abs(tie) < np.inf)):
-                raise ParameterError("box needs lo <= hi componentwise, without NaN, "
-                                     "and no lo = hi = +-inf")
-
-    def project(self, x):
-        return np.clip(x, self.lo, self.hi)
-
-    def support(self, u):
-        bound = np.where(u > 0, self.hi, self.lo)
-        # a round-off residue facing an infinite bound counts as 0
-        bound[np.isinf(bound) & (np.abs(u) <= INDICATOR_FEASIBILITY_TOL)] = 0.0
-        return float(np.sum(u * bound))
-
-
 class _Whole:
-    """The one segment of a set that is not joined, whose parameters given
-    per segment are floats: a segment's inner product is that of the whole
-    arrays, and a value per segment spreads over them by broadcasting."""
+    """The one segment of a member that is not joined, whose parameters
+    given per segment are floats: a segment's inner product is that of the
+    whole arrays, and a value per segment spreads over them by
+    broadcasting."""
 
     @staticmethod
     def dot(a, b):
@@ -203,6 +165,59 @@ class _Segments:
 
 
 _WHOLE = _Whole()
+
+
+def _segments(dims):
+    """_WHOLE, or with ``dims`` the segments of those sizes."""
+    return _WHOLE if dims is None else _Segments(sum(dims), dims)
+
+
+# ---------------------------------------------------------------------------
+# Closed convex sets (projection targets)
+
+
+class ConvexSet:
+    def project(self, x):
+        raise NotImplementedError
+
+    def support(self, u):
+        """sup_{x in C} <x, u> for a 1-D float array u; may be +inf."""
+        raise NotImplementedError(f"no support function for {type(self).__name__}")
+
+    def contains(self, x, seg=_WHOLE):
+        """Whether x lies in the set up to a slack relative to its norm;
+        with ``seg``, a ``_Segments``, whether each segment of x does, by
+        its own norm."""
+        x = np.asarray(x, dtype=float)
+        d = x - self.project(x)
+        return bool(np.all(np.sqrt(seg.dot(d, d))
+                           <= INDICATOR_FEASIBILITY_TOL * (1.0 + np.sqrt(seg.dot(x, x)))))
+
+
+class Box(ConvexSet):
+    """Axis-aligned box; infinite bounds give orthants and the whole space.
+    A coordinate with lo = hi = +inf or -inf would make it empty."""
+
+    def __init__(self, lo, hi):
+        self.lo = lo = np.asarray(lo, dtype=float).reshape(-1)
+        self.hi = hi = np.asarray(hi, dtype=float).reshape(-1)
+        if lo.shape != hi.shape:
+            raise ParameterError("box needs lo and hi of one shape")
+        below = lo < hi                 # one pass; the rest only where it fails
+        if not below.all():
+            tie = lo[~below]
+            if not np.all((tie == hi[~below]) & (abs(tie) < np.inf)):
+                raise ParameterError("box needs lo <= hi componentwise, without NaN, "
+                                     "and no lo = hi = +-inf")
+
+    def project(self, x):
+        return np.clip(x, self.lo, self.hi)
+
+    def support(self, u):
+        bound = np.where(u > 0, self.hi, self.lo)
+        # a round-off residue facing an infinite bound counts as 0
+        bound[np.isinf(bound) & (np.abs(u) <= INDICATOR_FEASIBILITY_TOL)] = 0.0
+        return float(np.sum(u * bound))
 
 
 class Ball(ConvexSet):
@@ -442,8 +457,14 @@ class ConvexFunction:
 
 
 class ZeroFunction(ConvexFunction):
+    """The zero function.  Joined over blocks of sizes ``dims``, its
+    conjugate tests the norm of each block, as the blocks' own do."""
+
     real_valued = True
     gradient = ZeroMap()
+
+    def __init__(self, dims=None):
+        self._seg = _segments(dims)
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
@@ -453,22 +474,26 @@ class ZeroFunction(ConvexFunction):
         return 0.0
 
     def conjugate(self, u):
-        n = float(np.linalg.norm(u))
-        return 0.0 if n <= INDICATOR_FEASIBILITY_TOL else np.inf
+        u = np.asarray(u, dtype=float)
+        n = np.sqrt(self._seg.dot(u, u))
+        return 0.0 if np.all(n <= INDICATOR_FEASIBILITY_TOL) else np.inf
 
 
 class IndicatorFunction(ConvexFunction):
-    """iota_C; prox is the projection, value 0 on C (+inf off it)."""
+    """iota_C; prox is the projection, value 0 on C (+inf off it).  Joined
+    over blocks of sizes ``dims``, its value tests each block against the
+    set's slack (``ConvexSet.contains``), as the blocks' own do."""
 
-    def __init__(self, cset):
+    def __init__(self, cset, dims=None):
         self.set = cset
+        self._seg = _segments(dims)
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
         return self.set.project(x)
 
     def __call__(self, x):
-        if self.set.contains(x):
+        if self.set.contains(x, self._seg):
             return 0.0
         return np.inf
 
@@ -583,13 +608,17 @@ def shifted_inverse_resolvent(A, r, gamma, x):
 # parameters, one entry per coordinate, and their scalar ones, one value per
 # block, in constructor order; the other classes with vector parameters, one
 # entry per coordinate, which do not join; and the classes that wrap another
-# member with the attribute holding it.
+# member with the attribute holding it.  Last, the classes that take
+# ``dims``, the sizes of the blocks they were joined over: the sets given per
+# block, and the functions whose value or conjugate compares a norm with a
+# threshold, which a joined one compares on each block.
 _SEPARABLE = {ZeroOperator: (), ScaledIdentity: ("c",), Box: ("lo", "hi"), ZeroFunction: (),
               L1Norm: ("weight",), QuadraticDistance: ("a",), SquaredNorm: ("omega",),
               ScaledIdentityMap: ("c", "b")}
 _PER_BLOCK = {Hyperplane: (("u",), ("rho",)), Halfspace: (("u",), ("rho",))}
 _VECTORS = {Ball: ("center",), Point: ("c",), AffineOperator: ("b",), AffineMap: ("b",)}
 _WRAPPERS = {NormalCone: "set", SubdifferentialOperator: "fn", IndicatorFunction: "set"}
+_BLOCKWISE = (Hyperplane, Halfspace, ZeroFunction, IndicatorFunction)
 
 
 def _unwrap(op):
@@ -603,42 +632,61 @@ def _unwrap(op):
 
 
 def join_key(op):
-    """The key under which ``op`` joins others in ``join``: its exact class
-    and those of the function and set it wraps.  None for what joins
-    nothing: an operator that is neither separable nor given per block or
-    is of a subclass, which may act otherwise, and a bare set or function."""
+    """The key under which ``op``, an operator or a function, joins others
+    in ``join``: its exact class and those of the function and set it
+    wraps.  None for what joins nothing: a member that is neither separable
+    nor given per block or is of a subclass, which may act otherwise, and a
+    bare set."""
     kinds, _ = _unwrap(op)
-    operator = isinstance(op, (MonotoneOperator, LipschitzOperator))
-    return kinds if operator and (kinds[-1] in _SEPARABLE or kinds[-1] in _PER_BLOCK) else None
+    member = isinstance(op, (MonotoneOperator, LipschitzOperator, ConvexFunction))
+    return kinds if member and (kinds[-1] in _SEPARABLE or kinds[-1] in _PER_BLOCK) else None
+
+
+def _spread(values, dims):
+    """One parameter of the members of a run of blocks of sizes ``dims``,
+    each a float or an array of 1 or its block's entries, as one float
+    array of a value per coordinate: one ``np.repeat`` when all are floats,
+    else each array of its block's size as it is and the rest filled in."""
+    if all(isinstance(v, float) for v in values):
+        return np.repeat(values, dims)
+    return np.concatenate([v if not isinstance(v, float) and v.size == d else np.full(d, v)
+                           for v, d in zip(values, dims)])
 
 
 def join(ops, dims):
-    """The direct sum of ``ops``, operator j acting on block j of
-    consecutive blocks of sizes ``dims``, as one operator of their class.
-    The caller guarantees that they join, as ``system._runs`` does: two or
-    more operators, one per block, that share a ``join_key`` other than
-    None and each fit their block (``misfit`` is None), which
-    ``CoupledInclusionProblem`` checks at construction.  A separable one
-    holds a value per coordinate for each parameter, and its resolvent (or
+    """The direct sum of ``ops``, member j acting on block j of consecutive
+    blocks of sizes ``dims``, as one member of their class.  The caller
+    guarantees that they join, as ``system._runs`` does: two or more
+    operators or functions, one per block, that share a ``join_key`` other
+    than None and each fit their block (``misfit`` is None), which
+    ``CoupledInclusionProblem`` checks at construction.
+
+    A separable one holds a value per coordinate for each parameter, joined
+    by ``_spread`` without a broadcast per member, and its resolvent (or
     value, for a Lipschitz map) on the joined vector is, coordinate for
-    coordinate, the same arithmetic as the per-block ones.  A set given per
-    block is the concatenation of its vector parameters with a segment per
-    block, whose projection acts on each segment as the block's own does,
-    summing over a segment in its own order; a joined set joins again."""
+    coordinate, the same arithmetic as the per-block ones.  So are a joined
+    function's prox, and its value and conjugate up to the order of
+    summation, except where they test a norm: the conjugate of a
+    ``ZeroFunction`` and the value of an ``IndicatorFunction`` test each
+    block's norm, as the blocks' own do.  A set given per block is the
+    concatenation of its vector parameters with a segment per block, whose
+    projection acts on each segment as the block's own does, summing over a
+    segment in its own order; a joined set joins again."""
     kinds, inners = _unwrap(ops[0])[0], [_unwrap(op)[1] for op in ops]
     kind = kinds[-1]
     if kind in _SEPARABLE:
-        parts = [[np.broadcast_to(getattr(inner, name), (d,)) for name in _SEPARABLE[kind]]
-                 for inner, d in zip(inners, dims)]
-        joined = kind(*(np.concatenate(p) for p in zip(*parts)))
+        segments = tuple(dims)
+        params = [_spread([getattr(inner, name) for inner in inners], dims)
+                  for name in _SEPARABLE[kind]]
     else:
         vectors, scalars = _PER_BLOCK[kind]
         # a segment per block, or the segments of a joined one
         segments = sum((getattr(inner._seg, "dims", (d,)) for inner, d in zip(inners, dims)), ())
-        joined = kind(*(np.hstack([getattr(inner, name) for inner in inners])
-                        for name in vectors + scalars), segments)
-    for wrap in reversed(kinds[:-1]):
-        joined = wrap(joined)
+        params = [np.hstack([getattr(inner, name) for inner in inners])
+                  for name in vectors + scalars]
+    for k in reversed(kinds):           # the innermost member first, then its wrappers
+        joined = k(*params, dims=segments) if k in _BLOCKWISE else k(*params)
+        params = [joined]
     return joined
 
 

@@ -20,6 +20,8 @@ Four front-ends:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 # entry_apply_adjoint is unused here but stays importable from this module:
@@ -30,6 +32,7 @@ from .blocks import (  # noqa: F401
     SpaceSig,
     apply_adjoint,
     apply_block,
+    block_slices,
     entry_apply,
     entry_apply_adjoint,
     entry_out_dim,
@@ -45,7 +48,7 @@ from .operators import (
     ZeroMap,
     ZeroOperator,
 )
-from .system import CoupledInclusionProblem, solve_system
+from .system import CoupledInclusionProblem, _runs, solve_system
 
 __all__ = [
     "ParallelSumProblem",
@@ -292,36 +295,71 @@ def _conj_infconv_value(f, h, u):
     return c * (float(y @ p) - 0.5 * float(p @ p)) - f(p) - h0
 
 
-def primal_objective(p, x):
+def _joined(p):
+    """p's f and h on its primal blocks and its g on its dual blocks, each
+    as the runs ``system._runs`` finds: (function, slice, range of the
+    blocks it spans), a run of small blocks whose functions join as one
+    joined function.  The functions fit their blocks, as
+    ``min_problem_to_system`` checks."""
+    def runs(fns, slices, starts):
+        return [(fn, sl, range(bisect_left(starts, sl.start), bisect_left(starts, sl.stop)))
+                for fn, sl in _runs(fns, slices)]
+
+    primal, dual = block_slices(p.sig.dims_primal), block_slices(p.sig.dims_dual)
+    starts = [sl.start for sl in primal]
+    return (runs(p.f, primal, starts), runs(p.h, primal, starts),
+            runs(p.g, dual, [sl.start for sl in dual]))
+
+
+def primal_objective(p, x, runs=None):
     """Primal objective at x.  Indicators use a small feasibility tolerance,
-    so converged near-feasible points give finite values, infeasible +inf."""
-    total = 0.0
-    for i in range(p.sig.m):
-        total += p.f[i](x[i]) + p.h[i](x[i]) - float(x[i] @ p.z[i])
-    Lx = BlockVector.wrap(apply_block(p.L, x.flat()), p.sig.dims_dual)
-    for k in range(p.sig.K):
-        total += _infconv_value(p.g[k], p.ell[k], Lx[k] - p.r[k])
+    so converged near-feasible points give finite values, infeasible +inf.
+
+    Each f, h and g is called once per run of ``_joined(p)`` (``runs``, or
+    joined here) and the values summed; a joined indicator tests each block
+    against its own slack.  A run of g's with an ell keeps a call per
+    block, since g infconv ell does not join."""
+    f, h, g = runs or _joined(p)
+    xf = x.flat()
+    total = sum(fn(xf[sl]) for fn, sl, _ in f + h) - float(xf @ p.z.flat())
+    t = BlockVector.wrap(apply_block(p.L, xf) - p.r.flat(), p.sig.dims_dual)
+    for gk, sl, blocks in g:
+        if all(p.ell[k] is None for k in blocks):
+            total += gk(t.flat()[sl])
+        else:
+            total += sum(_infconv_value(p.g[k], p.ell[k], t[k]) for k in blocks)
     return float(total)
 
 
-def dual_objective(p, v):
-    """Dual objective at v; EvaluationError unless each grad h_i is c Id + b."""
+def dual_objective(p, v, runs=None):
+    """Dual objective at v; EvaluationError unless each grad h_i is c Id + b.
+
+    As in ``primal_objective``, each function is called once per run, and a
+    joined zero function's conjugate tests each block's norm.  (f + h)*
+    joins where a run of f's and one of h's span the same blocks and the
+    joined h's gradient is c Id + b with a scalar c; elsewhere, as for a run
+    of SquaredNorm h's, whose joined omega is one value per coordinate, and
+    for the ell*, it keeps a call per block."""
+    f, h, g = runs or _joined(p)
+    vf = v.flat()
+    u = BlockVector.wrap(p.z.flat() - apply_adjoint(p.L, vf), p.sig.dims_primal)
+    hs = {(sl.start, sl.stop): hn for hn, sl, _ in h}
     total = 0.0
-    Lstar_v = BlockVector.wrap(apply_adjoint(p.L, v.flat()), p.sig.dims_primal)
-    for i in range(p.sig.m):
-        total += _conj_infconv_value(p.f[i], p.h[i], p.z[i] - Lstar_v[i])
-    for k in range(p.sig.K):
-        total += p.g[k].conjugate(v[k]) + float(v[k] @ p.r[k])
-        if p.ell[k] is not None:
-            total += p.ell[k].conjugate(v[k])
-    return float(total)
+    for fn, sl, blocks in f:
+        try:
+            total += _conj_infconv_value(fn, hs[sl.start, sl.stop], u.flat()[sl])
+        except (KeyError, EvaluationError):
+            total += sum(_conj_infconv_value(p.f[i], p.h[i], u[i]) for i in blocks)
+    total += sum(gk.conjugate(vf[sl]) for gk, sl, _ in g) + float(vf @ p.r.flat())
+    return float(total + sum(lk.conjugate(v[k]) for k, lk in enumerate(p.ell) if lk is not None))
 
 
 def evaluate_objectives(p, x, v):
     """Primal and dual objective values at (x, v), None for a side whose
     evaluator raises EvaluationError or NotImplementedError.  The duality
     gap is their sum: nonnegative everywhere, zero at a primal-dual
-    solution."""
+    solution.  f, h and g are joined once (``_joined``), for both sides, so
+    the cost grows with the number of runs, not of blocks."""
 
     def value(fn, *args):
         try:
@@ -329,7 +367,8 @@ def evaluate_objectives(p, x, v):
         except (EvaluationError, NotImplementedError):
             return None
 
-    return value(primal_objective, p, x), value(dual_objective, p, v)
+    runs = _joined(p)
+    return value(primal_objective, p, x, runs), value(dual_objective, p, v, runs)
 
 
 # ---------------------------------------------------------------------------

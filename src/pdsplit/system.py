@@ -113,8 +113,9 @@ def _runs(ops, slices):
     pass: each maximal run of two or more consecutive blocks of at most
     SMALL_BLOCK_DIM coordinates whose operators share a join key other than
     None is their joined operator (``operators.join``) on the run's slice;
-    every other block keeps its own operator and slice.  The operators are
-    a problem's, so each fits its block, which ``join`` takes as given."""
+    every other block keeps its own operator and slice.  The operators, or
+    the functions of a minimization's objectives, are a problem's, so each
+    fits its block, which ``join`` takes as given."""
     dims = [sl.stop - sl.start for sl in slices]
     out, j, n = [], 0, len(ops)
     while j < n:

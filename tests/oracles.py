@@ -2,20 +2,23 @@
 the distance of a point pair from an operator's graph, the consistency
 check of a common zero and the qualification check of a minimization, a
 projected-gradient minimizer for feasibility relaxations, the KKT
-residuals block by block, and the primal-dual and partitioned
-parallel-sum iterations written out on flat arrays with the coupling
-assembled densely by np.block.
+residuals and the objectives of a minimization block by block, and the
+primal-dual and partitioned parallel-sum iterations written out on flat
+arrays with the coupling assembled densely by np.block.
 
 The iteration references share no code with the solver's engine, its
 product-space pair or its block storage; they take the step gamma and the
 error schedule as given.  The KKT reference shares no code with the
-product-space pair.
+product-space pair.  The objectives reference calls each block's own
+functions, through the per-block formulas of ``reductions``, and joins
+none.
 """
 
 import numpy as np
 
 from pdsplit.blocks import BlockVector, apply_adjoint, apply_block
 from pdsplit.operators import SquaredNorm
+from pdsplit.reductions import EvaluationError, _conj_infconv_value, _infconv_value
 
 
 def resolvent_bisection(graph, gamma, x, tol=1e-12, max_expand=200):
@@ -135,6 +138,45 @@ def kkt_residual_blockwise(prob, x, v):
         # w in B_k^{-1}(v_k)  <=>  v_k in B_k(w)
         dual = max(dual, graph_distance(prob.B[k], w, v[k]))
     return primal, dual
+
+
+def objectives_blockwise(p, x, v, sizes=False):
+    """The primal and dual objectives of the MultivariateMinProblem p at
+    the block vectors (x, v), one call of each block's functions at a time,
+    None for a side that raises EvaluationError or NotImplementedError.
+    With ``sizes``, also the sum of the magnitudes of each side's terms,
+    the scale of the rounding error of summing them in another order."""
+
+    def primal():
+        terms = []
+        for i in range(p.sig.m):
+            terms += [p.f[i](x[i]), p.h[i](x[i]), -float(x[i] @ p.z[i])]
+        Lx = BlockVector.wrap(apply_block(p.L, x.flat()), p.sig.dims_dual)
+        for k in range(p.sig.K):
+            terms.append(_infconv_value(p.g[k], p.ell[k], Lx[k] - p.r[k]))
+        return terms
+
+    def dual():
+        terms = []
+        Lstar_v = BlockVector.wrap(apply_adjoint(p.L, v.flat()), p.sig.dims_primal)
+        for i in range(p.sig.m):
+            terms.append(_conj_infconv_value(p.f[i], p.h[i], p.z[i] - Lstar_v[i]))
+        for k in range(p.sig.K):
+            terms += [p.g[k].conjugate(v[k]), float(v[k] @ p.r[k])]
+            if p.ell[k] is not None:
+                terms.append(p.ell[k].conjugate(v[k]))
+        return terms
+
+    def side(terms_of):
+        try:
+            terms = terms_of()
+        except (EvaluationError, NotImplementedError):
+            return None, None
+        return float(sum(terms)), float(sum(abs(t) for t in terms))
+
+    (primal_value, primal_size), (dual_value, dual_size) = side(primal), side(dual)
+    values = (primal_value, dual_value)
+    return (values, (primal_size, dual_size)) if sizes else values
 
 
 def _dense(entry, dim_out, dim_in):

@@ -29,7 +29,7 @@ from pdsplit import (
 )
 from oracles import graph_distance, resolvent_bisection
 from pdsplit.blocks import SMALL_BLOCK_DIM
-from pdsplit.operators import join, join_key
+from pdsplit.operators import _SEPARABLE, _unwrap, join, join_key
 from pdsplit.selftest import _check_moreau
 
 
@@ -198,6 +198,21 @@ def test_yosida_zero_operator():
 
 def test_yosida_projection_residual():
     assert _yosida(NormalCone(Box([0.0], [1.0])), 1.0, [3.0])[0] == pytest.approx(2.0)
+
+
+def test_shifted_inverse_of_l1_is_moreau_closed_form(rng):
+    # B = d(w ||.||_1): J_{gamma (r + B^{-1})} is prox_{gamma (f* + <r, .>)},
+    # the projection of x - gamma r onto [-w, w]^d by Moreau's identity; the
+    # kernel's inner resolvent must take the step 1/gamma to give it
+    w = 0.7
+    B = L1Norm(w).subdifferential()
+    for gamma in (0.3, 2.5, 7.0):
+        x, r = 3.0 * rng.standard_normal(4), rng.standard_normal(4)
+        np.testing.assert_allclose(shifted_inverse_resolvent(B, r, gamma, x),
+                                   np.clip(x - gamma * r, -w, w), rtol=0, atol=1e-12)
+        # and the Yosida map of B is the derivative of the Huber function
+        np.testing.assert_allclose(_yosida(B, gamma, x), np.clip(x / gamma, -w, w),
+                                   rtol=0, atol=1e-12)
 
 
 def test_yosida_lipschitz_bound(rng):
@@ -474,6 +489,34 @@ def test_joined_scaled_identity_map_is_the_per_block_one_bitwise():
     assert np.array_equal(joined(x), want)
 
 
+def _drawn(rng, shape, d):
+    """A positive parameter for a block of size d: a float, a size-1 array
+    or an array of d entries."""
+    if shape == "float":
+        return float(rng.uniform(0.5, 2.0))
+    return rng.uniform(0.5, 2.0, 1 if shape == "one" else d)
+
+
+@pytest.mark.parametrize("kind", sorted(_SEPARABLE, key=lambda k: k.__name__),
+                         ids=lambda k: k.__name__)
+def test_joined_parameters_are_the_broadcast_ones(kind):
+    rng = np.random.default_rng(len(kind.__name__))
+    dims = [3, 1, 2, 4, 1, 3]
+    names = _SEPARABLE[kind]
+    for shapes in (["float", "one", "full", "one", "float", "full"], ["float"] * len(dims)):
+        inners = [kind(*((-1.0 if name == "lo" else 1.0) * _drawn(rng, shape, d)
+                         for name in names))
+                  for shape, d in zip(shapes, dims)]
+        ops = [NormalCone(inner) if kind is Box else inner for inner in inners]
+        joined = _unwrap(join(ops, dims))[1]
+        assert type(joined) is kind
+        for name in names:
+            got = getattr(joined, name)
+            want = np.concatenate([np.broadcast_to(getattr(inner, name), (d,))
+                                   for inner, d in zip(inners, dims)])
+            assert got.dtype == np.float64 and np.array_equal(got, want), name
+
+
 # --- joins of sets given per block ------------------------------------------
 
 def _per_block_set(rng, kind, x, inside):
@@ -595,9 +638,12 @@ def test_what_wraps_a_subclass_joins_nothing():
     for op in (NormalCone(_Box([0.0], [1.0])),
                IndicatorFunction(_Box([0.0], [1.0])).subdifferential()):
         assert join_key(op) is None
-    # nor do sets and functions, outside an operator
-    for obj in (Box([0.0], [1.0]), L1Norm(1.0), IndicatorFunction(Box([0.0], [1.0]))):
+    # nor does a set outside an operator, nor a function of a subclass; a bare
+    # catalog function joins others of its kind, not its subdifferential
+    for obj in (Box([0.0], [1.0]), _ScaledL1(1.0), IndicatorFunction(_Box([0.0], [1.0]))):
         assert join_key(obj) is None
+    for fn in (L1Norm(1.0), IndicatorFunction(Box([0.0], [1.0]))):
+        assert join_key(fn) is not None and join_key(fn) != join_key(fn.subdifferential())
 
 
 def test_non_finite_constants_are_rejected():

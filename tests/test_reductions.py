@@ -1,7 +1,10 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdsplit import (
     BlockLinearOp,
@@ -42,9 +45,10 @@ from pdsplit import (
     solve_parallel_sum,
     solve_univariate_min,
 )
-from pdsplit.demos import get_demo
+from pdsplit.cli import make_config
+from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.probfile import build_problem, parse_problem
-from pdsplit.reductions import univariate_to_parallel_sum
+from pdsplit.reductions import _joined, univariate_to_parallel_sum
 from conftest import random_parallel_sum
 from oracles import (
     check_consistency_theorem,
@@ -52,10 +56,12 @@ from oracles import (
     conj_box_plus_sqdist,
     conj_l1_plus_sqnorm,
     dense_coupling,
+    objectives_blockwise,
     parallel_sum_iterates,
     projected_gradient_oracle,
     resolvent_bisection,
 )
+from test_cli import problem_files
 
 
 # --- lifting -----------------------------------------------------------------
@@ -276,6 +282,156 @@ def test_objectives_at_solution_and_weak_duality():
     # infeasible point: +inf sentinel
     primal3, _ = evaluate_objectives(p, BlockVector([[5.0], [5.0]]), v)
     assert primal3 == np.inf
+
+
+# --- objectives over joined runs -------------------------------------------
+
+def assert_agree(got, p, x, v):
+    """got has the None and inf pattern of ``objectives_blockwise`` at
+    (x, v), and finite values within 1e-14 relative to the size of their
+    terms: a sum of terms that cancel is exact to no more than that."""
+    want, sizes = objectives_blockwise(p, x, v, sizes=True)
+    for g, w, size in zip(got, want, sizes):
+        if g is None or w is None or not np.isfinite(w):
+            assert g == w
+        else:
+            assert abs(g - w) <= 1e-14 * size, (g, w)
+
+
+def _points(p, rng):
+    """x and v on p's blocks: random, or for half of the x blocks a prox of
+    f (a point of an indicator's set), and for a third of the v blocks zero
+    or a subgradient of g (in the domain of g*)."""
+    x = [2.0 * rng.standard_normal(d) for d in p.sig.dims_primal]
+    x = [fn.prox(1.0, t) if rng.random() < 0.5 else t for fn, t in zip(p.f, x)]
+    v = []
+    for gk, d in zip(p.g, p.sig.dims_dual):
+        t, pick = rng.standard_normal(d), rng.integers(3)
+        v.append(t if pick == 0 else np.zeros(d) if pick == 1 else t - gk.prox(1.0, t))
+    return BlockVector(x), BlockVector(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_joined_objectives_are_the_blockwise_ones(data, seed):
+    try:
+        p, _ = build_problem(parse_problem(data.draw(problem_files("multivar_min"))))
+    except ParameterError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x, v = _points(p, rng)
+        assert_agree(evaluate_objectives(p, x, v), p, x, v)
+
+
+def test_joined_objectives_at_the_demo_solutions():
+    for name in DEMO_NAMES:
+        pf = parse_problem(get_demo(name).text)
+        if pf.kind == "multivar_min":
+            p, solver = build_problem(pf)
+            report = solver(p, make_config(pf.config, None))
+            x, v = report.primal, report.dual
+            assert_agree(evaluate_objectives(p, x, v), p, x, v)
+
+
+def _scalar_problem(f, h, g, dims_primal, dims_dual, z=0.0, r=0.0, ell=None):
+    """A MultivariateMinProblem with a zero coupling and constant z and r,
+    whose blocks are views of their flat arrays."""
+    sig = SpaceSig(dims_primal, dims_dual)
+    return MultivariateMinProblem(
+        sig, f=f, h=h, g=g, ell=ell or [None] * sig.K,
+        z=BlockVector.wrap(np.full(sum(sig.dims_primal), float(z)), sig.dims_primal),
+        r=BlockVector.wrap(np.full(sum(sig.dims_dual), float(r)), sig.dims_dual),
+        L=BlockLinearOp({}, sig))
+
+
+def test_a_joined_zero_conjugate_tests_each_block():
+    # v = 0, so (f + h)* is read at u = z: each block's norm is at most 1e-6,
+    # the joined vector's sqrt(5) * 6e-7 is not
+    dims = (2, 1, 2)
+    p = _scalar_problem([ZeroFunction()] * 3, [ZeroFunction()] * 3, [L1Norm(1.0)],
+                        dims, (1,), z=6e-7)
+    assert [len(runs) for runs in _joined(p)] == [1, 1, 1]
+    x, v = BlockVector.zeros(dims), BlockVector.zeros((1,))
+    assert np.linalg.norm(p.z.flat()) > 1e-6
+    assert evaluate_objectives(p, x, v) == objectives_blockwise(p, x, v) == (0.0, 0.0)
+    # one block over the edge is +inf, joined or not
+    p.z.flat()[2] = 1.1e-6
+    assert evaluate_objectives(p, x, v) == objectives_blockwise(p, x, v) == (0.0, np.inf)
+
+
+def test_a_joined_indicator_tests_each_block():
+    # x = 0, so g is read at -r: each block lies within the slack of the box,
+    # the joined vector does not
+    dims = (2, 1, 2)
+    boxes = [IndicatorFunction(Box(np.zeros(d), np.ones(d))) for d in dims]
+    p = _scalar_problem([ZeroFunction()], [ZeroFunction()], boxes, (1,), dims, r=6e-7)
+    assert [len(runs) for runs in _joined(p)] == [1, 1, 1]
+    x, v = BlockVector.zeros((1,)), BlockVector.zeros(dims)
+    assert not Box(np.zeros(5), np.ones(5)).contains(-p.r.flat())
+    assert evaluate_objectives(p, x, v) == objectives_blockwise(p, x, v) == (0.0, 0.0)
+    p.r.flat()[4] = 1.1e-6
+    assert evaluate_objectives(p, x, v) == objectives_blockwise(p, x, v) == (np.inf, 0.0)
+
+
+def test_a_run_of_squared_norm_h_keeps_its_dual():
+    # a joined SquaredNorm has one omega per coordinate, so (f + h)* is read
+    # block by block: scalar omegas evaluate, per-coordinate ones raise
+    dims, rng = (1, 2, 1), np.random.default_rng(3)
+    omegas = [0.5, 2.0, 1.0]
+    p = _scalar_problem([L1Norm(1.0)] * 3, [SquaredNorm(w) for w in omegas], [ZeroFunction()],
+                        dims, (1,), z=0.0)
+    assert [len(runs) for runs in _joined(p)] == [1, 1, 1]
+    x = BlockVector([rng.standard_normal(d) for d in dims])
+    p.z.flat()[:] = 3.0 * rng.standard_normal(4)
+    v = BlockVector.zeros((1,))
+    got = evaluate_objectives(p, x, v)
+    want = sum(conj_l1_plus_sqnorm(1.0, w, zi) for w, zi in zip(omegas, p.z.blocks))
+    assert got[1] == pytest.approx(want, rel=1e-14)
+    assert_agree(got, p, x, v)
+    p.h[1] = SquaredNorm([0.5, 2.0])
+    assert evaluate_objectives(p, x, v)[1] is None is objectives_blockwise(p, x, v)[1]
+    with pytest.raises(EvaluationError):
+        dual_objective(p, v)
+
+
+def _tv_chain_text(m):
+    """A 1-D total-variation problem file of m scalar blocks, as the
+    benchmark's tv_chain writes it."""
+    y = np.repeat([0.0, 2.0, -1.0, 1.0], m // 4)
+    lines = ["problem multivar_min", "primal_dims " + " 1" * m, "dual_dims " + " 1" * (m - 1)]
+    lines += [f"op f {i + 1} sqdist a={float(y[i])!r}" for i in range(m)]
+    lines += [f"op h {i + 1} zero" for i in range(m)]
+    lines += [f"op g {k + 1} l1 weight=0.5" for k in range(m - 1)]
+    lines += [f"op ell {k + 1} none" for k in range(m - 1)]
+    for k in range(m - 1):
+        lines += [f"entry {k + 1} {k + 1} scale 1", f"entry {k + 1} {k + 2} scale -1"]
+    lines += ["vec z" + " 0" * m, "vec r" + " 0" * (m - 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_objectives_call_each_function_once_per_run(monkeypatch):
+    p, _ = build_problem(parse_problem(_tv_chain_text(64)))
+    rng = np.random.default_rng(0)
+    x = BlockVector.wrap(rng.standard_normal(64), p.sig.dims_primal)
+    v = BlockVector.wrap(rng.uniform(-0.5, 0.5, 63), p.sig.dims_dual)
+    calls = Counter()
+    for cls in (QuadraticDistance, ZeroFunction, L1Norm):
+        for name in ("__call__", "conjugate"):
+            def counted(self, *args, _fn=getattr(cls, name), _key=(cls.__name__, name)):
+                calls[_key] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    got = evaluate_objectives(p, x, v)
+    # f, h and g are one run each; h is read at x and, in the dual, at 0
+    assert calls == {("QuadraticDistance", "__call__"): 1, ("ZeroFunction", "__call__"): 2,
+                     ("L1Norm", "__call__"): 1, ("QuadraticDistance", "conjugate"): 1,
+                     ("L1Norm", "conjugate"): 1}
+    calls.clear()
+    assert_agree(got, p, x, v)
+    assert calls == {("QuadraticDistance", "__call__"): 64, ("ZeroFunction", "__call__"): 128,
+                     ("L1Norm", "__call__"): 63, ("QuadraticDistance", "conjugate"): 64,
+                     ("L1Norm", "conjugate"): 63}
 
 
 def test_qualification_cases():
