@@ -611,7 +611,8 @@ def shifted_inverse_resolvent(A, r, gamma, x):
 # member with the attribute holding it.  Last, the classes that take
 # ``dims``, the sizes of the blocks they were joined over: the sets given per
 # block, and the functions whose value or conjugate compares a norm with a
-# threshold, which a joined one compares on each block.
+# threshold, which a joined one compares on each block.  Then the innermost
+# classes that join, and the members that may wrap them.
 _SEPARABLE = {ZeroOperator: (), ScaledIdentity: ("c",), Box: ("lo", "hi"), ZeroFunction: (),
               L1Norm: ("weight",), QuadraticDistance: ("a",), SquaredNorm: ("omega",),
               ScaledIdentityMap: ("c", "b")}
@@ -619,6 +620,8 @@ _PER_BLOCK = {Hyperplane: (("u",), ("rho",)), Halfspace: (("u",), ("rho",))}
 _VECTORS = {Ball: ("center",), Point: ("c",), AffineOperator: ("b",), AffineMap: ("b",)}
 _WRAPPERS = {NormalCone: "set", SubdifferentialOperator: "fn", IndicatorFunction: "set"}
 _BLOCKWISE = (Hyperplane, Halfspace, ZeroFunction, IndicatorFunction)
+_JOINABLE = _SEPARABLE.keys() | _PER_BLOCK.keys()
+_MEMBERS = (MonotoneOperator, LipschitzOperator, ConvexFunction)
 
 
 def _unwrap(op):
@@ -638,8 +641,7 @@ def join_key(op):
     nor given per block or is of a subclass, which may act otherwise, and a
     bare set."""
     kinds, _ = _unwrap(op)
-    member = isinstance(op, (MonotoneOperator, LipschitzOperator, ConvexFunction))
-    return kinds if member and (kinds[-1] in _SEPARABLE or kinds[-1] in _PER_BLOCK) else None
+    return kinds if kinds[-1] in _JOINABLE and isinstance(op, _MEMBERS) else None
 
 
 def _spread(values, dims):
@@ -672,7 +674,8 @@ def join(ops, dims):
     concatenation of its vector parameters with a segment per block, whose
     projection acts on each segment as the block's own does, summing over a
     segment in its own order; a joined set joins again."""
-    kinds, inners = _unwrap(ops[0])[0], [_unwrap(op)[1] for op in ops]
+    kinds = _unwrap(ops[0])[0]
+    inners = ops if len(kinds) == 1 else [_unwrap(op)[1] for op in ops]
     kind = kinds[-1]
     if kind in _SEPARABLE:
         segments = tuple(dims)
