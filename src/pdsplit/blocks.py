@@ -49,8 +49,8 @@ EXACT_NORM_MAX_DIM = 64
 
 # Blocks of at most this many coordinates are small: their scalar cells are
 # applied as one gather/scatter, whose index and weight arrays hold one
-# entry per coordinate, and system.product_space_pair joins the separable
-# operators of runs of them.  Larger blocks keep one numpy call per cell or
+# entry per coordinate, and operators.runs joins the separable operators and
+# functions of runs of them.  Larger blocks keep one numpy call per cell or
 # block, which costs them no index arrays.
 SMALL_BLOCK_DIM = 64
 

@@ -22,16 +22,17 @@ entry per coordinate and scalar ones with one value per block.
 ``_VECTORS`` lists the vector parameters of the other members, which do
 not join.  ``_WRAPPERS`` lists the members that wrap one, and
 ``_BLOCKWISE`` those that take the sizes of the blocks they were joined
-over.  Through them ``join`` turns operators or functions on consecutive
-blocks that share a ``join_key`` and fit their blocks into one: a
-separable one with a parameter per coordinate, or a set given per block
-as one set with a segment per block, whose projection is one vectorised
-expression over all segments.  The solver's pair resolves a run of joined
-blocks in one call, and ``reductions`` evaluates the objectives once per
-run: a joined value or conjugate is the sum of the blocks' own, except
-that the two that compare a norm with a threshold, a zero function's
-conjugate and an indicator's value, compare each block's norm, so that
-joining moves no +inf edge.
+over.  Through them ``runs`` finds, in one pass over the blocks, each run
+of consecutive small blocks whose operators or functions are of one kind,
+and ``join`` turns the members of a run into one: a separable one with a
+parameter per coordinate, or a set given per block as one set with a
+segment per block, whose projection is one vectorised expression over all
+segments.  The solver's pair resolves a run of joined blocks in one call,
+and ``reductions`` evaluates the objectives once per run: a joined value
+or conjugate is the sum of the blocks' own, except that the two that
+compare a norm with a threshold, a zero function's conjugate and an
+indicator's value, compare each block's norm, so that joining moves no
++inf edge.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import ROUNDING_MARGIN, ParameterError
+from .blocks import ROUNDING_MARGIN, SMALL_BLOCK_DIM, ParameterError
 
 __all__ = [
     "ParameterError",
@@ -67,7 +68,7 @@ __all__ = [
     "QuadraticDistance",
     "SquaredNorm",
     "shifted_inverse_resolvent",
-    "join_key",
+    "runs",
     "join",
 ]
 
@@ -612,7 +613,7 @@ def shifted_inverse_resolvent(A, r, gamma, x):
 # ``dims``, the sizes of the blocks they were joined over: the sets given per
 # block, and the functions whose value or conjugate compares a norm with a
 # threshold, which a joined one compares on each block.  Then the innermost
-# classes that join, and the members that may wrap them.
+# classes that join.
 _SEPARABLE = {ZeroOperator: (), ScaledIdentity: ("c",), Box: ("lo", "hi"), ZeroFunction: (),
               L1Norm: ("weight",), QuadraticDistance: ("a",), SquaredNorm: ("omega",),
               ScaledIdentityMap: ("c", "b")}
@@ -621,7 +622,6 @@ _VECTORS = {Ball: ("center",), Point: ("c",), AffineOperator: ("b",), AffineMap:
 _WRAPPERS = {NormalCone: "set", SubdifferentialOperator: "fn", IndicatorFunction: "set"}
 _BLOCKWISE = (Hyperplane, Halfspace, ZeroFunction, IndicatorFunction)
 _JOINABLE = _SEPARABLE.keys() | _PER_BLOCK.keys()
-_MEMBERS = (MonotoneOperator, LipschitzOperator, ConvexFunction)
 
 
 def _unwrap(op):
@@ -632,16 +632,6 @@ def _unwrap(op):
         op = getattr(op, _WRAPPERS[kinds[-1]])
         kinds += (type(op),)
     return kinds, op
-
-
-def join_key(op):
-    """The key under which ``op``, an operator or a function, joins others
-    in ``join``: its exact class and those of the function and set it
-    wraps.  None for what joins nothing: a member that is neither separable
-    nor given per block or is of a subclass, which may act otherwise, and a
-    bare set."""
-    kinds, _ = _unwrap(op)
-    return kinds if kinds[-1] in _JOINABLE and isinstance(op, _MEMBERS) else None
 
 
 def _spread(values, dims):
@@ -655,13 +645,44 @@ def _spread(values, dims):
                            for v, d in zip(values, dims)])
 
 
-def join(ops, dims):
-    """The direct sum of ``ops``, member j acting on block j of consecutive
-    blocks of sizes ``dims``, as one member of their class.  The caller
-    guarantees that they join, as ``system._runs`` does: two or more
-    operators or functions, one per block, that share a ``join_key`` other
-    than None and each fit their block (``misfit`` is None), which
-    ``CoupledInclusionProblem`` checks at construction.
+def runs(ops, slices):
+    """(member, slice, range of block indices) for the blocks of ``slices``
+    in order, ``ops`` holding one operator or function per block, found in
+    one pass.  Each maximal run of two or more consecutive blocks of at most
+    SMALL_BLOCK_DIM coordinates whose members are of one class and wrap
+    members of one class, the innermost one separable or given per block,
+    is their joined member (``join``) on the run's slice; every other block
+    keeps its own member and slice.  A member of a subclass, which may act
+    otherwise, joins nothing.  Each member on a small block is unwrapped
+    once, one on a larger block never.  The members are a problem's, so
+    each fits its block, which ``join`` takes as given."""
+    n = len(ops)
+    dims = [sl.stop - sl.start for sl in slices]
+    unwrapped = [_unwrap(op) if d <= SMALL_BLOCK_DIM else (None, op)
+                 for op, d in zip(ops, dims)]
+    out, j = [], 0
+    while j < n:
+        kinds, stop = unwrapped[j][0], j + 1
+        if kinds is not None and kinds[-1] in _JOINABLE:
+            while stop < n and unwrapped[stop][0] == kinds:
+                stop += 1
+        if stop - j > 1:
+            member = join(kinds, [inner for _, inner in unwrapped[j:stop]], dims[j:stop])
+            out.append((member, slice(slices[j].start, slices[stop - 1].stop), range(j, stop)))
+        else:
+            out.append((ops[j], slices[j], range(j, stop)))
+        j = stop
+    return out
+
+
+def join(kinds, inners, dims):
+    """The direct sum of members of the classes ``kinds``, outermost first,
+    whose innermost members ``inners`` act on consecutive blocks of sizes
+    ``dims``, member j on block j, as one member of those classes.  The
+    caller guarantees that they join, as ``runs`` does: two or more, one
+    per block, the innermost class separable or given per block, and each
+    fitting its block (``misfit`` is None), which the problems check at
+    construction (``check_fit``).
 
     A separable one holds a value per coordinate for each parameter, joined
     by ``_spread`` without a broadcast per member, and its resolvent (or
@@ -674,8 +695,6 @@ def join(ops, dims):
     concatenation of its vector parameters with a segment per block, whose
     projection acts on each segment as the block's own does, summing over a
     segment in its own order; a joined set joins again."""
-    kinds = _unwrap(ops[0])[0]
-    inners = ops if len(kinds) == 1 else [_unwrap(op)[1] for op in ops]
     kind = kinds[-1]
     if kind in _SEPARABLE:
         segments = tuple(dims)
@@ -711,3 +730,14 @@ def misfit(op, d):
         if n not in sizes:
             return f"{name} has {n} entries for a block of dimension {d}"
     return None
+
+
+def check_fit(roles):
+    """ParameterError naming the first member that does not fit its block
+    (``misfit``), as "<role> <1-based index>: <why>"; ``roles`` holds
+    (role, members, block dimensions) triples."""
+    for role, ops, dims in roles:
+        for i, (op, d) in enumerate(zip(ops, dims), 1):
+            why = misfit(op, d)
+            if why is not None:
+                raise ParameterError(f"{role} {i}: {why}")

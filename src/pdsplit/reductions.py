@@ -20,8 +20,6 @@ Four front-ends:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 # entry_apply_adjoint is unused here but stays importable from this module:
@@ -47,8 +45,10 @@ from .operators import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
+    check_fit,
+    runs,
 )
-from .system import CoupledInclusionProblem, _runs, solve_system
+from .system import CoupledInclusionProblem, solve_system
 
 __all__ = [
     "ParallelSumProblem",
@@ -216,7 +216,8 @@ class MultivariateMinProblem:
     ell[k] is None for the exact-penalty coupling (the infimal convolution
     collapses to g_k and the dual smoothing term vanishes) or a SquaredNorm,
     whose conjugate gradient is linear.  h[i] is a ConvexFunction with a
-    ``gradient`` (ZeroFunction() when absent).
+    ``gradient`` (ZeroFunction() when absent).  Each f, h and g must fit
+    its block, as the operators of a ``CoupledInclusionProblem`` must.
     """
 
     def __init__(self, sig, f, h, g, ell, z, r, L):
@@ -231,6 +232,8 @@ class MultivariateMinProblem:
                 )
         for i, hi in enumerate(h):
             _need_gradient(hi, f"h {i + 1}")
+        check_fit((("f", f, sig.dims_primal), ("h", h, sig.dims_primal),
+                   ("g", g, sig.dims_dual)))
         self.sig = sig
         self.f = list(f)
         self.h = list(h)
@@ -297,29 +300,23 @@ def _conj_infconv_value(f, h, u):
 
 def _joined(p):
     """p's f and h on its primal blocks and its g on its dual blocks, each
-    as the runs ``system._runs`` finds: (function, slice, range of the
+    as the runs ``operators.runs`` finds: (function, slice, range of the
     blocks it spans), a run of small blocks whose functions join as one
     joined function.  The functions fit their blocks, as
-    ``min_problem_to_system`` checks."""
-    def runs(fns, slices, starts):
-        return [(fn, sl, range(bisect_left(starts, sl.start), bisect_left(starts, sl.stop)))
-                for fn, sl in _runs(fns, slices)]
-
+    ``MultivariateMinProblem`` checks."""
     primal, dual = block_slices(p.sig.dims_primal), block_slices(p.sig.dims_dual)
-    starts = [sl.start for sl in primal]
-    return (runs(p.f, primal, starts), runs(p.h, primal, starts),
-            runs(p.g, dual, [sl.start for sl in dual]))
+    return runs(p.f, primal), runs(p.h, primal), runs(p.g, dual)
 
 
-def primal_objective(p, x, runs=None):
+def primal_objective(p, x, joined=None):
     """Primal objective at x.  Indicators use a small feasibility tolerance,
     so converged near-feasible points give finite values, infeasible +inf.
 
-    Each f, h and g is called once per run of ``_joined(p)`` (``runs``, or
-    joined here) and the values summed; a joined indicator tests each block
-    against its own slack.  A run of g's with an ell keeps a call per
+    Each f, h and g is called once per run of ``_joined(p)`` (``joined``,
+    or joined here) and the values summed; a joined indicator tests each
+    block against its own slack.  A run of g's with an ell keeps a call per
     block, since g infconv ell does not join."""
-    f, h, g = runs or _joined(p)
+    f, h, g = joined or _joined(p)
     xf = x.flat()
     total = sum(fn(xf[sl]) for fn, sl, _ in f + h) - float(xf @ p.z.flat())
     t = BlockVector.wrap(apply_block(p.L, xf) - p.r.flat(), p.sig.dims_dual)
@@ -331,7 +328,7 @@ def primal_objective(p, x, runs=None):
     return float(total)
 
 
-def dual_objective(p, v, runs=None):
+def dual_objective(p, v, joined=None):
     """Dual objective at v; EvaluationError unless each grad h_i is c Id + b.
 
     As in ``primal_objective``, each function is called once per run, and a
@@ -340,7 +337,7 @@ def dual_objective(p, v, runs=None):
     joined h's gradient is c Id + b with a scalar c; elsewhere, as for a run
     of SquaredNorm h's, whose joined omega is one value per coordinate, and
     for the ell*, it keeps a call per block."""
-    f, h, g = runs or _joined(p)
+    f, h, g = joined or _joined(p)
     vf = v.flat()
     u = BlockVector.wrap(p.z.flat() - apply_adjoint(p.L, vf), p.sig.dims_primal)
     hs = {(sl.start, sl.stop): hn for hn, sl, _ in h}
@@ -367,8 +364,8 @@ def evaluate_objectives(p, x, v):
         except (EvaluationError, NotImplementedError):
             return None
 
-    runs = _joined(p)
-    return value(primal_objective, p, x, runs), value(dual_objective, p, v, runs)
+    joined = _joined(p)
+    return value(primal_objective, p, x, joined), value(dual_objective, p, v, joined)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import (
-    SMALL_BLOCK_DIM,
     BlockVector,
     apply_adjoint,
     apply_block,
@@ -40,14 +39,7 @@ from .blocks import (
     check_signature,
 )
 from .fbf import FbfTrace, fbf_solve
-from .operators import (
-    ParameterError,
-    ZeroMap,
-    join,
-    join_key,
-    misfit,
-    shifted_inverse_resolvent,
-)
+from .operators import ParameterError, ZeroMap, check_fit, runs, shifted_inverse_resolvent
 
 __all__ = [
     "CoupledInclusionProblem",
@@ -78,12 +70,8 @@ class CoupledInclusionProblem:
         for op in Dinv:
             if op.lipschitz < 0:
                 raise ParameterError("Dinv constants must be nonnegative")
-        for role, ops, dims in (("A", A, sig.dims_primal), ("C", C, sig.dims_primal),
-                                ("B", B, sig.dims_dual), ("Dinv", Dinv, sig.dims_dual)):
-            for i, (op, d) in enumerate(zip(ops, dims), 1):
-                why = misfit(op, d)
-                if why is not None:
-                    raise ParameterError(f"{role} {i}: {why}")
+        check_fit((("A", A, sig.dims_primal), ("C", C, sig.dims_primal),
+                   ("B", B, sig.dims_dual), ("Dinv", Dinv, sig.dims_dual)))
         self.A = list(A)
         self.C = list(C)
         self.B = list(B)
@@ -108,31 +96,6 @@ def compute_beta(prob):
     return mu_nu + float(np.sqrt(prob.L.lambda_bound)) or 1.0
 
 
-def _runs(ops, slices):
-    """(operator, slice) for the blocks of ``slices`` in order, found in one
-    pass: each maximal run of two or more consecutive blocks of at most
-    SMALL_BLOCK_DIM coordinates whose operators share a join key other than
-    None is their joined operator (``operators.join``) on the run's slice;
-    every other block keeps its own operator and slice.  The operators, or
-    the functions of a minimization's objectives, are a problem's, so each
-    fits its block, which ``join`` takes as given."""
-    dims = [sl.stop - sl.start for sl in slices]
-    out, j, n = [], 0, len(ops)
-    while j < n:
-        key = join_key(ops[j]) if dims[j] <= SMALL_BLOCK_DIM else None
-        stop = j + 1
-        while (key is not None and stop < n and dims[stop] <= SMALL_BLOCK_DIM
-               and join_key(ops[stop]) == key):
-            stop += 1
-        if stop - j > 1:
-            out.append((join(ops[j:stop], dims[j:stop]),
-                        slice(slices[j].start, slices[stop - 1].stop)))
-        else:
-            out.append((ops[j], slices[j]))
-        j = stop
-    return out
-
-
 def product_space_pair(prob):
     """The set-valued/single-valued pair the iteration splits.
 
@@ -145,7 +108,7 @@ def product_space_pair(prob):
     Q is monotone, the skew coupling term included, and beta-Lipschitz.
     The A_i, the B_k and the C_i and Dinv_k are each grouped once, at build
     time: a run of consecutive small blocks whose operators join
-    (``operators.join``) is evaluated by one joined operator on one slice
+    (``operators.runs``) is evaluated by one joined operator on one slice
     of the flat product-space array, every other block through its own
     slice, and reads its shift as the matching slice of the flat z or r,
     which must be finite (ParameterError otherwise).
@@ -163,10 +126,10 @@ def product_space_pair(prob):
     for name, shift in (("z", z), ("r", r)):
         if not np.isfinite(shift).all():
             raise ParameterError(f"the shift {name} must be finite")
-    primal_res = [(op, sl, z[sl]) for op, sl in _runs(prob.A, slices[: sig.m])]
+    primal_res = [(op, sl, z[sl]) for op, sl, _ in runs(prob.A, slices[: sig.m])]
     dual_res = [(op, sl, r[sl.start - n_primal : sl.stop - n_primal])
-                for op, sl in _runs(prob.B, slices[sig.m :])]
-    forward = [(op, sl) for op, sl in _runs(prob.C + prob.Dinv, slices)
+                for op, sl, _ in runs(prob.B, slices[sig.m :])]
+    forward = [(op, sl) for op, sl, _ in runs(prob.C + prob.Dinv, slices)
                if not isinstance(op, ZeroMap)]
 
     def P_resolvent(gamma, s):

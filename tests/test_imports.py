@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read by that module, and
-every function and class it defines has a caller.
+"""Every name a module of the package imports is read by that module, no
+module imports another's private (underscore) name, and every function and
+class it defines has a caller.
 
 No linter ships with the package, so these tests parse each module with
 ``ast`` instead: a name bound by an import must appear as a name somewhere
@@ -64,6 +65,26 @@ def test_the_check_finds_an_unread_import():
 def test_every_import_is_read(module):
     unread = unread_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert unread == {name for mod, name in KEPT if mod == module}
+
+
+def private_imports(source):
+    """The underscore names source imports from a module of the package,
+    by a relative import or one from ``pdsplit``, as module.name."""
+    return sorted(f"{node.module}.{a.name}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "pdsplit")
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_the_check_finds_a_private_import():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .system import _runs, solve_system\nfrom pdsplit.blocks import _cells\n")
+    assert private_imports(source) == ["pdsplit.blocks._cells", "system._runs"]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_imports_a_private_name(module):
+    assert private_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
 
 
 def uncalled(package, bench, examples):

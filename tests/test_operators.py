@@ -28,8 +28,9 @@ from pdsplit import (
     shifted_inverse_resolvent,
 )
 from oracles import graph_distance, resolvent_bisection
-from pdsplit.blocks import SMALL_BLOCK_DIM
-from pdsplit.operators import _SEPARABLE, _unwrap, join, join_key
+from pdsplit import operators
+from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
+from pdsplit.operators import _SEPARABLE, _unwrap, runs
 from pdsplit.selftest import _check_moreau
 
 
@@ -456,13 +457,27 @@ JOINABLE = {
 }
 
 
+def one_run(ops, dims):
+    """The joined member of the one run ``runs`` finds of ops on
+    consecutive blocks of sizes dims."""
+    [(joined, sl, blocks)] = runs(ops, block_slices(dims))
+    assert sl == slice(0, sum(dims)) and blocks == range(len(dims))
+    return joined
+
+
+def count_runs(ops, d):
+    """How many runs ``runs`` finds of ops on consecutive blocks of
+    dimension d."""
+    return len(runs(ops, block_slices((d,) * len(ops))))
+
+
 @pytest.mark.parametrize("name", sorted(JOINABLE))
 def test_joined_resolvent_is_the_per_block_one_bitwise(name):
     rng = np.random.default_rng(sorted(JOINABLE).index(name))
     dims = [int(d) for d in rng.permutation(np.arange(1, SMALL_BLOCK_DIM + 1))]
     ops = [JOINABLE[name](rng, d) for d in dims]
-    joined = join(ops, dims)
-    assert type(joined) is type(ops[0]) and join_key(joined) == join_key(ops[0])
+    joined = one_run(ops, dims)
+    assert type(joined) is type(ops[0]) and _unwrap(joined)[0] == _unwrap(ops[0])[0]
     cuts = np.cumsum(dims)[:-1]
     for gamma in (0.3, 1.0, 7.0):
         x, r = 3.0 * rng.standard_normal(sum(dims)), rng.standard_normal(sum(dims))
@@ -481,7 +496,7 @@ def test_joined_scaled_identity_map_is_the_per_block_one_bitwise():
     ops = [ScaledIdentityMap(_param(rng, d, 0.0),
                              None if rng.random() < 0.5 else _param(rng, d, -2.0))
            for d in dims]
-    joined = join(ops, dims)
+    joined = one_run(ops, dims)
     assert type(joined) is ScaledIdentityMap
     assert joined.lipschitz == max(op.lipschitz for op in ops)
     x = 3.0 * rng.standard_normal(sum(dims))
@@ -508,7 +523,7 @@ def test_joined_parameters_are_the_broadcast_ones(kind):
                          for name in names))
                   for shape, d in zip(shapes, dims)]
         ops = [NormalCone(inner) if kind is Box else inner for inner in inners]
-        joined = _unwrap(join(ops, dims))[1]
+        joined = _unwrap(one_run(ops, dims))[1]
         assert type(joined) is kind
         for name in names:
             got = getattr(joined, name)
@@ -547,8 +562,8 @@ def test_joined_set_projection_is_the_per_block_one(seed, kind, count, wrap):
     xs = np.split(x, cuts)
     inside = rng.random(count) < 0.5           # each block on either side
     ops = [wrap(_per_block_set(rng, kind, xi, bool(k))) for xi, k in zip(xs, inside)]
-    joined = join(ops, dims)
-    assert join_key(joined) == join_key(ops[0])
+    joined = one_run(ops, dims)
+    assert _unwrap(joined)[0] == _unwrap(ops[0])[0]
     for gamma in (1.0, float(rng.uniform(0.05, 20.0))):
         want = np.concatenate([op.resolvent(gamma, xi) for op, xi in zip(ops, xs)])
         assert _rel(joined.resolvent(gamma, x), want, x) <= 1e-15
@@ -597,9 +612,9 @@ def test_segmented_sets_check_their_segments():
     assert hs.support(np.array([2.0, 0.0, -4.0])) == np.inf
     # joined sets join again
     one = NormalCone(Hyperplane([1.0, 2.0], 1.0))
-    pair, x = join([one, one], [2, 2]), np.arange(8.0)
-    assert np.array_equal(join([pair, pair], [4, 4]).resolvent(1.0, x),
-                          join([one] * 4, [2] * 4).resolvent(1.0, x))
+    pair, x = one_run([one, one], [2, 2]), np.arange(8.0)
+    assert np.array_equal(one_run([pair, pair], [4, 4]).resolvent(1.0, x),
+                          one_run([one] * 4, [2] * 4).resolvent(1.0, x))
 
 
 class _ScaledL1(L1Norm):
@@ -608,17 +623,19 @@ class _ScaledL1(L1Norm):
 
 def test_operators_that_do_not_join():
     u = np.ones(2)
-    # hyperplanes and halfspaces join, as one segmented set of their class
+    # hyperplanes and halfspaces join, as one segmented set of their class,
+    # which joins them again
     for op in (NormalCone(Hyperplane(u, 1.0)), NormalCone(Halfspace(u, 1.0)),
                IndicatorFunction(Halfspace(u, 1.0)).subdifferential()):
-        assert join_key(op) is not None and join_key(join([op, op], [2, 2])) == join_key(op)
+        pair = one_run([op, op], [2, 2])
+        assert len(runs([op, pair, op], block_slices((2, 4, 2)))) == 1
     for op in (NormalCone(Ball(u, 1.0)), NormalCone(Point(u)),
                IndicatorFunction(Ball(u, 1.0)).subdifferential(),
                AffineOperator(np.eye(2)), AffineMap(np.eye(2)),
                LipschitzOperator(lambda x: x, 1.0), ZeroMap(),
                _ScaledL1(1.0).subdifferential()):
-        assert join_key(op) is None
-    # mixed kinds, even where they would act alike
+        assert count_runs([op, op], 2) == 2
+    # mixed kinds, even where they would act alike, though each kind joins
     for a, b in ((ZeroOperator(), ScaledIdentity(0.0)),
                  (L1Norm(1.0).subdifferential(), SquaredNorm(1.0).subdifferential()),
                  (NormalCone(Box([0.0], [1.0])),
@@ -627,7 +644,8 @@ def test_operators_that_do_not_join():
                  (NormalCone(Hyperplane([1.0], 0.0)), NormalCone(Halfspace([1.0], 0.0))),
                  (NormalCone(Halfspace([1.0], 0.0)),
                   IndicatorFunction(Halfspace([1.0], 0.0)).subdifferential())):
-        assert join_key(a) != join_key(b)
+        assert count_runs([a, a], 1) == count_runs([b, b], 1) == 1
+        assert count_runs([a, b], 1) == 2
 
 
 class _Box(Box):
@@ -637,13 +655,38 @@ class _Box(Box):
 def test_what_wraps_a_subclass_joins_nothing():
     for op in (NormalCone(_Box([0.0], [1.0])),
                IndicatorFunction(_Box([0.0], [1.0])).subdifferential()):
-        assert join_key(op) is None
-    # nor does a set outside an operator, nor a function of a subclass; a bare
-    # catalog function joins others of its kind, not its subdifferential
-    for obj in (Box([0.0], [1.0]), _ScaledL1(1.0), IndicatorFunction(_Box([0.0], [1.0]))):
-        assert join_key(obj) is None
+        assert count_runs([op, op], 1) == 2
+    # nor does a function of a subclass; a bare catalog function joins
+    # others of its kind, not its subdifferential
+    for obj in (_ScaledL1(1.0), IndicatorFunction(_Box([0.0], [1.0]))):
+        assert count_runs([obj, obj], 1) == 2
     for fn in (L1Norm(1.0), IndicatorFunction(Box([0.0], [1.0]))):
-        assert join_key(fn) is not None and join_key(fn) != join_key(fn.subdifferential())
+        assert count_runs([fn, fn], 1) == 1 and count_runs([fn, fn.subdifferential()], 1) == 2
+    # a bare set joins others of its kind; it is no operator, and a solve
+    # fails on it alike, joined or not
+    assert count_runs([Box([0.0], [1.0])] * 2, 1) == 1
+
+
+def test_runs_unwrap_each_small_member_once(monkeypatch):
+    unwrapped = []
+
+    def counted(op, unwrap=operators._unwrap):
+        unwrapped.append(op)
+        return unwrap(op)
+
+    monkeypatch.setattr(operators, "_unwrap", counted)
+    big = SMALL_BLOCK_DIM + 1
+    box = lambda d: NormalCone(Box(-np.ones(d), np.ones(d)))
+    dims = (2, 1, 1, big, big, 3, 2, SMALL_BLOCK_DIM, 1)
+    ops = [box(2), box(1), L1Norm(1.0).subdifferential(), box(big), box(big), box(3),
+           NormalCone(Ball(np.zeros(2), 1.0)), ScaledIdentity(1.0), ScaledIdentity(2.0)]
+    found = runs(ops, block_slices(dims))
+    assert [blocks for _, _, blocks in found] == [range(0, 2), range(2, 3), range(3, 4),
+                                                  range(4, 5), range(5, 6), range(6, 7),
+                                                  range(7, 9)]
+    assert all(member is ops[blocks.start] for member, _, blocks in found[1:-1])
+    assert [id(op) for op in unwrapped] == [id(op) for op, d in zip(ops, dims)
+                                            if d <= SMALL_BLOCK_DIM]
 
 
 def test_non_finite_constants_are_rejected():

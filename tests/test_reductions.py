@@ -746,6 +746,13 @@ _SIG = SpaceSig((1, 1), (1,))
     (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [ZeroFunction(), L1Norm(1.0)],
                                     [ZeroFunction()], [None], None, None, None),
      "h 2 is L1Norm, which has no gradient"),
+    (lambda: MultivariateMinProblem(SpaceSig((3, 3), (1,)), [QuadraticDistance([1.0, 2.0])] * 2,
+                                    [ZeroFunction()] * 2, [ZeroFunction()], [None],
+                                    None, None, None),
+     "f 1: a has 2 entries for a block of dimension 3"),
+    (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()] * 2, [ZeroFunction()] * 2,
+                                    [L1Norm([1.0, 2.0])], [None], None, None, None),
+     "g 1: weight has 2 entries for a block of dimension 1"),
     (lambda: UnivariateMinProblem(1, (1,), 1, 1, ZeroFunction(), L1Norm(1.0),
                                   [ZeroFunction()], [ZeroFunction()], None, [[0.0]], [1.0]),
      "h is L1Norm, which has no gradient"),
@@ -757,6 +764,7 @@ _SIG = SpaceSig((1, 1), (1,))
      "need matching nonempty sets, phi, and L lists"),
 ], ids=["psum-count", "common-zero-count", "multivar-f", "multivar-g", "multivar-ell",
         "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
+        "multivar-f-fit", "multivar-g-fit",
         "univar-h-gradient", "univar-phi-gradient", "feasibility-count"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
     with pytest.raises(ParameterError) as exc:

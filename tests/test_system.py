@@ -39,7 +39,7 @@ from pdsplit import (
 from conftest import random_coupled_problem
 from oracles import kkt_residual_blockwise, system_iterates
 from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
-from pdsplit.system import _runs
+from pdsplit.operators import runs
 
 
 def two_box_problem(**changes):
@@ -134,7 +134,7 @@ def test_kkt_residual_matches_the_blockwise_reference():
         sig = prob.sig
         slices = block_slices(sig.dims_primal + sig.dims_dual)
         for ops, sl in ((prob.A, slices[: sig.m]), (prob.B, slices[sig.m :])):
-            seen.update("lone" if run in sl else "run" for _, run in _runs(ops, sl))
+            seen.update("lone" if run in sl else "run" for _, run, _ in runs(ops, sl))
         if any(isinstance(op, AffineOperator) for op in prob.A + prob.B):
             seen.add("affine")
         report = solve_system(prob, FbfConfig(max_iters=400, residual_tol=1e-10))
@@ -342,18 +342,19 @@ def test_hyperplane_dual_blocks_of_a_parallel_sum_join_into_one_run():
     psum = ParallelSumProblem(dim, (dim,) * K, K, K, ZeroOperator(), ZeroMap(), np.zeros(dim),
                               [np.zeros(dim)] * K, B, [ScaledIdentity(1.0)] * K, [1.0] * K)
     prob = lift_parallel_sum(psum)
-    [(op, sl)] = _runs(prob.B, block_slices(prob.sig.dims_dual))
-    assert sl == slice(0, K * dim)
+    [(op, sl, blocks)] = runs(prob.B, block_slices(prob.sig.dims_dual))
+    assert sl == slice(0, K * dim) and blocks == range(K)
     assert type(op) is NormalCone and type(op.set) is Hyperplane
     # a lone block above SMALL_BLOCK_DIM keeps its own operator, and splits
     # the run it stands in
     big = NormalCone(Hyperplane(np.ones(SMALL_BLOCK_DIM + 1), 1.0))
     ops = B[:2] + [big] + B[2:]
-    runs = _runs(ops, block_slices((dim, dim, SMALL_BLOCK_DIM + 1) + (dim,) * (K - 2)))
+    found = runs(ops, block_slices((dim, dim, SMALL_BLOCK_DIM + 1) + (dim,) * (K - 2)))
     cut = 2 * dim + SMALL_BLOCK_DIM + 1
-    assert [sl for _, sl in runs] == [slice(0, 2 * dim), slice(2 * dim, cut),
-                                      slice(cut, cut + (K - 2) * dim)]
-    assert runs[1][0] is big
+    assert [sl for _, sl, _ in found] == [slice(0, 2 * dim), slice(2 * dim, cut),
+                                          slice(cut, cut + (K - 2) * dim)]
+    assert [blocks for _, _, blocks in found] == [range(0, 2), range(2, 3), range(3, K + 1)]
+    assert found[1][0] is big
 
 
 def test_the_certificate_is_the_same_on_a_second_call():
