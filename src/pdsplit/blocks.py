@@ -172,8 +172,12 @@ class BlockVector:
 
 
 def check_signature(vec, dims, side):
-    if tuple(vec.dims) != tuple(dims):
-        raise SignatureError(f"{side} vector has blocks {vec.dims}, expected {tuple(dims)}")
+    got = getattr(vec, "dims", None)
+    if got is None:
+        raise SignatureError(f"{side} vector must be a BlockVector with blocks {tuple(dims)}, "
+                             f"got {type(vec).__name__}")
+    if tuple(got) != tuple(dims):
+        raise SignatureError(f"{side} vector has blocks {got}, expected {tuple(dims)}")
 
 
 # ---------------------------------------------------------------------------

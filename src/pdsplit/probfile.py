@@ -27,7 +27,9 @@ Reading is strict: a second line for the same slot, a malformed or NaN
 number, an infinite ``vec`` component, or a directive that
 ``build_problem`` does not read for the kind is a ``ParseError`` starting
 with its line; an infinite parameter is left to its operator to reject.
-The catalog is one table of constructors per family; ``CATALOG_IDS`` and
+``ProblemFile.slots`` keeps each directive's value under its slot, such as
+``('op', 'f', 1)``; a hand-built file sets ``pf.slots[slot]``.  The
+catalog is one table of constructors per family; ``CATALOG_IDS`` and
 ``pdsplit list-catalog`` are derived from it.  The README lists what each
 kind reads.
 """
@@ -77,26 +79,19 @@ class ParseError(ValueError):
 
 
 class ProblemFile:
-    """Parsed form of a problem file: structure only, no solver objects."""
+    """Parsed form of a problem file: structure only, no solver objects.
+    ``slots`` maps the slot of each directive but config, the tuple of its
+    leading tokens such as ('dim',), ('op', 'f', 1), ('op', 'A'), ('vec', 'z')
+    or ('entry', 2, 1) (also 'L 2'), to its value; a hand-built file sets
+    ``pf.slots[slot]``."""
 
     def __init__(self, kind):
         if kind not in KINDS:
             raise ParseError(f"unknown problem kind {kind!r}")
         self.kind = kind
-        self.dims = {}       # primal_dims/dual_dims tuples, dim/k1/k2 ints
-        self.ops = {}        # role -> {index-or-None: (catalog_id, params)}
-        self.entries = {}    # (k, i) -> None | float | ndarray
-        self.vecs = {}       # name -> 1-D ndarray
+        self.slots = {}      # slot -> tuple/int dims, (catalog_id, params), entry, 1-D ndarray
         self.config = {}     # solver overrides
-        self.lines = {}      # slot of each directive -> its line number
-
-
-# A slot is what one directive fills, as a tuple of its leading tokens:
-# ('dim',), ('op', 'f', 1), ('op', 'A'), ('entry', 2, 1), ('vec', 'z'), ...
-
-
-def _op_slot(role, idx):
-    return ("op", role) if idx is None else ("op", role, idx + 1)
+        self.lines = {}      # slot of each directive, config too -> its line number
 
 
 def _text(slot):
@@ -171,9 +166,9 @@ def parse_problem(text):
                 n = _number(int, args[1], line)
                 if n < 1:
                     fail("op indices start at 1")
-                slot, name, cid, rest = ("op", role, n), n - 1, args[2], args[3:]
+                slot, cid, rest = ("op", role, n), args[2], args[3:]
             else:
-                slot, name, cid, rest = ("op", role), None, args[1], args[2:]
+                slot, cid, rest = ("op", role), args[1], args[2:]
             if cid not in CATALOG_IDS:
                 fail(f"unknown catalog id {cid!r}")
             params = {}
@@ -184,7 +179,7 @@ def parse_problem(text):
                 if pname in params:
                     fail(f"parameter {pname!r} given twice")
                 params[pname] = _param_value(val, line)
-            table, value = pf.ops.setdefault(role, {}), (cid, params)
+            value = cid, params
         elif key == "entry" or key == "L":
             head = 2 if key == "entry" else 1  # indices before the tag
             if len(args) <= head:
@@ -216,11 +211,11 @@ def parse_problem(text):
             else:
                 fail(f"entry tag {' '.join(args[head:])!r} is not one of "
                      "'zero', 'identity', 'scale <number>', 'dense'")
-            slot, table, name = ("entry", k, col), pf.entries, (k - 1, col - 1)
+            slot = ("entry", k, col)
         elif key == "vec":
             if not args:
                 fail("vec needs a name")
-            slot, table, name = ("vec", args[0]), pf.vecs, args[0]
+            slot = ("vec", args[0])
             value = np.array([_number(float, t, line) for t in args[1:]])
         elif key in _DIM_MIN:
             vals = [_number(int, t, line) for t in args]
@@ -228,19 +223,22 @@ def parse_problem(text):
                 fail(f"{key} takes one integer")
             if not vals or min(vals) < _DIM_MIN[key]:
                 fail(f"{key} takes integers >= {_DIM_MIN[key]}")
-            slot, table, name = (key,), pf.dims, key
+            slot = (key,)
             value = tuple(vals) if key.endswith("_dims") else vals[0]
         elif key == "config":
             if len(args) != 2 or args[0] not in CONFIG_KEYS:
                 fail(f"config takes one of {tuple(CONFIG_KEYS)} and a value")
-            slot, table, name = ("config", args[0]), pf.config, args[0]
-            value = _number(CONFIG_KEYS[name][0], args[1], line)
+            slot = ("config", args[0])
+            value = _number(CONFIG_KEYS[args[0]][0], args[1], line)
         else:
             fail(f"unknown directive {key!r}")
         if slot in pf.lines:
             fail(f"{_text(slot)} repeats line {pf.lines[slot]}")
         pf.lines[slot] = line
-        table[name] = value
+        if key == "config":
+            pf.config[args[0]] = value
+        else:
+            pf.slots[slot] = value
     if pf is None:
         raise ParseError("empty problem file")
     return pf
@@ -365,10 +363,7 @@ class _Reader:
 
     def __init__(self, pf):
         self.pf = pf
-        self.dims = dict(pf.dims)
-        self.ops_left = {role: dict(table) for role, table in pf.ops.items()}
-        self.entries = dict(pf.entries)
-        self.vecs = dict(pf.vecs)
+        self.left = dict(pf.slots)      # the slots no read has taken yet
         self.grid_shape = None
 
     def where(self, slot):
@@ -376,29 +371,28 @@ class _Reader:
         return "" if line is None else f"line {line}: "
 
     def need(self, name):
-        if name not in self.dims:
+        if (name,) not in self.left:
             raise ParseError(f"{self.pf.kind} problem requires a '{name}' line")
-        return self.dims.pop(name)
+        return self.left.pop((name,))
 
     def declared(self, role):
         """How many indexed 'op role' lines there are; they must be numbered
         1, 2, ... without gaps."""
-        idxs = sorted(i for i in self.pf.ops.get(role, {}) if i is not None)
+        idxs = sorted(s[2] for s in self.pf.slots if s[:2] == ("op", role) and len(s) == 3)
         if not idxs:
             raise ParseError(f"missing 'op {role} 1 ...' declaration")
-        for n, i in enumerate(idxs):
+        for n, i in enumerate(idxs, 1):
             if i != n:
-                slot = _op_slot(role, i)
+                slot = ("op", role, i)
                 raise ParseError(f"{self.where(slot)}{_text(slot)}: 'op {role}' "
                                  "lines must be numbered 1, 2, ... without gaps")
         return len(idxs)
 
     def op(self, role, family, dim, idx=None):
-        slot = _op_slot(role, idx)
-        table = self.ops_left.get(role, {})
-        if idx not in table:
+        slot = ("op", role) if idx is None else ("op", role, idx)
+        if slot not in self.left:
             raise ParseError(f"missing '{_text(slot)} ...' declaration")
-        cid, params = table.pop(idx)
+        cid, params = self.left.pop(slot)
         makers = _CATALOG[family]
         if cid not in makers:
             raise ParseError(f"{self.where(slot)}catalog id {cid!r} is not in the "
@@ -413,15 +407,15 @@ class _Reader:
         return built
 
     def ops(self, role, family, dims, start=0):
-        """One op per block size in dims, with indices from start on."""
-        return [self.op(role, family, d, start + j) for j, d in enumerate(dims)]
+        """One op per block size in dims, with indices from start + 1 on."""
+        return [self.op(role, family, d, i) for i, d in enumerate(dims, start + 1)]
 
     def vec(self, name, dims, required=True):
-        if name not in self.vecs:
+        if ("vec", name) not in self.left:
             if required:
                 raise ParseError(f"missing 'vec {name} ...' line")
             return BlockVector.zeros(dims)
-        flat = self.vecs.pop(name)
+        flat = self.left.pop(("vec", name))
         if flat.size != sum(dims):
             raise ParseError(f"{self.where(('vec', name))}vec {name} has "
                              f"{flat.size} components, expected {sum(dims)}")
@@ -433,8 +427,8 @@ class _Reader:
         """The entries of the coupling grid as {(k, i): entry}; a None in
         dims_out lets that row's entries have any number of rows."""
         K, m = self.grid_shape = len(dims_out), len(dims_in)
-        cells = {c: self.entries.pop(c) for c in list(self.entries)
-                 if 0 <= c[0] < K and 0 <= c[1] < m}
+        cells = {(s[1] - 1, s[2] - 1): self.left.pop(s) for s in list(self.left)
+                 if s[0] == "entry" and 1 <= s[1] <= K and 1 <= s[2] <= m}
         for (k, i), e in cells.items():
             misfit = entry_misfit(e, dims_out[k], dims_in[i])
             if misfit:
@@ -447,14 +441,9 @@ class _Reader:
         return [cells.get((k, 0)) for k in range(len(dims_out))]
 
     def finish(self):
-        left = [(name,) for name in self.dims]
-        left += [_op_slot(role, idx) for role, table in self.ops_left.items()
-                 for idx in table]
-        left += [("entry", k + 1, i + 1) for k, i in self.entries]
-        left += [("vec", name) for name in self.vecs]
-        if not left:
+        if not self.left:
             return
-        slot = min(left, key=lambda s: self.pf.lines.get(s, math.inf))
+        slot = min(self.left, key=lambda s: self.pf.lines.get(s, math.inf))
         if slot[0] == "entry" and self.grid_shape:
             K, m = self.grid_shape
             msg = f"{_text(slot)} lies outside the {K} x {m} coupling grid"

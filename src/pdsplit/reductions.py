@@ -110,6 +110,10 @@ class ParallelSumProblem:
         self.L = [normalize_entry(e) for e in L]
         if len(self.B) != K or len(self.S) != K or len(self.L) != K or len(self.r) != K:
             raise ParameterError("need K entries in each of r, B, S, L")
+        names = ["z"] + [f"r {k}" for k in range(1, K + 1)]
+        for name, v, d in zip(names, [self.z] + self.r, (self.dim,) + self.dual_dims):
+            if v.size != d:
+                raise ParameterError(f"{name} has {v.size} entries for a block of dimension {d}")
 
 
 def lift_parallel_sum(p):

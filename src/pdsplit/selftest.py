@@ -36,7 +36,7 @@ from .operators import (
     shifted_inverse_resolvent,
 )
 
-__all__ = ["run_selftest", "SELFTEST_NAMES"]
+__all__ = ["run_selftest"]
 
 
 def _random_grid(rng):
@@ -193,7 +193,6 @@ _CHECKS = (
     ("yosida_lipschitz", _check_yosida),
     ("error_schedule_determinism", _check_error_schedule),
 )
-SELFTEST_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def run_selftest(seed=0):

@@ -219,7 +219,7 @@ def test_selftest_inject_fault_fails_norm_bound(monkeypatch, capsys):
     assert captured.err == "failed properties: norm_bound_validity\n"
     assert re.search(r"^norm_bound_validity +FAIL  raised RuntimeError: broken check$",
                      captured.out, re.M)
-    assert captured.out.count("PASS") == len(selftest.SELFTEST_NAMES) - 1
+    assert captured.out.count("PASS") == len(selftest._CHECKS) - 1
 
 
 def test_selftest_a_wrong_prox_fails_the_moreau_row(monkeypatch, capsys):
@@ -311,6 +311,7 @@ op S 1 scaled_identity c=1
     pytest.param(SYSTEM_TEXT + "op A 3 zero\n", 14, id="op-index-past-m"),
     pytest.param(SYSTEM_TEXT + "vec w 1 2\n", 14, id="unread-vec"),
     pytest.param(SYSTEM_TEXT + "k1 4\n", 14, id="unread-dims"),
+    pytest.param(SYSTEM_TEXT + "vec w 1 2\nop Q 1 zero\n", 14, id="unread-vec-and-role"),
     pytest.param(SYSTEM_TEXT + "op A 1 zero\n", 14, id="duplicate-op"),
     pytest.param(SYSTEM_TEXT + "entry x 1 identity\n", 14, id="entry-index-x"),
     pytest.param(SYSTEM_TEXT + "entry 1 1 scale abc\n", 14, id="scale-abc"),

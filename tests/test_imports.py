@@ -1,16 +1,17 @@
 """Every name a module of the package imports is read by that module, no
-module imports another's private (underscore) name, and every function and
-class it defines has a caller.
+module imports another's private (underscore) name, and every function,
+class and constant it defines has a caller.
 
 No linter ships with the package, so these tests parse each module with
 ``ast`` instead: a name bound by an import must appear as a name somewhere
 else in the module, or in its ``__all__``.  The package's ``__init__`` is
 skipped, because its imports are the package's public names.  A
-module-level function or class must be read as a name by a module of the
-package, or as a name or an attribute by the benchmark (``bench/*.py``) or
-a python example of the README, or named by a string of the benchmark,
-whose tracer patches functions by name: a public name that only the
-package's ``__init__`` and the tests reach is code no solve path runs.
+module-level function, class or assignment (``__all__`` aside) must be read
+as a name by a module of the package, or as a name or an attribute by the
+benchmark (``bench/*.py``) or a python example of the README, or named by a
+string of the benchmark, whose tracer patches functions by name: a public
+name that only the package's ``__init__`` and the tests reach is code no
+solve path runs.
 The property checks of ``selftest`` are not callers either, so the names
 it imports from the other modules do not count; its reads of its own
 helpers do.
@@ -87,9 +88,20 @@ def test_no_module_imports_a_private_name(module):
     assert private_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
 
 
+def _defined(node):
+    """The names a module-level statement defines: a function's or class's
+    name, or the names an assignment binds, ``__all__`` aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id != "__all__"]
+
+
 def uncalled(package, bench, examples):
-    """The module-level functions and classes of package (module stem ->
-    source, ``__init__`` left out) that nothing reads: no module of the
+    """The module-level functions, classes and constants of package (module
+    stem -> source, ``__init__`` left out) that nothing reads: no module of the
     package as a name, selftest through its imports aside; no bench or
     example source as a name or an attribute; no bench source as a string."""
     trees = {stem: ast.parse(source) for stem, source in package.items()}
@@ -107,17 +119,20 @@ def uncalled(package, bench, examples):
             elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and node.value.isidentifier()):
                 refs.add(node.value)
-    return sorted(f"{stem}.{node.name}" for stem, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in refs)
+    return sorted(f"{stem}.{name}" for stem, tree in trees.items()
+                  for node in tree.body for name in _defined(node) if name not in refs)
 
 
 def test_the_check_counts_no_selftest_import_and_every_bench_string():
     package = {"lib": "def f(): pass\ndef g(): pass\n",
-               "selftest": "from .lib import f, g\ndef _row(): f()\nROWS = (_row, g)\n"}
+               "selftest": "from .lib import f, g\ndef _row(): f()\nprint(_row, g)\n"}
     assert uncalled(package, [], []) == ["lib.f", "lib.g"]
     assert uncalled(package, ["patch(lib, 'f')\n"], ["print('g')\n"]) == ["lib.g"]
+    # a constant counts as a function does; __all__ and an attribute store define none
+    package = {"lib": "__all__ = ['N']\nN = 1\nM, (P, Q) = 2, (3, 4)\nT: int = 5\n"
+                      "def f(): return M\nf.cache = {}\n",
+               "selftest": "from .lib import P\nprint(P)\n"}
+    assert uncalled(package, ["lib.f(lib.Q)\n"], ["print(T)\n"]) == ["lib.N", "lib.P"]
 
 
 def test_every_module_level_function_and_class_has_a_caller():

@@ -303,11 +303,12 @@ def test_the_reader_returns_each_number_exactly(a, lo, M, z, E, seed):
         f"config seed {seed}",
     ]) + "\n"
     pf = parse_problem(text)
-    cid, params = pf.ops["A"][0]
+    cid, params = pf.slots["op", "A", 1]
     assert cid == "affine" and set(params) == {"a", "lo", "M"}
     assert np.array_equal(params["a"], a) and np.array_equal(params["lo"], lo)
     assert np.array_equal(params["M"], M)
-    assert np.array_equal(pf.vecs["z"], z) and np.array_equal(pf.entries[(0, 0)], E)
+    assert np.array_equal(pf.slots["vec", "z"], z)
+    assert np.array_equal(pf.slots["entry", 1, 1], E)
     assert pf.config == {"seed": seed}
 
 
@@ -432,7 +433,7 @@ def test_scalar_parameter_fills_the_block():
 
 def test_hand_built_nan_parameter_rejected():
     pf = parse_problem(SYSTEM_TEXT)
-    pf.ops["B"][0] = ("scaled_identity", {"c": float("nan")})
+    pf.slots["op", "B", 1] = ("scaled_identity", {"c": float("nan")})
     with pytest.raises(ParseError, match="line 6: scaled_identity: parameter c is NaN"):
         build_problem(pf)
 
@@ -462,7 +463,7 @@ def _load(text):
 
 def _with_nan_lower_bound():
     pf = parse_problem(SYSTEM_TEXT)
-    pf.ops["A"][0] = ("normal_cone_box", {"lo": np.array([np.nan, -1.0]), "hi": 1.0})
+    pf.slots["op", "A", 1] = ("normal_cone_box", {"lo": np.array([np.nan, -1.0]), "hi": 1.0})
     return build_problem(pf)
 
 

@@ -723,6 +723,13 @@ _SIG = SpaceSig((1, 1), (1,))
     (lambda: ParallelSumProblem(1, (1,), 1, 1, ZeroOperator(), ZeroMap(), [0.0], [[0.0]],
                                 [], [ScaledIdentity(1.0)], [1.0]),
      "need K entries in each of r, B, S, L"),
+    (lambda: ParallelSumProblem(2, (2,), 0, 0, ZeroOperator(), ZeroMap(), [0.0] * 3,
+                                [[0.0] * 2], [ScaledIdentity(1.0)], [ScaledIdentity(1.0)], [1.0]),
+     "z has 3 entries for a block of dimension 2"),
+    (lambda: ParallelSumProblem(1, (1, 2), 0, 0, ZeroOperator(), ZeroMap(), [0.0],
+                                [[0.0], [0.0]], [ScaledIdentity(1.0)] * 2,
+                                [ScaledIdentity(1.0)] * 2, [1.0, None]),
+     "r 2 has 1 entries for a block of dimension 2"),
     (lambda: CommonZeroProblem(1, ZeroOperator(), [], []), "need K >= 1 operators in B and S"),
     (lambda: MultivariateMinProblem(_SIG, [ZeroFunction()], [ZeroFunction()] * 2,
                                     [ZeroFunction()], [None], None, None, None),
@@ -762,7 +769,8 @@ _SIG = SpaceSig((1, 1), (1,))
      "phi 2 is L1Norm, which has no gradient"),
     (lambda: FeasibilityRelaxation(1, [], [], []),
      "need matching nonempty sets, phi, and L lists"),
-], ids=["psum-count", "common-zero-count", "multivar-f", "multivar-g", "multivar-ell",
+], ids=["psum-count", "psum-z-fit", "psum-r-fit", "common-zero-count", "multivar-f",
+        "multivar-g", "multivar-ell",
         "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
         "multivar-f-fit", "multivar-g-fit",
         "univar-h-gradient", "univar-phi-gradient", "feasibility-count"])

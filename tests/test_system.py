@@ -424,6 +424,16 @@ def test_a_malformed_system_is_rejected(changes, message):
 
 
 @pytest.mark.parametrize("changes, message", [
+    ({"z": np.zeros(2)}, "z vector must be a BlockVector with blocks (1, 1), got ndarray"),
+    ({"r": [0.0]}, "r vector must be a BlockVector with blocks (1,), got list"),
+], ids=["z-array", "r-list"])
+def test_a_shift_that_is_not_a_block_vector_is_rejected(changes, message):
+    with pytest.raises(SignatureError) as exc:
+        two_box_problem(**changes)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
     ({"z": BlockVector([[np.inf], [0.0]])}, "the shift z must be finite"),
     ({"r": BlockVector([[-np.inf]])}, "the shift r must be finite"),
     ({"z": BlockVector([[0.0], [np.nan]])}, "the shift z must be finite"),
