@@ -8,7 +8,8 @@ in all three evaluations.
 
 A run reports through one record.  The trace holds the Lipschitz bound
 chi the step came from, a row (n, gamma, ||w_n - p_n||) per iteration,
-and a stop reason: "converged", "max_iters" or "diverged".  A caller that
+the number of iterations redone at a smaller step, and a stop reason:
+"converged", "max_iters" or "diverged".  A caller that
 needs more, such as the iterates or the residual split into blocks, sets
 ``FbfConfig.on_iteration``; it is called once per iteration and costs
 nothing when left unset.
@@ -37,6 +38,12 @@ __all__ = [
 DEFAULT_EPSILON = 1e-2
 DEFAULT_MAX_ITERS = 200000
 DEFAULT_RESIDUAL_TOL = 1e-9
+# sigma of the first step from the trajectory, theta / (sigma l0): l0 is a
+# local ratio, and Q's ratios further along the path may exceed it.  Of the
+# values scanned from 1 to 3, 1.75 is the smallest at which no dense_grid
+# seed from 1 to 11 redid an iteration, which would re-invert its affine
+# resolvents on every solve
+STEP_SAFETY = 1.75
 
 
 class SummableErrorSchedule:
@@ -87,10 +94,14 @@ class SummableErrorSchedule:
 class FbfConfig:
     """Iteration parameters.
 
-    gamma fixes a constant step; without it the largest admissible step
-    (1 - epsilon)/chi is used; ``gamma_for`` checks both against chi.
+    gamma fixes a constant step; ``gamma_for`` checks it against chi.
     errors, when set, must produce absolutely summable perturbation triples
-    (a_n, b_n, c_n), drawn as one block of the whole vector.
+    (a_n, b_n, c_n), drawn as one block of the whole vector; the step is
+    then the constant (1 - epsilon)/chi, as the error theorem needs.  With
+    neither, the step comes from the trajectory (``fbf_solve``): it starts
+    at or above (1 - epsilon)/chi, never rises, and shrinks, never below
+    that floor, only where gamma_n ||Q w_n - Q p_n|| <= (1 - epsilon)
+    ||w_n - p_n|| fails (Tseng's test).
     on_iteration(n, w_n, p_n), when set, is called once per iteration,
     after the trace row is recorded and before the stopping test, with
     numpy's overflow and invalid-value warnings off, as the whole loop
@@ -125,7 +136,8 @@ class FbfConfig:
 
 
 def gamma_for(cfg, chi, n):
-    """Step size for iteration n, constant: cfg.gamma, or else (1-epsilon)/chi.
+    """Step size for iteration n, constant: cfg.gamma, or else (1-epsilon)/chi,
+    the floor of a step taken from the trajectory.
     The one check of epsilon < 1/(chi+1) (ParameterError keyed "epsilon")
     and of the step in [epsilon, (1-epsilon)/chi] (keyed "gamma")."""
     if cfg.epsilon >= 1.0 / (chi + 1.0):
@@ -142,13 +154,15 @@ def gamma_for(cfg, chi, n):
 
 class FbfTrace:
     """The record of one run: the Lipschitz bound chi the step came from, a
-    row (n, gamma, ||w_n - p_n||) per iteration, the last finite iterate w
-    with its resolvent point p, and the stop reason ("converged",
-    "max_iters" or "diverged")."""
+    row (n, gamma, ||w_n - p_n||) per accepted iteration, how many times an
+    iteration was redone at a smaller step (retries), the last finite
+    iterate w with its resolvent point p, and the stop reason
+    ("converged", "max_iters" or "diverged")."""
 
     def __init__(self, chi):
         self.chi = chi
         self.rows = []
+        self.retries = 0
         self.w = None
         self.p = None
         self.stop_reason = None
@@ -171,6 +185,21 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     P_resolvent(gamma, s) evaluates the resolvent of the set-valued part; Q(w)
     the single-valued part.  chi > 0 must upper-bound Q's Lipschitz
     constant; ``gamma_for`` checks cfg's epsilon and step against it.
+
+    The step is constant where cfg sets errors (the error theorem takes
+    gamma_n in [epsilon, (1 - epsilon)/chi]) or gamma.  Otherwise it comes
+    from the trajectory, as in Tseng's rule (SIAM J. Control Optim. 38,
+    2000), whose proof needs only gamma_n ||Q w_n - Q p_n|| <= theta
+    ||w_n - p_n|| with theta = 1 - epsilon.  The run starts from
+    max(floor, theta / (STEP_SAFETY l0)), where the floor is gamma_for's
+    (1 - epsilon)/chi and l0 is the ratio ||Q w - Q p|| / ||w - p|| of one
+    probe resolvent at unit step from w0.  It keeps its step while the
+    test passes; when it fails above the floor, the iteration's backward
+    and second forward steps are redone at max(floor, 0.9 theta
+    ||w_n - p_n|| / ||Q w_n - Q p_n||), reusing Q w_n, and the run keeps
+    the smaller step (trace.retries counts the redone steps).  The floor
+    passes the test whenever chi bounds Q's Lipschitz constant, so the step
+    never falls below the constant one and never rises.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
@@ -178,26 +207,43 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     trace = FbfTrace(chi)
     w = p = w0.copy()
     stop = "max_iters"
+    adaptive = cfg.errors is None and cfg.gamma is None
+    theta = 1.0 - cfg.epsilon
+    gamma = None
     # a non-finite residual or update is the "diverged" stop: numpy's
     # overflow and invalid-value warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.max_iters):
             # looked up once per iteration: bench/run.py wraps it as its clock
-            gamma = gamma_for(cfg, chi, n)
+            floor = gamma_for(cfg, chi, n)
             if cfg.errors is not None:
                 a, b, c = (e.flat() for e in cfg.errors(n, (w.size,)))
             else:
                 a = b = c = None
 
             qw = Q(w)
+            if not adaptive:
+                gamma = floor
+            elif gamma is None:
+                probe = P_resolvent(1.0, w - qw)
+                gamma = _step(floor, theta * _norm(w - probe),
+                              STEP_SAFETY * _norm(qw - Q(probe)))
             s = w - gamma * (qw if a is None else qw + a)
             p = P_resolvent(gamma, s)
             if b is not None:
                 p = p + b
             qp = Q(p)
+            resid = _norm(w - p)
+            # a constant step is the floor, which never takes this loop
+            while gamma > floor and not gamma * _norm(qw - qp) <= theta * resid:
+                gamma = _step(floor, 0.9 * theta * resid, _norm(qw - qp))
+                trace.retries += 1
+                s = w - gamma * qw
+                p = P_resolvent(gamma, s)
+                qp = Q(p)
+                resid = _norm(w - p)
             q = p - gamma * (qp if c is None else qp + c)
 
-            resid = _norm(w - p)
             trace.rows.append((n, gamma, resid))
             if cfg.on_iteration is not None:
                 cfg.on_iteration(n, w, p)
@@ -215,6 +261,13 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
 
     trace.w, trace.p, trace.stop_reason = w, p, stop
     return trace
+
+
+def _step(floor, num, den):
+    """num / den where that is a finite number above the floor, else the
+    floor: a zero, infinite or nan norm leaves the step at the floor."""
+    step = num / den if den > 0 else math.inf
+    return step if floor < step < math.inf else floor
 
 
 def _norm(f):

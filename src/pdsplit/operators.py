@@ -340,25 +340,28 @@ class ScaledIdentity(MonotoneOperator):
 class AffineOperator(MonotoneOperator):
     """x -> M x + b with M + M^T positive semidefinite.
 
-    The resolvent is inv(I + gamma M) (x - gamma b).  A call at a step
-    other than the last one's inverts I + gamma M and keeps the inverse, so
-    each later call at that step is one matvec and one inverse at most is
-    held.  Every call goes through the inverse, so the result depends on
+    The resolvent is inv(I + gamma M) (x - gamma b).  The inverses of the
+    two most recently inverted steps are kept, so a solve that alternates
+    its iteration step with the certificate's unit step inverts each once,
+    and each later call at either step is one matvec.  Every call goes
+    through the inverse for its own step, so the result depends on
     (gamma, x) alone, not on the steps called before.
     """
 
     def __init__(self, M, b=None):
         self.M, self.b = _affine(M, b)
-        # (last step, inv(I + step M)), replaced in one assignment so that
-        # readers see a consistent pair
-        self._inv = (None, None)
+        # {step: inv(I + step M)} for at most two steps, replaced in one
+        # assignment so that readers see a consistent memo
+        self._inv = {}
 
     def resolvent(self, gamma, x):
         _check_gamma(gamma)
-        step, inv = self._inv
-        if step != gamma:
+        memo = self._inv
+        inv = memo.get(gamma)
+        if inv is None:
             inv = np.linalg.inv(np.eye(len(self.M)) + gamma * self.M)
-            self._inv = (gamma, inv)
+            kept = list(memo.items())[-1:]      # the newer of the two
+            self._inv = dict(kept + [(gamma, inv)])
         return inv @ (x - gamma * self.b)
 
 

@@ -110,10 +110,15 @@ class ParallelSumProblem:
         self.L = [normalize_entry(e) for e in L]
         if len(self.B) != K or len(self.S) != K or len(self.L) != K or len(self.r) != K:
             raise ParameterError("need K entries in each of r, B, S, L")
-        names = ["z"] + [f"r {k}" for k in range(1, K + 1)]
-        for name, v, d in zip(names, [self.z] + self.r, (self.dim,) + self.dual_dims):
-            if v.size != d:
-                raise ParameterError(f"{name} has {v.size} entries for a block of dimension {d}")
+        _check_shifts(self)
+
+
+def _check_shifts(p):
+    """ParameterError unless p.z fits p.dim and each p.r[k] its dual block."""
+    names = ["z"] + [f"r {k}" for k in range(1, p.K + 1)]
+    for name, v, d in zip(names, [p.z] + p.r, (p.dim,) + p.dual_dims):
+        if v.size != d:
+            raise ParameterError(f"{name} has {v.size} entries for a block of dimension {d}")
 
 
 def lift_parallel_sum(p):
@@ -407,6 +412,7 @@ class UnivariateMinProblem:
         self.z = np.asarray(z, dtype=float).reshape(-1)
         self.r = [np.asarray(rk, dtype=float).reshape(-1) for rk in r]
         self.L = [normalize_entry(e) for e in L]
+        _check_shifts(self)
 
 
 def univariate_to_parallel_sum(p):

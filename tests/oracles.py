@@ -204,9 +204,9 @@ def _split(u, offsets):
     return [u[offsets[j]:offsets[j + 1]] for j in range(len(offsets) - 1)]
 
 
-def system_iterates(prob, gamma, max_iters, errors=None):
-    """Stacked iterates (x_n, v_n), n = 0..max_iters, of the primal-dual
-    steps with a constant gamma:
+def system_iterates(prob, steps, errors=None):
+    """Stacked iterates (x_n, v_n), n = 0..len(steps), of the primal-dual
+    steps, iteration n at gamma = steps[n]:
 
         s1 = x - gamma (C x + L^T v + a1)
         p1 = J_{gamma A}(s1 + gamma z) + b1
@@ -225,11 +225,11 @@ def system_iterates(prob, gamma, max_iters, errors=None):
     n1 = op[-1]
     z, r = prob.z.flat(), prob.r.flat()
 
-    def J_A(u):
+    def J_A(gamma, u):
         parts = zip(prob.A, _split(u, op))
         return np.concatenate([A.resolvent(gamma, t) for A, t in parts])
 
-    def J_B(u):
+    def J_B(gamma, u):
         parts = zip(prob.B, _split(u, od))
         return np.concatenate([B.resolvent(1.0 / gamma, t) for B, t in parts])
 
@@ -241,7 +241,7 @@ def system_iterates(prob, gamma, max_iters, errors=None):
 
     x, v = np.zeros(n1), np.zeros(od[-1])
     out = [np.concatenate([x, v])]
-    for n in range(max_iters):
+    for n, gamma in enumerate(steps):
         if errors is None:
             a1 = a2 = b1 = b2 = c1 = c2 = 0.0
         else:
@@ -249,9 +249,9 @@ def system_iterates(prob, gamma, max_iters, errors=None):
             a1, a2, b1, b2 = a[:n1], a[n1:], b[:n1], -b[n1:] / gamma
             c1, c2 = c[:n1], c[n1:]
         s1 = x - gamma * (C(x) + L.T @ v + a1)
-        p1 = J_A(s1 + gamma * z) + b1
+        p1 = J_A(gamma, s1 + gamma * z) + b1
         s2 = v - gamma * (D(v) - L @ x + a2)
-        p2 = s2 - gamma * (r + J_B(s2 / gamma - r) + b2)
+        p2 = s2 - gamma * (r + J_B(gamma, s2 / gamma - r) + b2)
         q2 = p2 - gamma * (D(p2) - L @ p1 + c2)
         q1 = p1 - gamma * (C(p1) + L.T @ p2 + c1)
         x, v = x - s1 + q1, v - s2 + q2
@@ -259,11 +259,11 @@ def system_iterates(prob, gamma, max_iters, errors=None):
     return out
 
 
-def parallel_sum_iterates(p, gamma, max_iters):
-    """Stacked iterates (x_n, y_n, v_n), n = 0..max_iters, of the
-    noise-free partitioned parallel-sum steps with a constant gamma.  The
-    auxiliary y_k exists for k < K2; S_k is used through its resolvent for
-    k < K1 and through forward evaluations otherwise:
+def parallel_sum_iterates(p, steps):
+    """Stacked iterates (x_n, y_n, v_n), n = 0..len(steps), of the
+    noise-free partitioned parallel-sum steps, iteration n at gamma =
+    steps[n].  The auxiliary y_k exists for k < K2; S_k is used through
+    its resolvent for k < K1 and through forward evaluations otherwise:
 
         s11 = x - gamma (C x + sum_k L_k^T v_k),  p11 = J_{gamma A}(s11 + gamma z)
         k < K1:        s1_k = y_k + gamma v_k,  p1_k = J_{gamma S_k}(s1_k)
@@ -285,7 +285,7 @@ def parallel_sum_iterates(p, gamma, max_iters):
     y = [np.zeros(p.dual_dims[k]) for k in range(K2)]
     v = np.zeros(ov[-1])
     out = [np.concatenate([x] + y + [v])]
-    for _ in range(max_iters):
+    for gamma in steps:
         s11 = x - gamma * (p.C(x) + L.T @ v)
         p11 = p.A.resolvent(gamma, s11 + gamma * p.z)
         s1, p1 = [], []

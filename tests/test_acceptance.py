@@ -28,7 +28,6 @@ from pdsplit import (
     ZeroOperator,
     compute_beta,
     evaluate_objectives,
-    lift_parallel_sum,
     solve_common_zero,
     solve_feasibility_relaxation,
     solve_multivariate_min,
@@ -64,7 +63,7 @@ def test_01_engine_equivalence():
         rep = solve_system(prob, cfg)
         iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
-        ref = system_iterates(prob, gamma, 50, errors)
+        ref = system_iterates(prob, [gamma] * 50, errors)
         assert len(iterates) == len(ref) == 51
         worst = max(
             worst,
@@ -314,8 +313,10 @@ def test_10_lifting_soundness():
                         on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_parallel_sum(p, cfg)
         iterates.append(rep.trace.w)
-        gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
-        ref = parallel_sum_iterates(p, gamma, 50)
+        # the run takes its steps from the trajectory; the reference
+        # replays them, and a run that stopped early keeps its last one
+        steps = [gamma for _, gamma, _ in rep.trace.rows]
+        ref = parallel_sum_iterates(p, steps + steps[-1:] * (50 - len(steps)))
         assert len(ref) == 51
         if rep.trace.stop_reason == "converged":
             # with residual_tol 0 the run stops early only at an exact fixed

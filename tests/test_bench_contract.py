@@ -10,6 +10,7 @@ the iteration loop fails here rather than silently in the benchmark.
 import importlib
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from pdsplit.cli import main
 from pdsplit.demos import get_demo
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 MODULES = ("blocks", "operators", "fbf", "system", "reductions", "probfile", "cli")
@@ -172,6 +174,38 @@ def test_gamma_for_runs_once_per_iteration(monkeypatch, tmp_path):
     assert calls == list(range(int(summary["iterations"])))
 
 
+def test_gamma_for_runs_once_per_iteration_when_iterations_are_redone(monkeypatch):
+    # a redone iteration is not a new one: the clock ticks once for it
+    # (Q is 1-Lipschitz with slope 0.1 on x >= 0, where the probe looks,
+    # and its zero -0.5 lies on the steep side)
+    calls = _count_gamma_for(monkeypatch)
+    trace = pdsplit.fbf.fbf_solve(ZeroOperator().resolvent,
+                                  lambda x: np.where(x >= 0.0, 0.1 * x, x) + 0.5,
+                                  1.0, np.ones(1), FbfConfig())
+    assert trace.converged and trace.retries > 0
+    assert calls == list(range(trace.iterations))
+
+
+def test_a_warm_dense_grid_solve_inverts_nothing(monkeypatch, tmp_path):
+    # the memo keeps the iteration's step and the unit step of the probe
+    # and the certificate, so only the first solve inverts, six operators
+    # at two steps each
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
+    pd = SimpleNamespace(**{name: importlib.import_module(f"pdsplit.{name}")
+                            for name in MODULES})
+    wl = workloads.DenseGrid(pd, 11, tmp_path)
+    prob = wl.setup()
+    counts = []
+    for _ in range(2):
+        inversions.clear()
+        report = wl.solve(prob, 0)
+        assert report.converged and wl.check(0, report) is None
+        counts.append(len(inversions))
+    assert counts[0] <= 12 and counts[1] == 0
+
+
 def test_tracer_counts_the_cells_of_sparse_couplings():
     # the tracer reads L.entries, the grid view of the stored nonzeros
     m = 5
@@ -207,8 +241,10 @@ def test_tracer_counts_the_bytes_of_every_error_draw():
 
 def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
     # tv_chain's shape: m scalar blocks with sqdist f_i and l1 g_k on their
-    # differences.  Each iteration resolves the f_i in one joined call and
-    # the g_k in another, and so does the final kkt_residual at unit step.
+    # differences.  Each evaluation of the pair's resolvent resolves the f_i
+    # in one joined call and the g_k in another: one per iteration, one per
+    # iteration redone at a smaller step, the probe that sets the first
+    # step and the final kkt_residual at unit step.
     m = 16
     sig = SpaceSig((1,) * m, (1,) * (m - 1))
     chain = {(k, k): 1.0 for k in range(m - 1)}
@@ -224,7 +260,7 @@ def test_runs_of_scalar_blocks_take_one_resolvent_call_each():
         report = mods["reductions"].solve_multivariate_min(prob, FbfConfig(residual_tol=1e-6))
     assert report.converged and report.trace.iterations > 1
     resolvents = tracer.totals["operators.resolvent"].calls
-    assert resolvents == 2 * (report.trace.iterations + 1)
+    assert resolvents == 2 * (report.trace.iterations + report.trace.retries + 2)
 
 
 def test_a_file_solve_passes_through_every_solve_path_span(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,16 @@ from pdsplit import (
     ZeroOperator,
     fbf_solve,
 )
+from conftest import random_coupled_problem
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import gamma_for
 from pdsplit.probfile import build_problem, parse_problem
+from pdsplit.system import compute_beta
+
+
+def _norm(f):
+    """The engine's norm, rounded as it rounds."""
+    return math.sqrt(float(f @ f))
 
 
 def scalar_pair(P, q):
@@ -83,12 +92,15 @@ def test_square_summable_residuals():
 
 def test_divergence_raises_with_iteration():
     # declare a wildly wrong Lipschitz constant so the step expands by
-    # 9703x per iteration; the residual of iteration 39 overflows
+    # 9703x per iteration; the residual of iteration 39 overflows.  The
+    # step test fails at every iteration, but the step never goes below
+    # the floor (1 - epsilon)/chi
     P, Q = scalar_pair(ZeroOperator(), lambda x: 10.0 * x)
     tr = fbf_solve(P, Q, 0.1, np.ones(1), FbfConfig(residual_tol=0.0))
     assert tr.stop_reason == "diverged" and not tr.converged
     assert tr.iterations == 40 and tr.rows[-1][0] == 39
     assert np.isfinite(tr.w).all()
+    assert {gamma for _, gamma, _ in tr.rows} == {0.99 / 0.1} and tr.retries == 0
 
 
 def test_an_overflowing_residual_is_divergence_at_any_tolerance():
@@ -262,3 +274,100 @@ def test_config_rejects_nan():
 def test_config_takes_an_integral_budget_in_any_type():
     for max_iters in (7, 7.0, np.int64(7)):
         assert FbfConfig(max_iters=max_iters).max_iters == 7
+
+
+def kinked_pair():
+    """Identity resolvent and Q(x) = k(x) + 0.5 with k of slope 0.1 on
+    x >= 0 and 1 below: 1-Lipschitz, zero at x = -0.5.  A probe from x = 1
+    sees only the slope 0.1, so the first step is too long for the steep
+    side and the run must shrink it."""
+    return (ZeroOperator().resolvent,
+            lambda x: np.where(x >= 0.0, 0.1 * x, x) + 0.5)
+
+
+def _rule_cases():
+    """(P_resolvent, Q, chi, w0) of runs whose step comes from the
+    trajectory, at least one of them with retries."""
+    rng = np.random.default_rng(6)
+    cases = [(*kinked_pair(), 1.0, np.ones(1))]
+    for _ in range(8):
+        prob = random_coupled_problem(rng)
+        size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+        cases.append((*prob._pair, compute_beta(prob), np.zeros(size)))
+    return cases
+
+
+def test_every_accepted_step_passes_tsengs_test():
+    retries = 0
+    for P, Q, chi, w0 in _rule_cases():
+        seen = []
+        cfg = FbfConfig(max_iters=400,
+                        on_iteration=lambda n, w, p: seen.append((w.copy(), p.copy())))
+        tr = fbf_solve(P, Q, chi, w0, cfg)
+        theta, floor = 1.0 - cfg.epsilon, (1.0 - cfg.epsilon) / chi
+        for (_, gamma, _), (w, p) in zip(tr.rows, seen, strict=True):
+            assert gamma == floor or gamma * _norm(Q(w) - Q(p)) <= theta * _norm(w - p)
+        retries += tr.retries
+    assert retries > 0
+
+
+def test_the_step_starts_at_the_floor_or_above_and_never_rises():
+    above = 0
+    for P, Q, chi, w0 in _rule_cases():
+        cfg = FbfConfig(max_iters=400)
+        steps = [gamma for _, gamma, _ in fbf_solve(P, Q, chi, w0, cfg).rows]
+        assert min(steps) >= (1.0 - cfg.epsilon) / chi
+        assert all(b <= a for a, b in zip(steps, steps[1:]))
+        above += steps[0] > (1.0 - cfg.epsilon) / chi
+    assert above > 0
+
+
+def test_a_redone_iteration_keeps_its_smaller_step():
+    P, Q = kinked_pair()
+    tr = fbf_solve(P, Q, 1.0, np.ones(1), FbfConfig(residual_tol=1e-12))
+    assert tr.converged and tr.retries >= 1
+    assert tr.p[0] == pytest.approx(-0.5, abs=1e-10)
+    first, last = tr.rows[0][1], tr.rows[-1][1]
+    assert 0.99 <= last < first
+
+
+def _constant_step_run(P, Q, gamma, w0, max_iters, errors=None):
+    """The engine's loop at a constant step, the one the step from the
+    trajectory leaves in place where errors are set or gamma is fixed."""
+    w = w0.copy()
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(max_iters):
+            if errors is not None:
+                a, b, c = (e.flat() for e in errors(n, (w.size,)))
+            qw = Q(w)
+            s = w - gamma * (qw if errors is None else qw + a)
+            p = P(gamma, s)
+            if errors is not None:
+                p = p + b
+            qp = Q(p)
+            q = p - gamma * (qp if errors is None else qp + c)
+            rows.append((n, gamma, _norm(w - p)))
+            w = w - s + q
+    return w, rows
+
+
+@pytest.mark.parametrize("rule", ["errors", "gamma"])
+def test_errors_or_a_fixed_gamma_keep_the_constant_step(rule):
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        prob = random_coupled_problem(rng)
+        P, Q = prob._pair
+        chi = compute_beta(prob)
+        w0 = rng.standard_normal(sum(prob.sig.dims_primal + prob.sig.dims_dual))
+        if rule == "errors":
+            errors = SummableErrorSchedule(0.05, 2.0, seed=int(rng.integers(1000)))
+            gamma, cfg = 0.99 / chi, FbfConfig(errors=errors)
+        else:
+            errors, gamma = None, 0.5 * 0.99 / chi
+            cfg = FbfConfig(gamma=gamma)
+        cfg.residual_tol, cfg.max_iters = 0.0, 60
+        tr = fbf_solve(P, Q, chi, w0, cfg)
+        w, rows = _constant_step_run(P, Q, gamma, w0, 60, errors)
+        assert tr.rows == rows and tr.retries == 0
+        assert np.array_equal(tr.w, w)

@@ -368,11 +368,16 @@ def test_affine_resolvent_inverts_once_per_step_change(monkeypatch):
     for _ in range(50):
         op.resolvent(0.5, x)
     assert len(inversions) == 1
-    # steps alternating in pairs: the memo serves the second call of each pair
+    # two steps alternating in pairs: the memo keeps both
     op = AffineOperator(M, b)
     for n in range(50):
         op.resolvent((0.5, 2.0)[n // 2 % 2], x)
-    assert len(inversions) == 1 + 25
+    assert len(inversions) == 1 + 2
+    # a third step evicts the older of the two, here 0.5
+    op.resolvent(3.0, x)
+    op.resolvent(2.0, x)
+    op.resolvent(0.5, x)
+    assert len(inversions) == 1 + 2 + 2
 
 
 def test_affine_resolvent_is_right_under_two_threads_at_two_steps():

@@ -111,17 +111,30 @@ def test_lift_shapes(rng):
         assert lifted.sig.dims_dual == p.dual_dims
 
 
+def _lifting_gaps(p, gamma):
+    """Gaps between a parallel-sum run at the config's step (None: from
+    the trajectory) and the reference replaying the run's steps."""
+    iterates = []
+    cfg = FbfConfig(max_iters=50, residual_tol=0.0, gamma=gamma,
+                    on_iteration=lambda n, w, p: iterates.append(w.copy()))
+    rep = solve_parallel_sum(p, cfg)
+    iterates.append(rep.trace.w)
+    steps = [g for _, g, _ in rep.trace.rows]
+    assert gamma is None or steps == [gamma] * 50
+    return [np.linalg.norm(a - b) for a, b in zip(iterates, parallel_sum_iterates(p, steps))]
+
+
 def test_lifting_soundness_iterates_match(rng):
     for _ in range(5):
+        gaps = _lifting_gaps(random_parallel_sum(rng), None)
+        assert len(gaps) == 51 and max(gaps) <= 1e-12
+
+
+def test_lifting_soundness_iterates_match_at_a_fixed_step(rng):
+    for _ in range(5):
         p = random_parallel_sum(rng)
-        iterates = []
-        cfg = FbfConfig(max_iters=50, residual_tol=0.0,
-                        on_iteration=lambda n, w, p: iterates.append(w.copy()))
-        rep = solve_parallel_sum(p, cfg)
-        iterates.append(rep.trace.w)
-        gamma = (1.0 - cfg.epsilon) / compute_beta(lift_parallel_sum(p))
-        ref = parallel_sum_iterates(p, gamma, 50)
-        gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
+        gamma = 0.5 * (1.0 - 1e-2) / compute_beta(lift_parallel_sum(p))
+        gaps = _lifting_gaps(p, gamma)
         assert len(gaps) == 51 and max(gaps) <= 1e-12
 
 
@@ -767,13 +780,22 @@ _SIG = SpaceSig((1, 1), (1,))
                                   [ZeroFunction()] * 2, [ZeroFunction(), L1Norm(1.0)], None,
                                   [[0.0]] * 2, [1.0] * 2),
      "phi 2 is L1Norm, which has no gradient"),
+    (lambda: UnivariateMinProblem(2, (2,), 0, 0, ZeroFunction(), ZeroFunction(),
+                                  [ZeroFunction()], [SquaredNorm(1.0)], [0.0] * 3,
+                                  [[0.0] * 2], [1.0]),
+     "z has 3 entries for a block of dimension 2"),
+    (lambda: UnivariateMinProblem(1, (1, 2), 0, 0, ZeroFunction(), ZeroFunction(),
+                                  [ZeroFunction()] * 2, [SquaredNorm(1.0)] * 2, [0.0],
+                                  [[0.0], [0.0]], [1.0, None]),
+     "r 2 has 1 entries for a block of dimension 2"),
     (lambda: FeasibilityRelaxation(1, [], [], []),
      "need matching nonempty sets, phi, and L lists"),
 ], ids=["psum-count", "psum-z-fit", "psum-r-fit", "common-zero-count", "multivar-f",
         "multivar-g", "multivar-ell",
         "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
         "multivar-f-fit", "multivar-g-fit",
-        "univar-h-gradient", "univar-phi-gradient", "feasibility-count"])
+        "univar-h-gradient", "univar-phi-gradient", "univar-z-fit", "univar-r-fit",
+        "feasibility-count"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
     with pytest.raises(ParameterError) as exc:
         make()

@@ -182,7 +182,7 @@ def test_engine_equivalence_iterate_for_iterate(rng):
         rep = solve_system(prob, cfg)
         iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
-        ref = system_iterates(prob, gamma, 50, errors)
+        ref = system_iterates(prob, [gamma] * 50, errors)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
         assert len(gaps) == 51 and max(gaps) <= 1e-12
 
@@ -318,7 +318,7 @@ def test_engine_equivalence_over_interleaved_runs(monkeypatch):
         rep = solve_system(prob, cfg)
         iterates.append(rep.trace.w)
         gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
-        ref = system_iterates(prob, gamma, 50, errors)
+        ref = system_iterates(prob, [gamma] * 50, errors)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
         assert len(gaps) == 51 and max(gaps) <= 1e-12
     # one resolvent per run: primal {0,1,2} {3} {4,5} {6} {7,8}, dual
