@@ -20,6 +20,8 @@ Four front-ends:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 # entry_apply_adjoint is unused here but stays importable from this module:
@@ -112,6 +114,12 @@ class ParallelSumProblem:
             raise ParameterError("need K entries in each of r, B, S, L")
         _check_shifts(self)
 
+    @cached_property
+    def _system(self):
+        """``lift_parallel_sum(self)``, built at the first solve and kept,
+        with its pair: the problem does not change between solves."""
+        return lift_parallel_sum(self)
+
 
 def _check_shifts(p):
     """ParameterError unless p.z fits p.dim and each p.r[k] its dual block."""
@@ -158,12 +166,13 @@ def lift_parallel_sum(p):
 def solve_parallel_sum(p, cfg):
     """Solve the lifted problem with the system solver and unlift it.
 
-    Every Lipschitz S_k enters only through forward evaluations.  The
-    report's primal is x alone; the trace runs over the lifted (x, y, v)
-    space, so the auxiliary y_1..y_{K2} stay in report.trace.w, between
-    x and v.
+    p is a ParallelSumProblem or a CommonZeroProblem, either of which keeps
+    its lifted system (``_system``) from one solve to the next.  Every
+    Lipschitz S_k enters only through forward evaluations.  The report's
+    primal is x alone; the trace runs over the lifted (x, y, v) space, so
+    the auxiliary y_1..y_{K2} stay in report.trace.w, between x and v.
     """
-    report = solve_system(lift_parallel_sum(p), cfg)
+    report = solve_system(p._system, cfg)
     report.primal = report.primal.split(1)[0]
     return report
 
@@ -185,6 +194,11 @@ class CommonZeroProblem:
         self.B = list(B)
         self.S = list(S)
         self.K = len(B)
+
+    @cached_property
+    def _system(self):
+        """The lifted parallel-sum form, built at the first solve and kept."""
+        return lift_parallel_sum(_as_parallel_sum(self))
 
 
 def _as_parallel_sum(p):
@@ -211,7 +225,7 @@ def solve_common_zero(p, cfg):
     S_k accessed by resolvent, so the forward Lipschitz bound reduces to
     sqrt(K + 1).
     """
-    return solve_parallel_sum(_as_parallel_sum(p), cfg)
+    return solve_parallel_sum(p, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +266,12 @@ class MultivariateMinProblem:
         self.r = r
         self.L = L
 
+    @cached_property
+    def _system(self):
+        """``min_problem_to_system(self)``, built at the first solve and
+        kept, with its pair: the problem does not change between solves."""
+        return min_problem_to_system(self)
+
 
 def _ellstar_grad(lk):
     # conjugate of omega ||.||^2 is ||.||^2 / (4 omega); gradient v/(2 omega)
@@ -269,7 +289,7 @@ def min_problem_to_system(p):
 def solve_multivariate_min(p, cfg):
     """Run the primal-dual iteration on subdifferentials and gradients; the
     backward steps become prox evaluations of the f_i and (rescaled) g_k."""
-    return solve_system(min_problem_to_system(p), cfg)
+    return solve_system(p._system, cfg)
 
 
 def _infconv_value(g, ell, t):

@@ -59,6 +59,25 @@ def random_coupled_problem(rng, max_blocks=3, max_dim=4):
     )
 
 
+def wide_coupled_problem(rng, dims_primal=(40,) * 4, dims_dual=(40,) * 4):
+    """A random coupled system on blocks of the given dimensions, with a
+    dense entry in about half of the cells: a product space large enough
+    for the engine's Anderson acceleration."""
+    sig = SpaceSig(dims_primal, dims_dual)
+    entries = [[rng.standard_normal((dk, di)) / np.sqrt(di) if rng.integers(0, 2) else None
+                for di in dims_primal] for dk in dims_dual]
+    return CoupledInclusionProblem(
+        sig,
+        [random_monotone(rng, d) for d in dims_primal],
+        [random_lipschitz(rng, d) for d in dims_primal],
+        [random_monotone(rng, d) for d in dims_dual],
+        [random_lipschitz(rng, d) for d in dims_dual],
+        BlockLinearOp(entries, sig),
+        BlockVector([rng.standard_normal(d) for d in dims_primal]),
+        BlockVector([rng.standard_normal(d) for d in dims_dual]),
+    )
+
+
 def random_parallel_sum(rng, max_dim=3, max_K=3):
     dim = int(rng.integers(1, max_dim + 1))
     K = int(rng.integers(1, max_K + 1))

@@ -4,7 +4,8 @@ check of a common zero and the qualification check of a minimization, a
 projected-gradient minimizer for feasibility relaxations, the KKT
 residuals and the objectives of a minimization block by block, and the
 primal-dual and partitioned parallel-sum iterations written out on flat
-arrays with the coupling assembled densely by np.block.
+arrays with the coupling assembled densely by np.block, and Anderson
+acceleration of the first.
 
 The iteration references share no code with the solver's engine, its
 product-space pair or its block storage; they take the step gamma and the
@@ -204,9 +205,9 @@ def _split(u, offsets):
     return [u[offsets[j]:offsets[j + 1]] for j in range(len(offsets) - 1)]
 
 
-def system_iterates(prob, steps, errors=None):
-    """Stacked iterates (x_n, v_n), n = 0..len(steps), of the primal-dual
-    steps, iteration n at gamma = steps[n]:
+def system_map(prob):
+    """(T, n1): T(gamma, x, v, errs) is one primal-dual iteration from
+    (x, v) at step gamma,
 
         s1 = x - gamma (C x + L^T v + a1)
         p1 = J_{gamma A}(s1 + gamma z) + b1
@@ -216,13 +217,11 @@ def system_iterates(prob, steps, errors=None):
         q1 = p1 - gamma (C p1 + L^T p2 + c1)
         x <- x - s1 + q1,   v <- v - s2 + q2
 
-    Errors come from ``errors(n, dims)`` over the stacked space, as
-    (a, b, c) = ((a1, a2), (b1, -gamma b2), (c1, c2)).
-    """
+    with errs = (a1, a2, b1, b2, c1, c2), zeros when None; n1 is the
+    primal length."""
     dp, dd = prob.sig.dims_primal, prob.sig.dims_dual
     L = dense_coupling(prob.L)
     op, od = _offsets(dp), _offsets(dd)
-    n1 = op[-1]
     z, r = prob.z.flat(), prob.r.flat()
 
     def J_A(gamma, u):
@@ -239,23 +238,73 @@ def system_iterates(prob, steps, errors=None):
     def D(u):
         return np.concatenate([Dk(t) for Dk, t in zip(prob.Dinv, _split(u, od))])
 
-    x, v = np.zeros(n1), np.zeros(od[-1])
-    out = [np.concatenate([x, v])]
-    for n, gamma in enumerate(steps):
-        if errors is None:
-            a1 = a2 = b1 = b2 = c1 = c2 = 0.0
-        else:
-            a, b, c = (e.flat() for e in errors(n, dp + dd))
-            a1, a2, b1, b2 = a[:n1], a[n1:], b[:n1], -b[n1:] / gamma
-            c1, c2 = c[:n1], c[n1:]
+    def T(gamma, x, v, errs=None):
+        a1, a2, b1, b2, c1, c2 = (0.0,) * 6 if errs is None else errs
         s1 = x - gamma * (C(x) + L.T @ v + a1)
         p1 = J_A(gamma, s1 + gamma * z) + b1
         s2 = v - gamma * (D(v) - L @ x + a2)
         p2 = s2 - gamma * (r + J_B(gamma, s2 / gamma - r) + b2)
         q2 = p2 - gamma * (D(p2) - L @ p1 + c2)
         q1 = p1 - gamma * (C(p1) + L.T @ p2 + c1)
-        x, v = x - s1 + q1, v - s2 + q2
+        return x - s1 + q1, v - s2 + q2
+
+    return T, op[-1]
+
+
+def system_iterates(prob, steps, errors=None):
+    """Stacked iterates (x_n, v_n), n = 0..len(steps), of the primal-dual
+    steps of ``system_map``, iteration n at gamma = steps[n].
+
+    Errors come from ``errors(n, dims)`` over the stacked space, as
+    (a, b, c) = ((a1, a2), (b1, -gamma b2), (c1, c2)).
+    """
+    dims = prob.sig.dims_primal + prob.sig.dims_dual
+    T, n1 = system_map(prob)
+    x, v = np.zeros(n1), np.zeros(sum(dims) - n1)
+    out = [np.concatenate([x, v])]
+    for n, gamma in enumerate(steps):
+        errs = None
+        if errors is not None:
+            a, b, c = (e.flat() for e in errors(n, dims))
+            errs = (a[:n1], a[n1:], b[:n1], -b[n1:] / gamma, c[:n1], c[n1:])
+        x, v = T(gamma, x, v, errs)
         out.append(np.concatenate([x, v]))
+    return out
+
+
+def anderson_iterates(prob, steps, memory, cap, power):
+    """Stacked iterates w_0 = 0, ..., w_len(steps) of type-II Anderson
+    acceleration (Walker & Ni 2011) of the noise-free primal-dual map T of
+    ``system_map``, iteration n at gamma = steps[n], with every correction
+    capped:
+
+        g_n = T(w_n),  f_n = g_n - w_n
+        dF, dG = the successive differences of the last memory + 1
+                 (f, g), in order, since the step last changed
+        alpha = argmin ||f_n - dF alpha||   (by least squares)
+        e_n = dG alpha, scaled down to norm at most
+              eta_n = cap ||f_0|| (n + 1)^-power
+        w_{n+1} = g_n - e_n
+
+    A change of step restarts the history: T changes with it.
+    """
+    T, n1 = system_map(prob)
+    w = np.zeros(sum(prob.sig.dims_primal + prob.sig.dims_dual))
+    out, fs, gs = [w], [], []
+    for n, gamma in enumerate(steps):
+        if n and gamma != steps[n - 1]:
+            fs, gs = [], []
+        g = np.concatenate(T(gamma, w[:n1], w[n1:]))
+        fs, gs = fs[-memory:] + [g - w], gs[-memory:] + [g]
+        if n == 0:
+            eta0 = cap * np.linalg.norm(fs[0])
+        w = g
+        if len(fs) > 1:
+            dF, dG = np.diff(fs, axis=0), np.diff(gs, axis=0)
+            e = np.linalg.lstsq(dF.T, fs[-1], rcond=None)[0] @ dG
+            e *= min(1.0, eta0 / (n + 1) ** power / np.linalg.norm(e))
+            w = g - e
+        out.append(w)
     return out
 
 

@@ -13,11 +13,13 @@ from pdsplit import (
     ZeroOperator,
     fbf_solve,
 )
-from conftest import random_coupled_problem
+from conftest import random_coupled_problem, wide_coupled_problem
+from oracles import anderson_iterates, system_map
+from pdsplit import fbf
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import gamma_for
 from pdsplit.probfile import build_problem, parse_problem
-from pdsplit.system import compute_beta
+from pdsplit.system import compute_beta, solve_system
 
 
 def _norm(f):
@@ -354,9 +356,11 @@ def _constant_step_run(P, Q, gamma, w0, max_iters, errors=None):
 
 @pytest.mark.parametrize("rule", ["errors", "gamma"])
 def test_errors_or_a_fixed_gamma_keep_the_constant_step(rule):
+    # the last problem is large enough for Anderson acceleration, which
+    # runs only where the step comes from the trajectory
     rng = np.random.default_rng(8)
-    for _ in range(4):
-        prob = random_coupled_problem(rng)
+    for i in range(5):
+        prob = random_coupled_problem(rng) if i < 4 else wide_coupled_problem(rng)
         P, Q = prob._pair
         chi = compute_beta(prob)
         w0 = rng.standard_normal(sum(prob.sig.dims_primal + prob.sig.dims_dual))
@@ -371,3 +375,114 @@ def test_errors_or_a_fixed_gamma_keep_the_constant_step(rule):
         w, rows = _constant_step_run(P, Q, gamma, w0, 60, errors)
         assert tr.rows == rows and tr.retries == 0
         assert np.array_equal(tr.w, w)
+
+
+# --- Anderson acceleration ------------------------------------------------------
+
+
+def _wide(seed, dims_primal=(40,) * 4, dims_dual=(40,) * 4):
+    return wide_coupled_problem(np.random.default_rng(seed), dims_primal, dims_dual)
+
+
+def _run(prob, max_iters=150):
+    """The iterates w_0..w_N of a run at the step from the trajectory and
+    residual_tol 0, and its trace."""
+    seen = []
+    cfg = FbfConfig(max_iters=max_iters, residual_tol=0.0,
+                    on_iteration=lambda n, w, p: seen.append(w.copy()))
+    trace = solve_system(prob, cfg).trace
+    return seen + [trace.w], trace
+
+
+def _gap(a, b):
+    return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_accelerated_iterates_match_the_reference(seed, monkeypatch):
+    # seed 8's corrections hit their cap.  The weights carry rounding
+    # errors times the condition of the history's Gram matrix, so these
+    # runs are ones where it stays small
+    conds = []
+    weights = fbf._anderson_weights
+    monkeypatch.setattr(fbf, "_anderson_weights",
+                        lambda gram, rhs: conds.append(np.linalg.cond(gram)) or weights(gram, rhs))
+    prob = _wide(seed)
+    w, trace = _run(prob)
+    assert w[0].size >= fbf.AA_MIN_SIZE and max(conds) <= 1e4
+    steps = [gamma for _, gamma, _ in trace.rows]
+    ref = anderson_iterates(prob, steps, fbf.AA_MEMORY, fbf.AA_CAP, fbf.AA_POWER)
+    assert len(w) == len(ref) == 151
+    assert max(_gap(a, b) for a, b in zip(w, ref)) <= 1e-12
+    assert (trace.capped > 0) == (seed == 8) and trace.cleared == trace.retries == 0
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_every_correction_stays_within_its_cap(seed):
+    # the correction e_n = T(w_n) - w_{n+1}, with T the reference's map;
+    # seed 9 redoes iteration 96 at a smaller step, which takes the plain
+    # step T(w_96) and drops the history
+    prob = _wide(seed)
+    w, trace = _run(prob)
+    T, n1 = system_map(prob)
+    steps = [gamma for _, gamma, _ in trace.rows]
+    images = [np.concatenate(T(gamma, wn[:n1], wn[n1:])) for gamma, wn in zip(steps, w)]
+    eta0 = fbf.AA_CAP * np.linalg.norm(images[0] - w[0])
+    at_cap = 0
+    for n, image in enumerate(images):
+        size, eta = np.linalg.norm(image - w[n + 1]), eta0 / (n + 1) ** fbf.AA_POWER
+        slack = 1e-12 * max(1.0, np.linalg.norm(w[n + 1]))
+        assert size <= eta + slack
+        if n == 0 or steps[n] != steps[n - 1]:
+            assert size <= slack
+        at_cap += abs(size / eta - 1.0) <= 1e-9
+    assert trace.capped == at_cap > 0
+    assert trace.retries == trace.cleared == (seed == 9)
+
+
+def test_a_correction_of_the_wrong_sign_still_converges(monkeypatch):
+    # the sum of the caps is finite, so the run converges; but a correction
+    # that is wrong every time is capped every time, and the residual then
+    # falls only as fast as the cap, about as n^-1.1 (2715 iterations to
+    # 1e-3 here, where the right sign takes 75 to 1e-9)
+    prob = _wide(7)
+    clean = solve_system(prob, FbfConfig())
+    weights = fbf._anderson_weights
+    monkeypatch.setattr(fbf, "_anderson_weights", lambda gram, rhs: -weights(gram, rhs))
+    report = solve_system(prob, FbfConfig(residual_tol=1e-3))
+    assert report.converged and report.trace.capped >= report.trace.iterations - 10
+    assert max(report.kkt) <= 1e-2
+    assert _gap(report.trace.w, clean.trace.w) <= 1e-2
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_a_failed_correction_takes_the_plain_step(failure, monkeypatch):
+    prob = _wide(7)
+    monkeypatch.setattr(fbf, "AA_MIN_SIZE", math.inf)
+    plain, plain_trace = _run(prob, 60)
+    monkeypatch.undo()
+    calls = []
+
+    def weights(gram, rhs):
+        calls.append(1)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(rhs), np.nan)
+
+    monkeypatch.setattr(fbf, "_anderson_weights", weights)
+    w, trace = _run(prob, 60)
+    assert all(np.array_equal(a, b) for a, b in zip(w, plain, strict=True))
+    assert trace.rows == plain_trace.rows and trace.capped == 0
+    assert trace.cleared == len(calls) == 59
+
+
+@pytest.mark.parametrize("dims_dual", [(64, 63), (64, 64)])
+def test_the_acceleration_starts_at_aa_min_size(dims_dual, monkeypatch):
+    # product spaces of 255 and 256 entries
+    prob = _wide(3, (64, 64), dims_dual)
+    below = sum((64, 64) + dims_dual) < fbf.AA_MIN_SIZE
+    w, trace = _run(prob, 60)
+    monkeypatch.setattr(fbf, "AA_MIN_SIZE", math.inf)
+    plain, plain_trace = _run(prob, 60)
+    same = all(np.array_equal(a, b) for a, b in zip(w, plain, strict=True))
+    assert same == below == (trace.rows == plain_trace.rows)

@@ -318,6 +318,22 @@ def test_affine_classes_take_only_a_square_monotone_matrix():
             make(-np.eye(2))
 
 
+@pytest.mark.parametrize("lowest, accepted", [(-0.5e-10, True), (-2e-10, False)])
+def test_affine_classes_take_m_plus_m_transpose_down_to_minus_1e_10(lowest, accepted):
+    # (M + M^T)/2 has eigenvalues (lowest, 0.5, 1, 2, 3) in a rotated basis;
+    # the skew part does not count
+    rng = np.random.default_rng(4)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    S = rng.standard_normal((5, 5))
+    M = (Q * [lowest, 0.5, 1.0, 2.0, 3.0]) @ Q.T + (S - S.T)
+    for make in (AffineOperator, AffineMap):
+        if accepted:
+            assert np.array_equal(make(M).M, M)
+        else:
+            with pytest.raises(ParameterError, match="semidefinite"):
+                make(M)
+
+
 def test_affine_map_bound_is_at_least_the_svd_norm(rng):
     # sqrt(max eig(M^T M)) can round below ||M||_2; the bound may not
     for _ in range(300):

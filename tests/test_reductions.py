@@ -138,6 +138,36 @@ def test_lifting_soundness_iterates_match_at_a_fixed_step(rng):
         assert len(gaps) == 51 and max(gaps) <= 1e-12
 
 
+def _two_solves(solver, p):
+    """The iterates, last iterate and certificate of two solves of p."""
+    runs = []
+    for _ in range(2):
+        seen = []
+        cfg = FbfConfig(max_iters=200, on_iteration=lambda n, w, p: seen.append(w.copy()))
+        report = solver(p, cfg)
+        runs.append((seen, report.trace.w, report.kkt))
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["multivar_min", "parallel_sum", "common_zero"])
+def test_a_front_end_problem_builds_its_system_once(kind, monkeypatch):
+    import pdsplit.reductions as red
+
+    builds = []
+    for name in ("min_problem_to_system", "lift_parallel_sum"):
+        build = getattr(red, name)
+        monkeypatch.setattr(red, name, lambda p, build=build: builds.append(p) or build(p))
+    if kind == "parallel_sum":
+        prob, solver = random_parallel_sum(np.random.default_rng(3)), solve_parallel_sum
+    else:
+        demo = {"multivar_min": "lasso1d", "common_zero": "legendre"}[kind]
+        prob, solver = build_problem(parse_problem(get_demo(demo).text))
+    (first, w1, kkt1), (second, w2, kkt2) = _two_solves(solver, prob)
+    assert len(builds) == 1
+    assert len(first) == len(second) > 1 and kkt1 == kkt2 and np.array_equal(w1, w2)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 # --- parallel-sum solving ----------------------------------------------------
 
 def scalar_psum(A, B, Sinv, z):
