@@ -213,30 +213,32 @@ def entry_norm_sq(entry):
     """Upper bound on the squared spectral norm of a single grid entry.
 
     Scalars are exact.  A dense entry with at most EXACT_NORM_MAX_DIM rows
-    or columns gets its exact SVD norm plus ROUNDING_MARGIN.  A larger one
-    gets a power-iteration estimate on its smaller Gram matrix, inflated by
-    POWER_SAFETY_FACTOR and capped by the squared Frobenius norm: the one
-    case where the bound is inflated rather than certified.  When the
-    iteration does not settle within 10000 steps, as near a tie of the two
-    largest singular values, the Frobenius bound is returned.
+    or columns gets its exact SVD norm squared times 1 + ROUNDING_MARGIN.  A
+    larger one gets a power-iteration estimate on its smaller Gram matrix,
+    inflated by POWER_SAFETY_FACTOR and capped by the squared Frobenius
+    norm: the one case where the bound is inflated rather than certified.
+    When the iteration does not settle within 10000 steps, as near a tie of
+    the two largest singular values, it gets the exact bound after all.
     """
     if entry is None:
         return 0.0
     if isinstance(entry, float):
         return entry * entry
-    rows, cols = entry.shape
-    if min(rows, cols) <= EXACT_NORM_MAX_DIM:
-        norm = float(np.linalg.norm(entry, 2))        # norm ** 2 would raise on overflow
-        return norm * norm * (1.0 + ROUNDING_MARGIN)
-    gram = entry.T @ entry if cols <= rows else entry @ entry.T       # the smaller one
-    return _power_norm_sq(gram.__matmul__, gram.shape[0], float(np.trace(gram)), 10000)
+    if min(entry.shape) > EXACT_NORM_MAX_DIM:
+        rows, cols = entry.shape
+        gram = entry.T @ entry if cols <= rows else entry @ entry.T   # the smaller one
+        est = _power_norm_sq(gram.__matmul__, gram.shape[0], float(np.trace(gram)), 10000)
+        if est is not None:
+            return est
+    norm = float(np.linalg.norm(entry, 2))            # norm ** 2 would raise on overflow
+    return norm * norm * (1.0 + ROUNDING_MARGIN)
 
 
 def _power_norm_sq(gram, n, cap, steps):
     """Power estimate of the top eigenvalue of the positive semidefinite
     map ``gram`` on R^n, settled to 1e-12 relative, inflated by
-    POWER_SAFETY_FACTOR and capped by the certified bound ``cap``, which is
-    returned as is when the iteration does not settle within ``steps``."""
+    POWER_SAFETY_FACTOR and capped by the certified bound ``cap``; None
+    when the iteration does not settle within ``steps``."""
     x = np.random.default_rng(0).standard_normal(n)
     x /= np.linalg.norm(x)
     val = 0.0
@@ -249,7 +251,7 @@ def _power_norm_sq(gram, n, cap, steps):
         if abs(new_val - val) <= 1e-12 * max(1.0, new_val):
             return min(new_val * POWER_SAFETY_FACTOR, cap)
         val = new_val
-    return cap
+    return None
 
 
 def normalize_entry(entry):
@@ -490,5 +492,7 @@ def lambda_power_iteration(L):
     certified.  Returns the cap when the iteration does not settle within
     1000 steps, as near a tie of the two largest singular values.
     """
-    return _power_norm_sq(lambda x: apply_adjoint(L, apply_block(L, x)),
-                          sum(L.sig.dims_primal), lambda_conservative(L), 1000)
+    cap = lambda_conservative(L)
+    est = _power_norm_sq(lambda x: apply_adjoint(L, apply_block(L, x)),
+                         sum(L.sig.dims_primal), cap, 1000)
+    return cap if est is None else est

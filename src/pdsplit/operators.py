@@ -346,16 +346,17 @@ class AffineOperator(MonotoneOperator):
     """x -> M x + b with M + M^T positive semidefinite.
 
     The resolvent is inv(I + gamma M) (x - gamma b).  The inverses of the
-    two most recently inverted steps are kept, so a solve that alternates
-    its iteration step with the certificate's unit step inverts each once,
-    and each later call at either step is one matvec.  Every call goes
+    three most recently inverted steps are kept, so a solve that alternates
+    its iteration steps (two where an iteration is redone at a smaller one)
+    with the unit step of the probe and the certificate inverts each once,
+    and each later call at any of them is one matvec.  Every call goes
     through the inverse for its own step, so the result depends on
     (gamma, x) alone, not on the steps called before.
     """
 
     def __init__(self, M, b=None):
         self.M, self.b = _affine(M, b)
-        # {step: inv(I + step M)} for at most two steps, replaced in one
+        # {step: inv(I + step M)} for at most three steps, replaced in one
         # assignment so that readers see a consistent memo
         self._inv = {}
 
@@ -365,7 +366,7 @@ class AffineOperator(MonotoneOperator):
         inv = memo.get(gamma)
         if inv is None:
             inv = np.linalg.inv(np.eye(len(self.M)) + gamma * self.M)
-            kept = list(memo.items())[-1:]      # the newer of the two
+            kept = list(memo.items())[-2:]      # the newer two of the three
             self._inv = dict(kept + [(gamma, inv)])
         return inv @ (x - gamma * self.b)
 

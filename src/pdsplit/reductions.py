@@ -1,13 +1,14 @@
 """Specialized solvers built on the coupled-inclusion machinery.
 
-Four front-ends:
+Five front ends.  Each lifts to a CoupledInclusionProblem once, at its
+first solve, and keeps it as ``_system``.  A solve runs the system solver
+on it; the four parallel-sum forms unlift x in ``solve_parallel_sum``.
 
 * ParallelSumProblem — one primal variable, K parallel-sum couplings
   (B_k parallel-sum S_k) composed with maps L_k, with a three-way partition
   of the S_k by how they are accessed (resolvent / Lipschitz map /
-  Lipschitz inverse).  Lifted to a CoupledInclusionProblem with one
-  auxiliary variable per indirectly accessed S_k, solved by the system
-  solver, and unlifted.
+  Lipschitz inverse).  The lift adds one auxiliary variable per
+  indirectly accessed S_k.
 * CommonZeroProblem — relaxation of finding a common zero of A and the
   B_k; a parallel-sum instance with identity couplings.
 * MultivariateMinProblem — structured convex minimization over m blocks
@@ -15,7 +16,8 @@ Four front-ends:
   subdifferentials and gradients.
 * UnivariateMinProblem / FeasibilityRelaxation — single-variable convex
   minimization with general infimal convolutions, and its application to
-  relaxing (possibly inconsistent) feasibility problems.
+  relaxing (possibly inconsistent) feasibility problems; both lift to the
+  parallel-sum form.
 """
 
 from __future__ import annotations
@@ -166,11 +168,13 @@ def lift_parallel_sum(p):
 def solve_parallel_sum(p, cfg):
     """Solve the lifted problem with the system solver and unlift it.
 
-    p is a ParallelSumProblem or a CommonZeroProblem, either of which keeps
-    its lifted system (``_system``) from one solve to the next.  Every
-    Lipschitz S_k enters only through forward evaluations.  The report's
-    primal is x alone; the trace runs over the lifted (x, y, v) space, so
-    the auxiliary y_1..y_{K2} stay in report.trace.w, between x and v.
+    p is any of the four front ends that lift to a parallel sum
+    (ParallelSumProblem, CommonZeroProblem, UnivariateMinProblem and
+    FeasibilityRelaxation), each of which keeps its lifted system
+    (``_system``) from one solve to the next.  Every Lipschitz S_k enters
+    only through forward evaluations.  The report's primal is x alone; the
+    trace runs over the lifted (x, y, v) space, so the auxiliary
+    y_1..y_{K2} stay in report.trace.w, between x and v.
     """
     report = solve_system(p._system, cfg)
     report.primal = report.primal.split(1)[0]
@@ -197,25 +201,22 @@ class CommonZeroProblem:
 
     @cached_property
     def _system(self):
-        """The lifted parallel-sum form, built at the first solve and kept."""
-        return lift_parallel_sum(_as_parallel_sum(self))
-
-
-def _as_parallel_sum(p):
-    K = p.K
-    return ParallelSumProblem(
-        dim=p.dim,
-        dual_dims=(p.dim,) * K,
-        K1=K,
-        K2=K,
-        A=p.A,
-        C=ZeroMap(),
-        z=np.zeros(p.dim),
-        r=[np.zeros(p.dim) for _ in range(K)],
-        B=p.B,
-        S=p.S,
-        L=[1.0] * K,
-    )
+        """The lifted parallel-sum form, with identity couplings and every
+        S_k by resolvent, built at the first solve and kept."""
+        K = self.K
+        return lift_parallel_sum(ParallelSumProblem(
+            dim=self.dim,
+            dual_dims=(self.dim,) * K,
+            K1=K,
+            K2=K,
+            A=self.A,
+            C=ZeroMap(),
+            z=np.zeros(self.dim),
+            r=[np.zeros(self.dim) for _ in range(K)],
+            B=self.B,
+            S=self.S,
+            L=[1.0] * K,
+        ))
 
 
 def solve_common_zero(p, cfg):
@@ -268,22 +269,28 @@ class MultivariateMinProblem:
 
     @cached_property
     def _system(self):
-        """``min_problem_to_system(self)``, built at the first solve and
-        kept, with its pair: the problem does not change between solves."""
-        return min_problem_to_system(self)
+        """The system on subdifferentials and gradients, built at the first
+        solve and kept, with its pair: the problem does not change between
+        solves."""
+        A = [fn.subdifferential() for fn in self.f]
+        C = [hi.gradient for hi in self.h]
+        B = [gk.subdifferential() for gk in self.g]
+        Dinv = [_ellstar_grad(lk) for lk in self.ell]
+        return CoupledInclusionProblem(self.sig, A, C, B, Dinv, self.L, self.z, self.r)
+
+    @cached_property
+    def _joined(self):
+        """f and h on the primal blocks and g on the dual blocks, each as the
+        runs ``operators.runs`` finds: (function, slice, range of the blocks
+        it spans), a run of small blocks whose functions join as one joined
+        function.  Found at the first objective evaluation and kept."""
+        primal, dual = block_slices(self.sig.dims_primal), block_slices(self.sig.dims_dual)
+        return runs(self.f, primal), runs(self.h, primal), runs(self.g, dual)
 
 
 def _ellstar_grad(lk):
     # conjugate of omega ||.||^2 is ||.||^2 / (4 omega); gradient v/(2 omega)
     return ZeroMap() if lk is None else ScaledIdentityMap(0.5 / lk.omega)
-
-
-def min_problem_to_system(p):
-    A = [fn.subdifferential() for fn in p.f]
-    C = [hi.gradient for hi in p.h]
-    B = [gk.subdifferential() for gk in p.g]
-    Dinv = [_ellstar_grad(lk) for lk in p.ell]
-    return CoupledInclusionProblem(p.sig, A, C, B, Dinv, p.L, p.z, p.r)
 
 
 def solve_multivariate_min(p, cfg):
@@ -327,25 +334,15 @@ def _conj_infconv_value(f, h, u):
     return c * (float(y @ p) - 0.5 * float(p @ p)) - f(p) - h0
 
 
-def _joined(p):
-    """p's f and h on its primal blocks and its g on its dual blocks, each
-    as the runs ``operators.runs`` finds: (function, slice, range of the
-    blocks it spans), a run of small blocks whose functions join as one
-    joined function.  The functions fit their blocks, as
-    ``MultivariateMinProblem`` checks."""
-    primal, dual = block_slices(p.sig.dims_primal), block_slices(p.sig.dims_dual)
-    return runs(p.f, primal), runs(p.h, primal), runs(p.g, dual)
-
-
-def primal_objective(p, x, joined=None):
+def primal_objective(p, x):
     """Primal objective at x.  Indicators use a small feasibility tolerance,
     so converged near-feasible points give finite values, infeasible +inf.
 
-    Each f, h and g is called once per run of ``_joined(p)`` (``joined``,
-    or joined here) and the values summed; a joined indicator tests each
-    block against its own slack.  A run of g's with an ell keeps a call per
-    block, since g infconv ell does not join."""
-    f, h, g = joined or _joined(p)
+    Each f, h and g is called once per run of ``p._joined`` and the values
+    summed; a joined indicator tests each block against its own slack.  A
+    run of g's with an ell keeps a call per block, since g infconv ell does
+    not join."""
+    f, h, g = p._joined
     xf = x.flat()
     total = sum(fn(xf[sl]) for fn, sl, _ in f + h) - float(xf @ p.z.flat())
     t = BlockVector.wrap(apply_block(p.L, xf) - p.r.flat(), p.sig.dims_dual)
@@ -357,7 +354,7 @@ def primal_objective(p, x, joined=None):
     return float(total)
 
 
-def dual_objective(p, v, joined=None):
+def dual_objective(p, v):
     """Dual objective at v; EvaluationError unless each grad h_i is c Id + b.
 
     As in ``primal_objective``, each function is called once per run, and a
@@ -366,7 +363,7 @@ def dual_objective(p, v, joined=None):
     joined h's gradient is c Id + b with a scalar c; elsewhere, as for a run
     of SquaredNorm h's, whose joined omega is one value per coordinate, and
     for the ell*, it keeps a call per block."""
-    f, h, g = joined or _joined(p)
+    f, h, g = p._joined
     vf = v.flat()
     u = BlockVector.wrap(p.z.flat() - apply_adjoint(p.L, vf), p.sig.dims_primal)
     hs = {(sl.start, sl.stop): hn for hn, sl, _ in h}
@@ -384,8 +381,8 @@ def evaluate_objectives(p, x, v):
     """Primal and dual objective values at (x, v), None for a side whose
     evaluator raises EvaluationError or NotImplementedError.  The duality
     gap is their sum: nonnegative everywhere, zero at a primal-dual
-    solution.  f, h and g are joined once (``_joined``), for both sides, so
-    the cost grows with the number of runs, not of blocks."""
+    solution.  f, h and g are joined once per problem (``p._joined``), for
+    both sides, so the cost grows with the number of runs, not of blocks."""
 
     def value(fn, *args):
         try:
@@ -393,8 +390,7 @@ def evaluate_objectives(p, x, v):
         except (EvaluationError, NotImplementedError):
             return None
 
-    joined = _joined(p)
-    return value(primal_objective, p, x, joined), value(dual_objective, p, v, joined)
+    return value(primal_objective, p, x), value(dual_objective, p, v)
 
 
 # ---------------------------------------------------------------------------
@@ -434,35 +430,31 @@ class UnivariateMinProblem:
         self.L = [normalize_entry(e) for e in L]
         _check_shifts(self)
 
-
-def univariate_to_parallel_sum(p):
-    S = []
-    for k in range(p.K):
-        if k < p.K1:
-            S.append(p.phi[k].subdifferential())
-        elif k < p.K2:
-            S.append(p.phi[k].gradient)
-        else:
-            S.append(_ellstar_grad(p.phi[k]))
-    return ParallelSumProblem(
-        dim=p.dim,
-        dual_dims=p.dual_dims,
-        K1=p.K1,
-        K2=p.K2,
-        A=p.f.subdifferential(),
-        C=p.h.gradient,
-        z=p.z,
-        r=p.r,
-        B=[gk.subdifferential() for gk in p.g],
-        S=S,
-        L=p.L,
-    )
+    @cached_property
+    def _system(self):
+        """The lifted parallel-sum form, built at the first solve and kept."""
+        S = ([ph.subdifferential() for ph in self.phi[:self.K1]]
+             + [ph.gradient for ph in self.phi[self.K1:self.K2]]
+             + [_ellstar_grad(ph) for ph in self.phi[self.K2:]])
+        return lift_parallel_sum(ParallelSumProblem(
+            dim=self.dim,
+            dual_dims=self.dual_dims,
+            K1=self.K1,
+            K2=self.K2,
+            A=self.f.subdifferential(),
+            C=self.h.gradient,
+            z=self.z,
+            r=self.r,
+            B=[gk.subdifferential() for gk in self.g],
+            S=S,
+            L=self.L,
+        ))
 
 
 def solve_univariate_min(p, cfg):
     """Partitioned prox iteration: subdifferentials become prox steps and
     every differentiable phi_k enters through forward gradient steps."""
-    return solve_parallel_sum(univariate_to_parallel_sum(p), cfg)
+    return solve_parallel_sum(p, cfg)
 
 
 class FeasibilityRelaxation:
@@ -478,7 +470,9 @@ class FeasibilityRelaxation:
         if not sets or len(sets) != len(phi) or len(phi) != len(L):
             raise ParameterError("need matching nonempty sets, phi, and L lists")
         for ph in phi:
-            if not (isinstance(ph, SquaredNorm) or _is_point_zero_indicator(ph)):
+            point_zero = (isinstance(ph, IndicatorFunction) and isinstance(ph.set, Point)
+                          and not np.any(ph.set.c))
+            if not (isinstance(ph, SquaredNorm) or point_zero):
                 raise ParameterError(
                     "phi entries must be SquaredNorm or the indicator of {0}"
                 )
@@ -488,37 +482,33 @@ class FeasibilityRelaxation:
         self.L = [normalize_entry(e) for e in L]
         self.K = len(sets)
 
-
-def _is_point_zero_indicator(fn):
-    return (
-        isinstance(fn, IndicatorFunction)
-        and isinstance(fn.set, Point)
-        and not np.any(fn.set.c)
-    )
-
-
-def feasibility_to_univariate(p):
-    dual_dims = [entry_out_dim(p.L[k], p.dim) for k in range(p.K)]
-    return UnivariateMinProblem(
-        dim=p.dim,
-        dual_dims=dual_dims,
-        K1=p.K,
-        K2=p.K,
-        f=ZeroFunction(),
-        h=ZeroFunction(),
-        g=[IndicatorFunction(s) for s in p.sets],
-        phi=p.phi,
-        z=np.zeros(p.dim),
-        r=[np.zeros(d) for d in dual_dims],
-        L=p.L,
-    )
+    @cached_property
+    def _system(self):
+        """The lifted parallel-sum form of the univariate problem with f = h
+        = 0, g_k the indicator of C_k and each phi_k by prox, built at the
+        first solve and kept."""
+        dual_dims = [entry_out_dim(e, self.dim) for e in self.L]
+        return lift_parallel_sum(ParallelSumProblem(
+            dim=self.dim,
+            dual_dims=dual_dims,
+            K1=self.K,
+            K2=self.K,
+            A=ZeroFunction().subdifferential(),
+            C=ZeroFunction().gradient,
+            z=np.zeros(self.dim),
+            r=[np.zeros(d) for d in dual_dims],
+            B=[IndicatorFunction(s).subdifferential() for s in self.sets],
+            S=[ph.subdifferential() for ph in self.phi],
+            L=self.L,
+        ))
 
 
 def solve_feasibility_relaxation(p, cfg):
-    """Solve the relaxation.  With the default step policy the constant
-    step stays below (1 + sum_k ||L_k||^2)^{-1/2}, the admissible range for
-    this instance, because the forward part is pure coupling."""
-    return solve_univariate_min(feasibility_to_univariate(p), cfg)
+    """Solve the relaxation.  The forward part is pure coupling, so beta is
+    at most (1 + sum_k ||L_k||^2)^{1/2}.  A constant step (errors or gamma
+    set) lies in [epsilon, (1 - epsilon)/beta]; otherwise the step comes
+    from the trajectory and starts at or above (1 - epsilon)/beta."""
+    return solve_parallel_sum(p, cfg)
 
 
 def relaxation_objective(p, x):

@@ -172,8 +172,10 @@ class SolveReport:
 def solve_system(prob, cfg):
     """Solve the system with the forward-backward-forward engine.
 
-    Per iteration, with step gamma in [epsilon, (1-epsilon)/beta], the
-    engine's steps on the pair of ``product_space_pair`` read per block:
+    Per iteration, with step gamma (constant in [epsilon, (1-epsilon)/beta]
+    where cfg sets errors or gamma, otherwise from the trajectory, at or
+    above (1-epsilon)/beta, as ``fbf_solve`` describes), the engine's steps
+    on the pair of ``product_space_pair`` read per block:
 
         s1_i = x_i - gamma (C_i x_i + sum_k L_ki^T v_k)
         p1_i = J_{gamma A_i}(s1_i + gamma z_i)

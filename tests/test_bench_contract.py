@@ -19,9 +19,12 @@ from conftest import random_coupled_problem
 from pdsplit import (
     BlockLinearOp,
     BlockVector,
+    CommonZeroProblem,
     FbfConfig,
+    Hyperplane,
     L1Norm,
     MultivariateMinProblem,
+    NormalCone,
     ParallelSumProblem,
     QuadraticDistance,
     ScaledIdentity,
@@ -108,6 +111,13 @@ SOLVE_PATH_SPANS = (
     "system.beta", "system.kkt", "fbf.solve", "blocks.apply_block",
     "blocks.apply_adjoint", "operators.resolvent", "reductions.objectives",
     "cli.write_outputs",
+)
+
+# every span tiny_psum's solve of a fresh common-zero problem passes through,
+# one for each layer from the front end down to the engine
+COMMON_ZERO_SPANS = (
+    "reductions.common_zero", "reductions.parallel_sum", "reductions.lift",
+    "system.solve", "system.beta", "system.kkt", "fbf.solve",
 )
 
 
@@ -274,3 +284,18 @@ def test_a_file_solve_passes_through_every_solve_path_span(tmp_path):
     assert not missing
     summary = (tmp_path / "tv.summary").read_text()
     assert "primal_obj " in summary and "gap " in summary
+
+
+def test_a_common_zero_solve_passes_through_every_layer_span():
+    # tiny_psum's shape: lines in the plane, each a normal cone by resolvent
+    lines = [([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([0.6, 0.8], 0.5)]
+    prob = CommonZeroProblem(2, ZeroOperator(),
+                             [NormalCone(Hyperplane(u, rho)) for u, rho in lines],
+                             [ScaledIdentity(1.0)] * 3)
+    mods = {name: importlib.import_module(f"pdsplit.{name}") for name in MODULES}
+    with Tracer(mods) as tracer:
+        report = mods["reductions"].solve_common_zero(prob, FbfConfig())
+    assert report.converged
+    missing = [name for name in COMMON_ZERO_SPANS
+               if name not in tracer.totals or tracer.totals[name].calls < 1]
+    assert not missing

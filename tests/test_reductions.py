@@ -48,7 +48,6 @@ from pdsplit import (
 from pdsplit.cli import make_config
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.probfile import build_problem, parse_problem
-from pdsplit.reductions import _joined, univariate_to_parallel_sum
 from conftest import random_parallel_sum
 from oracles import (
     check_consistency_theorem,
@@ -138,6 +137,18 @@ def test_lifting_soundness_iterates_match_at_a_fixed_step(rng):
         assert len(gaps) == 51 and max(gaps) <= 1e-12
 
 
+def _two_coupling_univariate():
+    """min ||x||_1 / 2 + (g_1 infconv phi_1)(x) + (g_2 infconv phi_2)(2 x - 1)
+    + ||x - a||^2 / 2: phi_1 by prox, phi_2 the strongly convex SquaredNorm."""
+    return UnivariateMinProblem(
+        dim=2, dual_dims=(2, 2), K1=1, K2=1,
+        f=L1Norm(0.5), h=QuadraticDistance([1.0, -1.0]),
+        g=[QuadraticDistance([2.0, -1.0]), IndicatorFunction(Box([0.0, 0.0], [1.0, 1.0]))],
+        phi=[IndicatorFunction(Point([0.0, 0.0])), SquaredNorm(0.8)],
+        z=np.zeros(2), r=[np.zeros(2), np.ones(2)], L=[1.0, 2.0],
+    )
+
+
 def _two_solves(solver, p):
     """The iterates, last iterate and certificate of two solves of p."""
     runs = []
@@ -149,21 +160,29 @@ def _two_solves(solver, p):
     return runs
 
 
-@pytest.mark.parametrize("kind", ["multivar_min", "parallel_sum", "common_zero"])
+@pytest.mark.parametrize("kind", ["multivar_min", "parallel_sum", "common_zero",
+                                  "univar_min", "feasibility"])
 def test_a_front_end_problem_builds_its_system_once(kind, monkeypatch):
+    # a parallel-sum front end builds through lift_parallel_sum, which builds
+    # the system; a minimization builds the system itself
     import pdsplit.reductions as red
 
-    builds = []
-    for name in ("min_problem_to_system", "lift_parallel_sum"):
+    builds = Counter()
+    for name in ("CoupledInclusionProblem", "lift_parallel_sum"):
         build = getattr(red, name)
-        monkeypatch.setattr(red, name, lambda p, build=build: builds.append(p) or build(p))
+        monkeypatch.setattr(red, name, lambda *args, name=name, build=build:
+                            builds.update([name]) or build(*args))
     if kind == "parallel_sum":
         prob, solver = random_parallel_sum(np.random.default_rng(3)), solve_parallel_sum
+    elif kind == "univar_min":
+        prob, solver = _two_coupling_univariate(), solve_univariate_min
     else:
-        demo = {"multivar_min": "lasso1d", "common_zero": "legendre"}[kind]
+        demo = {"multivar_min": "lasso1d", "common_zero": "legendre",
+                "feasibility": "boxhalf"}[kind]
         prob, solver = build_problem(parse_problem(get_demo(demo).text))
     (first, w1, kkt1), (second, w2, kkt2) = _two_solves(solver, prob)
-    assert len(builds) == 1
+    lifts = 0 if kind == "multivar_min" else 1
+    assert builds == Counter(CoupledInclusionProblem=1, lift_parallel_sum=lifts)
     assert len(first) == len(second) > 1 and kkt1 == kkt2 and np.array_equal(w1, w2)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
@@ -394,7 +413,7 @@ def test_a_joined_zero_conjugate_tests_each_block():
     dims = (2, 1, 2)
     p = _scalar_problem([ZeroFunction()] * 3, [ZeroFunction()] * 3, [L1Norm(1.0)],
                         dims, (1,), z=6e-7)
-    assert [len(runs) for runs in _joined(p)] == [1, 1, 1]
+    assert [len(runs) for runs in p._joined] == [1, 1, 1]
     x, v = BlockVector.zeros(dims), BlockVector.zeros((1,))
     assert np.linalg.norm(p.z.flat()) > 1e-6
     assert evaluate_objectives(p, x, v) == objectives_blockwise(p, x, v) == (0.0, 0.0)
@@ -409,7 +428,7 @@ def test_a_joined_indicator_tests_each_block():
     dims = (2, 1, 2)
     boxes = [IndicatorFunction(Box(np.zeros(d), np.ones(d))) for d in dims]
     p = _scalar_problem([ZeroFunction()], [ZeroFunction()], boxes, (1,), dims, r=6e-7)
-    assert [len(runs) for runs in _joined(p)] == [1, 1, 1]
+    assert [len(runs) for runs in p._joined] == [1, 1, 1]
     x, v = BlockVector.zeros((1,)), BlockVector.zeros(dims)
     assert not Box(np.zeros(5), np.ones(5)).contains(-p.r.flat())
     assert evaluate_objectives(p, x, v) == objectives_blockwise(p, x, v) == (0.0, 0.0)
@@ -424,7 +443,7 @@ def test_a_run_of_squared_norm_h_keeps_its_dual():
     omegas = [0.5, 2.0, 1.0]
     p = _scalar_problem([L1Norm(1.0)] * 3, [SquaredNorm(w) for w in omegas], [ZeroFunction()],
                         dims, (1,), z=0.0)
-    assert [len(runs) for runs in _joined(p)] == [1, 1, 1]
+    assert [len(runs) for runs in p._joined] == [1, 1, 1]
     x = BlockVector([rng.standard_normal(d) for d in dims])
     p.z.flat()[:] = 3.0 * rng.standard_normal(4)
     v = BlockVector.zeros((1,))
@@ -432,10 +451,12 @@ def test_a_run_of_squared_norm_h_keeps_its_dual():
     want = sum(conj_l1_plus_sqnorm(1.0, w, zi) for w, zi in zip(omegas, p.z.blocks))
     assert got[1] == pytest.approx(want, rel=1e-14)
     assert_agree(got, p, x, v)
-    p.h[1] = SquaredNorm([0.5, 2.0])
-    assert evaluate_objectives(p, x, v)[1] is None is objectives_blockwise(p, x, v)[1]
+    q = _scalar_problem([L1Norm(1.0)] * 3, [SquaredNorm(0.5), SquaredNorm([0.5, 2.0]),
+                                            SquaredNorm(1.0)], [ZeroFunction()], dims, (1,))
+    q.z.flat()[:] = p.z.flat()
+    assert evaluate_objectives(q, x, v)[1] is None is objectives_blockwise(q, x, v)[1]
     with pytest.raises(EvaluationError):
-        dual_objective(p, v)
+        dual_objective(q, v)
 
 
 def _tv_chain_text(m):
@@ -587,7 +608,7 @@ def test_an_omega_whose_gradient_overflows_is_refused_by_squared_norm():
             g=[ZeroFunction()], phi=[SquaredNorm(omega)], z=np.zeros(2), r=[np.zeros(2)],
             L=[1.0],
         )
-        assert compute_beta(lift_parallel_sum(univariate_to_parallel_sum(uni))) < np.inf
+        assert compute_beta(uni._system) < np.inf
 
 
 def test_univariate_singleton_objective():
@@ -744,12 +765,24 @@ def test_dual_objective_needs_quadratic_h():
 
 
 def test_evaluate_objectives_gives_none_for_a_side_without_evaluator():
-    p = _one_block_min_problem("op f 1 zero\nop h 1 zero\n", np.zeros(2))
-    p.h[0] = _Quartic()
     x, v = BlockVector([np.ones(2)]), BlockVector.zeros((1,))
+    p = _scalar_problem([ZeroFunction()], [_Quartic()], [ZeroFunction()], (2,), (1,))
     assert evaluate_objectives(p, x, v) == (pytest.approx(2.0), None)
-    p.f[0] = ConvexFunction()                   # no value evaluator either
+    # an f with no value evaluator either
+    p = _scalar_problem([ConvexFunction()], [_Quartic()], [ZeroFunction()], (2,), (1,))
     assert evaluate_objectives(p, x, v) == (None, None)
+
+
+def test_evaluate_objectives_finds_the_runs_of_a_problem_once(monkeypatch):
+    import pdsplit.reductions as red
+
+    found, runs = [], red.runs
+    monkeypatch.setattr(red, "runs", lambda *args: found.append(1) or runs(*args))
+    p, _ = build_problem(parse_problem(get_demo("lasso1d").text))
+    x, v = BlockVector.zeros(p.sig.dims_primal), BlockVector.zeros(p.sig.dims_dual)
+    first = evaluate_objectives(p, x, v)
+    assert evaluate_objectives(p, x, v) == first
+    assert len(found) == 3                      # one for each of f, h and g
 
 
 def test_relaxation_objective_with_a_zero_coupling():
