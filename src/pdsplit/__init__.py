@@ -8,6 +8,7 @@ from .blocks import (
     SpaceSig,
     apply_adjoint,
     apply_block,
+    apply_skew,
     lambda_conservative,
     lambda_power_iteration,
 )

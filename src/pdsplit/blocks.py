@@ -7,9 +7,14 @@ the nonzero ones are stored, so a sparse coupling (a chain of +-Id, a
 column plus a -Id diagonal) costs O(nnz) to build and to apply.  The
 scalar cells on blocks of at most SMALL_BLOCK_DIM coordinates are applied
 together, as one gather/scatter over their coordinates; dense cells and
-scalar cells on larger blocks are applied cell by cell.  This module is
-the only one that knows the K x m grid form of a coupling and the form of
-its entries; other modules fit them to blocks with ``entry_misfit``.
+scalar cells on larger blocks are applied cell by cell.  The solver's
+monotone map needs the skew coupling (x, v) -> (L* v, -L x), which
+``apply_skew`` forms in one sweep over the cells, reading each cell once
+for both products; ``apply_block`` and ``apply_adjoint`` apply L and L*
+alone, for the objectives, the selftest and the tests' references.  This
+module is the only one that knows the K x m grid form of a coupling and
+the form of its entries; other modules fit them to blocks with
+``entry_misfit``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "SignatureError",
     "apply_block",
     "apply_adjoint",
+    "apply_skew",
     "lambda_conservative",
     "lambda_power_iteration",
     "POWER_SAFETY_FACTOR",
@@ -296,7 +302,12 @@ class BlockLinearOp:
     From these the constructor derives how the cells are applied: the
     scalar cells on small blocks as ``gather``, coordinate-level row,
     column and weight arrays (None when there are none), and the other
-    cells as the list ``per_cell``.
+    cells as the list ``per_cell``.  ``apply_skew`` reads the same cells
+    over the flat product-space array (x, v): ``skew_gather`` holds the
+    target, source and weight arrays of the small scalar cells, the
+    adjoint half and then the forward half with negated weights (None when
+    there are none), and ``skew_cells`` the (primal slice, dual slice,
+    entry) of each other cell, the dual slice shifted past x.
 
     ``lambda_bound`` is any valid upper bound on sup ||Lx||^2 / ||x||^2; by
     default the certified grid-of-entry-norms bound ``lambda_conservative``
@@ -338,10 +349,15 @@ class BlockLinearOp:
         count = len(self.nonzeros)
         self.cell_rows = np.fromiter((k for k, _, _ in self.nonzeros), int, count)
         self.cell_cols = np.fromiter((i for _, i, _ in self.nonzeros), int, count)
-        self.gather = None
+        self.gather = self.skew_gather = None
         if small:
-            self.gather = _gather_layout(sig, self.cell_rows[small],
-                                         self.cell_cols[small], weights)
+            rows, cols, w = self.gather = _gather_layout(sig, self.cell_rows[small],
+                                                         self.cell_cols[small], weights)
+            dual = rows + self.primal_slices[-1].stop           # v's coordinates in (x, v)
+            self.skew_gather = (np.concatenate((cols, dual)), np.concatenate((dual, cols)),
+                                np.concatenate((w, -w)))
+        slices = block_slices(sig.dims_primal + sig.dims_dual)
+        self.skew_cells = [(slices[i], slices[sig.m + k], e) for k, i, e in self.per_cell]
         if lambda_bound is None:
             lambda_bound = lambda_conservative(self)
         elif not 0 <= lambda_bound < math.inf:
@@ -411,6 +427,29 @@ def apply_adjoint(L, v):
     rows, cols = L.dual_slices, L.primal_slices
     for k, i, e in L.per_cell:
         out[cols[i]] += entry_apply_adjoint(e, v[rows[k]])
+    return out
+
+
+def apply_skew(L, w):
+    """The skew coupling at the flat product-space array w = (x, v): the
+    new flat array (L* v, -L x), as the concatenation of ``apply_adjoint``
+    at v and the negated ``apply_block`` at x, bit for bit, in one sweep.
+
+    The small scalar cells take one scatter for both halves; every other
+    cell is read once and forms both of its products.  Each coordinate
+    sums its terms in cell order, as the two calls do, and negating a
+    weight is exact, so -(a + b) is (-a) - b.
+    """
+    n = L.primal_slices[-1].stop + L.dual_slices[-1].stop
+    check_flat(w, n, "primal-dual")
+    if L.skew_gather is None:
+        out = np.zeros(n)               # bincount over no terms gives int64 zeros
+    else:
+        targets, sources, weights = L.skew_gather
+        out = np.bincount(targets, weights * w[sources], n)
+    for xs, vs, e in L.skew_cells:
+        out[xs] += entry_apply_adjoint(e, w[vs])
+        out[vs] -= entry_apply(e, w[xs])
     return out
 
 

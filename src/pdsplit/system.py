@@ -32,8 +32,7 @@ import numpy as np
 
 from .blocks import (
     BlockVector,
-    apply_adjoint,
-    apply_block,
+    apply_skew,
     block_slices,
     check_flat,
     check_signature,
@@ -106,6 +105,8 @@ def product_space_pair(prob):
         Q(x, v) = (C_i x_i + sum_k L_ki^* v_k,  Dinv_k v_k - sum_i L_ki x_i)
 
     Q is monotone, the skew coupling term included, and beta-Lipschitz.
+    Each evaluation forms that term in one sweep over the coupling's cells
+    (``apply_skew``), then adds the forward terms C_i and Dinv_k.
     The A_i, the B_k and the C_i and Dinv_k are each grouped once, at build
     time: a run of consecutive small blocks whose operators join
     (``operators.runs``) is evaluated by one joined operator on one slice
@@ -141,9 +142,7 @@ def product_space_pair(prob):
         return out
 
     def Q(w):
-        out = np.empty(size)
-        out[:n_primal] = apply_adjoint(L, w[n_primal:])
-        np.negative(apply_block(L, w[:n_primal]), out=out[n_primal:])
+        out = apply_skew(L, w)
         for op, sl in forward:
             out[sl] += op(w[sl])
         return out

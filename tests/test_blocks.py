@@ -15,6 +15,7 @@ from pdsplit import (
     SpaceSig,
     apply_adjoint,
     apply_block,
+    apply_skew,
     lambda_conservative,
     lambda_power_iteration,
 )
@@ -415,6 +416,8 @@ def test_coupling_matches_the_dense_grid(seed):
         assert np.linalg.norm(got - M @ u) <= 1e-13 * scale
     lhs, rhs = float(Lx @ v.flat()), float(x.flat() @ Ltv)
     assert abs(lhs - rhs) <= 1e-13 * float(np.abs(v.flat()) @ np.abs(D) @ np.abs(x.flat()))
+    w = np.concatenate((x.flat(), v.flat()))
+    np.testing.assert_array_equal(apply_skew(L, w), np.concatenate((Ltv, -Lx)))
 
 
 def test_gathered_cells_add_in_cell_order():
@@ -445,10 +448,52 @@ def test_a_grid_without_small_scalar_cells_applies_in_float64():
         assert apply_adjoint(L, np.ones(sum(sig.dims_dual))).dtype == np.float64
 
 
+def _skew_grids():
+    """(entries, sig) of grids for each way apply_skew reads cells: scalar
+    cells on small blocks, scalar cells on large ones, dense cells, all
+    three, and none."""
+    rng = np.random.default_rng(7)
+    big = SMALL_BLOCK_DIM + 1
+    m = 6
+    chain = {(k, k): 1.0 for k in range(m - 1)}
+    chain.update({(k, k + 1): -1.0 for k in range(m - 1)})
+    mix = {(0, 0): 1.5, (0, 2): rng.standard_normal((2, 3)), (1, 1): -2.0,
+           (1, 0): rng.standard_normal((big, 2)), (2, 2): rng.standard_normal((4, 3)),
+           (2, 0): rng.standard_normal((4, 2)), (0, 1): None}
+    return [
+        pytest.param(chain, SpaceSig((1,) * m, (1,) * (m - 1)), id="chain"),
+        pytest.param([[2.0, -0.5], [None, 0.25]], SpaceSig((big, big), (big, big)),
+                     id="large-scalar"),
+        pytest.param([[rng.standard_normal((3, 2)), None, rng.standard_normal((3, 4))],
+                      [None, rng.standard_normal((2, 1)), rng.standard_normal((2, 4))]],
+                     SpaceSig((2, 1, 4), (3, 2)), id="dense"),
+        pytest.param(mix, SpaceSig((2, big, 3), (2, big, 4)), id="mix"),
+        pytest.param([[None, None]], SpaceSig((1, 2), (3,)), id="empty"),
+    ]
+
+
+@pytest.mark.parametrize("entries, sig", _skew_grids())
+def test_the_skew_sweep_is_the_two_calls_bit_for_bit(entries, sig):
+    # the two calls are the reference: (L* v, -L x) at w = (x, v)
+    L = BlockLinearOp(entries, sig)
+    n_x, n = sum(sig.dims_primal), sum(sig.dims_primal + sig.dims_dual)
+    # entries of very different sizes, so that any change in the order of a sum shows
+    w = np.random.default_rng(3).standard_normal(n) * 10.0 ** (np.arange(n) % 17 - 8)
+    x, v = w[:n_x], w[n_x:]
+    got = apply_skew(L, w)
+    assert got.dtype == np.float64 and got.shape == w.shape
+    np.testing.assert_array_equal(got, np.concatenate((apply_adjoint(L, v), -apply_block(L, x))))
+    # the assembled skew matrix, and skewness: <w, S w> = <x, L* v> - <v, L x> = 0
+    D = dense_coupling(L)
+    S = np.block([[np.zeros((n_x, n_x)), D.T], [-D, np.zeros((n - n_x, n - n_x))]])
+    assert np.all(np.abs(got - S @ w) <= 1e-12 * (np.abs(S) @ np.abs(w)))
+    assert abs(float(w @ got)) <= 1e-12 * float(np.abs(w) @ np.abs(S) @ np.abs(w))
+
+
 def test_the_coupling_takes_and_returns_flat_arrays_only():
     sig = SpaceSig((1, 2), (2,))
     L = BlockLinearOp([[None, 2.0]], sig)
-    for fn, n in ((apply_block, 3), (apply_adjoint, 2)):
+    for fn, n in ((apply_block, 3), (apply_adjoint, 2), (apply_skew, 5)):
         bad = (BlockVector.zeros((n,)), np.zeros((n, 1)), np.zeros((1, n)), np.zeros(n + 1),
                np.zeros(n - 1), [0.0] * n)
         for arg in bad:
@@ -464,6 +509,8 @@ def test_the_coupling_takes_and_returns_flat_arrays_only():
         np.testing.assert_array_equal(a, keep)
     np.testing.assert_array_equal(apply_block(L, np.array([5.0, 1.0, 2.0])), [2.0, 4.0])
     np.testing.assert_array_equal(apply_adjoint(L, np.array([1.0, 2.0])), [0.0, 2.0, 4.0])
+    np.testing.assert_array_equal(apply_skew(L, np.array([5.0, 1.0, 2.0, 1.0, 2.0])),
+                                  [0.0, 2.0, 4.0, -2.0, -4.0])
 
 
 def test_an_overflowing_norm_bound_names_the_largest_cell():

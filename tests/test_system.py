@@ -172,6 +172,23 @@ def test_a_problem_builds_its_pair_once_and_holds_no_cycle(rng, monkeypatch):
         gc.enable()
 
 
+def test_one_evaluation_of_q_sweeps_the_coupling_once(rng, monkeypatch):
+    import pdsplit.blocks
+    import pdsplit.system
+
+    calls = []
+    for mod in (pdsplit.blocks, pdsplit.system):
+        for name in ("apply_block", "apply_adjoint", "apply_skew"):
+            original = getattr(mod, name, None)
+            if original is not None:
+                monkeypatch.setattr(mod, name, lambda *args, _f=original, _n=name:
+                                    calls.append(_n) or _f(*args))
+    prob = random_coupled_problem(rng)
+    _, Q = product_space_pair(prob)
+    Q(rng.standard_normal(sum(prob.sig.dims_primal + prob.sig.dims_dual)))
+    assert calls == ["apply_skew"]
+
+
 def test_engine_equivalence_iterate_for_iterate(rng):
     for _ in range(5):
         prob = random_coupled_problem(rng)
