@@ -5,16 +5,15 @@ operator maps primal block i to dual block k through its entry (k, i).
 Entries may be dense matrices or lightweight zero/scalar tags, and only
 the nonzero ones are stored, so a sparse coupling (a chain of +-Id, a
 column plus a -Id diagonal) costs O(nnz) to build and to apply.  The
-scalar cells on blocks of at most SMALL_BLOCK_DIM coordinates are applied
-together, as one gather/scatter over their coordinates; dense cells and
-scalar cells on larger blocks are applied cell by cell.  The solver's
-monotone map needs the skew coupling (x, v) -> (L* v, -L x), which
-``apply_skew`` forms in one sweep over the cells, reading each cell once
-for both products; ``apply_block`` and ``apply_adjoint`` apply L and L*
-alone, for the objectives, the selftest and the tests' references.  This
-module is the only one that knows the K x m grid form of a coupling and
-the form of its entries; other modules fit them to blocks with
-``entry_misfit``.
+solver's monotone map needs the skew coupling (x, v) -> (L* v, -L x),
+and one sweep over the flat array (x, v) forms it: the scalar cells on
+blocks of at most SMALL_BLOCK_DIM coordinates as one gather/scatter over
+their coordinates, then every other cell once for both of its products.
+``apply_skew`` is that sweep; ``apply_block`` and ``apply_adjoint`` run
+it with the other half zero and keep their half, so each costs a full
+sweep.  This module is the only one that knows the K x m grid form of a
+coupling and the form of its entries; other modules fit them to blocks
+with ``entry_misfit``.
 """
 
 from __future__ import annotations
@@ -299,15 +298,14 @@ class BlockLinearOp:
     SignatureError, a None value is a zero cell).  Only ``nonzeros``, the
     (k, i, entry) triples of the nonzero cells in row-major order, is kept,
     with their block indices as the arrays ``cell_rows`` and ``cell_cols``.
-    From these the constructor derives how the cells are applied: the
-    scalar cells on small blocks as ``gather``, coordinate-level row,
-    column and weight arrays (None when there are none), and the other
-    cells as the list ``per_cell``.  ``apply_skew`` reads the same cells
-    over the flat product-space array (x, v): ``skew_gather`` holds the
-    target, source and weight arrays of the small scalar cells, the
-    adjoint half and then the forward half with negated weights (None when
-    there are none), and ``skew_cells`` the (primal slice, dual slice,
-    entry) of each other cell, the dual slice shifted past x.
+    From these the constructor derives the one layout that ``apply_skew``,
+    ``apply_block`` and ``apply_adjoint`` all sweep, over the flat
+    product-space array (x, v) of ``n_primal + n_dual`` coordinates:
+    ``skew_gather`` holds the target, source and weight arrays of the
+    scalar cells on small blocks, the adjoint half and then the forward
+    half with negated weights (None when there are none), and
+    ``skew_cells`` the (primal slice, dual slice, entry) of each other
+    cell, the dual slice shifted past x.
 
     ``lambda_bound`` is any valid upper bound on sup ||Lx||^2 / ||x||^2; by
     default the certified grid-of-entry-norms bound ``lambda_conservative``
@@ -325,8 +323,9 @@ class BlockLinearOp:
                 )
             entries = {(k, i): e for k, row in enumerate(entries)
                        for i, e in enumerate(row) if e is not None}
+        slices = block_slices(sig.dims_primal + sig.dims_dual)
         # row-major order makes every dual block sum its terms in index order
-        self.nonzeros, self.per_cell = [], []
+        self.nonzeros, self.skew_cells = [], []
         small, weights = [], []          # the scalar cells on small blocks
         for (k, i), e in sorted(entries.items(), key=lambda cell: cell[0]):
             if not (0 <= k < sig.K and 0 <= i < sig.m):
@@ -342,22 +341,15 @@ class BlockLinearOp:
                 small.append(len(self.nonzeros))
                 weights.append(e)
             else:
-                self.per_cell.append((k, i, e))
+                self.skew_cells.append((slices[i], slices[sig.m + k], e))
             self.nonzeros.append((k, i, e))
-        self.dual_slices = block_slices(sig.dims_dual)
-        self.primal_slices = block_slices(sig.dims_primal)
+        self.n_primal = slices[sig.m - 1].stop
+        self.n_dual = slices[-1].stop - self.n_primal
         count = len(self.nonzeros)
         self.cell_rows = np.fromiter((k for k, _, _ in self.nonzeros), int, count)
         self.cell_cols = np.fromiter((i for _, i, _ in self.nonzeros), int, count)
-        self.gather = self.skew_gather = None
-        if small:
-            rows, cols, w = self.gather = _gather_layout(sig, self.cell_rows[small],
-                                                         self.cell_cols[small], weights)
-            dual = rows + self.primal_slices[-1].stop           # v's coordinates in (x, v)
-            self.skew_gather = (np.concatenate((cols, dual)), np.concatenate((dual, cols)),
-                                np.concatenate((w, -w)))
-        slices = block_slices(sig.dims_primal + sig.dims_dual)
-        self.skew_cells = [(slices[i], slices[sig.m + k], e) for k, i, e in self.per_cell]
+        self.skew_gather = (_skew_layout(sig, self.cell_rows[small], self.cell_cols[small],
+                                         weights) if small else None)
         if lambda_bound is None:
             lambda_bound = lambda_conservative(self)
         elif not 0 <= lambda_bound < math.inf:
@@ -374,18 +366,20 @@ class BlockLinearOp:
         return grid
 
 
-def _gather_layout(sig, k, i, w):
-    """(rows, cols, w) of the scalar cells w[c] * Id at (k[c], i[c]), laid
-    out coordinate by coordinate in cell order over the flat dual and primal
-    arrays, in one np.repeat pass: coordinate j of a cell sits j places
-    after the cell's first one."""
+def _skew_layout(sig, k, i, w):
+    """(targets, sources, weights) of the scalar cells w[c] * Id at
+    (k[c], i[c]) over the flat array (x, v), laid out coordinate by
+    coordinate in cell order, in one np.repeat pass: coordinate j of a cell
+    sits j places after the cell's first one.  The adjoint half reads v
+    into x with the weights, the forward half x into v with them negated."""
     dims_p, dims_d = np.array(sig.dims_primal), np.array(sig.dims_dual)
     size = dims_p[i]                                 # scalar cells are square
     first = np.cumsum(size) - size
     within = np.arange(first[-1] + size[-1]) - np.repeat(first, size)
-    rows = np.repeat((np.cumsum(dims_d) - dims_d)[k], size) + within
+    dual = np.repeat((np.cumsum(dims_d) - dims_d + dims_p.sum())[k], size) + within
     cols = np.repeat((np.cumsum(dims_p) - dims_p)[i], size) + within
-    return rows, cols, np.repeat(np.array(w), size)
+    w = np.repeat(np.array(w), size)
+    return np.concatenate((cols, dual)), np.concatenate((dual, cols)), np.concatenate((w, -w))
 
 
 def check_flat(a, n, side):
@@ -395,62 +389,42 @@ def check_flat(a, n, side):
                              f"got {getattr(a, 'shape', type(a).__name__)}")
 
 
-def apply_block(L, x):
-    """Apply the grid to the flat primal array x: dual block k of the new
-    flat dual array is sum_i L_ki x_i, the small scalar cells as one
-    scatter of their products, then the other cells one by one."""
-    n = L.dual_slices[-1].stop
-    check_flat(x, L.primal_slices[-1].stop, "primal")
-    if L.gather is None:
-        out = np.zeros(n)
+def _sweep(L, w):
+    """(L* v, -L x) at the flat array w = (x, v): the small scalar cells in
+    one scatter for both halves, then every other cell read once for both
+    of its products.  Each coordinate sums its terms in cell order."""
+    if L.skew_gather is None:
+        out = np.zeros(w.size)          # bincount over no terms gives int64 zeros
     else:
-        # bincount adds each coordinate's terms in cell order, as a loop
-        # over the cells would (over no terms it would return int64 zeros)
-        rows, cols, w = L.gather
-        out = np.bincount(rows, w * x[cols], n)
-    rows, cols = L.dual_slices, L.primal_slices
-    for k, i, e in L.per_cell:
-        out[rows[k]] += entry_apply(e, x[cols[i]])
-    return out
-
-
-def apply_adjoint(L, v):
-    """Apply the adjoint grid to the flat dual array v: primal block i is
-    sum_k L_ki^T v_k, as ``apply_block`` does with rows and columns swapped."""
-    n = L.primal_slices[-1].stop
-    check_flat(v, L.dual_slices[-1].stop, "dual")
-    if L.gather is None:
-        out = np.zeros(n)
-    else:
-        rows, cols, w = L.gather
-        out = np.bincount(cols, w * v[rows], n)
-    rows, cols = L.dual_slices, L.primal_slices
-    for k, i, e in L.per_cell:
-        out[cols[i]] += entry_apply_adjoint(e, v[rows[k]])
+        targets, sources, weights = L.skew_gather
+        out = np.bincount(targets, weights * w[sources], w.size)
+    for xs, vs, e in L.skew_cells:
+        out[xs] += entry_apply_adjoint(e, w[vs])
+        out[vs] -= entry_apply(e, w[xs])
     return out
 
 
 def apply_skew(L, w):
     """The skew coupling at the flat product-space array w = (x, v): the
-    new flat array (L* v, -L x), as the concatenation of ``apply_adjoint``
-    at v and the negated ``apply_block`` at x, bit for bit, in one sweep.
+    new flat array (L* v, -L x), in one sweep over the cells."""
+    check_flat(w, L.n_primal + L.n_dual, "primal-dual")
+    return _sweep(L, w)
 
-    The small scalar cells take one scatter for both halves; every other
-    cell is read once and forms both of its products.  Each coordinate
-    sums its terms in cell order, as the two calls do, and negating a
-    weight is exact, so -(a + b) is (-a) - b.
-    """
-    n = L.primal_slices[-1].stop + L.dual_slices[-1].stop
-    check_flat(w, n, "primal-dual")
-    if L.skew_gather is None:
-        out = np.zeros(n)               # bincount over no terms gives int64 zeros
-    else:
-        targets, sources, weights = L.skew_gather
-        out = np.bincount(targets, weights * w[sources], n)
-    for xs, vs, e in L.skew_cells:
-        out[xs] += entry_apply_adjoint(e, w[vs])
-        out[vs] -= entry_apply(e, w[xs])
-    return out
+
+def apply_block(L, x):
+    """Apply the grid to the flat primal array x: dual block k of the new
+    flat dual array is sum_i L_ki x_i.  A full sweep at (x, 0) leaves -L x
+    in its dual half, each sum negated exactly; 0 - (-s) gives s back, and
+    +0 where s is a zero of either sign, as a sum from zeros would."""
+    check_flat(x, L.n_primal, "primal")
+    return 0.0 - _sweep(L, np.concatenate((x, np.zeros(L.n_dual))))[L.n_primal:]
+
+
+def apply_adjoint(L, v):
+    """Apply the adjoint grid to the flat dual array v: primal block i is
+    sum_k L_ki^T v_k, the primal half of a full sweep at (0, v)."""
+    check_flat(v, L.n_dual, "dual")
+    return _sweep(L, np.concatenate((np.zeros(L.n_primal), v)))[:L.n_primal]
 
 
 def lambda_conservative(L):

@@ -73,7 +73,7 @@ def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
 
     # KKT residuals and objectives are known at the last iterate only
     lines = [CSV_HEADER]
-    lines += [f"{n},{_fmt(gamma)},{_fmt(resid)},,,,," for n, gamma, resid in trace.rows[:-1]]
+    lines += ["%d,%.17g,%.17g,,,,," % row for row in trace.rows[:-1]]
     n, gamma, resid = trace.rows[-1]
     final = [_fmt(t) if t is not None else "" for t in (*report.kkt, pobj, dobj, gap)]
     lines.append(",".join([str(n), _fmt(gamma), _fmt(resid)] + final))

@@ -2,10 +2,11 @@
 the distance of a point pair from an operator's graph, the consistency
 check of a common zero and the qualification check of a minimization, a
 projected-gradient minimizer for feasibility relaxations, the KKT
-residuals and the objectives of a minimization block by block, and the
-primal-dual and partitioned parallel-sum iterations written out on flat
-arrays with the coupling assembled densely by np.block, and Anderson
-acceleration of the first.
+residuals and the objectives of a minimization block by block, the
+coupling and its adjoint added cell by cell, and the primal-dual and
+partitioned parallel-sum iterations written out on flat arrays with the
+coupling assembled densely by np.block, and Anderson acceleration of the
+first.
 
 The iteration references share no code with the solver's engine, its
 product-space pair or its block storage; they take the step gamma and the
@@ -17,7 +18,7 @@ none.
 
 import numpy as np
 
-from pdsplit.blocks import BlockVector, apply_adjoint, apply_block
+from pdsplit.blocks import SMALL_BLOCK_DIM, BlockVector, apply_adjoint, apply_block
 from pdsplit.operators import SquaredNorm
 from pdsplit.reductions import EvaluationError, _conj_infconv_value, _infconv_value
 
@@ -199,6 +200,30 @@ def dense_coupling(L):
 
 def _offsets(dims):
     return np.concatenate(([0], np.cumsum(dims))).astype(int)
+
+
+def coupling_by_cells(L, x, v):
+    """(L x, L* v) at the flat arrays x and v, added cell by cell from
+    zeros: first the scalar cells on blocks of at most SMALL_BLOCK_DIM
+    coordinates, then the other cells, each group in row-major order.
+    This is the order in which the coupling sums each coordinate's terms,
+    so the results are exact to the bit."""
+    op, od = _offsets(L.sig.dims_primal), _offsets(L.sig.dims_dual)
+    Lx, Ltv = np.zeros(od[-1]), np.zeros(op[-1])
+    small = [isinstance(e, float) and L.sig.dims_primal[i] <= SMALL_BLOCK_DIM
+             for _, i, e in L.nonzeros]
+    for group in (True, False):
+        for (k, i, e), kind in zip(L.nonzeros, small):
+            if kind != group:
+                continue
+            xs, vs = slice(op[i], op[i + 1]), slice(od[k], od[k + 1])
+            if isinstance(e, float):
+                Lx[vs] += e * x[xs]
+                Ltv[xs] += e * v[vs]
+            else:
+                Lx[vs] += e @ x[xs]
+                Ltv[xs] += e.T @ v[vs]
+    return Lx, Ltv
 
 
 def _split(u, offsets):

@@ -19,8 +19,15 @@ from pdsplit import (
     lambda_conservative,
     lambda_power_iteration,
 )
-from pdsplit.blocks import EXACT_NORM_MAX_DIM, SMALL_BLOCK_DIM, check_signature, entry_norm_sq
-from oracles import dense_coupling
+from pdsplit import blocks
+from pdsplit.blocks import (
+    EXACT_NORM_MAX_DIM,
+    SMALL_BLOCK_DIM,
+    block_slices,
+    check_signature,
+    entry_norm_sq,
+)
+from oracles import coupling_by_cells, dense_coupling
 
 
 def test_space_sig_validation():
@@ -395,17 +402,24 @@ def _coupling_grid(rng):
     return entries, SpaceSig(dp, dd)
 
 
+def _same_bits(got, want):
+    """Equal dtype, shape and bytes: signed zeros and NaNs included."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_coupling_matches_the_dense_grid(seed):
     rng = np.random.default_rng(seed)
     entries, sig = _coupling_grid(rng)
     L = BlockLinearOp(entries, sig)
-    # the small scalar cells are gathered, every other cell is applied alone
-    small = {(k, i) for k, i, e in L.nonzeros
-             if isinstance(e, float) and sig.dims_primal[i] <= SMALL_BLOCK_DIM}
-    assert {(k, i) for k, i, _ in L.per_cell} == {(k, i) for k, i, _ in L.nonzeros} - small
-    assert (L.gather is None) == (not small)
+    # the small scalar cells are gathered, every other cell is swept alone
+    small = [isinstance(e, float) and sig.dims_primal[i] <= SMALL_BLOCK_DIM
+             for _, i, e in L.nonzeros]
+    slices = block_slices(sig.dims_primal + sig.dims_dual)
+    assert [(xs, vs, id(e)) for xs, vs, e in L.skew_cells] == [
+        (slices[i], slices[sig.m + k], id(e)) for (k, i, e), s in zip(L.nonzeros, small) if not s]
+    assert (L.skew_gather is None) == (not any(small))
     D = dense_coupling(L)
     x = BlockVector([rng.standard_normal(d) for d in sig.dims_primal])
     v = BlockVector([rng.standard_normal(d) for d in sig.dims_dual])
@@ -416,8 +430,10 @@ def test_coupling_matches_the_dense_grid(seed):
         assert np.linalg.norm(got - M @ u) <= 1e-13 * scale
     lhs, rhs = float(Lx @ v.flat()), float(x.flat() @ Ltv)
     assert abs(lhs - rhs) <= 1e-13 * float(np.abs(v.flat()) @ np.abs(D) @ np.abs(x.flat()))
+    want_x, want_v = coupling_by_cells(L, x.flat(), v.flat())
+    assert _same_bits(Lx, want_x) and _same_bits(Ltv, want_v)
     w = np.concatenate((x.flat(), v.flat()))
-    np.testing.assert_array_equal(apply_skew(L, w), np.concatenate((Ltv, -Lx)))
+    assert _same_bits(apply_skew(L, w), np.concatenate((want_v, 0.0 - want_x)))
 
 
 def test_gathered_cells_add_in_cell_order():
@@ -430,10 +446,13 @@ def test_gathered_cells_add_in_cell_order():
     for s, xi in zip((0.1, 0.2, 0.3), x.blocks):
         want += s * xi
     np.testing.assert_array_equal(apply_block(L, x.flat()), want)
-    rows, cols, w = L.gather
-    np.testing.assert_array_equal(rows, [0, 1, 0, 1, 0, 1])
-    np.testing.assert_array_equal(cols, [0, 1, 2, 3, 4, 5])
-    np.testing.assert_array_equal(w, [0.1, 0.1, 0.2, 0.2, 0.3, 0.3])
+    # over (x, v): v's two coordinates sit at 6 and 7; the adjoint half
+    # reads v into x, then the forward half reads x into v, weights negated
+    targets, sources, weights = L.skew_gather
+    np.testing.assert_array_equal(targets, [0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 6, 7])
+    np.testing.assert_array_equal(sources, [6, 7, 6, 7, 6, 7, 0, 1, 2, 3, 4, 5])
+    np.testing.assert_array_equal(weights, [0.1, 0.1, 0.2, 0.2, 0.3, 0.3,
+                                            -0.1, -0.1, -0.2, -0.2, -0.3, -0.3])
 
 
 def test_a_grid_without_small_scalar_cells_applies_in_float64():
@@ -443,13 +462,17 @@ def test_a_grid_without_small_scalar_cells_applies_in_float64():
                          ([[2.0]], SpaceSig((big,), (big,))),
                          ([[np.ones((1, 2))]], SpaceSig((2,), (1,)))):
         L = BlockLinearOp(entries, sig)
-        assert L.gather is None
-        assert apply_block(L, np.ones(sum(sig.dims_primal))).dtype == np.float64
-        assert apply_adjoint(L, np.ones(sum(sig.dims_dual))).dtype == np.float64
+        assert L.skew_gather is None
+        n_x, n_v = sum(sig.dims_primal), sum(sig.dims_dual)
+        Lx = apply_block(L, np.ones(n_x))
+        # L x is 0 - (-L x), which is +0, not -0, where a dual row has no cell
+        assert Lx.dtype == np.float64 and not np.signbit(Lx).any()
+        assert apply_adjoint(L, np.ones(n_v)).dtype == np.float64
+        assert apply_skew(L, np.ones(n_x + n_v)).dtype == np.float64
 
 
 def _skew_grids():
-    """(entries, sig) of grids for each way apply_skew reads cells: scalar
+    """(entries, sig) of grids for each way the sweep reads cells: scalar
     cells on small blocks, scalar cells on large ones, dense cells, all
     three, and none."""
     rng = np.random.default_rng(7)
@@ -473,21 +496,35 @@ def _skew_grids():
 
 
 @pytest.mark.parametrize("entries, sig", _skew_grids())
-def test_the_skew_sweep_is_the_two_calls_bit_for_bit(entries, sig):
-    # the two calls are the reference: (L* v, -L x) at w = (x, v)
+def test_the_coupling_adds_cell_by_cell_bit_for_bit(entries, sig):
+    # the reference adds each cell's products from zeros: (L* v, -L x) at w = (x, v)
     L = BlockLinearOp(entries, sig)
     n_x, n = sum(sig.dims_primal), sum(sig.dims_primal + sig.dims_dual)
-    # entries of very different sizes, so that any change in the order of a sum shows
+    # entries of very different sizes, so that any change in the order of a
+    # sum shows, and zeros of both signs
     w = np.random.default_rng(3).standard_normal(n) * 10.0 ** (np.arange(n) % 17 - 8)
+    w[::7], w[3::7] = 0.0, -0.0
     x, v = w[:n_x], w[n_x:]
+    Lx, Ltv = coupling_by_cells(L, x, v)
+    assert _same_bits(apply_block(L, x), Lx) and _same_bits(apply_adjoint(L, v), Ltv)
     got = apply_skew(L, w)
-    assert got.dtype == np.float64 and got.shape == w.shape
-    np.testing.assert_array_equal(got, np.concatenate((apply_adjoint(L, v), -apply_block(L, x))))
+    assert _same_bits(got, np.concatenate((Ltv, 0.0 - Lx)))
     # the assembled skew matrix, and skewness: <w, S w> = <x, L* v> - <v, L x> = 0
     D = dense_coupling(L)
     S = np.block([[np.zeros((n_x, n_x)), D.T], [-D, np.zeros((n - n_x, n - n_x))]])
     assert np.all(np.abs(got - S @ w) <= 1e-12 * (np.abs(S) @ np.abs(w)))
     assert abs(float(w @ got)) <= 1e-12 * float(np.abs(w) @ np.abs(S) @ np.abs(w))
+
+
+def test_the_two_calls_do_not_go_through_apply_skew(monkeypatch):
+    # a wrapper of the public apply_skew then counts only the sweeps of Q
+    calls = []
+    monkeypatch.setattr(blocks, "apply_skew", lambda *args: calls.append(args))
+    for entries, sig in (p.values for p in _skew_grids()):
+        L = BlockLinearOp(entries, sig)
+        apply_block(L, np.ones(sum(sig.dims_primal)))
+        apply_adjoint(L, np.ones(sum(sig.dims_dual)))
+    assert calls == []
 
 
 def test_the_coupling_takes_and_returns_flat_arrays_only():
