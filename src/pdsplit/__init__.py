@@ -57,10 +57,8 @@ from .reductions import (
     primal_objective,
     relaxation_objective,
     solve_common_zero,
-    solve_feasibility_relaxation,
     solve_multivariate_min,
     solve_parallel_sum,
-    solve_univariate_min,
 )
 from .system import (
     CoupledInclusionProblem,

@@ -93,12 +93,13 @@ class SpaceSig:
     dims_dual: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dims_primal", tuple(int(d) for d in self.dims_primal))
-        object.__setattr__(self, "dims_dual", tuple(int(d) for d in self.dims_dual))
-        if len(self.dims_primal) < 1 or len(self.dims_dual) < 1:
+        primal, dual = tuple(self.dims_primal), tuple(self.dims_dual)
+        if not (primal and dual):
             raise ValueError("need at least one primal and one dual block")
-        if any(d < 1 for d in self.dims_primal + self.dims_dual):
-            raise ValueError("all block dimensions must be >= 1")
+        if not all(map(is_size, primal + dual)):
+            raise ValueError(f"all block dimensions must be integers >= 1, got {primal}, {dual}")
+        object.__setattr__(self, "dims_primal", tuple(map(int, primal)))
+        object.__setattr__(self, "dims_dual", tuple(map(int, dual)))
 
     @property
     def m(self):
@@ -107,6 +108,14 @@ class SpaceSig:
     @property
     def K(self):
         return len(self.dims_dual)
+
+
+def is_size(n, least=1):
+    """Whether n is an integer, equal to its int(), of at least ``least``."""
+    try:
+        return int(n) == n >= least
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def block_slices(dims):
@@ -201,8 +210,6 @@ def entry_apply(entry, x):
 
 
 def entry_apply_adjoint(entry, v):
-    if entry is None:
-        return np.zeros(v.shape)
     if isinstance(entry, float):
         return entry * v
     return entry.T @ v

@@ -450,8 +450,6 @@ class ConvexFunction:
     """A convex function through its prox.  A differentiable member also
     has a ``gradient``, a LipschitzOperator."""
 
-    real_valued = False
-
     def prox(self, gamma, x):
         raise NotImplementedError
 
@@ -470,7 +468,6 @@ class ZeroFunction(ConvexFunction):
     """The zero function.  Joined over blocks of sizes ``dims``, its
     conjugate tests the norm of each block, as the blocks' own do."""
 
-    real_valued = True
     gradient = ZeroMap()
 
     def __init__(self, dims=None):
@@ -515,8 +512,6 @@ class L1Norm(ConvexFunction):
     """sum_j weight_j |x_j|, the weight a scalar or one value per
     coordinate; prox is soft thresholding."""
 
-    real_valued = True
-
     def __init__(self, weight=1.0):
         self.weight = _parameter(weight, "l1 weight must be nonnegative and finite")
 
@@ -536,8 +531,6 @@ class L1Norm(ConvexFunction):
 
 class QuadraticDistance(ConvexFunction):
     """(1/2) ||x - a||^2."""
-
-    real_valued = True
 
     def __init__(self, a):
         self.a = _finite(a, "quadratic distance needs a finite a")
@@ -564,8 +557,6 @@ class SquaredNorm(ConvexFunction):
     coordinate, in the range where 2 omega, the scale of its gradient, and
     0.5 / omega, that of its conjugate's gradient, are finite: about
     2.8e-309 <= omega <= 8.9e307."""
-
-    real_valued = True
 
     def __init__(self, omega):
         self.omega = omega = _parameter(omega, "omega must be positive and finite",
@@ -744,9 +735,12 @@ def misfit(op, d):
 def check_fit(roles):
     """ParameterError naming the first member that does not fit its block
     (``misfit``), as "<role> <1-based index>: <why>"; ``roles`` holds
-    (role, members, block dimensions) triples."""
+    (role, members, block dimensions) triples.  A triple (role, member,
+    dimension), with an int dimension, names its one member "<role>: <why>"."""
     for role, ops, dims in roles:
-        for i, (op, d) in enumerate(zip(ops, dims), 1):
+        named = ([(role, ops, dims)] if isinstance(dims, int) else
+                 [(f"{role} {i}", op, d) for i, (op, d) in enumerate(zip(ops, dims), 1)])
+        for name, op, d in named:
             why = misfit(op, d)
             if why is not None:
-                raise ParameterError(f"{role} {i}: {why}")
+                raise ParameterError(f"{name}: {why}")

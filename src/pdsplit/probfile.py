@@ -50,9 +50,8 @@ from .operators import (
 )
 from .reductions import (
     CommonZeroProblem, FeasibilityRelaxation, MultivariateMinProblem,
-    ParallelSumProblem, UnivariateMinProblem,
-    solve_common_zero, solve_feasibility_relaxation, solve_multivariate_min,
-    solve_parallel_sum, solve_univariate_min,
+    ParallelSumProblem, UnivariateMinProblem, solve_common_zero, solve_multivariate_min,
+    solve_parallel_sum,
 )
 from .system import CoupledInclusionProblem, solve_system
 
@@ -484,20 +483,21 @@ def build_problem(pf):
         z = rd.vec("z", (dim,), required=False)[0]
         r, L = rd.vec("r", dd).blocks, rd.column(dd, dim)
         if kind == "parallel_sum":
-            built = ParallelSumProblem(
+            prob = ParallelSumProblem(
                 dim, dd, K1, K2, rd.op("A", mono, dim), rd.op("C", lip, dim),
                 z, r, rd.ops("B", mono, dd),
                 rd.ops("S", mono, dd[:K1]) + rd.ops("S", lip, dd[K1:], K1), L,
-            ), solve_parallel_sum
+            )
         else:
             phi = (rd.ops("phi", fn, dd[:K1])
                    + rd.ops("phi", "smooth function", dd[K1:K2], K1)
                    + rd.ops("phi", "strongly convex function", dd[K2:], K2))
-            built = UnivariateMinProblem(
+            prob = UnivariateMinProblem(
                 dim, dd, K1, K2, rd.op("f", fn, dim),
                 rd.op("h", "smooth function", dim), rd.ops("g", fn, dd), phi,
                 z, r, L,
-            ), solve_univariate_min
+            )
+        built = prob, solve_parallel_sum
     elif kind == "common_zero":
         dim = rd.need("dim")
         dims = [dim] * rd.declared("B")
@@ -512,6 +512,6 @@ def build_problem(pf):
         built = FeasibilityRelaxation(
             dim, rd.ops("set", "convex set", dims),
             rd.ops("phi", "feasibility penalty", dims), L,
-        ), solve_feasibility_relaxation
+        ), solve_parallel_sum
     rd.finish()
     return built

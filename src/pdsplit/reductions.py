@@ -2,22 +2,22 @@
 
 Five front ends.  Each lifts to a CoupledInclusionProblem once, at its
 first solve, and keeps it as ``_system``.  A solve runs the system solver
-on it; the four parallel-sum forms unlift x in ``solve_parallel_sum``.
+on it; the parallel-sum forms unlift x in ``solve_parallel_sum``.
 
 * ParallelSumProblem — one primal variable, K parallel-sum couplings
   (B_k parallel-sum S_k) composed with maps L_k, with a three-way partition
   of the S_k by how they are accessed (resolvent / Lipschitz map /
   Lipschitz inverse).  The lift adds one auxiliary variable per
-  indirectly accessed S_k.
+  indirectly accessed S_k.  Each member is checked when it is built.
+* UnivariateMinProblem / FeasibilityRelaxation — single-variable convex
+  minimization with general infimal convolutions, and its application to
+  relaxing (possibly inconsistent) feasibility problems.  Each is a
+  ParallelSumProblem that checks its own roles, then builds the sum.
 * CommonZeroProblem — relaxation of finding a common zero of A and the
-  B_k; a parallel-sum instance with identity couplings.
+  B_k; a parallel sum with identity couplings, built at its first solve.
 * MultivariateMinProblem — structured convex minimization over m blocks
   with infimal-convolution couplings; runs the system solver on
   subdifferentials and gradients.
-* UnivariateMinProblem / FeasibilityRelaxation — single-variable convex
-  minimization with general infimal convolutions, and its application to
-  relaxing (possibly inconsistent) feasibility problems; both lift to the
-  parallel-sum form.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from .blocks import (  # noqa: F401
     block_slices,
     entry_apply,
     entry_apply_adjoint,
+    entry_misfit,
     entry_out_dim,
+    is_size,
     normalize_entry,
 )
 from .operators import (
@@ -66,9 +68,7 @@ __all__ = [
     "primal_objective",
     "dual_objective",
     "UnivariateMinProblem",
-    "solve_univariate_min",
     "FeasibilityRelaxation",
-    "solve_feasibility_relaxation",
     "relaxation_objective",
     "EvaluationError",
 ]
@@ -96,15 +96,14 @@ class ParallelSumProblem:
     * k < K1            S[k] is a MonotoneOperator (resolvent access);
     * K1 <= k < K2      S[k] is a LipschitzOperator evaluating S_k itself;
     * k >= K2           S[k] is a LipschitzOperator evaluating S_k^{-1}.
+
+    Sizes, counts, shifts, operators (``check_fit``) and the L_k are checked
+    here; a ParameterError names the role, as "S 2: ..." or "L 1 is ...".
     """
 
     def __init__(self, dim, dual_dims, K1, K2, A, C, z, r, B, S, L):
-        K = len(dual_dims)
-        if not 0 <= K1 <= K2 <= K or K < 1:
-            raise ParameterError(f"invalid partition 0 <= {K1} <= {K2} <= {K}")
-        self.dim = int(dim)
-        self.dual_dims = tuple(int(d) for d in dual_dims)
-        self.K1, self.K2, self.K = int(K1), int(K2), K
+        self.dim, self.dual_dims, self.K1, self.K2 = _check_partition(dim, dual_dims, K1, K2)
+        self.K = K = len(self.dual_dims)
         self.A = A
         self.C = C
         self.z = np.asarray(z, dtype=float).reshape(-1)
@@ -115,12 +114,37 @@ class ParallelSumProblem:
         if len(self.B) != K or len(self.S) != K or len(self.L) != K or len(self.r) != K:
             raise ParameterError("need K entries in each of r, B, S, L")
         _check_shifts(self)
+        check_fit((("A", A, self.dim), ("C", C, self.dim), ("B", self.B, self.dual_dims),
+                   ("S", self.S, self.dual_dims)))
+        for k, (e, d) in enumerate(zip(self.L, self.dual_dims), 1):
+            why = entry_misfit(e, d, self.dim)
+            if why is not None:
+                raise ParameterError(f"L {k} {why}")
 
     @cached_property
     def _system(self):
         """``lift_parallel_sum(self)``, built at the first solve and kept,
         with its pair: the problem does not change between solves."""
         return lift_parallel_sum(self)
+
+
+def _check_size(name, n, least=1):
+    """int(n); ParameterError unless n is an integer of at least ``least``."""
+    if not is_size(n, least):
+        raise ParameterError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _check_partition(dim, dual_dims, K1, K2):
+    """(dim, dual_dims, K1, K2) as ints; ParameterError unless dim and each
+    dual dimension are integers >= 1, K1 and K2 integers, and
+    0 <= K1 <= K2 <= K = len(dual_dims) with K >= 1."""
+    dim = _check_size("dim", dim)
+    dual_dims = tuple(_check_size("each dual dimension", d) for d in dual_dims)
+    K1, K2, K = _check_size("K1", K1, 0), _check_size("K2", K2, 0), len(dual_dims)
+    if not K1 <= K2 <= K or K < 1:
+        raise ParameterError(f"invalid partition 0 <= {K1} <= {K2} <= {K}")
+    return dim, dual_dims, K1, K2
 
 
 def _check_shifts(p):
@@ -168,9 +192,8 @@ def lift_parallel_sum(p):
 def solve_parallel_sum(p, cfg):
     """Solve the lifted problem with the system solver and unlift it.
 
-    p is any of the four front ends that lift to a parallel sum
-    (ParallelSumProblem, CommonZeroProblem, UnivariateMinProblem and
-    FeasibilityRelaxation), each of which keeps its lifted system
+    p is a ParallelSumProblem (UnivariateMinProblem and FeasibilityRelaxation
+    are ones) or a CommonZeroProblem, each of which keeps its lifted system
     (``_system``) from one solve to the next.  Every Lipschitz S_k enters
     only through forward evaluations.  The report's primal is x alone; the
     trace runs over the lifted (x, y, v) space, so the auxiliary
@@ -193,7 +216,7 @@ class CommonZeroProblem:
     def __init__(self, dim, A, B, S):
         if len(B) < 1 or len(B) != len(S):
             raise ParameterError("need K >= 1 operators in B and S")
-        self.dim = int(dim)
+        self.dim = _check_size("dim", dim)
         self.A = A
         self.B = list(B)
         self.S = list(S)
@@ -202,7 +225,7 @@ class CommonZeroProblem:
     @cached_property
     def _system(self):
         """The lifted parallel-sum form, with identity couplings and every
-        S_k by resolvent, built at the first solve and kept."""
+        S_k by resolvent, built and checked at the first solve and kept."""
         K = self.K
         return lift_parallel_sum(ParallelSumProblem(
             dim=self.dim,
@@ -397,7 +420,7 @@ def evaluate_objectives(p, x, v):
 # Univariate structured minimization and feasibility relaxation
 
 
-class UnivariateMinProblem:
+class UnivariateMinProblem(ParallelSumProblem):
     """Minimize f(x) + sum_k (g_k infconv phi_k)(L_k x - r_k) + h(x)
     - <x, z> over a single variable x.
 
@@ -405,12 +428,13 @@ class UnivariateMinProblem:
     absent).  phi[k] role by 0-based partition index: k < K1 a
     ConvexFunction (prox access), K1 <= k < K2 one with a ``gradient``,
     k >= K2 a strongly convex SquaredNorm (conjugate gradient is linear).
+    Its parallel sum has A = df, C = grad h, B_k = dg_k and, by the
+    partition, S_k = dphi_k, grad phi_k or grad phi_k^*.
     """
 
     def __init__(self, dim, dual_dims, K1, K2, f, h, g, phi, z, r, L):
+        dim, dual_dims, K1, K2 = _check_partition(dim, dual_dims, K1, K2)
         K = len(dual_dims)
-        if not 0 <= K1 <= K2 <= K or K < 1:
-            raise ParameterError(f"invalid partition 0 <= {K1} <= {K2} <= {K}")
         if not all(isinstance(ph, SquaredNorm) for ph in phi[K2:]):
             raise ParameterError("strongly convex phi entries must be SquaredNorm")
         if len(g) != K or len(phi) != K or len(r) != K or len(L) != K:
@@ -418,52 +442,24 @@ class UnivariateMinProblem:
         _need_gradient(h, "h")
         for k in range(K1, K2):
             _need_gradient(phi[k], f"phi {k + 1}")
-        self.dim = int(dim)
-        self.dual_dims = tuple(int(d) for d in dual_dims)
-        self.K1, self.K2, self.K = int(K1), int(K2), K
-        self.f = f
-        self.h = h
-        self.g = list(g)
-        self.phi = list(phi)
-        self.z = np.asarray(z, dtype=float).reshape(-1)
-        self.r = [np.asarray(rk, dtype=float).reshape(-1) for rk in r]
-        self.L = [normalize_entry(e) for e in L]
-        _check_shifts(self)
-
-    @cached_property
-    def _system(self):
-        """The lifted parallel-sum form, built at the first solve and kept."""
-        S = ([ph.subdifferential() for ph in self.phi[:self.K1]]
-             + [ph.gradient for ph in self.phi[self.K1:self.K2]]
-             + [_ellstar_grad(ph) for ph in self.phi[self.K2:]])
-        return lift_parallel_sum(ParallelSumProblem(
-            dim=self.dim,
-            dual_dims=self.dual_dims,
-            K1=self.K1,
-            K2=self.K2,
-            A=self.f.subdifferential(),
-            C=self.h.gradient,
-            z=self.z,
-            r=self.r,
-            B=[gk.subdifferential() for gk in self.g],
-            S=S,
-            L=self.L,
-        ))
+        check_fit((("f", f, dim), ("h", h, dim), ("g", g, dual_dims), ("phi", phi, dual_dims)))
+        self.f, self.h, self.g, self.phi = f, h, list(g), list(phi)
+        S = ([ph.subdifferential() for ph in phi[:K1]]
+             + [ph.gradient for ph in phi[K1:K2]]
+             + [_ellstar_grad(ph) for ph in phi[K2:]])
+        super().__init__(dim, dual_dims, K1, K2, f.subdifferential(), h.gradient, z, r,
+                         [gk.subdifferential() for gk in g], S, L)
 
 
-def solve_univariate_min(p, cfg):
-    """Partitioned prox iteration: subdifferentials become prox steps and
-    every differentiable phi_k enters through forward gradient steps."""
-    return solve_parallel_sum(p, cfg)
-
-
-class FeasibilityRelaxation:
+class FeasibilityRelaxation(UnivariateMinProblem):
     """Minimize sum_k min_{y_k in C_k} phi_k(L_k x - y_k), a relaxation of
     the (possibly inconsistent) feasibility problem L_k x in C_k for all k.
 
     Each phi_k must vanish exactly at 0 and nowhere else attain its
     minimum; the vetted choices are the indicator of {0} (hard constraint)
-    and SquaredNorm (quadratic distance penalty).
+    and SquaredNorm (quadratic distance penalty).  It is the univariate
+    problem with f = h = 0, g_k the indicator of C_k, every phi_k by prox
+    and zero shifts, so beta is at most (1 + sum_k ||L_k||^2)^{1/2}.
     """
 
     def __init__(self, dim, sets, phi, L):
@@ -473,42 +469,14 @@ class FeasibilityRelaxation:
             point_zero = (isinstance(ph, IndicatorFunction) and isinstance(ph.set, Point)
                           and not np.any(ph.set.c))
             if not (isinstance(ph, SquaredNorm) or point_zero):
-                raise ParameterError(
-                    "phi entries must be SquaredNorm or the indicator of {0}"
-                )
-        self.dim = int(dim)
+                raise ParameterError("phi entries must be SquaredNorm or the indicator of {0}")
+        dim = _check_size("dim", dim)
+        dims = [entry_out_dim(e, dim) for e in L]
+        check_fit((("set", sets, dims),))
         self.sets = list(sets)
-        self.phi = list(phi)
-        self.L = [normalize_entry(e) for e in L]
-        self.K = len(sets)
-
-    @cached_property
-    def _system(self):
-        """The lifted parallel-sum form of the univariate problem with f = h
-        = 0, g_k the indicator of C_k and each phi_k by prox, built at the
-        first solve and kept."""
-        dual_dims = [entry_out_dim(e, self.dim) for e in self.L]
-        return lift_parallel_sum(ParallelSumProblem(
-            dim=self.dim,
-            dual_dims=dual_dims,
-            K1=self.K,
-            K2=self.K,
-            A=ZeroFunction().subdifferential(),
-            C=ZeroFunction().gradient,
-            z=np.zeros(self.dim),
-            r=[np.zeros(d) for d in dual_dims],
-            B=[IndicatorFunction(s).subdifferential() for s in self.sets],
-            S=[ph.subdifferential() for ph in self.phi],
-            L=self.L,
-        ))
-
-
-def solve_feasibility_relaxation(p, cfg):
-    """Solve the relaxation.  The forward part is pure coupling, so beta is
-    at most (1 + sum_k ||L_k||^2)^{1/2}.  A constant step (errors or gamma
-    set) lies in [epsilon, (1 - epsilon)/beta]; otherwise the step comes
-    from the trajectory and starts at or above (1 - epsilon)/beta."""
-    return solve_parallel_sum(p, cfg)
+        super().__init__(dim, dims, len(dims), len(dims), ZeroFunction(), ZeroFunction(),
+                         [IndicatorFunction(s) for s in sets], phi, np.zeros(dim),
+                         [np.zeros(d) for d in dims], L)
 
 
 def relaxation_objective(p, x):

@@ -19,7 +19,7 @@ none.
 import numpy as np
 
 from pdsplit.blocks import SMALL_BLOCK_DIM, BlockVector, apply_adjoint, apply_block
-from pdsplit.operators import SquaredNorm
+from pdsplit.operators import L1Norm, QuadraticDistance, SquaredNorm, ZeroFunction
 from pdsplit.reductions import EvaluationError, _conj_infconv_value, _infconv_value
 
 
@@ -88,16 +88,20 @@ def check_consistency_theorem(p, x, tol):
     return all(graph_distance(Bk, x, zero) <= tol for Bk in p.B)
 
 
+# the catalog's real-valued functions (finite everywhere), their subclasses too
+REAL_VALUED = (ZeroFunction, L1Norm, QuadraticDistance, SquaredNorm)
+
+
 def check_qualification(p):
     """Mechanical sufficient conditions for the subdifferential sum rule
     behind the primal-dual correspondence of a MultivariateMinProblem.
 
-    Checks only the two cases decidable from catalog flags and numerical
+    Checks only the two cases decidable from catalog classes and numerical
     rank: all f_i real-valued with each stacked row map surjective, or each
     coupling having a real-valued g_k or ell_k.  Anything else is reported
     as unknown, never as a failure.
     """
-    if all(fn.real_valued for fn in p.f):
+    if all(isinstance(fn, REAL_VALUED) for fn in p.f):
         # row j of the row map of dual block k is L^* applied to the j-th
         # unit vector of that block
         dims = p.sig.dims_dual
@@ -115,7 +119,7 @@ def check_qualification(p):
         else:
             return "holds_by_iii"
     # SquaredNorm, the only ell_k, is real-valued
-    if all(g.real_valued or ell is not None for g, ell in zip(p.g, p.ell)):
+    if all(isinstance(g, REAL_VALUED) or ell is not None for g, ell in zip(p.g, p.ell)):
         return "holds_by_iv"
     return "unknown"
 

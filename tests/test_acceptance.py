@@ -29,7 +29,6 @@ from pdsplit import (
     compute_beta,
     evaluate_objectives,
     solve_common_zero,
-    solve_feasibility_relaxation,
     solve_multivariate_min,
     solve_parallel_sum,
     solve_system,
@@ -162,7 +161,7 @@ def test_04_consistency_of_common_zeros():
 
 def test_05_feasibility_relaxation_oracles():
     demo = get_demo("boxhalf")
-    report = solve_feasibility_relaxation(demo.build(), FbfConfig())
+    report = solve_parallel_sum(demo.build(), FbfConfig())
     dev = float(np.linalg.norm(report.primal.flat() - np.array([1.0, 1.0])))
     ok = dev <= 1e-5
 
@@ -185,7 +184,7 @@ def test_05_feasibility_relaxation_oracles():
             phi.append(SquaredNorm(float(rng.uniform(0.5, 2.0))))
             L.append(float(rng.uniform(0.5, 1.5)))
         p = FeasibilityRelaxation(dim=2, sets=sets, phi=phi, L=L)
-        rep = solve_feasibility_relaxation(p, FbfConfig())
+        rep = solve_parallel_sum(p, FbfConfig())
         oracle = projected_gradient_oracle(p)
         worst = max(worst, float(np.linalg.norm(rep.primal.flat() - oracle)))
     verdict(

@@ -37,6 +37,11 @@ def test_space_sig_validation():
         SpaceSig((), (1,))
     with pytest.raises(ValueError):
         SpaceSig((1, 0), (1,))
+    # a size must equal its int(): neither truncated nor parsed
+    for dims in (((2.5,), (3,)), ((2,), ("3",))):
+        with pytest.raises(ValueError, match="must be integers >= 1"):
+            SpaceSig(*dims)
+    assert SpaceSig((2.0,), (np.int64(3),)).dims_dual == (3,)
 
 
 def test_block_vector_round_trip():

@@ -14,7 +14,9 @@ name that only the package's ``__init__`` and the tests reach is code no
 solve path runs.
 The property checks of ``selftest`` are not callers either, so the names
 it imports from the other modules do not count; its reads of its own
-helpers do.
+helpers do.  Likewise each method, property and class attribute of a
+class of the package (dunder names aside) must be read by a module of the
+package other than ``selftest``, by the benchmark or by a README example.
 """
 
 import ast
@@ -99,6 +101,21 @@ def _defined(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id != "__all__"]
 
 
+def _read(sources, strings):
+    """The names and attributes the sources read and, when strings, their
+    identifier-like strings."""
+    refs = set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            refs.add(node.value)
+    return refs
+
+
 def uncalled(package, bench, examples):
     """The module-level functions, classes and constants of package (module
     stem -> source, ``__init__`` left out) that nothing reads: no module of the
@@ -110,15 +127,7 @@ def uncalled(package, bench, examples):
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         refs |= read - _imported(tree) if stem == "selftest" else read
-    for sources, strings in ((bench, True), (examples, False)):
-        for node in (node for source in sources for node in ast.walk(ast.parse(source))):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and node.value.isidentifier()):
-                refs.add(node.value)
+    refs |= _read(bench, True) | _read(examples, False)
     return sorted(f"{stem}.{name}" for stem, tree in trees.items()
                   for node in tree.body for name in _defined(node) if name not in refs)
 
@@ -142,3 +151,37 @@ def test_every_module_level_function_and_class_has_a_caller():
     examples = re.findall(r"```python\n(.*?)```",
                           (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
     assert uncalled(package, bench, examples) == []
+
+
+def unread_members(package, bench, examples):
+    """The methods, properties and class attributes of the module-level
+    classes of package (module stem -> source), dunder names aside, that
+    nothing reads: no module of the package but selftest and no bench or
+    example source as a name or an attribute, no package module but
+    selftest and no bench source as an identifier-like string.  A member
+    read by name counts for every class that defines that name."""
+    others = [source for stem, source in package.items() if stem != "selftest"]
+    refs = _read(others, True) | _read(bench, True) | _read(examples, False)
+    return sorted(f"{stem}.{cls.name}.{name}" for stem, source in package.items()
+                  for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body for name in _defined(node)
+                  if name not in refs and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_the_member_check_counts_reads_outside_selftest():
+    lib = ("class A:\n    flag = True\n    n: int = 1\n    def run(self): return self.n\n"
+           "    @property\n    def size(self): return 0\n    def __len__(self): return 0\n"
+           "class B(A):\n    flag = False\n    def helper(self): pass\n")
+    package = {"lib": lib, "selftest": "from .lib import A\nA().size, A.flag\n"}
+    assert unread_members(package, [], []) == ["lib.A.flag", "lib.A.run", "lib.A.size",
+                                               "lib.B.flag", "lib.B.helper"]
+    assert unread_members(package, ["getattr(x, 'size')\n"], ["b.helper()\nflag = 1\n"]) == [
+        "lib.A.flag", "lib.A.run", "lib.B.flag"]
+
+
+def test_every_class_member_has_a_reader():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    bench = [path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py")]
+    examples = re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    assert unread_members(package, bench, examples) == []

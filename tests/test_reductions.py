@@ -40,10 +40,8 @@ from pdsplit import (
     primal_objective,
     relaxation_objective,
     solve_common_zero,
-    solve_feasibility_relaxation,
     solve_multivariate_min,
     solve_parallel_sum,
-    solve_univariate_min,
 )
 from pdsplit.cli import make_config
 from pdsplit.demos import DEMO_NAMES, get_demo
@@ -175,7 +173,7 @@ def test_a_front_end_problem_builds_its_system_once(kind, monkeypatch):
     if kind == "parallel_sum":
         prob, solver = random_parallel_sum(np.random.default_rng(3)), solve_parallel_sum
     elif kind == "univar_min":
-        prob, solver = _two_coupling_univariate(), solve_univariate_min
+        prob, solver = _two_coupling_univariate(), solve_parallel_sum
     else:
         demo = {"multivar_min": "lasso1d", "common_zero": "legendre",
                 "feasibility": "boxhalf"}[kind]
@@ -558,7 +556,7 @@ def test_univariate_degenerate_matches_multivariate():
         z=BlockVector.zeros((2,)), r=BlockVector.zeros((2,)),
         L=BlockLinearOp([[1.0]], sig),
     )
-    r1 = solve_univariate_min(uni, FbfConfig())
+    r1 = solve_parallel_sum(uni, FbfConfig())
     r2 = solve_multivariate_min(multi, FbfConfig())
     assert r1.converged and r2.converged
     np.testing.assert_allclose(r1.primal.flat(), r2.primal.flat(), atol=1e-6)
@@ -588,7 +586,7 @@ def test_an_omega_per_coordinate_couples_as_ell_and_as_phi():
         f=QuadraticDistance(a), h=ZeroFunction(), g=[IndicatorFunction(Point(c))],
         phi=[SquaredNorm(w)], z=np.zeros(2), r=[np.zeros(2)], L=[1.0],
     )
-    report = solve_univariate_min(uni, FbfConfig())
+    report = solve_parallel_sum(uni, FbfConfig())
     assert report.converged
     np.testing.assert_allclose(report.primal.flat(), x, atol=1e-6)
 
@@ -618,13 +616,13 @@ def test_univariate_singleton_objective():
         g=[QuadraticDistance([0.0])], phi=[IndicatorFunction(Point([0.0]))],
         z=np.zeros(1), r=[np.zeros(1)], L=[1.0],
     )
-    report = solve_univariate_min(uni, FbfConfig())
+    report = solve_parallel_sum(uni, FbfConfig())
     assert report.primal[0][0] == pytest.approx(1.2, abs=1e-6)
 
 
 def test_feasibility_box_and_line():
     demo = get_demo("boxhalf")
-    report = solve_feasibility_relaxation(demo.build(), FbfConfig())
+    report = solve_parallel_sum(demo.build(), FbfConfig())
     assert report.converged
     np.testing.assert_allclose(report.primal.flat(), [1.0, 1.0], atol=1e-5)
 
@@ -636,7 +634,7 @@ def test_feasibility_consistent_sets_reach_zero_objective():
         phi=[IndicatorFunction(Point([0.0, 0.0])), SquaredNorm(1.0)],
         L=[1.0, 1.0],
     )
-    report = solve_feasibility_relaxation(p, FbfConfig())
+    report = solve_parallel_sum(p, FbfConfig())
     x = report.primal.flat()
     assert relaxation_objective(p, x) <= 1e-10
 
@@ -657,14 +655,14 @@ def test_feasibility_matches_common_zero_least_squares():
         [NormalCone(Hyperplane(u, rho)) for u, rho in lines],
         [ScaledIdentity(1.0)] * 3,
     )
-    r1 = solve_feasibility_relaxation(feas, FbfConfig())
+    r1 = solve_parallel_sum(feas, FbfConfig())
     r2 = solve_common_zero(cz, FbfConfig())
     np.testing.assert_allclose(r1.primal.flat(), r2.primal.flat(), atol=1e-6)
 
 
 def test_feasibility_dominates_random_feasible_probes(rng):
     p = get_demo("boxhalf").build()
-    report = solve_feasibility_relaxation(p, FbfConfig())
+    report = solve_parallel_sum(p, FbfConfig())
     best = relaxation_objective(p, report.primal.flat())
     for _ in range(100):
         probe = rng.uniform(0.0, 1.0, 2)  # anywhere in the hard box
@@ -673,7 +671,7 @@ def test_feasibility_dominates_random_feasible_probes(rng):
 
 def test_feasibility_matches_projected_gradient(rng):
     p = get_demo("boxhalf").build()
-    report = solve_feasibility_relaxation(p, FbfConfig())
+    report = solve_parallel_sum(p, FbfConfig())
     oracle = projected_gradient_oracle(p)
     np.testing.assert_allclose(report.primal.flat(), oracle, atol=1e-5)
 
@@ -696,7 +694,7 @@ def test_an_omega_per_coordinate_weighs_a_feasibility_penalty():
         d = x - np.clip(x, 0.0, 1.0)
         assert relaxation_objective(p, x) == pytest.approx(w @ d ** 2 + v @ (x - c) ** 2,
                                                            rel=1e-14)
-    report = solve_feasibility_relaxation(p, FbfConfig())
+    report = solve_parallel_sum(p, FbfConfig())
     assert report.converged
     want = (w * np.array([1.0, 0.0]) + v * c) / (w + v)
     np.testing.assert_allclose(report.primal.flat(), want, atol=1e-6)
@@ -792,6 +790,33 @@ def test_relaxation_objective_with_a_zero_coupling():
     assert relaxation_objective(p, [1.0, 1.0]) == pytest.approx(4.5, rel=1e-15)
 
 
+def _psum(**changes):
+    """A parallel sum on dim 2 with dual blocks (2, 1), one coupling of
+    each access kind but the inverse one, every member fitting its block."""
+    args = dict(dim=2, dual_dims=(2, 1), K1=1, K2=2, A=ZeroOperator(), C=ZeroMap(),
+                z=np.zeros(2), r=[np.zeros(2), np.zeros(1)], B=[ZeroOperator()] * 2,
+                S=[ScaledIdentity(1.0), ZeroMap()], L=[1.0, np.ones((1, 2))])
+    return ParallelSumProblem(**{**args, **changes})
+
+
+def _univariate(**changes):
+    args = dict(dim=2, dual_dims=(2, 1), K1=1, K2=1, f=ZeroFunction(), h=ZeroFunction(),
+                g=[ZeroFunction()] * 2, phi=[ZeroFunction(), SquaredNorm(1.0)],
+                z=np.zeros(2), r=[np.zeros(2), np.zeros(1)], L=[1.0, np.ones((1, 2))])
+    return UnivariateMinProblem(**{**args, **changes})
+
+
+def _feasibility(**changes):
+    args = dict(dim=2, sets=[Box([0.0, 0.0], [1.0, 1.0]), Point([0.5])],
+                phi=[SquaredNorm(1.0)] * 2, L=[1.0, np.ones((1, 2))])
+    return FeasibilityRelaxation(**{**args, **changes})
+
+
+def _common_zero_solve(dim, S):
+    return solve_common_zero(CommonZeroProblem(dim, ZeroOperator(), [ZeroOperator()], [S]),
+                             FbfConfig())
+
+
 _SIG = SpaceSig((1, 1), (1,))
 
 
@@ -853,13 +878,53 @@ _SIG = SpaceSig((1, 1), (1,))
      "r 2 has 1 entries for a block of dimension 2"),
     (lambda: FeasibilityRelaxation(1, [], [], []),
      "need matching nonempty sets, phi, and L lists"),
+    (lambda: _psum(A=NormalCone(Box(np.zeros(3), np.ones(3)))),
+     "A: lo has 3 entries for a block of dimension 2"),
+    (lambda: _psum(C=ScaledIdentityMap(np.ones(3))),
+     "C: c has 3 entries for a block of dimension 2"),
+    (lambda: _psum(B=[ZeroOperator(), NormalCone(Point([1.0, 2.0]))]),
+     "B 2: c has 2 entries for a block of dimension 1"),
+    (lambda: _psum(S=[ScaledIdentity([1.0, 2.0, 3.0]), ZeroMap()]),
+     "S 1: c has 3 entries for a block of dimension 2"),
+    (lambda: _psum(L=[1.0, np.ones((1, 3))]), "L 2 is 1 x 3 but its block is 1 x 2"),
+    (lambda: _psum(L=[1.0, 2.0]), "L 2 is a multiple of the identity but its block is 1 x 2"),
+    (lambda: _univariate(f=L1Norm([1.0, 2.0, 3.0])),
+     "f: weight has 3 entries for a block of dimension 2"),
+    (lambda: _univariate(h=QuadraticDistance([1.0, 2.0, 3.0])),
+     "h: a has 3 entries for a block of dimension 2"),
+    (lambda: _univariate(g=[ZeroFunction(), QuadraticDistance([1.0, 2.0])]),
+     "g 2: a has 2 entries for a block of dimension 1"),
+    (lambda: _univariate(phi=[ZeroFunction(), SquaredNorm([1.0, 2.0])]),
+     "phi 2: omega has 2 entries for a block of dimension 1"),
+    (lambda: _feasibility(sets=[Box([0.0, 0.0], [1.0, 1.0]), Point([0.5, 0.5])]),
+     "set 2: c has 2 entries for a block of dimension 1"),
+    (lambda: _feasibility(phi=[IndicatorFunction(Point(np.zeros(3))), SquaredNorm(1.0)]),
+     "phi 1: c has 3 entries for a block of dimension 2"),
+    (lambda: _feasibility(L=[np.ones((2, 3)), np.ones((1, 2))]),
+     "L 1 is 2 x 3 but its block is 2 x 2"),
+    (lambda: _common_zero_solve(2, ScaledIdentity([1.0, 2.0, 3.0])),
+     "S 1: c has 3 entries for a block of dimension 2"),
+    (lambda: _psum(K1=1.5), "K1 must be an integer >= 0, got 1.5"),
+    (lambda: _psum(dim=0), "dim must be an integer >= 1, got 0"),
+    (lambda: _psum(dual_dims=(2.5, 1)), "each dual dimension must be an integer >= 1, got 2.5"),
+    (lambda: _univariate(K2="1"), "K2 must be an integer >= 0, got '1'"),
+    (lambda: _feasibility(dim=2.5), "dim must be an integer >= 1, got 2.5"),
+    (lambda: CommonZeroProblem(1.5, ZeroOperator(), [ZeroOperator()], [ScaledIdentity(1.0)]),
+     "dim must be an integer >= 1, got 1.5"),
 ], ids=["psum-count", "psum-z-fit", "psum-r-fit", "common-zero-count", "multivar-f",
         "multivar-g", "multivar-ell",
         "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
         "multivar-f-fit", "multivar-g-fit",
         "univar-h-gradient", "univar-phi-gradient", "univar-z-fit", "univar-r-fit",
-        "feasibility-count"])
+        "feasibility-count", "psum-A-fit", "psum-C-fit", "psum-B-fit", "psum-S-fit",
+        "psum-L-fit", "psum-L-scalar-fit", "univar-f-fit", "univar-h-fit", "univar-g-fit",
+        "univar-phi-fit", "feasibility-set-fit", "feasibility-phi-fit", "feasibility-L-fit",
+        "common-zero-S-fit-at-solve", "psum-K1-float", "psum-dim-zero", "psum-dual-dim-float",
+        "univar-K2-string", "feasibility-dim-float", "common-zero-dim-float"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
+    # a front end is checked when it is built, a common-zero problem when it
+    # lifts at its first solve; a misfit is named by the caller's role, not
+    # by the lifted system's, and a size is never truncated to an integer
     with pytest.raises(ParameterError) as exc:
         make()
     assert str(exc.value) == message
