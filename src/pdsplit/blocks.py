@@ -232,8 +232,6 @@ def entry_norm_sq(entry):
     When the iteration does not settle within 10000 steps, as near a tie of
     the two largest singular values, it gets the exact bound after all.
     """
-    if entry is None:
-        return 0.0
     if isinstance(entry, float):
         return entry * entry
     if min(entry.shape) > EXACT_NORM_MAX_DIM:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,13 @@ from .probfile import (
     entry_too_large,
     parse_problem,
 )
-from .reductions import evaluate_objectives, relaxation_objective
+from .reductions import EvaluationError, evaluate_objectives, relaxation_objective
 
 CSV_HEADER = "iter,gamma,fixedpoint_residual,primal_kkt,dual_kkt,primal_obj,dual_obj,gap"
+# known at the last iterate only, whose row ends in the record's entries of these names
+_FINAL_COLUMNS = CSV_HEADER.split(",")[3:]
 
 _EXIT_CODES = {"converged": 0, "max_iters": 2, "diverged": 1}
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def make_config(file_cfg, args):
@@ -55,54 +54,41 @@ def make_config(file_cfg, args):
     return FbfConfig(errors=errors if errors.eta else None, **settings)
 
 
-def _final_objectives(kind, prob, report):
-    """(primal_obj, dual_obj, gap), with None for what has no evaluator."""
-    p = d = None
+def _fmt(value):
+    """A value as the output files write it, a float to 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, (int, str)) else format(float(value), ".17g")
+
+
+def _record(kind, prob, report, wall_time):
+    """The run's report in summary order, None for what has no evaluator."""
+    trace, p, d = report.trace, None, None
     if kind == "multivar_min":
         p, d = evaluate_objectives(prob, report.primal, report.dual)
     elif kind == "feasibility":
-        p = relaxation_objective(prob, report.primal.flat())
-    return p, d, None if p is None or d is None else p + d
+        with suppress(EvaluationError):
+            p = relaxation_objective(prob, report.primal.flat())
+    return {"converged": report.converged, "stop_reason": trace.stop_reason,
+            "iterations": trace.iterations, "beta": trace.chi, "wall_time_s": wall_time,
+            "final_residual": trace.rows[-1][2], "primal_kkt": report.kkt[0],
+            "dual_kkt": report.kkt[1], "primal_obj": p, "dual_obj": d,
+            "gap": None if p is None or d is None else p + d}
 
 
 def write_outputs(stem, outdir, kind, prob, report, wall_time, extra=None):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    trace = report.trace
-    pobj, dobj, gap = _final_objectives(kind, prob, report)
-
-    # KKT residuals and objectives are known at the last iterate only
-    lines = [CSV_HEADER]
-    lines += ["%d,%.17g,%.17g,,,,," % row for row in trace.rows[:-1]]
-    n, gamma, resid = trace.rows[-1]
-    final = [_fmt(t) if t is not None else "" for t in (*report.kkt, pobj, dobj, gap)]
-    lines.append(",".join([str(n), _fmt(gamma), _fmt(resid)] + final))
-    trace_path = outdir / f"{stem}.trace.csv"
-    trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-    summary = [
-        f"converged {'true' if report.converged else 'false'}",
-        f"stop_reason {trace.stop_reason}",
-        f"iterations {trace.iterations}",
-        f"beta {_fmt(trace.chi)}",
-        f"wall_time_s {_fmt(wall_time)}",
-        f"final_residual {_fmt(resid)}",
-        f"primal_kkt {_fmt(report.kkt[0])}",
-        f"dual_kkt {_fmt(report.kkt[1])}",
-    ]
-    if pobj is not None:
-        summary.append(f"primal_obj {_fmt(pobj)}")
-    if dobj is not None:
-        summary.append(f"dual_obj {_fmt(dobj)}")
-    if gap is not None:
-        summary.append(f"gap {_fmt(gap)}")
-    for line in extra or []:
-        summary.append(line)
-    summary_path = outdir / f"{stem}.summary"
-    summary_path.write_text(
-        "\n".join(summary) + "\n", encoding="utf-8", newline="\n"
-    )
-    return trace_path, summary_path
+    """Write the run's trace and summary, two views of its one record, into
+    outdir, which the caller has made (the CLI before the solve)."""
+    rows = report.trace.rows
+    record = _record(kind, prob, report, wall_time)
+    last = [*rows[-1], *(record[key] for key in _FINAL_COLUMNS)]
+    trace = [CSV_HEADER, *("%d,%.17g,%.17g,,,,," % row for row in rows[:-1]),
+             ",".join("" if v is None else _fmt(v) for v in last)]
+    summary = [f"{key} {_fmt(v)}" for key, v in record.items() if v is not None]
+    paths = Path(outdir, f"{stem}.trace.csv"), Path(outdir, f"{stem}.summary")
+    for path, lines in zip(paths, (trace, summary + list(extra or ()))):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return paths
 
 
 def _located(exc, pf, args):

@@ -43,6 +43,7 @@ from .blocks import (  # noqa: F401
     normalize_entry,
 )
 from .operators import (
+    Box,
     IndicatorFunction,
     ParameterError,
     Point,
@@ -98,7 +99,7 @@ class ParallelSumProblem:
     * k >= K2           S[k] is a LipschitzOperator evaluating S_k^{-1}.
 
     Sizes, counts, shifts, operators (``check_fit``) and the L_k are checked
-    here; a ParameterError names the role, as "S 2: ..." or "L 1 is ...".
+    here; a ParameterError names the role, as "S 2: ...", "L 1: ..." or "L 1 is ...".
     """
 
     def __init__(self, dim, dual_dims, K1, K2, A, C, z, r, B, S, L):
@@ -110,7 +111,7 @@ class ParallelSumProblem:
         self.r = [np.asarray(rk, dtype=float).reshape(-1) for rk in r]
         self.B = list(B)
         self.S = list(S)
-        self.L = [normalize_entry(e) for e in L]
+        self.L = list(_entries(L))
         if len(self.B) != K or len(self.S) != K or len(self.L) != K or len(self.r) != K:
             raise ParameterError("need K entries in each of r, B, S, L")
         _check_shifts(self)
@@ -145,6 +146,16 @@ def _check_partition(dim, dual_dims, K1, K2):
     if not K1 <= K2 <= K or K < 1:
         raise ParameterError(f"invalid partition 0 <= {K1} <= {K2} <= {K}")
     return dim, dual_dims, K1, K2
+
+
+def _entries(L):
+    """Yields the L_k as stored; ParameterError "L k: ..." unless each is
+    None, a real number or a real matrix."""
+    for k, e in enumerate(L, 1):
+        try:
+            yield normalize_entry(e)
+        except ValueError as exc:
+            raise ParameterError(f"L {k}: {exc}") from None
 
 
 def _check_shifts(p):
@@ -470,7 +481,7 @@ class FeasibilityRelaxation(UnivariateMinProblem):
                           and not np.any(ph.set.c))
             if not (isinstance(ph, SquaredNorm) or point_zero):
                 raise ParameterError("phi entries must be SquaredNorm or the indicator of {0}")
-        dim = _check_size("dim", dim)
+        dim, L = _check_size("dim", dim), list(_entries(L))
         dims = [entry_out_dim(e, dim) for e in L]
         check_fit((("set", sets, dims),))
         self.sets = list(sets)
@@ -481,12 +492,15 @@ class FeasibilityRelaxation(UnivariateMinProblem):
 
 def relaxation_objective(p, x):
     """sum_k min_{y in C_k} phi_k(L_k x - y); +inf when a hard constraint
-    is violated, by the feasibility test of ``ConvexSet.contains``."""
+    is violated, by the feasibility test of ``ConvexSet.contains``.  EvaluationError
+    for an omega per coordinate on a set whose projection does not minimize it."""
     x = np.asarray(x, dtype=float).reshape(-1)
     total = 0.0
     for k in range(p.K):
         t = entry_apply(p.L[k], x)
         if isinstance(p.phi[k], SquaredNorm):
+            if np.ndim(p.phi[k].omega) and not isinstance(p.sets[k], (Box, Point)):
+                raise EvaluationError(f"set {k + 1}: no closed form for an omega per coordinate")
             total += p.phi[k](t - p.sets[k].project(t))
         elif not p.sets[k].contains(t):
             return float(np.inf)

@@ -578,7 +578,9 @@ def test_an_overflowing_norm_bound_names_the_largest_cell():
      "dense entries must be 2-D matrices"),
     (lambda: BlockLinearOp([[1.0, 1.0], [1.0]], SpaceSig((1, 1), (1, 1))), SignatureError,
      "entry grid must be 2 x 2, got 2 x {1, 2}"),
-], ids=["signature", "1-D-entry", "ragged-grid"])
+    (lambda: SpaceSig((None,), (1,)), ValueError,
+     "all block dimensions must be integers >= 1, got (None,), (1,)"),
+], ids=["signature", "1-D-entry", "ragged-grid", "size-not-a-number"])
 def test_malformed_vectors_and_grids_are_rejected(make, error, message):
     with pytest.raises(error) as exc:
         make()

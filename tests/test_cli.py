@@ -1,17 +1,35 @@
 import contextlib
 import io
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pdsplit import cli, system
+from pdsplit import (
+    FbfConfig,
+    FeasibilityRelaxation,
+    Hyperplane,
+    SquaredNorm,
+    cli,
+    evaluate_objectives,
+    relaxation_objective,
+    solve_parallel_sum,
+    system,
+)
 from pdsplit.cli import CSV_HEADER, main
 from pdsplit.demos import DEMO_NAMES, get_demo
 from pdsplit.fbf import DEFAULT_EPSILON
-from pdsplit.probfile import _CATALOG, CATALOG_IDS, CONFIG_KEYS, KINDS, parse_problem
+from pdsplit.probfile import (
+    _CATALOG,
+    CATALOG_IDS,
+    CONFIG_KEYS,
+    KINDS,
+    build_problem,
+    parse_problem,
+)
 
 FEAS_TEXT = """\
 problem feasibility
@@ -179,6 +197,83 @@ def test_demo_objective_columns_present(tmp_path):
     assert float(last[5]) == pytest.approx(0.5, abs=1e-6)   # primal_obj
     assert float(last[6]) == pytest.approx(-0.5, abs=1e-6)  # dual_obj
     assert abs(float(last[7])) <= 1e-6                      # gap
+
+
+# each demo's summary keys in order, by the objectives its kind evaluates:
+# both sides and the gap for multivar_min, the relaxation's value for
+# feasibility, none for common_zero
+_RUN_KEYS = ["converged", "stop_reason", "iterations", "beta", "wall_time_s",
+             "final_residual", "primal_kkt", "dual_kkt"]
+_OBJECTIVE_KEYS = {"twobox": ["primal_obj", "dual_obj", "gap"], "legendre": [],
+                   "boxhalf": ["primal_obj"], "lasso1d": ["primal_obj", "dual_obj", "gap"]}
+
+
+def _g(x):
+    return format(float(x), ".17g")
+
+
+def _expected_outputs(name, overrides):
+    """The demo's trace and summary text, wall_time_s left out, formatted
+    here from a solve of its own under the same settings."""
+    demo = get_demo(name)
+    pf = parse_problem(demo.text)
+    prob, solver = build_problem(pf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = solver(prob, cli.make_config(pf.config, SimpleNamespace(**overrides)))
+        x, want = report.primal.flat(), demo.oracle(prob)
+        objectives = {"primal_obj": None, "dual_obj": None, "gap": None}
+        if pf.kind == "multivar_min":
+            p, d = evaluate_objectives(prob, report.primal, report.dual)
+            objectives.update(primal_obj=p, dual_obj=d, gap=p + d)
+        elif pf.kind == "feasibility":
+            objectives["primal_obj"] = relaxation_objective(prob, x)
+    trace = report.trace
+    n, gamma, resid = trace.rows[-1]
+    final = [_g(v) for v in report.kkt] + ["" if v is None else _g(v)
+                                          for v in objectives.values()]
+    rows = ["iter,gamma,fixedpoint_residual,primal_kkt,dual_kkt,primal_obj,dual_obj,gap"]
+    rows += [f"{i},{_g(g)},{_g(r)},,,,," for i, g, r in trace.rows[:-1]]
+    rows.append(",".join([str(n), _g(gamma), _g(resid)] + final))
+    summary = [f"converged {str(report.converged).lower()}",
+               f"stop_reason {trace.stop_reason}", f"iterations {len(trace.rows)}",
+               f"beta {_g(trace.chi)}", f"final_residual {_g(resid)}",
+               f"primal_kkt {_g(report.kkt[0])}", f"dual_kkt {_g(report.kkt[1])}"]
+    summary += [f"{key} {_g(v)}" for key, v in objectives.items() if v is not None]
+    summary += ["solution " + ",".join(map(_g, x)), "oracle " + ",".join(map(_g, want)),
+                f"oracle_deviation {_g(np.linalg.norm(x - want))}"]
+    return "\n".join(rows) + "\n", "\n".join(summary) + "\n"
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+@pytest.mark.parametrize("flags, overrides, code", [
+    ([], {}, 0), (["--max-iters", "3"], {"max_iters": 3}, 2),
+    (["--error-eta", "1e200"], {"error_eta": 1e200}, 1),
+], ids=["default", "max-iters-3", "diverged"])
+def test_demo_outputs_are_pinned_as_whole_files(tmp_path, name, flags, overrides, code):
+    assert main(["demo", name, "--output-dir", str(tmp_path)] + flags) == code
+    want_trace, want_summary = _expected_outputs(name, overrides)
+    assert (tmp_path / f"{name}.trace.csv").read_bytes() == want_trace.encode()
+    lines = (tmp_path / f"{name}.summary").read_bytes().decode().splitlines(keepends=True)
+    keys = [line.partition(" ")[0] for line in lines]
+    assert keys == _RUN_KEYS + _OBJECTIVE_KEYS[name] + ["solution", "oracle", "oracle_deviation"]
+    assert np.isfinite(float(lines[4].split()[1]))                      # wall_time_s
+    assert "".join(lines[:4] + lines[5:]) == want_summary
+    # the last row's five last columns are the summary's entries of their names
+    summary = dict(line.split() for line in lines)
+    last = (tmp_path / f"{name}.trace.csv").read_text().splitlines()[-1].split(",")
+    assert last[3:] == [summary.get(key, "") for key in CSV_HEADER.split(",")[3:]]
+
+
+def test_a_feasibility_objective_without_a_closed_form_is_left_out(tmp_path):
+    # an omega per coordinate on a hyperplane: the summary and the trace's
+    # last row carry no primal_obj rather than the penalty at the projection
+    prob = FeasibilityRelaxation(2, [Hyperplane([1.0, 1.0], 0.0)],
+                                 [SquaredNorm([1.0, 100.0])], [1.0])
+    report = solve_parallel_sum(prob, FbfConfig())
+    cli.write_outputs("omega", tmp_path, "feasibility", prob, report, 0.5)
+    summary = read_summary(tmp_path / "omega.summary")
+    assert list(summary)[-2:] == ["primal_kkt", "dual_kkt"]
+    assert (tmp_path / "omega.trace.csv").read_text().splitlines()[-1].endswith(",,,")
 
 
 def test_demo_unknown_name_lists_catalog(capsys):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdsplit import (
+    Ball,
     BlockLinearOp,
     BlockVector,
     Box,
@@ -700,6 +701,21 @@ def test_an_omega_per_coordinate_weighs_a_feasibility_penalty():
     np.testing.assert_allclose(report.primal.flat(), want, atol=1e-6)
 
 
+@pytest.mark.parametrize("cset", [Hyperplane([1.0, 1.0], 0.0), Ball([0.0, 0.0], 0.5)],
+                         ids=["hyperplane", "ball"])
+def test_an_omega_per_coordinate_on_a_set_that_is_not_separable_has_no_objective(cset):
+    # the projection minimizes only the unweighted distance: on the line
+    # y1 + y2 = 0, min_y (1 - y1)^2 + 100 (1 - y2)^2 is about 3.96, while the
+    # penalty at the projection (0, 0) is 101
+    p = FeasibilityRelaxation(2, [cset], [SquaredNorm([1.0, 100.0])], [1.0])
+    with pytest.raises(EvaluationError):
+        relaxation_objective(p, np.ones(2))
+    # a scalar omega weighs every direction alike, so the projection stays optimal
+    p = FeasibilityRelaxation(2, [cset], [SquaredNorm(1.0)], [1.0])
+    want = 2.0 if isinstance(cset, Hyperplane) else (np.sqrt(2.0) - 0.5) ** 2
+    assert relaxation_objective(p, np.ones(2)) == pytest.approx(want, rel=1e-14)
+
+
 def test_relaxation_objective_hard_violation_is_infinite():
     p = get_demo("boxhalf").build()
     assert relaxation_objective(p, np.array([5.0, 5.0])) == np.inf
@@ -902,6 +918,14 @@ _SIG = SpaceSig((1, 1), (1,))
      "phi 1: c has 3 entries for a block of dimension 2"),
     (lambda: _feasibility(L=[np.ones((2, 3)), np.ones((1, 2))]),
      "L 1 is 2 x 3 but its block is 2 x 2"),
+    (lambda: _psum(L=[1.0, np.ones(2)]), "L 2: dense entries must be 2-D matrices"),
+    (lambda: _univariate(L=[1.0, np.ones((1, 2)) * 1j]),
+     "L 2: entries must be real numbers or matrices, not complex128"),
+    (lambda: FeasibilityRelaxation(2, [Box([0.0, 0.0], [1.0, 1.0])], [SquaredNorm(1.0)],
+                                   [np.ones(2)]),
+     "L 1: dense entries must be 2-D matrices"),
+    (lambda: _feasibility(sets=[Box([0.0, 0.0], [1.0]), Point([0.5])]),
+     "box needs lo and hi of one shape"),
     (lambda: _common_zero_solve(2, ScaledIdentity([1.0, 2.0, 3.0])),
      "S 1: c has 3 entries for a block of dimension 2"),
     (lambda: _psum(K1=1.5), "K1 must be an integer >= 0, got 1.5"),
@@ -919,6 +943,7 @@ _SIG = SpaceSig((1, 1), (1,))
         "feasibility-count", "psum-A-fit", "psum-C-fit", "psum-B-fit", "psum-S-fit",
         "psum-L-fit", "psum-L-scalar-fit", "univar-f-fit", "univar-h-fit", "univar-g-fit",
         "univar-phi-fit", "feasibility-set-fit", "feasibility-phi-fit", "feasibility-L-fit",
+        "psum-L-vector", "univar-L-complex", "feasibility-L-vector", "feasibility-box-shapes",
         "common-zero-S-fit-at-solve", "psum-K1-float", "psum-dim-zero", "psum-dual-dim-float",
         "univar-K2-string", "feasibility-dim-float", "common-zero-dim-float"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
