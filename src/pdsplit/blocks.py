@@ -148,7 +148,8 @@ class BlockVector:
     @classmethod
     def wrap(cls, flat, dims):
         """View a 1-D float array as blocks of ``dims`` (a tuple of ints),
-        without copying."""
+        without copying; SignatureError unless it has sum(dims) entries."""
+        check_flat(flat, sum(dims), "block")
         vec = object.__new__(cls)
         vec.dims = dims
         vec._blocks = None
@@ -336,7 +337,10 @@ class BlockLinearOp:
             if not (0 <= k < sig.K and 0 <= i < sig.m):
                 raise SignatureError(
                     f"entry ({k},{i}) lies outside the {sig.K} x {sig.m} grid")
-            e = normalize_entry(e)
+            try:
+                e = normalize_entry(e)
+            except ValueError as exc:
+                raise SignatureError(f"entry ({k},{i}): {exc}") from None
             if e is None:
                 continue
             misfit = entry_misfit(e, sig.dims_dual[k], sig.dims_primal[i])

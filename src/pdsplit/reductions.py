@@ -1,8 +1,9 @@
 """Specialized solvers built on the coupled-inclusion machinery.
 
-Five front ends.  Each lifts to a CoupledInclusionProblem once, at its
-first solve, and keeps it as ``_system``.  A solve runs the system solver
-on it; the parallel-sum forms unlift x in ``solve_parallel_sum``.
+Five front ends.  Four lift to a CoupledInclusionProblem once, at their
+first solve, and keep it as ``_system``; a MultivariateMinProblem is one.
+A solve runs the system solver on it; the parallel-sum forms unlift x in
+``solve_parallel_sum``.
 
 * ParallelSumProblem — one primal variable, K parallel-sum couplings
   (B_k parallel-sum S_k) composed with maps L_k, with a three-way partition
@@ -16,8 +17,8 @@ on it; the parallel-sum forms unlift x in ``solve_parallel_sum``.
 * CommonZeroProblem — relaxation of finding a common zero of A and the
   B_k; a parallel sum with identity couplings, built at its first solve.
 * MultivariateMinProblem — structured convex minimization over m blocks
-  with infimal-convolution couplings; runs the system solver on
-  subdifferentials and gradients.
+  with infimal-convolution couplings: the system on its subdifferentials
+  and gradients, checked when it is built.
 """
 
 from __future__ import annotations
@@ -159,11 +160,14 @@ def _entries(L):
 
 
 def _check_shifts(p):
-    """ParameterError unless p.z fits p.dim and each p.r[k] its dual block."""
+    """ParameterError unless p.z fits p.dim and each p.r[k] its dual block,
+    each finite."""
     names = ["z"] + [f"r {k}" for k in range(1, p.K + 1)]
     for name, v, d in zip(names, [p.z] + p.r, (p.dim,) + p.dual_dims):
         if v.size != d:
             raise ParameterError(f"{name} has {v.size} entries for a block of dimension {d}")
+        if not np.isfinite(v).all():
+            raise ParameterError(f"the shift {name} must be finite")
 
 
 def lift_parallel_sum(p):
@@ -267,15 +271,17 @@ def solve_common_zero(p, cfg):
 # Multivariate structured minimization
 
 
-class MultivariateMinProblem:
+class MultivariateMinProblem(CoupledInclusionProblem):
     """Minimize sum_i f_i(x_i) + sum_k (g_k infconv ell_k)(sum_i L_ki x_i
     - r_k) + sum_i (h_i(x_i) - <x_i, z_i>).
 
     ell[k] is None for the exact-penalty coupling (the infimal convolution
     collapses to g_k and the dual smoothing term vanishes) or a SquaredNorm,
     whose conjugate gradient is linear.  h[i] is a ConvexFunction with a
-    ``gradient`` (ZeroFunction() when absent).  Each f, h and g must fit
-    its block, as the operators of a ``CoupledInclusionProblem`` must.
+    ``gradient`` (ZeroFunction() when absent).  The problem is its own
+    primal-dual system, with A_i = df_i, C_i = grad h_i, B_k = dg_k and
+    Dinv_k = grad ell_k^*; f, h, g and ell are fit to their blocks under
+    those names, and z, r and L are checked as the system's, when it is built.
     """
 
     def __init__(self, sig, f, h, g, ell, z, r, L):
@@ -290,27 +296,15 @@ class MultivariateMinProblem:
                 )
         for i, hi in enumerate(h):
             _need_gradient(hi, f"h {i + 1}")
-        check_fit((("f", f, sig.dims_primal), ("h", h, sig.dims_primal),
-                   ("g", g, sig.dims_dual)))
-        self.sig = sig
-        self.f = list(f)
-        self.h = list(h)
-        self.g = list(g)
-        self.ell = list(ell)
-        self.z = z
-        self.r = r
-        self.L = L
+        self.f, self.h, self.g, self.ell = list(f), list(h), list(g), list(ell)
+        super().__init__(sig, [fn.subdifferential() for fn in f], [hi.gradient for hi in h],
+                         [gk.subdifferential() for gk in g], [_ellstar_grad(lk) for lk in ell],
+                         L, z, r)
 
-    @cached_property
-    def _system(self):
-        """The system on subdifferentials and gradients, built at the first
-        solve and kept, with its pair: the problem does not change between
-        solves."""
-        A = [fn.subdifferential() for fn in self.f]
-        C = [hi.gradient for hi in self.h]
-        B = [gk.subdifferential() for gk in self.g]
-        Dinv = [_ellstar_grad(lk) for lk in self.ell]
-        return CoupledInclusionProblem(self.sig, A, C, B, Dinv, self.L, self.z, self.r)
+    def _check_fit(self):
+        sig = self.sig
+        check_fit((("f", self.f, sig.dims_primal), ("h", self.h, sig.dims_primal),
+                   ("g", self.g, sig.dims_dual), ("ell", self.ell, sig.dims_dual)))
 
     @cached_property
     def _joined(self):
@@ -324,13 +318,13 @@ class MultivariateMinProblem:
 
 def _ellstar_grad(lk):
     # conjugate of omega ||.||^2 is ||.||^2 / (4 omega); gradient v/(2 omega)
-    return ZeroMap() if lk is None else ScaledIdentityMap(0.5 / lk.omega)
+    return ZeroFunction.gradient if lk is None else ScaledIdentityMap(0.5 / lk.omega)
 
 
 def solve_multivariate_min(p, cfg):
     """Run the primal-dual iteration on subdifferentials and gradients; the
     backward steps become prox evaluations of the f_i and (rescaled) g_k."""
-    return solve_system(p._system, cfg)
+    return solve_system(p, cfg)
 
 
 def _infconv_value(g, ell, t):

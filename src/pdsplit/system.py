@@ -55,10 +55,12 @@ class CoupledInclusionProblem:
 
     def __init__(self, sig, A, C, B, Dinv, L, z, r):
         self.sig = sig
+        self.A, self.C, self.B, self.Dinv = list(A), list(C), list(B), list(Dinv)
         if len(A) != sig.m or len(C) != sig.m:
             raise ParameterError(f"need {sig.m} primal operators A and C")
         if len(B) != sig.K or len(Dinv) != sig.K:
             raise ParameterError(f"need {sig.K} dual operators B and Dinv")
+        self._check_fit()
         check_signature(z, sig.dims_primal, "z")
         check_signature(r, sig.dims_dual, "r")
         if L.sig.dims_primal != sig.dims_primal or L.sig.dims_dual != sig.dims_dual:
@@ -69,15 +71,16 @@ class CoupledInclusionProblem:
         for op in Dinv:
             if op.lipschitz < 0:
                 raise ParameterError("Dinv constants must be nonnegative")
-        check_fit((("A", A, sig.dims_primal), ("C", C, sig.dims_primal),
-                   ("B", B, sig.dims_dual), ("Dinv", Dinv, sig.dims_dual)))
-        self.A = list(A)
-        self.C = list(C)
-        self.B = list(B)
-        self.Dinv = list(Dinv)
         self.L = L
         self.z = z
         self.r = r
+
+    def _check_fit(self):
+        """ParameterError naming the first member that does not fit its
+        block; a front end that builds the members checks its own instead."""
+        sig = self.sig
+        check_fit((("A", self.A, sig.dims_primal), ("C", self.C, sig.dims_primal),
+                   ("B", self.B, sig.dims_dual), ("Dinv", self.Dinv, sig.dims_dual)))
 
     @cached_property
     def _pair(self):

@@ -48,6 +48,7 @@ def test_block_vector_round_trip():
     v = BlockVector([[1.0, 2.0], [3.0]])
     assert v.dims == (2, 1)
     np.testing.assert_array_equal(v.flat(), [1.0, 2.0, 3.0])
+    assert repr(BlockVector.wrap(v.flat(), v.dims)) == "BlockVector([[1.0, 2.0], [3.0]])"
 
 
 def test_apply_block_identity():
@@ -296,6 +297,8 @@ def test_entry_norm_sq_large_dense_is_inflated_and_capped_by_frobenius():
     exact = np.linalg.norm(M, 2) ** 2
     frobenius = float(np.sum(M * M))
     assert exact <= entry_norm_sq(M) <= min(1.01 * exact, frobenius) * (1 + 1e-9)
+    # a zero entry has a zero Gram matrix, whose first power step gives 0
+    assert entry_norm_sq(np.zeros((d, d))) == 0.0
     # a run that does not settle, here near a tie of the top two singular
     # values, returns the exact bound, well below the Frobenius one
     M_tie = _near_degenerate(np.random.default_rng(5), d + 3, d, gap=1e-4)
@@ -574,13 +577,22 @@ def test_an_overflowing_norm_bound_names_the_largest_cell():
 @pytest.mark.parametrize("make, error, message", [
     (lambda: check_signature(BlockVector.zeros((1,)), (2,), "primal"), SignatureError,
      "primal vector has blocks (1,), expected (2,)"),
-    (lambda: BlockLinearOp({(0, 0): np.ones(2)}, SpaceSig((2,), (1,))), ValueError,
-     "dense entries must be 2-D matrices"),
+    (lambda: BlockLinearOp({(0, 0): np.ones(2)}, SpaceSig((2,), (1,))), SignatureError,
+     "entry (0,0): dense entries must be 2-D matrices"),
+    (lambda: BlockLinearOp([[1.0, np.ones((1, 1)) * 1j]], SpaceSig((1, 1), (1,))),
+     SignatureError, "entry (0,1): entries must be real numbers or matrices, not complex128"),
+    (lambda: BlockLinearOp([[True]], SpaceSig((1,), (1,))), SignatureError,
+     "entry (0,0): entries must be real numbers or matrices, not bool"),
     (lambda: BlockLinearOp([[1.0, 1.0], [1.0]], SpaceSig((1, 1), (1, 1))), SignatureError,
      "entry grid must be 2 x 2, got 2 x {1, 2}"),
     (lambda: SpaceSig((None,), (1,)), ValueError,
      "all block dimensions must be integers >= 1, got (None,), (1,)"),
-], ids=["signature", "1-D-entry", "ragged-grid", "size-not-a-number"])
+    (lambda: BlockVector.wrap(np.zeros(3), (2,)), SignatureError,
+     "block vector must be a 1-D array of length 2, got (3,)"),
+    (lambda: BlockVector.wrap(np.zeros((2, 1)), (1, 1)), SignatureError,
+     "block vector must be a 1-D array of length 2, got (2, 1)"),
+], ids=["signature", "1-D-entry", "complex-entry", "bool-entry", "ragged-grid",
+        "size-not-a-number", "wrap-length", "wrap-2-D"])
 def test_malformed_vectors_and_grids_are_rejected(make, error, message):
     with pytest.raises(error) as exc:
         make()

@@ -13,6 +13,7 @@ from pdsplit import (
     Box,
     CommonZeroProblem,
     ConvexFunction,
+    CoupledInclusionProblem,
     EvaluationError,
     FbfConfig,
     FeasibilityRelaxation,
@@ -28,6 +29,7 @@ from pdsplit import (
     QuadraticDistance,
     ScaledIdentity,
     ScaledIdentityMap,
+    SignatureError,
     SpaceSig,
     SquaredNorm,
     UnivariateMinProblem,
@@ -162,15 +164,16 @@ def _two_solves(solver, p):
 @pytest.mark.parametrize("kind", ["multivar_min", "parallel_sum", "common_zero",
                                   "univar_min", "feasibility"])
 def test_a_front_end_problem_builds_its_system_once(kind, monkeypatch):
-    # a parallel-sum front end builds through lift_parallel_sum, which builds
-    # the system; a minimization builds the system itself
+    # a parallel-sum front end lifts at its first solve through
+    # lift_parallel_sum, which builds the system; a minimization is its
+    # system, built with it, and a solve builds none
     import pdsplit.reductions as red
 
     builds = Counter()
-    for name in ("CoupledInclusionProblem", "lift_parallel_sum"):
-        build = getattr(red, name)
-        monkeypatch.setattr(red, name, lambda *args, name=name, build=build:
-                            builds.update([name]) or build(*args))
+    init, lift = CoupledInclusionProblem.__init__, red.lift_parallel_sum
+    monkeypatch.setattr(CoupledInclusionProblem, "__init__",
+                        lambda *args: builds.update(["system"]) or init(*args))
+    monkeypatch.setattr(red, "lift_parallel_sum", lambda p: builds.update(["lift"]) or lift(p))
     if kind == "parallel_sum":
         prob, solver = random_parallel_sum(np.random.default_rng(3)), solve_parallel_sum
     elif kind == "univar_min":
@@ -179,11 +182,51 @@ def test_a_front_end_problem_builds_its_system_once(kind, monkeypatch):
         demo = {"multivar_min": "lasso1d", "common_zero": "legendre",
                 "feasibility": "boxhalf"}[kind]
         prob, solver = build_problem(parse_problem(get_demo(demo).text))
+    at_build = builds.copy()
+    builds.clear()
     (first, w1, kkt1), (second, w2, kkt2) = _two_solves(solver, prob)
-    lifts = 0 if kind == "multivar_min" else 1
-    assert builds == Counter(CoupledInclusionProblem=1, lift_parallel_sum=lifts)
+    if kind == "multivar_min":
+        assert at_build == Counter(system=1) and not builds
+    else:
+        assert not at_build and builds == Counter(system=1, lift=1)
     assert len(first) == len(second) > 1 and kkt1 == kkt2 and np.array_equal(w1, w2)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("name, checks", [("twobox", 6), ("lasso1d", 4)])
+def test_a_minimization_fits_each_member_once(name, checks, monkeypatch):
+    # f, h, g and ell, one per block, are fit when the problem is built;
+    # their subdifferentials and gradients, the system's members, are not
+    # fit again, at build or at a solve
+    import pdsplit.operators as ops
+
+    calls = []
+    misfit = ops.misfit
+    monkeypatch.setattr(ops, "misfit", lambda op, d: calls.append(op) or misfit(op, d))
+    prob, solver = build_problem(parse_problem(get_demo(name).text))
+    _two_solves(solver, prob)
+    assert len(calls) == checks == 2 * prob.sig.m + 2 * prob.sig.K
+
+
+def _fitting_multivar(**changes):
+    sig = SpaceSig((2,), (1,))
+    args = dict(sig=sig, f=[ZeroFunction()], h=[ZeroFunction()], g=[ZeroFunction()],
+                ell=[None], z=BlockVector.zeros((2,)), r=BlockVector.zeros((1,)),
+                L=BlockLinearOp([[np.ones((1, 2))]], sig))
+    return MultivariateMinProblem(**{**args, **changes})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"z": BlockVector([np.zeros(3)])}, "z vector has blocks (3,), expected (2,)"),
+    ({"r": BlockVector.zeros((1, 1))}, "r vector has blocks (1, 1), expected (1,)"),
+], ids=["z", "r"])
+def test_a_minimization_with_a_misfit_shift_fails_when_built(changes, message):
+    # a 3-entry z for a 2-entry block went unchecked until evaluate_objectives
+    # failed with numpy's matmul error
+    _fitting_multivar()
+    with pytest.raises(SignatureError) as exc:
+        _fitting_multivar(**changes)
+    assert str(exc.value) == message
 
 
 # --- parallel-sum solving ----------------------------------------------------
@@ -935,6 +978,14 @@ _SIG = SpaceSig((1, 1), (1,))
     (lambda: _feasibility(dim=2.5), "dim must be an integer >= 1, got 2.5"),
     (lambda: CommonZeroProblem(1.5, ZeroOperator(), [ZeroOperator()], [ScaledIdentity(1.0)]),
      "dim must be an integer >= 1, got 1.5"),
+    (lambda: ParallelSumProblem(1, (1,), 1, 1, ZeroOperator(), ZeroMap(), [np.inf], [[0.0]],
+                                [ScaledIdentity(1.0)], [ScaledIdentity(1.0)], [1.0]),
+     "the shift z must be finite"),
+    (lambda: _psum(r=[np.zeros(2), [np.nan]]), "the shift r 2 must be finite"),
+    (lambda: _fitting_multivar(L=BlockLinearOp([[1.0]], SpaceSig((1,), (1,)))),
+     "coupling grid signature does not match the problem"),
+    (lambda: _fitting_multivar(ell=[SquaredNorm([1.0, 2.0, 3.0])]),
+     "ell 1: omega has 3 entries for a block of dimension 1"),
 ], ids=["psum-count", "psum-z-fit", "psum-r-fit", "common-zero-count", "multivar-f",
         "multivar-g", "multivar-ell",
         "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
@@ -945,7 +996,8 @@ _SIG = SpaceSig((1, 1), (1,))
         "univar-phi-fit", "feasibility-set-fit", "feasibility-phi-fit", "feasibility-L-fit",
         "psum-L-vector", "univar-L-complex", "feasibility-L-vector", "feasibility-box-shapes",
         "common-zero-S-fit-at-solve", "psum-K1-float", "psum-dim-zero", "psum-dual-dim-float",
-        "univar-K2-string", "feasibility-dim-float", "common-zero-dim-float"])
+        "univar-K2-string", "feasibility-dim-float", "common-zero-dim-float",
+        "psum-z-finite", "psum-r-finite", "multivar-L-fit", "multivar-ell-fit"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
     # a front end is checked when it is built, a common-zero problem when it
     # lifts at its first solve; a misfit is named by the caller's role, not
