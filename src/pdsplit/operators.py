@@ -272,8 +272,10 @@ class _Cut(ConvexSet):
 
     def project(self, x):
         # on each segment, x moves along u by its excess <x, u> - rho, at
-        # least _T_MIN, over ||u||^2
-        excess = np.maximum(self._seg.dot(x, self.u) - self.rho, self._T_MIN)
+        # least _T_MIN, over ||u||^2; a Hyperplane's -inf skips the clamp
+        excess = self._seg.dot(x, self.u) - self.rho
+        if self._T_MIN > -np.inf:
+            excess = np.maximum(excess, self._T_MIN)
         return x - self._seg.spread(excess / self._nsq) * self.u
 
     def support(self, u):
@@ -346,17 +348,17 @@ class AffineOperator(MonotoneOperator):
     """x -> M x + b with M + M^T positive semidefinite.
 
     The resolvent is inv(I + gamma M) (x - gamma b).  The inverses of the
-    three most recently inverted steps are kept, so a solve that alternates
-    its iteration steps (two where an iteration is redone at a smaller one)
-    with the unit step of the probe and the certificate inverts each once,
-    and each later call at any of them is one matvec.  Every call goes
-    through the inverse for its own step, so the result depends on
+    four most recently inverted steps are kept, so a solve that alternates
+    its iteration steps (three where two iterations are redone at smaller
+    ones) with the unit step of the probe and the certificate inverts each
+    once, and each later call at any of them is one matvec.  Every call
+    goes through the inverse for its own step, so the result depends on
     (gamma, x) alone, not on the steps called before.
     """
 
     def __init__(self, M, b=None):
         self.M, self.b = _affine(M, b)
-        # {step: inv(I + step M)} for at most three steps, replaced in one
+        # {step: inv(I + step M)} for at most four steps, replaced in one
         # assignment so that readers see a consistent memo
         self._inv = {}
 
@@ -366,7 +368,7 @@ class AffineOperator(MonotoneOperator):
         inv = memo.get(gamma)
         if inv is None:
             inv = np.linalg.inv(np.eye(len(self.M)) + gamma * self.M)
-            kept = list(memo.items())[-2:]      # the newer two of the three
+            kept = list(memo.items())[-3:]      # the newer three of the four
             self._inv = dict(kept + [(gamma, inv)])
         return inv @ (x - gamma * self.b)
 

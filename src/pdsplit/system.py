@@ -38,7 +38,8 @@ from .blocks import (
     check_signature,
 )
 from .fbf import FbfTrace, fbf_solve
-from .operators import ParameterError, ZeroMap, check_fit, runs, shifted_inverse_resolvent
+from .operators import (ParameterError, ZeroMap, ZeroOperator, check_fit, runs,
+                        shifted_inverse_resolvent)
 
 __all__ = [
     "CoupledInclusionProblem",
@@ -114,8 +115,10 @@ def product_space_pair(prob):
     time: a run of consecutive small blocks whose operators join
     (``operators.runs``) is evaluated by one joined operator on one slice
     of the flat product-space array, every other block through its own
-    slice, and reads its shift as the matching slice of the flat z or r,
-    which must be finite (ParameterError otherwise).
+    slice.  z and r must be finite (ParameterError otherwise).  A run whose
+    slice of z or r is all zero resolves without its shift: x_i alone, or
+    x_k - gamma J_{B_k/gamma}(x_k/gamma); a ZeroOperator run without a
+    shift is the identity, copied without a resolvent call.
     ZeroMap terms of Q are skipped.  Neither function holds the problem,
     which keeps its pair (``CoupledInclusionProblem._pair``) without a
     reference cycle.
@@ -130,8 +133,15 @@ def product_space_pair(prob):
     for name, shift in (("z", z), ("r", r)):
         if not np.isfinite(shift).all():
             raise ParameterError(f"the shift {name} must be finite")
-    primal_res = [(op, sl, z[sl]) for op, sl, _ in runs(prob.A, slices[: sig.m])]
-    dual_res = [(op, sl, r[sl.start - n_primal : sl.stop - n_primal])
+
+    def nonzero(shift):                 # None for a slice that is all zero
+        return shift if shift.any() else None
+
+    primal_res = []
+    for op, sl, _ in runs(prob.A, slices[: sig.m]):
+        zi = nonzero(z[sl])             # op None: a ZeroOperator run, the identity
+        primal_res.append((None if zi is None and type(op) is ZeroOperator else op, sl, zi))
+    dual_res = [(op, sl, nonzero(r[sl.start - n_primal : sl.stop - n_primal]))
                 for op, sl, _ in runs(prob.B, slices[sig.m :])]
     forward = [(op, sl) for op, sl, _ in runs(prob.C + prob.Dinv, slices)
                if not isinstance(op, ZeroMap)]
@@ -139,9 +149,11 @@ def product_space_pair(prob):
     def P_resolvent(gamma, s):
         out = np.empty(size)
         for op, sl, zi in primal_res:
-            out[sl] = op.resolvent(gamma, s[sl] + gamma * zi)
-        for op, sl, rk in dual_res:
-            out[sl] = shifted_inverse_resolvent(op, rk, gamma, s[sl])
+            x = s[sl] if zi is None else s[sl] + gamma * zi
+            out[sl] = x if op is None else op.resolvent(gamma, x)
+        for op, sl, rk in dual_res:     # at r = 0, shifted_inverse_resolvent inline
+            out[sl] = (s[sl] - gamma * op.resolvent(1.0 / gamma, s[sl] / gamma) if rk is None
+                       else shifted_inverse_resolvent(op, rk, gamma, s[sl]))
         return out
 
     def Q(w):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pdsplit import (
     AffineOperator,
@@ -17,6 +18,11 @@ from pdsplit import (
     ZeroMap,
     ZeroOperator,
 )
+
+# Every run draws the same hypothesis examples, so two runs at one commit
+# solve the same problems; each test keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def random_monotone(rng, d):

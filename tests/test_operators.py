@@ -389,20 +389,21 @@ def test_affine_resolvent_inverts_once_per_step_change(monkeypatch):
     for n in range(50):
         op.resolvent((0.5, 2.0)[n // 2 % 2], x)
     assert len(inversions) == 1 + 2
-    # a third step joins them, and a fourth evicts the oldest, here 0.5
-    for step in (3.0, 2.0, 0.5):
+    # a third and a fourth step join them, and a fifth evicts the oldest,
+    # here 0.5
+    for step in (3.0, 4.0, 2.0, 0.5):
         op.resolvent(step, x)
-    assert len(inversions) == 1 + 2 + 1
-    for step in (4.0, 2.0, 3.0, 0.5):
+    assert len(inversions) == 1 + 2 + 2
+    for step in (5.0, 2.0, 3.0, 0.5):
         op.resolvent(step, x)
-    assert len(inversions) == 1 + 2 + 1 + 2
-    # a redone iteration's two steps between unit steps, twice over: each
-    # of the three is inverted once
+    assert len(inversions) == 1 + 2 + 2 + 2
+    # two redone iterations' three steps between unit steps, twice over:
+    # each of the four is inverted once
     inversions.clear()
     op = AffineOperator(M, b)
-    for step in (1.0, 0.7, 0.4, 1.0) * 2:
+    for step in (1.0, 0.7, 0.4, 0.2, 1.0) * 2:
         op.resolvent(step, x)
-    assert len(inversions) == 3
+    assert len(inversions) == 4
 
 
 def test_affine_resolvent_is_right_under_two_threads_at_two_steps():

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import pdsplit.fbf
 from pdsplit import (
     AffineMap,
     AffineOperator,
@@ -12,6 +13,7 @@ from pdsplit import (
     Box,
     CoupledInclusionProblem,
     FbfConfig,
+    Halfspace,
     Hyperplane,
     IndicatorFunction,
     L1Norm,
@@ -36,7 +38,7 @@ from pdsplit import (
     product_space_pair,
     solve_system,
 )
-from conftest import random_coupled_problem
+from conftest import random_coupled_problem, wide_coupled_problem
 from oracles import kkt_residual_blockwise, system_iterates
 from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
 from pdsplit.operators import runs
@@ -145,6 +147,80 @@ def test_kkt_residual_matches_the_blockwise_reference():
                            kkt_residual_blockwise(prob, x, v))):
             assert np.abs(np.subtract(got, want)).max() <= 1e-15
     assert seen == {"run", "lone", "affine"}
+
+
+def cut_projection(cut, y):
+    """The projection onto a lone Hyperplane or Halfspace, written out with
+    each inner product summed in order, as a joined run sums each of its
+    segments (a lone cut's ``u @ y`` may sum in another order)."""
+    excess = sum(y * cut.u) - cut.rho
+    if type(cut) is Halfspace:
+        excess = max(excess, 0.0)
+    return y - excess / sum(cut.u * cut.u) * cut.u
+
+
+def test_the_pair_resolves_each_block_as_its_own_operator_does():
+    # runs: on x, ZeroOperator with z = 0 (the identity), ScaledIdentity
+    # with z = 0, ZeroOperator with z != 0 in one block of two; on v,
+    # Hyperplane and Halfspace cones with r = 0, then with r != 0.  Each
+    # block of the pair is J_{gamma A_i}(x_i + gamma z_i), or
+    # x_k - gamma (r_k + J_{B_k/gamma}(x_k/gamma - r_k)), bit for bit
+    rng = np.random.default_rng(33)
+    dp, dd = (2, 1, 2, 1, 1, 3), (2, 3, 2, 1, 3, 2, 1, 2)
+    sig = SpaceSig(dp, dd)
+    A = [ZeroOperator(), ZeroOperator(), ScaledIdentity(0.5), ScaledIdentity([2.0]),
+         ZeroOperator(), ZeroOperator()]
+    cuts = (Hyperplane, Hyperplane, Halfspace, Halfspace) * 2
+    B = [NormalCone(cut(rng.standard_normal(d), float(rng.uniform(-1.0, 1.0))))
+         for cut, d in zip(cuts, dd)]
+    z = BlockVector([np.zeros(d) for d in dp[:4]] + [np.zeros(1), rng.standard_normal(3)])
+    r = BlockVector([np.zeros(d) for d in dd[:4]] + [rng.standard_normal(d) for d in dd[4:]])
+    prob = CoupledInclusionProblem(sig, A, [ZeroMap()] * 6, B, [ZeroMap()] * 8,
+                                   BlockLinearOp({(0, 0): rng.standard_normal((2, 2))}, sig),
+                                   z, r)
+    slices = block_slices(dp + dd)
+    assert [b for _, _, b in runs(A, slices[:6])] == [range(0, 2), range(2, 4), range(4, 6)]
+    dual_runs = runs(B, slices[6:])
+    assert [b for _, _, b in dual_runs] == [range(2 * j, 2 * j + 2) for j in range(4)]
+    P_resolvent, _ = prob._pair
+    for gamma in (0.3, 1.0, 2.5):
+        # entries of both signs and scales, so some Halfspace blocks are
+        # projected and others are not
+        s = rng.standard_normal(sum(dp + dd)) * rng.choice([0.01, 1.0, 100.0], sum(dp + dd))
+        got = P_resolvent(gamma, s)
+        for i, (op, zi) in enumerate(zip(A, z)):
+            want = op.resolvent(gamma, s[slices[i]] + gamma * zi)
+            assert np.array_equal(got[slices[i]], want)
+        for k, (op, rk) in enumerate(zip(B, r)):
+            x = s[slices[6 + k]]
+            want = x - gamma * (rk + cut_projection(op.set, x / gamma - rk))
+            assert np.array_equal(got[slices[6 + k]], want)
+    # a point strictly inside a Halfspace, alone or joined, is returned as
+    # it is: the clamp at 0 stays for the Halfspace
+    pieces = [cut.u * (cut.rho - 1.0) / (cut.u @ cut.u) for cut in (B[2].set, B[3].set)]
+    joined = dual_runs[1][0].set
+    assert type(joined) is Halfspace
+    for cut, x in ((B[2].set, pieces[0]), (B[3].set, pieces[1]),
+                   (joined, np.concatenate(pieces))):
+        assert np.array_equal(cut.project(x), x)
+
+
+def test_a_warm_solve_with_two_redone_iterations_inverts_nothing(monkeypatch):
+    # at STEP_SAFETY 1 this problem redoes two iterations, so a solve uses
+    # four steps: the unit step, the first step and two smaller ones
+    monkeypatch.setattr(pdsplit.fbf, "STEP_SAFETY", 1.0)
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
+    prob = wide_coupled_problem(np.random.default_rng(17), (10,) * 3, (10,) * 3)
+    assert any(isinstance(op, AffineOperator) for op in prob.A + prob.B)
+    counts = []
+    for _ in range(2):
+        inversions.clear()
+        report = solve_system(prob, FbfConfig(max_iters=500))
+        assert report.converged and report.trace.retries == 2
+        counts.append(len(inversions))
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def test_a_problem_builds_its_pair_once_and_holds_no_cycle(rng, monkeypatch):
