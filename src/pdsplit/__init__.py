@@ -42,7 +42,6 @@ from .operators import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
-    shifted_inverse_resolvent,
 )
 from .reductions import (
     CommonZeroProblem,

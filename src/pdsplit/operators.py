@@ -67,7 +67,6 @@ __all__ = [
     "L1Norm",
     "QuadraticDistance",
     "SquaredNorm",
-    "shifted_inverse_resolvent",
     "runs",
     "join",
 ]
@@ -584,22 +583,6 @@ class SquaredNorm(ConvexFunction):
     def conjugate(self, u):
         u = np.asarray(u, dtype=float)
         return float(np.sum(u * u / (4.0 * self.omega)))
-
-
-# ---------------------------------------------------------------------------
-# Resolvent calculus
-
-
-def shifted_inverse_resolvent(A, r, gamma, x):
-    """J_{gamma (r + A^{-1})}(x) = x - gamma (r + J_{A/gamma}(x/gamma - r)).
-
-    The dual update kernel: resolves the shifted inverse operator using only
-    the resolvent of A itself.
-    """
-    _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return x - gamma * (r + A.resolvent(1.0 / gamma, x / gamma - r))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 
 from .blocks import (
     BlockLinearOp,
+    BlockVector,
     SpaceSig,
     apply_adjoint,
     apply_block,
@@ -32,9 +33,10 @@ from .operators import (
     ScaledIdentity,
     SquaredNorm,
     ZeroFunction,
+    ZeroMap,
     ZeroOperator,
-    shifted_inverse_resolvent,
 )
+from .system import CoupledInclusionProblem, product_space_pair
 
 __all__ = ["run_selftest"]
 
@@ -130,6 +132,20 @@ def _check_moreau(rng):
     return worst <= 1e-12, f"max Fenchel-Young defect {worst:.3e}"
 
 
+def _dual_step(B, r, gamma, x):
+    """J_{gamma (r + B^{-1})}(x) as every solve takes it: the dual block of
+    P_resolvent(gamma, w - gamma Q(w)) at w = (0, x), for the pair of a
+    one-block system with no coupling, zero A, C and Dinv, and the shift r."""
+    d = len(x)
+    sig = SpaceSig((d,), (d,))
+    prob = CoupledInclusionProblem(sig, [ZeroOperator()], [ZeroMap()], [B], [ZeroMap()],
+                                   BlockLinearOp({}, sig), BlockVector.zeros((d,)),
+                                   BlockVector([r]))
+    P_resolvent, Q = product_space_pair(prob)
+    w = np.concatenate((np.zeros(d), x))
+    return P_resolvent(gamma, w - gamma * Q(w))[d:]
+
+
 def _check_shifted_inverse(rng):
     worst = 0.0
     for _ in range(100):
@@ -137,18 +153,18 @@ def _check_shifted_inverse(rng):
         c = float(rng.uniform(0.2, 2.0))
         x, r = rng.standard_normal(3), rng.standard_normal(3)
         # linear case: inverse of c*Id is Id/c, direct resolvent in closed form
-        got = shifted_inverse_resolvent(ScaledIdentity(c), r, gamma, x)
+        got = _dual_step(ScaledIdentity(c), r, gamma, x)
         want = (x - gamma * r) / (1.0 + gamma / c)
         worst = max(worst, float(np.max(np.abs(got - want))))
         # inverse of the normal cone of {0} is the zero map
-        got = shifted_inverse_resolvent(NormalCone(Point(np.zeros(3))), r, gamma, x)
+        got = _dual_step(NormalCone(Point(np.zeros(3))), r, gamma, x)
         worst = max(worst, float(np.max(np.abs(got - (x - gamma * r)))))
     return worst <= 1e-10, f"max identity defect {worst:.3e}"
 
 
 def _check_yosida(rng):
     """The Yosida map Y(x) = (x - J_{gamma B} x) / gamma of the l1
-    subdifferential B, through the solver's dual kernel: by Moreau's
+    subdifferential B, through the solver's dual step at r = 0: by Moreau's
     identity it is J_{(1/gamma) B^{-1}}(x / gamma).  Y is
     (1/gamma)-Lipschitz, and Y(x) lies in B(x - gamma Y(x)), tested at unit
     step as p = J_B(p + u).  The bound holds for (x - J_{s B} x) / gamma at
@@ -159,7 +175,7 @@ def _check_yosida(rng):
     for _ in range(100):
         gamma = float(rng.uniform(0.1, 3.0))
         x, y = rng.standard_normal(3), rng.standard_normal(3)
-        yx, yy = (shifted_inverse_resolvent(B, 0.0, 1.0 / gamma, t / gamma) for t in (x, y))
+        yx, yy = (_dual_step(B, np.zeros(3), 1.0 / gamma, t / gamma) for t in (x, y))
         bound = np.linalg.norm(x - y) / gamma * (1 + 1e-10)
         worst = max(worst, float(np.linalg.norm(yx - yy)) - bound)
         p = x - gamma * yx

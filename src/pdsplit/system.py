@@ -38,8 +38,8 @@ from .blocks import (
     check_signature,
 )
 from .fbf import FbfTrace, fbf_solve
-from .operators import (ParameterError, ZeroMap, ZeroOperator, check_fit, runs,
-                        shifted_inverse_resolvent)
+from .operators import (LipschitzOperator, MonotoneOperator, ParameterError, ZeroMap,
+                        ZeroOperator, check_fit, runs)
 
 __all__ = [
     "CoupledInclusionProblem",
@@ -52,7 +52,8 @@ __all__ = [
 
 
 class CoupledInclusionProblem:
-    """Immutable bundle of the operators, shifts, and constants."""
+    """Immutable bundle of the operators, shifts, and constants; a member
+    not of its role's class is a ParameterError naming it, as "A 1: ..."."""
 
     def __init__(self, sig, A, C, B, Dinv, L, z, r):
         self.sig = sig
@@ -61,17 +62,19 @@ class CoupledInclusionProblem:
             raise ParameterError(f"need {sig.m} primal operators A and C")
         if len(B) != sig.K or len(Dinv) != sig.K:
             raise ParameterError(f"need {sig.K} dual operators B and Dinv")
+        for role, ops, cls in (("A", A, MonotoneOperator), ("C", C, LipschitzOperator),
+                               ("B", B, MonotoneOperator), ("Dinv", Dinv, LipschitzOperator)):
+            for i, op in enumerate(ops, 1):
+                if not isinstance(op, cls):
+                    raise ParameterError(f"{role} {i}: {type(op).__name__} is not a "
+                                         f"{cls.__name__}")
+                if cls is LipschitzOperator and op.lipschitz < 0:
+                    raise ParameterError(f"{role} constants must be nonnegative")
         self._check_fit()
         check_signature(z, sig.dims_primal, "z")
         check_signature(r, sig.dims_dual, "r")
         if L.sig.dims_primal != sig.dims_primal or L.sig.dims_dual != sig.dims_dual:
             raise ParameterError("coupling grid signature does not match the problem")
-        for op in C:
-            if op.lipschitz < 0:
-                raise ParameterError("C constants must be nonnegative")
-        for op in Dinv:
-            if op.lipschitz < 0:
-                raise ParameterError("Dinv constants must be nonnegative")
         self.L = L
         self.z = z
         self.r = r
@@ -104,24 +107,21 @@ def product_space_pair(prob):
 
     Returns (P_resolvent, Q) acting on the flat array of stacked (x, v):
 
-        P_resolvent(gamma, (x, v)) = (J_{gamma A_i}(x_i + gamma z_i),
-                                      J_{gamma (r_k + B_k^{-1})}(v_k))
-        Q(x, v) = (C_i x_i + sum_k L_ki^* v_k,  Dinv_k v_k - sum_i L_ki x_i)
+        P_resolvent(gamma, (x, v)) = (J_{gamma A_i}(x_i),
+                                      v_k - gamma J_{B_k/gamma}(v_k/gamma))
+        Q(x, v) = (C_i x_i + sum_k L_ki^* v_k - z_i,
+                   Dinv_k v_k - sum_i L_ki x_i + r_k)
 
-    Q is monotone, the skew coupling term included, and beta-Lipschitz.
-    Each evaluation forms that term in one sweep over the coupling's cells
-    (``apply_skew``), then adds the forward terms C_i and Dinv_k.
-    The A_i, the B_k and the C_i and Dinv_k are each grouped once, at build
-    time: a run of consecutive small blocks whose operators join
-    (``operators.runs``) is evaluated by one joined operator on one slice
-    of the flat product-space array, every other block through its own
-    slice.  z and r must be finite (ParameterError otherwise).  A run whose
-    slice of z or r is all zero resolves without its shift: x_i alone, or
-    x_k - gamma J_{B_k/gamma}(x_k/gamma); a ZeroOperator run without a
-    shift is the identity, copied without a resolvent call.
-    ZeroMap terms of Q are skipped.  Neither function holds the problem,
-    which keeps its pair (``CoupledInclusionProblem._pair``) without a
-    reference cycle.
+    P resolves each B_k^{-1} by Moreau's identity.  Q, shifts included,
+    is monotone and beta-Lipschitz: one sweep of the coupling's cells
+    (``apply_skew``), then C_i and Dinv_k added, z subtracted and r added
+    in place.  The A_i, the B_k and the C_i and Dinv_k are grouped once, at
+    build time: a run of consecutive small blocks whose operators join
+    (``operators.runs``) is one joined operator on one slice, every other
+    block its own.  A ZeroOperator run is copied; ZeroMap terms and an
+    all-zero shift are skipped.  z and r must be finite (ParameterError
+    otherwise).  Neither function holds the problem, which keeps its pair
+    (``CoupledInclusionProblem._pair``) without a reference cycle.
     """
     sig, L = prob.sig, prob.L
     dims = sig.dims_primal + sig.dims_dual
@@ -133,33 +133,30 @@ def product_space_pair(prob):
     for name, shift in (("z", z), ("r", r)):
         if not np.isfinite(shift).all():
             raise ParameterError(f"the shift {name} must be finite")
+    z, r = (shift if shift.any() else None for shift in (z, r))
 
-    def nonzero(shift):                 # None for a slice that is all zero
-        return shift if shift.any() else None
-
-    primal_res = []
-    for op, sl, _ in runs(prob.A, slices[: sig.m]):
-        zi = nonzero(z[sl])             # op None: a ZeroOperator run, the identity
-        primal_res.append((None if zi is None and type(op) is ZeroOperator else op, sl, zi))
-    dual_res = [(op, sl, nonzero(r[sl.start - n_primal : sl.stop - n_primal]))
-                for op, sl, _ in runs(prob.B, slices[sig.m :])]
+    primal_res = [(None if type(op) is ZeroOperator else op, sl)    # None: the identity
+                  for op, sl, _ in runs(prob.A, slices[: sig.m])]
+    dual_res = [(op, sl) for op, sl, _ in runs(prob.B, slices[sig.m :])]
     forward = [(op, sl) for op, sl, _ in runs(prob.C + prob.Dinv, slices)
                if not isinstance(op, ZeroMap)]
 
     def P_resolvent(gamma, s):
         out = np.empty(size)
-        for op, sl, zi in primal_res:
-            x = s[sl] if zi is None else s[sl] + gamma * zi
-            out[sl] = x if op is None else op.resolvent(gamma, x)
-        for op, sl, rk in dual_res:     # at r = 0, shifted_inverse_resolvent inline
-            out[sl] = (s[sl] - gamma * op.resolvent(1.0 / gamma, s[sl] / gamma) if rk is None
-                       else shifted_inverse_resolvent(op, rk, gamma, s[sl]))
+        for op, sl in primal_res:
+            out[sl] = s[sl] if op is None else op.resolvent(gamma, s[sl])
+        for op, sl in dual_res:
+            out[sl] = s[sl] - gamma * op.resolvent(1.0 / gamma, s[sl] / gamma)
         return out
 
     def Q(w):
         out = apply_skew(L, w)
         for op, sl in forward:
             out[sl] += op(w[sl])
+        if z is not None:
+            out[:n_primal] -= z
+        if r is not None:
+            out[n_primal:] += r
         return out
 
     return P_resolvent, Q
@@ -191,13 +188,13 @@ def solve_system(prob, cfg):
     above (1-epsilon)/beta, as ``fbf_solve`` describes), the engine's steps
     on the pair of ``product_space_pair`` read per block:
 
-        s1_i = x_i - gamma (C_i x_i + sum_k L_ki^T v_k)
-        p1_i = J_{gamma A_i}(s1_i + gamma z_i)
-        s2_k = v_k - gamma (Dinv_k v_k - sum_i L_ki x_i)
-        p2_k = s2_k - gamma (r_k + J_{B_k/gamma}(s2_k/gamma - r_k))
-        q2_k = p2_k - gamma (Dinv_k p2_k - sum_i L_ki p1_i)
+        s1_i = x_i - gamma (C_i x_i + sum_k L_ki^T v_k - z_i)
+        p1_i = J_{gamma A_i}(s1_i)
+        s2_k = v_k - gamma (Dinv_k v_k - sum_i L_ki x_i + r_k)
+        p2_k = s2_k - gamma J_{B_k/gamma}(s2_k/gamma)
+        q2_k = p2_k - gamma (Dinv_k p2_k - sum_i L_ki p1_i + r_k)
         v_k <- v_k - s2_k + q2_k
-        q1_i = p1_i - gamma (C_i p1_i + sum_k L_ki^T p2_k)
+        q1_i = p1_i - gamma (C_i p1_i + sum_k L_ki^T p2_k - z_i)
         x_i <- x_i - s1_i + q1_i
 
     plus optional summable perturbations in each evaluation.  The hook
@@ -223,7 +220,7 @@ def kkt_residual(prob, w):
     Both come from one evaluation of the pair at unit step on w:
     with s = w - Q(w) and d = w - P_resolvent(1, s), block i of d is
     x_i - J_{A_i}(x_i + u_i), block k is J_{B_k}(v_k + y_k) - y_k, and
-    s - w + (z, -r) = (u, y), formed in place of s.  Block j reports
+    s - w = (u, y), formed in place of s.  Block j reports
     ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).  The pair is the problem's
     own, built at its first use; w is only read, and every step after the
     calls to Q and P_resolvent works in place in their outputs.  Anything
@@ -232,8 +229,7 @@ def kkt_residual(prob, w):
     numpy's overflow and invalid-value warnings.
     """
     sig = prob.sig
-    n_primal = sum(sig.dims_primal)
-    check_flat(w, n_primal + sum(sig.dims_dual), "primal-dual")
+    check_flat(w, sum(sig.dims_primal + sig.dims_dual), "primal-dual")
     P_resolvent, Q = prob._pair
     starts = np.cumsum((0,) + sig.dims_primal + sig.dims_dual[:-1])
 
@@ -246,8 +242,6 @@ def kkt_residual(prob, w):
         d = P_resolvent(1.0, u)
         np.subtract(w, d, out=d)
         u -= w
-        u[:n_primal] += prob.z.flat()
-        u[n_primal:] -= prob.r.flat()
         nd = norms(d, d)                # d is spent: it takes w's squares next
         ratio = nd / (1.0 + norms(w, d) + norms(u, u))
     return float(ratio[: sig.m].max()), float(ratio[sig.m :].max())

@@ -1,7 +1,8 @@
 """Independent references for the tests: a scalar resolvent by bisection,
-the distance of a point pair from an operator's graph, the consistency
-check of a common zero and the qualification check of a minimization, a
-projected-gradient minimizer for feasibility relaxations, the KKT
+the shifted inverse resolvent written out, the distance of a point pair
+from an operator's graph, the consistency check of a common zero and the
+qualification check of a minimization, a projected-gradient minimizer for
+feasibility relaxations, the KKT
 residuals and the objectives of a minimization block by block, the
 coupling and its adjoint added cell by cell, and the primal-dual and
 partitioned parallel-sum iterations written out on flat arrays with the
@@ -66,6 +67,15 @@ def resolvent_bisection(graph, gamma, x, tol=1e-12, max_expand=200):
         if b - a <= tol:
             break
     return 0.5 * (a + b)
+
+
+def shifted_inverse_resolvent(A, r, gamma, x):
+    """J_{gamma (r + A^{-1})}(x) = x - gamma (r + J_{A/gamma}(x/gamma - r)),
+    from the resolvent of A alone: the dual step of the paper's iteration,
+    written out with the shift inside the backward step."""
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(r, dtype=float)
+    return x - gamma * (r + A.resolvent(1.0 / gamma, x / gamma - r))
 
 
 def graph_distance(A, p, u):

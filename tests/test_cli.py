@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,6 +368,21 @@ def test_list_catalog(capsys):
     out = capsys.readouterr().out
     for token in ("multivar_min", "indicator_box", "twobox"):
         assert token in out
+
+
+def test_the_module_entry_point_exits_as_main_returns(tmp_path):
+    # python3 -m pdsplit.cli, as the README documents it, from the source tree
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "pdsplit.cli", *args],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+
+    listed = run("list-catalog")
+    assert listed.returncode == 0 and "problem kinds:" in listed.stdout
+    missing = run("solve", str(tmp_path / "missing.prob"), "--output-dir", str(tmp_path))
+    assert missing.returncode == 1 and missing.stderr.startswith("error: ")
 
 
 def test_error_injection_flags(feas_file, tmp_path):

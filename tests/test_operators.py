@@ -25,9 +25,8 @@ from pdsplit import (
     ZeroFunction,
     ZeroMap,
     ZeroOperator,
-    shifted_inverse_resolvent,
 )
-from oracles import graph_distance, resolvent_bisection
+from oracles import graph_distance, resolvent_bisection, shifted_inverse_resolvent
 from pdsplit import operators
 from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
 from pdsplit.operators import _SEPARABLE, _unwrap, runs

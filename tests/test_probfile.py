@@ -425,10 +425,14 @@ def test_file_and_coupling_report_a_misfit_alike():
 
 
 def test_scalar_parameter_fills_the_block():
-    # lo=-1 stands for the constant vector (-1, -1) of the 2-dim block
-    text = SYSTEM_TEXT.replace("lo=-1,-1 hi=1,1", "lo=-1 hi=1")
-    prob, _ = build_problem(parse_problem(text))
-    np.testing.assert_array_equal(prob.A[0].set.lo, [-1.0, -1.0])
+    # lo=-1 stands for the constant vector (-1, -1) of the 2-dim block,
+    # parsed or hand-built as an int
+    parsed = parse_problem(SYSTEM_TEXT.replace("lo=-1,-1 hi=1,1", "lo=-1 hi=1"))
+    by_hand = parse_problem(SYSTEM_TEXT)
+    by_hand.slots["op", "A", 1] = ("normal_cone_box", {"lo": -1, "hi": 1.0})
+    for pf in (parsed, by_hand):
+        lo = build_problem(pf)[0].A[0].set.lo
+        assert lo.dtype == float and np.array_equal(lo, [-1.0, -1.0])
 
 
 def test_hand_built_nan_parameter_rejected():

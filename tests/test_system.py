@@ -11,6 +11,7 @@ from pdsplit import (
     BlockLinearOp,
     BlockVector,
     Box,
+    CommonZeroProblem,
     CoupledInclusionProblem,
     FbfConfig,
     Halfspace,
@@ -32,10 +33,13 @@ from pdsplit import (
     SummableErrorSchedule,
     ZeroMap,
     ZeroOperator,
+    apply_adjoint,
+    apply_block,
     compute_beta,
     kkt_residual,
     lift_parallel_sum,
     product_space_pair,
+    solve_common_zero,
     solve_system,
 )
 from conftest import random_coupled_problem, wide_coupled_problem
@@ -160,41 +164,53 @@ def cut_projection(cut, y):
 
 
 def test_the_pair_resolves_each_block_as_its_own_operator_does():
-    # runs: on x, ZeroOperator with z = 0 (the identity), ScaledIdentity
-    # with z = 0, ZeroOperator with z != 0 in one block of two; on v,
-    # Hyperplane and Halfspace cones with r = 0, then with r != 0.  Each
-    # block of the pair is J_{gamma A_i}(x_i + gamma z_i), or
-    # x_k - gamma (r_k + J_{B_k/gamma}(x_k/gamma - r_k)), bit for bit
+    # runs: on x, ZeroOperator (the identity), ScaledIdentity, ZeroOperator;
+    # on v, Hyperplane and Halfspace cones; forward maps on some blocks.
+    # Shifted, z is nonzero on one block and r on the last four; then both
+    # are zero.  Bit for bit, block i of P is J_{gamma A_i}(x_i) and block
+    # k is x_k - gamma J_{B_k/gamma}(x_k/gamma), whatever the shifts, and
+    # Q is C_i x_i + (L^* v)_i - z_i and Dinv_k v_k - (L x)_k + r_k
     rng = np.random.default_rng(33)
     dp, dd = (2, 1, 2, 1, 1, 3), (2, 3, 2, 1, 3, 2, 1, 2)
     sig = SpaceSig(dp, dd)
     A = [ZeroOperator(), ZeroOperator(), ScaledIdentity(0.5), ScaledIdentity([2.0]),
          ZeroOperator(), ZeroOperator()]
+    C = [ZeroMap(), ZeroMap(), ScaledIdentityMap(0.5), ScaledIdentityMap(0.3, [1.0]),
+         ZeroMap(), AffineMap(np.eye(3))]
     cuts = (Hyperplane, Hyperplane, Halfspace, Halfspace) * 2
     B = [NormalCone(cut(rng.standard_normal(d), float(rng.uniform(-1.0, 1.0))))
          for cut, d in zip(cuts, dd)]
-    z = BlockVector([np.zeros(d) for d in dp[:4]] + [np.zeros(1), rng.standard_normal(3)])
-    r = BlockVector([np.zeros(d) for d in dd[:4]] + [rng.standard_normal(d) for d in dd[4:]])
-    prob = CoupledInclusionProblem(sig, A, [ZeroMap()] * 6, B, [ZeroMap()] * 8,
-                                   BlockLinearOp({(0, 0): rng.standard_normal((2, 2))}, sig),
-                                   z, r)
+    Dinv = [ScaledIdentityMap(0.2)] * 3 + [ZeroMap()] * 5
+    L = BlockLinearOp({(0, 0): rng.standard_normal((2, 2))}, sig)
+    shifted = (BlockVector([np.zeros(d) for d in dp[:4]] + [np.zeros(1), rng.standard_normal(3)]),
+               BlockVector([np.zeros(d) for d in dd[:4]] + [rng.standard_normal(d) for d in dd[4:]]))
     slices = block_slices(dp + dd)
     assert [b for _, _, b in runs(A, slices[:6])] == [range(0, 2), range(2, 4), range(4, 6)]
     dual_runs = runs(B, slices[6:])
     assert [b for _, _, b in dual_runs] == [range(2 * j, 2 * j + 2) for j in range(4)]
-    P_resolvent, _ = prob._pair
-    for gamma in (0.3, 1.0, 2.5):
-        # entries of both signs and scales, so some Halfspace blocks are
-        # projected and others are not
-        s = rng.standard_normal(sum(dp + dd)) * rng.choice([0.01, 1.0, 100.0], sum(dp + dd))
-        got = P_resolvent(gamma, s)
-        for i, (op, zi) in enumerate(zip(A, z)):
-            want = op.resolvent(gamma, s[slices[i]] + gamma * zi)
-            assert np.array_equal(got[slices[i]], want)
-        for k, (op, rk) in enumerate(zip(B, r)):
-            x = s[slices[6 + k]]
-            want = x - gamma * (rk + cut_projection(op.set, x / gamma - rk))
-            assert np.array_equal(got[slices[6 + k]], want)
+    for z, r in (shifted, (BlockVector.zeros(dp), BlockVector.zeros(dd))):
+        prob = CoupledInclusionProblem(sig, A, C, B, Dinv, L, z, r)
+        P_resolvent, Q = prob._pair
+        for gamma in (0.3, 1.0, 2.5):
+            # entries of both signs and scales, so some Halfspace blocks are
+            # projected and others are not
+            s = rng.standard_normal(sum(dp + dd)) * rng.choice([0.01, 1.0, 100.0], sum(dp + dd))
+            got = P_resolvent(gamma, s)
+            for i, op in enumerate(A):
+                assert np.array_equal(got[slices[i]], op.resolvent(gamma, s[slices[i]]))
+            for k, op in enumerate(B):
+                x = s[slices[6 + k]]
+                want = x - gamma * cut_projection(op.set, x / gamma)
+                assert np.array_equal(got[slices[6 + k]], want)
+        x, v = np.split(s, [sum(dp)])
+        got = Q(s)
+        adjoint, image = apply_adjoint(L, v), apply_block(L, x)
+        for i, (op, zi) in enumerate(zip(C, z)):
+            sl = slices[i]
+            assert np.array_equal(got[sl], adjoint[sl] + op(x[sl]) - zi)
+        for k, (op, rk) in enumerate(zip(Dinv, r)):
+            sl = block_slices(dd)[k]
+            assert np.array_equal(got[slices[6 + k]], op(v[sl]) - image[sl] + rk)
     # a point strictly inside a Halfspace, alone or joined, is returned as
     # it is: the clamp at 0 stays for the Halfspace
     pieces = [cut.u * (cut.rho - 1.0) / (cut.u @ cut.u) for cut in (B[2].set, B[3].set)]
@@ -349,8 +365,21 @@ def test_problem_validation():
     ):
         with pytest.raises(ParameterError, match=re.escape(message)):
             problem(**bad)
-    # a parameter of length 1 spreads over its block; a subclass and a
-    # callable are not checked
+    # a member that is not an operator of its role is named the same way
+    for bad, message in (
+        (dict(A=[box, None]), "A 2: NoneType is not a MonotoneOperator"),
+        (dict(B=[L1Norm(1.0).prox]), "B 1: method is not a MonotoneOperator"),
+        (dict(C=[lambda x: x, ZeroMap()]), "C 1: function is not a LipschitzOperator"),
+        (dict(Dinv=[ScaledIdentity(1.0)]), "Dinv 1: ScaledIdentity is not a LipschitzOperator"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            problem(**bad)
+    # ... and a common-zero problem's at its first solve, where it lifts
+    lifted = CommonZeroProblem(1, None, [ZeroOperator()], [ZeroOperator()])
+    with pytest.raises(ParameterError, match="^A 1: NoneType is not a MonotoneOperator$"):
+        solve_common_zero(lifted, FbfConfig(max_iters=10))
+    # a parameter of length 1 spreads over its block; a subclass, and a
+    # LipschitzOperator of a callable, are not fit-checked
     problem(A=[NormalCone(Box([-1.0], [1.0])), L1Norm([0.5]).subdifferential()], dims=(3, 2))
     problem(A=[_ScaledIdentity([1.0, 2.0]), box],
             C=[LipschitzOperator(lambda x: 0.0 * x, 0.0), ZeroMap()])
@@ -499,8 +528,15 @@ def test_the_certificate_refuses_what_is_not_the_flat_iterate_and_leaves_it_alon
     assert np.array_equal(w, kept)
 
 
-# a duck-typed map: LipschitzOperator itself rejects a negative constant
-_NEGATIVE = type("NegativeMap", (), {"lipschitz": -1.0})()
+class _NegativeMap(LipschitzOperator):
+    """A subclass that sets its own constant, negative, which
+    LipschitzOperator's constructor would reject."""
+
+    def __init__(self):
+        self.lipschitz = -1.0
+
+
+_NEGATIVE = _NegativeMap()
 
 
 @pytest.mark.parametrize("changes, message", [
