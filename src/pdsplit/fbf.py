@@ -74,6 +74,10 @@ class SummableErrorSchedule:
     numpy makes, and is scaled to norm exactly eta / (n+1)^p.  Directions
     are pseudo-random but fully determined by (seed, slot, n), so the same
     schedule can be replayed or split across sub-blocks consistently.
+
+    Each slot draws into an array the schedule keeps, allocated again only
+    when the size changes: a draw is valid until the next draw of the same
+    slot, which overwrites it, so a caller copies what it keeps.
     """
 
     def __init__(self, eta, p, seed=0):
@@ -86,15 +90,19 @@ class SummableErrorSchedule:
         self.eta = float(eta)
         self.p = float(p)
         self.seed = int(seed)
+        self._draws = {}                        # slot -> the array it draws into
 
     def norm_at(self, n):
         return self.eta / float(n + 1) ** self.p
 
     def vec(self, n, slot, dims):
-        """Error vector for iteration n and slot (0=a, 1=b, 2=c)."""
+        """Error vector for iteration n and slot (0=a, 1=b, 2=c), in the
+        slot's kept array."""
         dims = tuple(int(d) for d in dims)
-        rng = np.random.default_rng((self.seed, slot, n))
-        flat = rng.random(sum(dims))
+        flat = self._draws.get(slot)
+        if flat is None or flat.size != sum(dims):
+            flat = self._draws[slot] = np.empty(sum(dims))
+        np.random.default_rng((self.seed, slot, n)).random(out=flat)
         flat -= 0.5
         nrm = np.linalg.norm(flat)
         if nrm == 0.0:
@@ -124,7 +132,8 @@ class FbfConfig:
     on_iteration(n, w_n, p_n), when set, is called once per iteration,
     after the trace row is recorded and before the stopping test, with
     numpy's overflow and invalid-value warnings off, as the whole loop
-    runs; it must not modify w_n or p_n.
+    runs; it must not modify w_n or p_n, and it copies what it keeps: the
+    run writes w_{n+2} into w_n's array (``fbf_solve``).
     """
 
     def __init__(
@@ -251,12 +260,27 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     correction that is wrong every time is capped every time, and the
     residual then falls only about as fast as eta_n.  With errors or gamma
     set, or below AA_MIN_SIZE, the loop runs unaccelerated.
+
+    P_resolvent and Q must return new arrays: the run writes into them.
+    It allocates its own work arrays once, s and a spare that w alternates
+    with; per iteration it allocates no product-space float array of its
+    own, bar the Anderson correction where the run is accelerated.  So the
+    w_n that on_iteration sees is overwritten in the next iteration, after
+    the hook's next call, while each p_n is P_resolvent's own.  trace.w
+    and trace.p belong to the caller once the run returns: no later run
+    writes into them.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
 
     trace = FbfTrace(chi)
-    w = p = w0.copy()
+    w, p = w0.copy(), None
+    # the run's own arrays, written in place at every iteration: s, and
+    # the spare that w alternates with, which holds each difference whose
+    # norm the iteration takes until it takes w_{n+1}.  The ufuncs below
+    # take their output arrays positionally: on small arrays the out=
+    # keyword costs more than the allocation it saves
+    s, spare = np.empty_like(w), np.empty_like(w)
     stop = "max_iters"
     adaptive = cfg.errors is None and cfg.gamma is None
     aa = _Anderson(w0.size, trace) if adaptive and w0.size >= AA_MIN_SIZE else None
@@ -280,23 +304,29 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
                 probe = P_resolvent(1.0, w - qw)
                 gamma = _step(floor, theta * _norm(w - probe),
                               STEP_SAFETY * _norm(qw - Q(probe)))
-            s = w - gamma * (qw if a is None else qw + a)
-            p = P_resolvent(gamma, s)
-            if b is not None:
-                p = p + b
-            qp = Q(p)
-            resid = _norm(w - p)
-            # a constant step is the floor, which never takes this loop
-            while gamma > floor and not gamma * _norm(qw - qp) <= theta * resid:
-                gamma = _step(floor, 0.9 * theta * resid, _norm(qw - qp))
-                trace.retries += 1
-                s = w - gamma * qw
+            # a constant step is the floor, which is never redone: only a
+            # step from the trajectory goes round this loop more than once
+            while True:
+                np.multiply(qw if a is None else np.add(qw, a, spare), gamma, s)
+                np.subtract(w, s, s)                # s = w - gamma (qw + a)
                 p = P_resolvent(gamma, s)
+                if b is not None:
+                    p += b
                 qp = Q(p)
-                resid = _norm(w - p)
+                resid = _norm(np.subtract(w, p, spare))
+                if not gamma > floor:
+                    break
+                gap = _norm(np.subtract(qw, qp, spare))
+                if gamma * gap <= theta * resid:
+                    break
+                gamma = _step(floor, 0.9 * theta * resid, gap)
+                trace.retries += 1
                 if aa is not None:              # T changed with the step
                     aa.clear()
-            q = p - gamma * (qp if c is None else qp + c)
+            if c is not None:
+                qp += c
+            # qp takes q = p - gamma (Q(p) + c)
+            np.subtract(p, np.multiply(qp, gamma, spare), qp)
 
             trace.rows.append((n, gamma, resid))
             if cfg.on_iteration is not None:
@@ -307,13 +337,14 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
             if resid <= cfg.residual_tol * max(1.0, _norm(w)):
                 stop = "converged"
                 break
-            w_next = w - s + q
-            if aa is not None:
-                w_next = aa.extrapolate(n, q - s, w_next)
-            if not np.isfinite(w_next).all():
+            np.subtract(w, s, spare)
+            spare += qp                         # w_{n+1} = (w - s) + q
+            if aa is not None:                  # s is spent: it takes q - s
+                aa.extrapolate(n, np.subtract(qp, s, s), spare)
+            if not np.isfinite(spare).all():
                 stop = "diverged"
                 break
-            w = w_next
+            w, spare = spare, w
 
     trace.w, trace.p, trace.stop_reason = w, p, stop
     return trace
@@ -323,8 +354,9 @@ class _Anderson:
     """Type-II Anderson acceleration of the map w -> T(w) = w - s + q,
     with every correction capped by a summable sequence.
 
-    It keeps f = T(w) - w and g = T(w) of the last iterate, the last
-    AA_MEMORY differences of each in two ring buffers, allocated once, and
+    It keeps copies of f = T(w) - w and g = T(w) of the last iterate, the
+    last AA_MEMORY differences of each in two ring buffers, all allocated
+    once, so that no array of the engine's is read a second time, and
     their Gram matrix dF dF^T, updated by one row and column per iterate.
     The weights alpha solve dF dF^T alpha = dF f_n, the normal equations of
     min ||f_n - dF^T alpha||, and the correction e_n = dG^T alpha is scaled
@@ -339,28 +371,35 @@ class _Anderson:
         self.trace = trace
         self.dF = np.empty((AA_MEMORY, size))
         self.dG = np.empty((AA_MEMORY, size))
+        self.f = np.empty(size)
+        self.g = np.empty(size)
         self.gram = np.empty((AA_MEMORY, AA_MEMORY))
         self.eta = None                         # AA_CAP ||T(w_0) - w_0||
-        self.f = self.g = None
+        self.primed = False                     # f and g hold the last iterate's
         self.count = self.slot = 0
 
     def clear(self):
-        if self.f is not None:
+        if self.primed:
             self.trace.cleared += 1
-        self.f = self.g = None
+        self.primed = False
         self.count = self.slot = 0
 
     def extrapolate(self, n, f, g):
-        """w_{n+1} from f = T(w_n) - w_n and g = T(w_n): g less the capped
-        correction, or g itself."""
+        """w_{n+1} in place of g, from f = T(w_n) - w_n and g = T(w_n): g
+        less the capped correction, or g itself.  f and g are copied, and
+        neither is read after the call."""
         if self.eta is None:
             self.eta = AA_CAP * _norm(f)
-        last_f, last_g, self.f, self.g = self.f, self.g, f, g
-        if last_f is None:
-            return g
         j, dF, dG = self.slot, self.dF, self.dG
-        np.subtract(f, last_f, out=dF[j])
-        np.subtract(g, last_g, out=dG[j])
+        primed = self.primed
+        if primed:
+            np.subtract(f, self.f, out=dF[j])
+            np.subtract(g, self.g, out=dG[j])
+        np.copyto(self.f, f)
+        np.copyto(self.g, g)
+        self.primed = True
+        if not primed:
+            return
         self.slot = (j + 1) % AA_MEMORY
         k = self.count = min(self.count + 1, AA_MEMORY)
         self.gram[j, :k] = self.gram[:k, j] = dF[:k] @ dF[j]
@@ -371,13 +410,13 @@ class _Anderson:
             size = math.inf
         if not math.isfinite(size):
             self.clear()
-            self.f, self.g = f, g
-            return g
+            self.primed = True                  # f and g stay, as copied
+            return
         eta = self.eta / float(n + 1) ** AA_POWER
         if size > eta:
             e *= eta / size
             self.trace.capped += 1
-        return g - e
+        g -= e
 
 
 def _anderson_weights(gram, rhs):

@@ -717,6 +717,20 @@ def misfit(op, d):
     return None
 
 
+def check_role(name, op, cls):
+    """ParameterError "<name>: <type> is not a <class>" unless op is a cls."""
+    if not isinstance(op, cls):
+        raise ParameterError(f"{name}: {type(op).__name__} is not a {cls.__name__}")
+
+
+def check_roles(role, ops, cls, first=1):
+    """``check_role`` on each of ops, named "<role> <index>" from index
+    ``first`` on; a name is formatted only for the member that fails."""
+    for i, op in enumerate(ops, first):
+        if not isinstance(op, cls):
+            check_role(f"{role} {i}", op, cls)
+
+
 def check_fit(roles):
     """ParameterError naming the first member that does not fit its block
     (``misfit``), as "<role> <1-based index>: <why>"; ``roles`` holds

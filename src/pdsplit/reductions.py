@@ -45,7 +45,10 @@ from .blocks import (  # noqa: F401
 )
 from .operators import (
     Box,
+    ConvexFunction,
     IndicatorFunction,
+    LipschitzOperator,
+    MonotoneOperator,
     ParameterError,
     Point,
     ScaledIdentityMap,
@@ -54,6 +57,8 @@ from .operators import (
     ZeroMap,
     ZeroOperator,
     check_fit,
+    check_role,
+    check_roles,
     runs,
 )
 from .system import CoupledInclusionProblem, solve_system
@@ -99,7 +104,8 @@ class ParallelSumProblem:
     * K1 <= k < K2      S[k] is a LipschitzOperator evaluating S_k itself;
     * k >= K2           S[k] is a LipschitzOperator evaluating S_k^{-1}.
 
-    Sizes, counts, shifts, operators (``check_fit``) and the L_k are checked
+    Sizes, counts, shifts, operators (their classes by partition,
+    ``check_role``, and their fit, ``check_fit``) and the L_k are checked
     here; a ParameterError names the role, as "S 2: ...", "L 1: ..." or "L 1 is ...".
     """
 
@@ -116,6 +122,11 @@ class ParallelSumProblem:
         if len(self.B) != K or len(self.S) != K or len(self.L) != K or len(self.r) != K:
             raise ParameterError("need K entries in each of r, B, S, L")
         _check_shifts(self)
+        check_role("A", A, MonotoneOperator)
+        check_role("C", C, LipschitzOperator)
+        check_roles("B", self.B, MonotoneOperator)
+        check_roles("S", self.S[: self.K1], MonotoneOperator)
+        check_roles("S", self.S[self.K1 :], LipschitzOperator, first=self.K1 + 1)
         check_fit((("A", A, self.dim), ("C", C, self.dim), ("B", self.B, self.dual_dims),
                    ("S", self.S, self.dual_dims)))
         for k, (e, d) in enumerate(zip(self.L, self.dual_dims), 1):
@@ -296,6 +307,8 @@ class MultivariateMinProblem(CoupledInclusionProblem):
                 )
         for i, hi in enumerate(h):
             _need_gradient(hi, f"h {i + 1}")
+        check_roles("f", f, ConvexFunction)
+        check_roles("g", g, ConvexFunction)
         self.f, self.h, self.g, self.ell = list(f), list(h), list(g), list(ell)
         super().__init__(sig, [fn.subdifferential() for fn in f], [hi.gradient for hi in h],
                          [gk.subdifferential() for gk in g], [_ellstar_grad(lk) for lk in ell],
@@ -445,6 +458,9 @@ class UnivariateMinProblem(ParallelSumProblem):
         if len(g) != K or len(phi) != K or len(r) != K or len(L) != K:
             raise ParameterError("need K entries in each of g, phi, r, L")
         _need_gradient(h, "h")
+        check_role("f", f, ConvexFunction)
+        check_roles("g", g, ConvexFunction)
+        check_roles("phi", phi[:K1], ConvexFunction)
         for k in range(K1, K2):
             _need_gradient(phi[k], f"phi {k + 1}")
         check_fit((("f", f, dim), ("h", h, dim), ("g", g, dual_dims), ("phi", phi, dual_dims)))

@@ -39,7 +39,7 @@ from .blocks import (
 )
 from .fbf import FbfTrace, fbf_solve
 from .operators import (LipschitzOperator, MonotoneOperator, ParameterError, ZeroMap,
-                        ZeroOperator, check_fit, runs)
+                        ZeroOperator, check_fit, check_roles, runs)
 
 __all__ = [
     "CoupledInclusionProblem",
@@ -64,12 +64,10 @@ class CoupledInclusionProblem:
             raise ParameterError(f"need {sig.K} dual operators B and Dinv")
         for role, ops, cls in (("A", A, MonotoneOperator), ("C", C, LipschitzOperator),
                                ("B", B, MonotoneOperator), ("Dinv", Dinv, LipschitzOperator)):
-            for i, op in enumerate(ops, 1):
-                if not isinstance(op, cls):
-                    raise ParameterError(f"{role} {i}: {type(op).__name__} is not a "
-                                         f"{cls.__name__}")
-                if cls is LipschitzOperator and op.lipschitz < 0:
-                    raise ParameterError(f"{role} constants must be nonnegative")
+            check_roles(role, ops, cls)
+        for role, ops in (("C", C), ("Dinv", Dinv)):
+            if any(op.lipschitz < 0 for op in ops):
+                raise ParameterError(f"{role} constants must be nonnegative")
         self._check_fit()
         check_signature(z, sig.dims_primal, "z")
         check_signature(r, sig.dims_dual, "r")
@@ -120,7 +118,8 @@ def product_space_pair(prob):
     (``operators.runs``) is one joined operator on one slice, every other
     block its own.  A ZeroOperator run is copied; ZeroMap terms and an
     all-zero shift are skipped.  z and r must be finite (ParameterError
-    otherwise).  Neither function holds the problem, which keeps its pair
+    otherwise).  Each call returns a new array, which the engine writes
+    into.  Neither function holds the problem, which keeps its pair
     (``CoupledInclusionProblem._pair``) without a reference cycle.
     """
     sig, L = prob.sig, prob.L

@@ -1,15 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdsplit import (
+    BlockLinearOp,
+    BlockVector,
     Box,
+    CoupledInclusionProblem,
     FbfConfig,
     NormalCone,
     ParameterError,
     Point,
+    ScaledIdentity,
+    ScaledIdentityMap,
+    SpaceSig,
     SummableErrorSchedule,
+    ZeroMap,
     ZeroOperator,
     fbf_solve,
 )
@@ -220,12 +228,87 @@ def test_error_draw_has_the_scheduled_norm_and_a_bounded_direction(dims):
 
 
 def test_error_draw_over_split_dims_is_the_flat_draw():
+    # the second draw overwrites the first, so the first is copied
     s = SummableErrorSchedule(0.3, 2.0, seed=8)
     for n in (0, 4):
         for slot in range(3):
             split = s.vec(n, slot, (3, 1, 5))
             assert [b.size for b in split.blocks] == [3, 1, 5]
-            assert np.array_equal(split.flat(), s.vec(n, slot, (9,)).flat())
+            first = split.flat().copy()
+            assert np.array_equal(first, s.vec(n, slot, (9,)).flat())
+
+
+def test_the_three_slots_draw_into_arrays_of_their_own():
+    s = SummableErrorSchedule(0.3, 2.0, seed=8)
+    for n in (0, 1):
+        a, b, c = (e.flat() for e in s(n, (4, 5)))
+        assert not any(np.shares_memory(x, y) for x, y in ((a, b), (a, c), (b, c)))
+        assert len({a.tobytes(), b.tobytes(), c.tobytes()}) == 3
+
+
+def test_a_draw_stays_until_the_next_draw_of_its_slot():
+    s = SummableErrorSchedule(0.3, 2.0, seed=8)
+    first = s.vec(0, 0, (9,)).flat()
+    kept = first.copy()
+    s.vec(1, 1, (9,))
+    s.vec(1, 2, (4, 5))
+    assert np.array_equal(first, kept)
+    second = s.vec(1, 0, (4, 5)).flat()         # same size: the slot's array again
+    assert second is first and not np.array_equal(first, kept)
+    replay = SummableErrorSchedule(0.3, 2.0, seed=8)
+    assert np.array_equal(second, replay.vec(1, 0, (9,)).flat())
+    other = s.vec(2, 0, (5,)).flat()            # a new size takes a new array
+    assert other.size == 5 and not np.shares_memory(other, first)
+
+
+@pytest.mark.parametrize("max_iters", [30, 31])
+def test_a_second_solve_with_one_schedule_leaves_the_first_report_alone(max_iters):
+    # w alternates between two arrays, so the budget's parity picks the
+    # one the first report ends in
+    errors = SummableErrorSchedule(0.05, 2.0, seed=4)
+    rng = np.random.default_rng(5)
+    probs = [wide_coupled_problem(rng) for _ in range(2)]
+    cfg = FbfConfig(max_iters=max_iters, residual_tol=0.0, errors=errors)
+    first = solve_system(probs[0], cfg)
+    parts = (first.trace.w, first.trace.p, first.primal.flat(), first.dual.flat())
+    kept = [a.copy() for a in parts]
+    second = solve_system(probs[1], cfg)
+    assert not np.array_equal(second.trace.w, first.trace.w)
+    assert all(np.array_equal(a, b) for a, b in zip(parts, kept))
+
+
+def _chain_box_problem(m, dim):
+    """Boxes coupled in a chain x_k - x_{k+1}, with C_i = Id and B_k = Id:
+    the layout of the benchmark's error workload."""
+    sig = SpaceSig((dim,) * m, (dim,) * (m - 1))
+    cells = {}
+    for k in range(m - 1):
+        cells[(k, k)], cells[(k, k + 1)] = 1.0, -1.0
+    z = np.random.default_rng(0).standard_normal((m, dim))
+    return CoupledInclusionProblem(
+        sig, [NormalCone(Box(-np.ones(dim), np.ones(dim))) for _ in range(m)],
+        [ScaledIdentityMap(1.0)] * m, [ScaledIdentity(1.0)] * (m - 1), [ZeroMap()] * (m - 1),
+        BlockLinearOp(cells, sig), BlockVector(list(z)), BlockVector.zeros(sig.dims_dual))
+
+
+def test_an_error_solve_allocates_no_product_vector_per_iteration():
+    # the run's s and spare iterate and the schedule's three draws are
+    # allocated once; at its peak, inside Q(p), a solve also holds the
+    # caller's w0, w, Q(w), P's output and the last iteration's Q(p).
+    # Read here: 11.1 product vectors, and 13.0 where each step and each
+    # draw allocated its own
+    prob = _chain_box_problem(8, 13_333)
+    size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+    prob._pair                                  # built before the count
+    cfg = FbfConfig(max_iters=6, residual_tol=0.0, errors=SummableErrorSchedule(0.1, 2.0, 1))
+    tracemalloc.start()
+    try:
+        report = solve_system(prob, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.trace.iterations == 6
+    assert peak <= 11.5 * 8 * size
 
 
 def test_error_schedule_rejects_non_summable():

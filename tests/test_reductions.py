@@ -986,6 +986,19 @@ _SIG = SpaceSig((1, 1), (1,))
      "coupling grid signature does not match the problem"),
     (lambda: _fitting_multivar(ell=[SquaredNorm([1.0, 2.0, 3.0])]),
      "ell 1: omega has 3 entries for a block of dimension 1"),
+    (lambda: _fitting_multivar(f=[None]), "f 1: NoneType is not a ConvexFunction"),
+    (lambda: _fitting_multivar(g=[None]), "g 1: NoneType is not a ConvexFunction"),
+    (lambda: _psum(A=None), "A: NoneType is not a MonotoneOperator"),
+    (lambda: _psum(C=ScaledIdentity(1.0)), "C: ScaledIdentity is not a LipschitzOperator"),
+    (lambda: _psum(B=[ZeroOperator(), None]), "B 2: NoneType is not a MonotoneOperator"),
+    (lambda: _psum(S=[None, ZeroMap()]), "S 1: NoneType is not a MonotoneOperator"),
+    (lambda: _psum(S=[ScaledIdentity(1.0), ScaledIdentity(1.0)]),
+     "S 2: ScaledIdentity is not a LipschitzOperator"),
+    (lambda: _psum(K1=0, K2=0, S=[None, ZeroMap()]), "S 1: NoneType is not a LipschitzOperator"),
+    (lambda: _univariate(f=None), "f: NoneType is not a ConvexFunction"),
+    (lambda: _univariate(g=[ZeroFunction(), None]), "g 2: NoneType is not a ConvexFunction"),
+    (lambda: _univariate(phi=[None, SquaredNorm(1.0)]), "phi 1: NoneType is not a ConvexFunction"),
+    (lambda: _common_zero_solve(1, None), "S 1: NoneType is not a MonotoneOperator"),
 ], ids=["psum-count", "psum-z-fit", "psum-r-fit", "common-zero-count", "multivar-f",
         "multivar-g", "multivar-ell",
         "univar-partition", "univar-phi", "univar-count", "multivar-h-gradient",
@@ -997,7 +1010,10 @@ _SIG = SpaceSig((1, 1), (1,))
         "psum-L-vector", "univar-L-complex", "feasibility-L-vector", "feasibility-box-shapes",
         "common-zero-S-fit-at-solve", "psum-K1-float", "psum-dim-zero", "psum-dual-dim-float",
         "univar-K2-string", "feasibility-dim-float", "common-zero-dim-float",
-        "psum-z-finite", "psum-r-finite", "multivar-L-fit", "multivar-ell-fit"])
+        "psum-z-finite", "psum-r-finite", "multivar-L-fit", "multivar-ell-fit",
+        "multivar-f-role", "multivar-g-role", "psum-A-role", "psum-C-role", "psum-B-role",
+        "psum-S-resolvent-role", "psum-S-forward-role", "psum-S-inverse-role", "univar-f-role",
+        "univar-g-role", "univar-phi-role", "common-zero-S-role-at-solve"])
 def test_a_malformed_front_end_problem_is_rejected(make, message):
     # a front end is checked when it is built, a common-zero problem when it
     # lifts at its first solve; a misfit is named by the caller's role, not

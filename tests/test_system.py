@@ -374,9 +374,10 @@ def test_problem_validation():
     ):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             problem(**bad)
-    # ... and a common-zero problem's at its first solve, where it lifts
+    # ... and a common-zero problem's at its first solve, where it lifts,
+    # under its own role, not the lifted system's
     lifted = CommonZeroProblem(1, None, [ZeroOperator()], [ZeroOperator()])
-    with pytest.raises(ParameterError, match="^A 1: NoneType is not a MonotoneOperator$"):
+    with pytest.raises(ParameterError, match="^A: NoneType is not a MonotoneOperator$"):
         solve_common_zero(lifted, FbfConfig(max_iters=10))
     # a parameter of length 1 spreads over its block; a subclass, and a
     # LipschitzOperator of a callable, are not fit-checked
