@@ -398,26 +398,29 @@ def check_flat(a, n, side):
                              f"got {getattr(a, 'shape', type(a).__name__)}")
 
 
-def _sweep(L, w):
-    """(L* v, -L x) at the flat array w = (x, v): the small scalar cells in
-    one scatter for both halves, then every other cell read once for both
-    of its products.  Each coordinate sums its terms in cell order."""
+def _sweep(L, w, out=None):
+    """(L* v, -L x) at the flat array w = (x, v), into out, or a new array:
+    the small scalar cells in one scatter for both halves, then every other
+    cell read once for both of its products.  Each coordinate sums its
+    terms in cell order."""
+    if out is None:
+        out = np.empty(w.size)
     if L.skew_gather is None:
-        out = np.zeros(w.size)          # bincount over no terms gives int64 zeros
+        out.fill(0.0)                   # bincount over no terms gives int64 zeros
     else:
         targets, sources, weights = L.skew_gather
-        out = np.bincount(targets, weights * w[sources], w.size)
+        out[:] = np.bincount(targets, weights * w[sources], w.size)
     for xs, vs, e in L.skew_cells:
         out[xs] += entry_apply_adjoint(e, w[vs])
         out[vs] -= entry_apply(e, w[xs])
     return out
 
 
-def apply_skew(L, w):
+def apply_skew(L, w, out=None):
     """The skew coupling at the flat product-space array w = (x, v): the
-    new flat array (L* v, -L x), in one sweep over the cells."""
+    flat array (L* v, -L x), into out or a new array, in one sweep."""
     check_flat(w, L.n_primal + L.n_dual, "primal-dual")
-    return _sweep(L, w)
+    return _sweep(L, w, out)
 
 
 def apply_block(L, x):

@@ -75,9 +75,7 @@ class SummableErrorSchedule:
     are pseudo-random but fully determined by (seed, slot, n), so the same
     schedule can be replayed or split across sub-blocks consistently.
 
-    Each slot draws into an array the schedule keeps, allocated again only
-    when the size changes: a draw is valid until the next draw of the same
-    slot, which overwrites it, so a caller copies what it keeps.
+    A draw into a given flat array has the values of a draw into a new one.
     """
 
     def __init__(self, eta, p, seed=0):
@@ -90,18 +88,14 @@ class SummableErrorSchedule:
         self.eta = float(eta)
         self.p = float(p)
         self.seed = int(seed)
-        self._draws = {}                        # slot -> the array it draws into
 
     def norm_at(self, n):
         return self.eta / float(n + 1) ** self.p
 
-    def vec(self, n, slot, dims):
-        """Error vector for iteration n and slot (0=a, 1=b, 2=c), in the
-        slot's kept array."""
+    def vec(self, n, slot, dims, out=None):
+        """Error vector for iteration n and slot (0=a, 1=b, 2=c), in out or new."""
         dims = tuple(int(d) for d in dims)
-        flat = self._draws.get(slot)
-        if flat is None or flat.size != sum(dims):
-            flat = self._draws[slot] = np.empty(sum(dims))
+        flat = np.empty(sum(dims)) if out is None else out
         np.random.default_rng((self.seed, slot, n)).random(out=flat)
         flat -= 0.5
         nrm = np.linalg.norm(flat)
@@ -112,16 +106,17 @@ class SummableErrorSchedule:
         flat /= nrm
         return BlockVector.wrap(flat, dims)
 
-    def __call__(self, n, dims):
-        return tuple(self.vec(n, slot, dims) for slot in range(3))
+    def __call__(self, n, dims, out=(None,) * 3):
+        """(a_n, b_n, c_n), slot j drawn into out[j] where given."""
+        return tuple(self.vec(n, slot, dims, buf) for slot, buf in enumerate(out))
 
 
 class FbfConfig:
     """Iteration parameters.
 
     gamma fixes a constant step; ``gamma_for`` checks it against chi.
-    errors, when set, must produce absolutely summable perturbation triples
-    (a_n, b_n, c_n), drawn as one block of the whole vector; the step is
+    errors(n, dims, out), when set, must give absolutely summable triples
+    (a_n, b_n, c_n) over the whole vector, drawn into out; the step is
     then the constant (1 - epsilon)/chi, as the error theorem needs.  With
     neither, the step comes from the trajectory (``fbf_solve``): it starts
     at or above (1 - epsilon)/chi, never rises, and shrinks, never below
@@ -129,23 +124,25 @@ class FbfConfig:
     ||w_n - p_n|| fails (Tseng's test).  Then, and only then, a run whose
     w0 has at least AA_MIN_SIZE entries is Anderson-accelerated; no option
     turns that on or off.
+    epsilon, when None, is min(DEFAULT_EPSILON, 1/(2(chi+1))), below the
+    1/(chi+1) the theorem needs at every chi (``epsilon_for``).
     on_iteration(n, w_n, p_n), when set, is called once per iteration,
     after the trace row is recorded and before the stopping test, with
     numpy's overflow and invalid-value warnings off, as the whole loop
-    runs; it must not modify w_n or p_n, and it copies what it keeps: the
-    run writes w_{n+2} into w_n's array (``fbf_solve``).
+    runs; it must not modify w_n or p_n, and copies what it keeps: the run
+    writes both arrays again in the next iteration (``fbf_solve``).
     """
 
     def __init__(
         self,
-        epsilon=DEFAULT_EPSILON,
+        epsilon=None,
         gamma=None,
         max_iters=DEFAULT_MAX_ITERS,
         residual_tol=DEFAULT_RESIDUAL_TOL,
         errors=None,
         on_iteration=None,
     ):
-        if not 0 < epsilon < 1:
+        if epsilon is not None and not 0 < epsilon < 1:
             raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}", "epsilon")
         if gamma is not None and not gamma > 0:
             raise ParameterError(f"gamma must be positive, got {gamma}", "gamma")
@@ -155,7 +152,7 @@ class FbfConfig:
         if not 0 <= residual_tol < math.inf:     # every finite residual is <= inf
             raise ParameterError(f"residual_tol must be finite and nonnegative, "
                                  f"got {residual_tol}", "residual_tol")
-        self.epsilon = float(epsilon)
+        self.epsilon = None if epsilon is None else float(epsilon)
         self.gamma = None if gamma is None else float(gamma)
         self.max_iters = int(max_iters)
         self.residual_tol = float(residual_tol)
@@ -163,20 +160,24 @@ class FbfConfig:
         self.on_iteration = on_iteration
 
 
+def epsilon_for(cfg, chi):
+    """cfg.epsilon, or by default the smaller of 1e-2 and 1/(2(chi+1))."""
+    return min(DEFAULT_EPSILON, 0.5 / (chi + 1.0)) if cfg.epsilon is None else cfg.epsilon
+
+
 def gamma_for(cfg, chi, n):
     """Step size for iteration n, constant: cfg.gamma, or else (1-epsilon)/chi,
     the floor of a step taken from the trajectory.
     The one check of epsilon < 1/(chi+1) (ParameterError keyed "epsilon")
     and of the step in [epsilon, (1-epsilon)/chi] (keyed "gamma")."""
-    if cfg.epsilon >= 1.0 / (chi + 1.0):
-        raise ParameterError(f"epsilon {cfg.epsilon} must be below 1/(chi+1) = "
+    eps = epsilon_for(cfg, chi)
+    if eps >= 1.0 / (chi + 1.0):
+        raise ParameterError(f"epsilon {eps} must be below 1/(chi+1) = "
                              f"{1.0 / (chi + 1.0)}", "epsilon")
-    hi = (1.0 - cfg.epsilon) / chi
+    hi = (1.0 - eps) / chi
     g = hi if cfg.gamma is None else cfg.gamma
-    if not cfg.epsilon <= g <= hi * (1 + 1e-12):
-        raise ParameterError(
-            f"gamma {g} at iteration {n} outside [{cfg.epsilon}, {hi}]", "gamma"
-        )
+    if not eps <= g <= hi * (1 + 1e-12):
+        raise ParameterError(f"gamma {g} at iteration {n} outside [{eps}, {hi}]", "gamma")
     return g
 
 
@@ -216,9 +217,10 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     ("converged"), the budget runs out ("max_iters"), or the residual or
     the update is not finite ("diverged", keeping the last finite iterate).
 
-    P_resolvent(gamma, s) evaluates the resolvent of the set-valued part; Q(w)
-    the single-valued part.  chi > 0 must upper-bound Q's Lipschitz
-    constant; ``gamma_for`` checks cfg's epsilon and step against it.
+    P_resolvent(gamma, s, out) evaluates the resolvent of the set-valued
+    part, Q(w, out) the single-valued part, each into every entry of out,
+    which it returns.  chi > 0 must upper-bound Q's Lipschitz constant;
+    ``gamma_for`` checks cfg's epsilon and step against it.
 
     The step is constant where cfg sets errors (the error theorem takes
     gamma_n in [epsilon, (1 - epsilon)/chi]) or gamma.  Otherwise it comes
@@ -261,30 +263,27 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     residual then falls only about as fast as eta_n.  With errors or gamma
     set, or below AA_MIN_SIZE, the loop runs unaccelerated.
 
-    P_resolvent and Q must return new arrays: the run writes into them.
-    It allocates its own work arrays once, s and a spare that w alternates
-    with; per iteration it allocates no product-space float array of its
-    own, bar the Anderson correction where the run is accelerated.  So the
-    w_n that on_iteration sees is overwritten in the next iteration, after
-    the hook's next call, while each p_n is P_resolvent's own.  trace.w
-    and trace.p belong to the caller once the run returns: no later run
-    writes into them.
+    The run allocates six arrays once, w and a spare that w alternates
+    with, s, Q(w), p and Q(p), and P_resolvent, Q and the error draws
+    write into them: per iteration no product-space array is allocated,
+    bar the Anderson correction.  So the w_n and p_n that on_iteration
+    sees are overwritten in the next iteration.  trace.w and trace.p
+    belong to the caller: no later run writes into them.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
 
     trace = FbfTrace(chi)
-    w, p = w0.copy(), None
-    # the run's own arrays, written in place at every iteration: s, and
-    # the spare that w alternates with, which holds each difference whose
-    # norm the iteration takes until it takes w_{n+1}.  The ufuncs below
-    # take their output arrays positionally: on small arrays the out=
-    # keyword costs more than the allocation it saves
-    s, spare = np.empty_like(w), np.empty_like(w)
+    # a, b and c are drawn into s, Q(p)'s array and the spare, and each is
+    # spent before its array is written again.  The ufuncs take their
+    # outputs positionally: on small arrays out= costs more than it saves
+    w = w0.copy()
+    s, spare, qw, p, qp = (np.empty_like(w) for _ in range(5))
+    nw = _norm(w)                               # ||w_n||, taken once per iterate
     stop = "max_iters"
     adaptive = cfg.errors is None and cfg.gamma is None
     aa = _Anderson(w0.size, trace) if adaptive and w0.size >= AA_MIN_SIZE else None
-    theta = 1.0 - cfg.epsilon
+    theta = 1.0 - epsilon_for(cfg, chi)
     gamma = None
     # a non-finite residual or update is the "diverged" stop: numpy's
     # overflow and invalid-value warnings would only repeat it
@@ -293,27 +292,27 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
             # looked up once per iteration: bench/run.py wraps it as its clock
             floor = gamma_for(cfg, chi, n)
             if cfg.errors is not None:
-                a, b, c = (e.flat() for e in cfg.errors(n, (w.size,)))
+                a, b, c = (e.flat() for e in cfg.errors(n, (w.size,), (s, qp, spare)))
             else:
                 a = b = c = None
 
-            qw = Q(w)
+            Q(w, qw)
             if not adaptive:
                 gamma = floor
-            elif gamma is None:
-                probe = P_resolvent(1.0, w - qw)
-                gamma = _step(floor, theta * _norm(w - probe),
-                              STEP_SAFETY * _norm(qw - Q(probe)))
-            # a constant step is the floor, which is never redone: only a
-            # step from the trajectory goes round this loop more than once
+            elif gamma is None:                 # a probe resolvent at unit step
+                P_resolvent(1.0, np.subtract(w, qw, s), p)
+                gamma = _step(floor, theta * _norm(np.subtract(w, p, spare)),
+                              STEP_SAFETY * _norm(np.subtract(qw, Q(p, qp), spare)))
+            # a constant step is the floor, never redone: only a step from
+            # the trajectory, which draws no errors, goes round this loop again
             while True:
-                np.multiply(qw if a is None else np.add(qw, a, spare), gamma, s)
+                np.multiply(qw if a is None else np.add(qw, a, s), gamma, s)
                 np.subtract(w, s, s)                # s = w - gamma (qw + a)
-                p = P_resolvent(gamma, s)
+                P_resolvent(gamma, s, p)
                 if b is not None:
                     p += b
-                qp = Q(p)
-                resid = _norm(np.subtract(w, p, spare))
+                resid = _norm(np.subtract(w, p, qp))
+                Q(p, qp)
                 if not gamma > floor:
                     break
                 gap = _norm(np.subtract(qw, qp, spare))
@@ -334,14 +333,15 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
             if not math.isfinite(resid):        # else inf <= tol * inf reads converged
                 stop = "diverged"
                 break
-            if resid <= cfg.residual_tol * max(1.0, _norm(w)):
+            if resid <= cfg.residual_tol * max(1.0, nw):
                 stop = "converged"
                 break
             np.subtract(w, s, spare)
             spare += qp                         # w_{n+1} = (w - s) + q
             if aa is not None:                  # s is spent: it takes q - s
                 aa.extrapolate(n, np.subtract(qp, s, s), spare)
-            if not np.isfinite(spare).all():
+            nw = _norm(spare)                   # inf also where finite entries overflow
+            if not math.isfinite(nw) and not np.isfinite(spare).all():
                 stop = "diverged"
                 break
             w, spare = spare, w

@@ -143,7 +143,7 @@ def _dual_step(B, r, gamma, x):
                                    BlockVector([r]))
     P_resolvent, Q = product_space_pair(prob)
     w = np.concatenate((np.zeros(d), x))
-    return P_resolvent(gamma, w - gamma * Q(w))[d:]
+    return P_resolvent(gamma, w - gamma * Q(w, np.empty(2 * d)), np.empty(2 * d))[d:]
 
 
 def _check_shifted_inverse(rng):

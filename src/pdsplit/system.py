@@ -105,28 +105,26 @@ def product_space_pair(prob):
 
     Returns (P_resolvent, Q) acting on the flat array of stacked (x, v):
 
-        P_resolvent(gamma, (x, v)) = (J_{gamma A_i}(x_i),
-                                      v_k - gamma J_{B_k/gamma}(v_k/gamma))
-        Q(x, v) = (C_i x_i + sum_k L_ki^* v_k - z_i,
-                   Dinv_k v_k - sum_i L_ki x_i + r_k)
+        P_resolvent(gamma, (x, v), out) = (J_{gamma A_i}(x_i),
+                                           v_k - gamma J_{B_k/gamma}(v_k/gamma))
+        Q((x, v), out) = (C_i x_i + sum_k L_ki^* v_k - z_i,
+                          Dinv_k v_k - sum_i L_ki x_i + r_k)
 
-    P resolves each B_k^{-1} by Moreau's identity.  Q, shifts included,
-    is monotone and beta-Lipschitz: one sweep of the coupling's cells
-    (``apply_skew``), then C_i and Dinv_k added, z subtracted and r added
-    in place.  The A_i, the B_k and the C_i and Dinv_k are grouped once, at
-    build time: a run of consecutive small blocks whose operators join
+    Each overwrites all of out, and returns it.  P resolves each B_k^{-1}
+    by Moreau's identity.  Q, shifts included, is monotone and
+    beta-Lipschitz: one sweep of the coupling's cells (``apply_skew``),
+    then C_i and Dinv_k added, z subtracted and r added in place.  The
+    A_i, the B_k and the C_i and Dinv_k are grouped once, at build time:
+    a run of consecutive small blocks whose operators join
     (``operators.runs``) is one joined operator on one slice, every other
     block its own.  A ZeroOperator run is copied; ZeroMap terms and an
     all-zero shift are skipped.  z and r must be finite (ParameterError
-    otherwise).  Each call returns a new array, which the engine writes
-    into.  Neither function holds the problem, which keeps its pair
+    otherwise).  Neither function holds the problem, which keeps its pair
     (``CoupledInclusionProblem._pair``) without a reference cycle.
     """
     sig, L = prob.sig, prob.L
-    dims = sig.dims_primal + sig.dims_dual
-    size = sum(dims)
     n_primal = sum(sig.dims_primal)
-    slices = block_slices(dims)
+    slices = block_slices(sig.dims_primal + sig.dims_dual)
 
     z, r = prob.z.flat(), prob.r.flat()
     for name, shift in (("z", z), ("r", r)):
@@ -140,16 +138,15 @@ def product_space_pair(prob):
     forward = [(op, sl) for op, sl, _ in runs(prob.C + prob.Dinv, slices)
                if not isinstance(op, ZeroMap)]
 
-    def P_resolvent(gamma, s):
-        out = np.empty(size)
+    def P_resolvent(gamma, s, out):
         for op, sl in primal_res:
             out[sl] = s[sl] if op is None else op.resolvent(gamma, s[sl])
         for op, sl in dual_res:
             out[sl] = s[sl] - gamma * op.resolvent(1.0 / gamma, s[sl] / gamma)
         return out
 
-    def Q(w):
-        out = apply_skew(L, w)
+    def Q(w, out):
+        apply_skew(L, w, out)
         for op, sl in forward:
             out[sl] += op(w[sl])
         if z is not None:
@@ -221,8 +218,8 @@ def kkt_residual(prob, w):
     x_i - J_{A_i}(x_i + u_i), block k is J_{B_k}(v_k + y_k) - y_k, and
     s - w = (u, y), formed in place of s.  Block j reports
     ||d_j|| / (1 + ||w_j|| + ||(u, y)_j||).  The pair is the problem's
-    own, built at its first use; w is only read, and every step after the
-    calls to Q and P_resolvent works in place in their outputs.  Anything
+    own, built at its first use; w is only read, and every step works in
+    place in the two arrays that Q and P_resolvent write into.  Anything
     but a 1-D array of the product space's length raises SignatureError.
     At a diverged iterate the residuals may be inf or nan, without
     numpy's overflow and invalid-value warnings.
@@ -236,9 +233,9 @@ def kkt_residual(prob, w):
         return np.sqrt(np.add.reduceat(np.square(a, out=out), starts))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        u = Q(w)
+        u = Q(w, np.empty(w.size))
         np.subtract(w, u, out=u)
-        d = P_resolvent(1.0, u)
+        d = P_resolvent(1.0, u, np.empty(w.size))
         np.subtract(w, d, out=d)
         u -= w
         nd = norms(d, d)                # d is spent: it takes w's squares next

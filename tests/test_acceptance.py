@@ -38,6 +38,7 @@ from pdsplit.demos import (
     get_demo,
     legendre_normal_equations,
 )
+from pdsplit.fbf import epsilon_for
 from pdsplit.selftest import run_selftest
 from conftest import random_coupled_problem, random_parallel_sum
 from oracles import (check_consistency_theorem, parallel_sum_iterates,
@@ -61,7 +62,8 @@ def test_01_engine_equivalence():
                         on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_system(prob, cfg)
         iterates.append(rep.trace.w)
-        gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
+        beta = compute_beta(prob)
+        gamma = (1.0 - epsilon_for(cfg, beta)) / beta
         ref = system_iterates(prob, [gamma] * 50, errors)
         assert len(iterates) == len(ref) == 51
         worst = max(

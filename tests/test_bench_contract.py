@@ -189,9 +189,10 @@ def test_gamma_for_runs_once_per_iteration_when_iterations_are_redone(monkeypatc
     # (Q is 1-Lipschitz with slope 0.1 on x >= 0, where the probe looks,
     # and its zero -0.5 lies on the steep side)
     calls = _count_gamma_for(monkeypatch)
-    trace = pdsplit.fbf.fbf_solve(ZeroOperator().resolvent,
-                                  lambda x: np.where(x >= 0.0, 0.1 * x, x) + 0.5,
-                                  1.0, np.ones(1), FbfConfig())
+    trace = pdsplit.fbf.fbf_solve(
+        lambda gamma, s, out: np.copyto(out, ZeroOperator().resolvent(gamma, s)) or out,
+        lambda x, out: np.copyto(out, np.where(x >= 0.0, 0.1 * x, x) + 0.5) or out,
+        1.0, np.ones(1), FbfConfig())
     assert trace.converged and trace.retries > 0
     assert calls == list(range(trace.iterations))
 

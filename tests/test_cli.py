@@ -713,6 +713,19 @@ def test_solve_names_the_entry_whose_norm_bound_overflows(tmp_path, capsys, entr
     assert not (tmp_path / "huge.summary").exists()
 
 
+def test_a_problem_with_beta_above_99_solves_at_default_settings(tmp_path):
+    # the default epsilon is min(1e-2, 1/(2(beta+1))); a fixed 1e-2 refused
+    # every beta >= 99 with "epsilon 0.01 must be below 1/(chi+1)"
+    path = tmp_path / "scaled.prob"
+    path.write_text("problem system\nprimal_dims 1\ndual_dims 1\n"
+                    "op A 1 normal_cone_box lo=2 hi=3\nop C 1 zero\n"
+                    "op B 1 scaled_identity c=1\nop Dinv 1 zero\n"
+                    "entry 1 1 scale 200\nvec z 0\nvec r 0\n")
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    summary = (tmp_path / "scaled.summary").read_text()
+    assert "stop_reason converged\n" in summary and "beta 200\n" in summary
+
+
 PSUM_TEXT = """\
 problem parallel_sum
 dim 1

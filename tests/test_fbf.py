@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ from conftest import random_coupled_problem, wide_coupled_problem
 from oracles import anderson_iterates, system_map
 from pdsplit import fbf
 from pdsplit.demos import DEMO_NAMES, get_demo
-from pdsplit.fbf import gamma_for
+from pdsplit.fbf import epsilon_for, gamma_for
 from pdsplit.probfile import build_problem, parse_problem
 from pdsplit.system import compute_beta, solve_system
 
@@ -35,9 +36,24 @@ def _norm(f):
     return math.sqrt(float(f @ f))
 
 
+def writing(f):
+    """f, which returns a new array, as the engine calls P and Q: into the
+    array given last, which it returns."""
+    def into(*args):
+        *args, out = args
+        out[:] = f(*args)
+        return out
+    return into
+
+
+def fresh(f):
+    """An engine callable as a function that returns a new array."""
+    return lambda *args: f(*args, np.empty(np.size(args[-1])))
+
+
 def scalar_pair(P, q):
     """A 1-D operator and a scalar map as the engine's callables."""
-    return P.resolvent, q
+    return writing(P.resolvent), writing(q)
 
 
 def test_converges_to_interval_stationary_point():
@@ -125,8 +141,8 @@ def test_an_overflowing_residual_is_divergence_at_any_tolerance():
 def test_an_overflowing_update_is_divergence():
     # the residual ||w - p|| is finite, but Q overflows at p, and so does
     # the update built from Q(p)
-    P = lambda gamma, s: np.full(1, 1e10)
-    tr = fbf_solve(P, lambda w: 1e300 * w, 1.0, np.ones(1), FbfConfig(residual_tol=0.0))
+    P, Q = writing(lambda gamma, s: np.full(1, 1e10)), writing(lambda w: 1e300 * w)
+    tr = fbf_solve(P, Q, 1.0, np.ones(1), FbfConfig(residual_tol=0.0))
     assert tr.stop_reason == "diverged" and tr.iterations == 1
     assert np.isfinite(tr.rows[-1][2]) and np.array_equal(tr.w, np.ones(1))
 
@@ -184,6 +200,19 @@ def test_gamma_for_checks_the_epsilon_window_first_under_its_own_key():
     assert exc.value.key == "gamma"
 
 
+def test_the_default_epsilon_fits_every_chi():
+    # min(1e-2, 1/(2(chi+1))): 1e-2 up to chi = 49, so the steps there are
+    # as they were, and below 1/(chi+1) at every chi, where a fixed 1e-2
+    # refused chi >= 99; a caller's epsilon is checked as it is given
+    for chi in (0.5, 1.0, 49.0, 99.0, 200.0, 1e6):
+        eps = epsilon_for(FbfConfig(), chi)
+        assert eps == (1e-2 if chi <= 49.0 else 0.5 / (chi + 1.0))
+        assert gamma_for(FbfConfig(), chi, 0) == (1.0 - eps) / chi
+    assert epsilon_for(FbfConfig(epsilon=0.3), 200.0) == 0.3
+    with pytest.raises(ParameterError, match=r"^epsilon 0\.01 must be below "):
+        gamma_for(FbfConfig(epsilon=1e-2), 200.0, 0)
+
+
 @pytest.mark.parametrize("name", DEMO_NAMES)
 def test_a_zero_error_schedule_runs_as_no_schedule(name):
     # its draws are scaled to norm 0, which leaves every evaluation as it is
@@ -228,14 +257,26 @@ def test_error_draw_has_the_scheduled_norm_and_a_bounded_direction(dims):
 
 
 def test_error_draw_over_split_dims_is_the_flat_draw():
-    # the second draw overwrites the first, so the first is copied
     s = SummableErrorSchedule(0.3, 2.0, seed=8)
     for n in (0, 4):
         for slot in range(3):
             split = s.vec(n, slot, (3, 1, 5))
             assert [b.size for b in split.blocks] == [3, 1, 5]
-            first = split.flat().copy()
-            assert np.array_equal(first, s.vec(n, slot, (9,)).flat())
+            assert np.array_equal(split.flat(), s.vec(n, slot, (9,)).flat())
+
+
+def test_a_draw_into_given_arrays_is_the_fresh_draw():
+    # each slot fills the array it is given with the values of a draw into
+    # a new array, whatever the array held, and returns views of it
+    s = SummableErrorSchedule(0.3, 2.0, seed=8)
+    for dims, n in itertools.product([(9,), (4, 5), (100000,)], (0, 1, 7)):
+        out = tuple(np.full(sum(dims), np.nan) for _ in range(3))
+        drawn = s(n, dims, out)
+        for e, buf, want in zip(drawn, out, s(n, dims), strict=True):
+            assert e.flat() is buf and all(np.shares_memory(b, buf) for b in e.blocks)
+            assert [b.size for b in e.blocks] == list(dims)
+            assert buf.tobytes() == want.flat().tobytes()
+        assert len({buf.tobytes() for buf in out}) == 3
 
 
 def test_the_three_slots_draw_into_arrays_of_their_own():
@@ -244,21 +285,6 @@ def test_the_three_slots_draw_into_arrays_of_their_own():
         a, b, c = (e.flat() for e in s(n, (4, 5)))
         assert not any(np.shares_memory(x, y) for x, y in ((a, b), (a, c), (b, c)))
         assert len({a.tobytes(), b.tobytes(), c.tobytes()}) == 3
-
-
-def test_a_draw_stays_until_the_next_draw_of_its_slot():
-    s = SummableErrorSchedule(0.3, 2.0, seed=8)
-    first = s.vec(0, 0, (9,)).flat()
-    kept = first.copy()
-    s.vec(1, 1, (9,))
-    s.vec(1, 2, (4, 5))
-    assert np.array_equal(first, kept)
-    second = s.vec(1, 0, (4, 5)).flat()         # same size: the slot's array again
-    assert second is first and not np.array_equal(first, kept)
-    replay = SummableErrorSchedule(0.3, 2.0, seed=8)
-    assert np.array_equal(second, replay.vec(1, 0, (9,)).flat())
-    other = s.vec(2, 0, (5,)).flat()            # a new size takes a new array
-    assert other.size == 5 and not np.shares_memory(other, first)
 
 
 @pytest.mark.parametrize("max_iters", [30, 31])
@@ -292,23 +318,39 @@ def _chain_box_problem(m, dim):
 
 
 def test_an_error_solve_allocates_no_product_vector_per_iteration():
-    # the run's s and spare iterate and the schedule's three draws are
-    # allocated once; at its peak, inside Q(p), a solve also holds the
-    # caller's w0, w, Q(w), P's output and the last iteration's Q(p).
-    # Read here: 11.1 product vectors, and 13.0 where each step and each
-    # draw allocated its own
+    # the run allocates w, the spare iterate, s, Q(w), p and Q(p) once, and
+    # P, Q and the three error draws write into them; with the caller's w0
+    # that is 7 product vectors, and the whole run peaks at 7.1.  Between
+    # two calls of the hook, an iteration's temporaries, block-sized, stay
+    # under half a product vector above what is held, so a product-size
+    # temporary anywhere in the loop fails, not only one at the peak
     prob = _chain_box_problem(8, 13_333)
     size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
     prob._pair                                  # built before the count
-    cfg = FbfConfig(max_iters=6, residual_tol=0.0, errors=SummableErrorSchedule(0.1, 2.0, 1))
+    excess = []
+
+    def hook(n, w, p):
+        held, peak = tracemalloc.get_traced_memory()
+        excess.append(peak - held)
+        tracemalloc.reset_peak()
+
+    cfg = FbfConfig(max_iters=6, residual_tol=0.0, errors=SummableErrorSchedule(0.1, 2.0, 1),
+                    on_iteration=hook)
     tracemalloc.start()
     try:
         report = solve_system(prob, cfg)
+    finally:
+        tracemalloc.stop()
+    assert report.trace.iterations == len(excess) == 6
+    assert max(excess) <= 0.5 * 8 * size
+    cfg.on_iteration = None
+    tracemalloc.start()
+    try:
+        solve_system(prob, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.trace.iterations == 6
-    assert peak <= 11.5 * 8 * size
+    assert peak <= 7.5 * 8 * size
 
 
 def test_error_schedule_rejects_non_summable():
@@ -366,8 +408,7 @@ def kinked_pair():
     x >= 0 and 1 below: 1-Lipschitz, zero at x = -0.5.  A probe from x = 1
     sees only the slope 0.1, so the first step is too long for the steep
     side and the run must shrink it."""
-    return (ZeroOperator().resolvent,
-            lambda x: np.where(x >= 0.0, 0.1 * x, x) + 0.5)
+    return scalar_pair(ZeroOperator(), lambda x: np.where(x >= 0.0, 0.1 * x, x) + 0.5)
 
 
 def _rule_cases():
@@ -389,7 +430,8 @@ def test_every_accepted_step_passes_tsengs_test():
         cfg = FbfConfig(max_iters=400,
                         on_iteration=lambda n, w, p: seen.append((w.copy(), p.copy())))
         tr = fbf_solve(P, Q, chi, w0, cfg)
-        theta, floor = 1.0 - cfg.epsilon, (1.0 - cfg.epsilon) / chi
+        theta = 1.0 - epsilon_for(cfg, chi)
+        floor, Q = theta / chi, fresh(Q)
         for (_, gamma, _), (w, p) in zip(tr.rows, seen, strict=True):
             assert gamma == floor or gamma * _norm(Q(w) - Q(p)) <= theta * _norm(w - p)
         retries += tr.retries
@@ -401,9 +443,10 @@ def test_the_step_starts_at_the_floor_or_above_and_never_rises():
     for P, Q, chi, w0 in _rule_cases():
         cfg = FbfConfig(max_iters=400)
         steps = [gamma for _, gamma, _ in fbf_solve(P, Q, chi, w0, cfg).rows]
-        assert min(steps) >= (1.0 - cfg.epsilon) / chi
+        floor = (1.0 - epsilon_for(cfg, chi)) / chi
+        assert min(steps) >= floor
         assert all(b <= a for a, b in zip(steps, steps[1:]))
-        above += steps[0] > (1.0 - cfg.epsilon) / chi
+        above += steps[0] > floor
     assert above > 0
 
 
@@ -419,6 +462,7 @@ def test_a_redone_iteration_keeps_its_smaller_step():
 def _constant_step_run(P, Q, gamma, w0, max_iters, errors=None):
     """The engine's loop at a constant step, the one the step from the
     trajectory leaves in place where errors are set or gamma is fixed."""
+    P, Q = fresh(P), fresh(Q)
     w = w0.copy()
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,6 +19,7 @@ from pdsplit import (
     IndicatorFunction,
     L1Norm,
     LipschitzOperator,
+    MultivariateMinProblem,
     NormalCone,
     ParallelSumProblem,
     ParameterError,
@@ -31,10 +32,12 @@ from pdsplit import (
     SquaredNorm,
     SubdifferentialOperator,
     SummableErrorSchedule,
+    ZeroFunction,
     ZeroMap,
     ZeroOperator,
     apply_adjoint,
     apply_block,
+    apply_skew,
     compute_beta,
     kkt_residual,
     lift_parallel_sum,
@@ -45,6 +48,7 @@ from pdsplit import (
 from conftest import random_coupled_problem, wide_coupled_problem
 from oracles import kkt_residual_blockwise, system_iterates
 from pdsplit.blocks import SMALL_BLOCK_DIM, block_slices
+from pdsplit.fbf import epsilon_for
 from pdsplit.operators import runs
 
 
@@ -195,7 +199,7 @@ def test_the_pair_resolves_each_block_as_its_own_operator_does():
             # entries of both signs and scales, so some Halfspace blocks are
             # projected and others are not
             s = rng.standard_normal(sum(dp + dd)) * rng.choice([0.01, 1.0, 100.0], sum(dp + dd))
-            got = P_resolvent(gamma, s)
+            got = P_resolvent(gamma, s, np.empty(s.size))
             for i, op in enumerate(A):
                 assert np.array_equal(got[slices[i]], op.resolvent(gamma, s[slices[i]]))
             for k, op in enumerate(B):
@@ -203,7 +207,7 @@ def test_the_pair_resolves_each_block_as_its_own_operator_does():
                 want = x - gamma * cut_projection(op.set, x / gamma)
                 assert np.array_equal(got[slices[6 + k]], want)
         x, v = np.split(s, [sum(dp)])
-        got = Q(s)
+        got = Q(s, np.empty(s.size))
         adjoint, image = apply_adjoint(L, v), apply_block(L, x)
         for i, (op, zi) in enumerate(zip(C, z)):
             sl = slices[i]
@@ -219,6 +223,46 @@ def test_the_pair_resolves_each_block_as_its_own_operator_does():
     for cut, x in ((B[2].set, pieces[0]), (B[3].set, pieces[1]),
                    (joined, np.concatenate(pieces))):
         assert np.array_equal(cut.project(x), x)
+
+
+def _pairs_of_three_shapes():
+    """Systems whose pairs the engine calls: random coupled systems, with
+    dense cells and some 1 x 1 scalar ones; tv_chain's chain of scalar
+    blocks, sqdist f_i and l1 g_k; and tiny_psum's lifted common zero of
+    lines, hyperplane cones joined into one run."""
+    rng = np.random.default_rng(21)
+    probs = [random_coupled_problem(rng) for _ in range(6)]
+    m = 16
+    sig = SpaceSig((1,) * m, (1,) * (m - 1))
+    chain = {(k, k): 1.0 for k in range(m - 1)} | {(k, k + 1): -1.0 for k in range(m - 1)}
+    probs.append(MultivariateMinProblem(
+        sig, [QuadraticDistance([y]) for y in rng.standard_normal(m)], [ZeroFunction()] * m,
+        [L1Norm(0.5)] * (m - 1), [None] * (m - 1), BlockVector.zeros(sig.dims_primal),
+        BlockVector.zeros(sig.dims_dual), BlockLinearOp(chain, sig)))
+    lines = [([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([0.6, 0.8], 0.5)]
+    probs.append(CommonZeroProblem(2, ZeroOperator(),
+                                   [NormalCone(Hyperplane(u, rho)) for u, rho in lines],
+                                   [ScaledIdentity(1.0)] * 3)._system)
+    return probs
+
+
+def test_the_pair_writes_every_entry_of_its_output_and_returns_it():
+    # out filled with nan first: a path that adds into out without clearing
+    # it, or leaves an entry unwritten, reads nan or other bits than the
+    # same call into zeros
+    probs = _pairs_of_three_shapes()
+    assert {prob.L.skew_gather is None for prob in probs} == {True, False}
+    rng = np.random.default_rng(4)
+    for prob in probs:
+        P_resolvent, Q = prob._pair
+        n = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+        for gamma in (0.3, 1.0, 2.5):
+            s = rng.standard_normal(n) * rng.choice([0.01, 1.0, 100.0], n)
+            for f, args in ((P_resolvent, (gamma, s)), (Q, (s,)), (apply_skew, (prob.L, s))):
+                out = np.full(n, np.nan)
+                assert f(*args, out) is out
+                assert out.tobytes() == f(*args, np.zeros(n)).tobytes()
+            assert out.tobytes() == apply_skew(prob.L, s).tobytes()
 
 
 def test_a_warm_solve_with_two_redone_iterations_inverts_nothing(monkeypatch):
@@ -277,7 +321,8 @@ def test_one_evaluation_of_q_sweeps_the_coupling_once(rng, monkeypatch):
                                     calls.append(_n) or _f(*args))
     prob = random_coupled_problem(rng)
     _, Q = product_space_pair(prob)
-    Q(rng.standard_normal(sum(prob.sig.dims_primal + prob.sig.dims_dual)))
+    size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+    Q(rng.standard_normal(size), np.empty(size))
     assert calls == ["apply_skew"]
 
 
@@ -290,7 +335,8 @@ def test_engine_equivalence_iterate_for_iterate(rng):
                         on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_system(prob, cfg)
         iterates.append(rep.trace.w)
-        gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
+        beta = compute_beta(prob)
+        gamma = (1.0 - epsilon_for(cfg, beta)) / beta
         ref = system_iterates(prob, [gamma] * 50, errors)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
         assert len(gaps) == 51 and max(gaps) <= 1e-12
@@ -440,7 +486,8 @@ def test_engine_equivalence_over_interleaved_runs(monkeypatch):
                         on_iteration=lambda n, w, p: iterates.append(w.copy()))
         rep = solve_system(prob, cfg)
         iterates.append(rep.trace.w)
-        gamma = (1.0 - cfg.epsilon) / compute_beta(prob)
+        beta = compute_beta(prob)
+        gamma = (1.0 - epsilon_for(cfg, beta)) / beta
         ref = system_iterates(prob, [gamma] * 50, errors)
         gaps = [np.linalg.norm(a - b) for a, b in zip(iterates, ref)]
         assert len(gaps) == 51 and max(gaps) <= 1e-12
@@ -452,7 +499,8 @@ def test_engine_equivalence_over_interleaved_runs(monkeypatch):
         monkeypatch.setattr(cls, "resolvent", lambda self, gamma, x, f=original:
                             calls.append(x.size) or f(self, gamma, x))
     P_resolvent, _ = product_space_pair(prob)
-    P_resolvent(0.1, np.zeros(sum(prob.sig.dims_primal + prob.sig.dims_dual)))
+    size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+    P_resolvent(0.1, np.zeros(size), np.empty(size))
     assert calls == [6, SMALL_BLOCK_DIM + 6, 4, 1, 4, 3, SMALL_BLOCK_DIM + 6, 3, 1, 2]
 
 
