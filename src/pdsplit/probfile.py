@@ -24,9 +24,11 @@ parameters use commas (``lo=0,0``), matrices semicolons between rows
 multiple of the identity) of the operator's block size.
 
 Reading is strict: a second line for the same slot, a malformed or NaN
-number, an infinite ``vec`` component, or a directive that
-``build_problem`` does not read for the kind is a ``ParseError`` starting
-with its line; an infinite parameter is left to its operator to reject.
+number, an infinite ``vec`` component, a ``vec``, ``sqdist a`` or ``rho``
+whose sum of squares overflows, as the first iterate's norm then would,
+or a directive that ``build_problem`` does not read for the kind is a
+``ParseError`` starting with its line; an infinite parameter is left to
+its operator to reject.
 ``ProblemFile.slots`` keeps each directive's value under its slot, such as
 ``('op', 'f', 1)``; a hand-built file sets ``pf.slots[slot]``.  The
 catalog is one table of constructors per family; ``CATALOG_IDS`` and
@@ -248,6 +250,7 @@ def parse_problem(text):
 
 
 _REQUIRED = object()
+_TOO_LARGE = "is too large: its sum of squares overflows"
 
 
 class _Params:
@@ -285,12 +288,22 @@ class _Params:
             self.fail(f"parameter {name} is NaN")
         return val
 
-    def scalar(self, name, default=_REQUIRED):
-        return self._take(name, default, ())
+    def scalar(self, name, default=_REQUIRED, linear=False):
+        return self._fits(name, self._take(name, default, ()), linear, 1)
 
-    def vector(self, name, default=_REQUIRED):
-        val = self._take(name, default, (self.dim,))
+    def vector(self, name, default=_REQUIRED, linear=False):
+        val = self._fits(name, self._take(name, default, (self.dim,)), linear, self.dim)
         return np.full(self.dim, val) if isinstance(val, float) else val
+
+    def _fits(self, name, val, linear, size):
+        """val, of size entries (a float stands for size equal ones); where
+        it enters the iterate linearly, a ParseError if it is finite but the
+        sum of its squares overflows, as the first iterate's norm would."""
+        if linear:
+            squares = size * val * val if isinstance(val, float) else np.vdot(val, val)
+            if not math.isfinite(squares) and np.isfinite(val).all():   # inf: its operator's
+                self.fail(f"parameter {name} {_TOO_LARGE}")
+        return val
 
     def matrix(self, name):
         val = self._take(name, _REQUIRED, (self.dim, self.dim))
@@ -307,14 +320,14 @@ def _wrapped(table, wrap, prefix="", ids=None):
 _SETS = {
     "box": lambda p: Box(p.vector("lo"), p.vector("hi")),
     "ball": lambda p: Ball(p.vector("center"), p.scalar("radius")),
-    "halfspace": lambda p: Halfspace(p.vector("u"), p.scalar("rho")),
-    "hyperplane": lambda p: Hyperplane(p.vector("u"), p.scalar("rho")),
+    "halfspace": lambda p: Halfspace(p.vector("u"), p.scalar("rho", linear=True)),
+    "hyperplane": lambda p: Hyperplane(p.vector("u"), p.scalar("rho", linear=True)),
     "point": lambda p: Point(p.vector("c")),
 }
 _FUNCTIONS = {
     "zero": lambda p: ZeroFunction(),
     "l1": lambda p: L1Norm(p.scalar("weight", 1.0)),
-    "sqdist": lambda p: QuadraticDistance(p.vector("a")),
+    "sqdist": lambda p: QuadraticDistance(p.vector("a", linear=True)),
     "sqnorm": lambda p: SquaredNorm(p.scalar("omega")),
     **_wrapped(_SETS, IndicatorFunction, "indicator_"),
 }
@@ -418,8 +431,9 @@ class _Reader:
         if flat.size != sum(dims):
             raise ParseError(f"{self.where(('vec', name))}vec {name} has "
                              f"{flat.size} components, expected {sum(dims)}")
-        if not np.isfinite(flat).all():
-            raise ParseError(f"{self.where(('vec', name))}vec {name} must be finite")
+        if not math.isfinite(np.vdot(flat, flat)):  # inf, or squares that overflow
+            raise ParseError(f"{self.where(('vec', name))}vec {name} " + (
+                "must be finite" if np.isinf(flat).any() else _TOO_LARGE))
         return BlockVector.wrap(flat.copy(), dims)   # shares no memory with the file
 
     def grid(self, dims_out, dims_in):

@@ -6,8 +6,8 @@ feasibility relaxations, the KKT
 residuals and the objectives of a minimization block by block, the
 coupling and its adjoint added cell by cell, and the primal-dual and
 partitioned parallel-sum iterations written out on flat arrays with the
-coupling assembled densely by np.block, and Anderson acceleration of the
-first.
+coupling assembled densely by np.block, Anderson acceleration of the
+first, and the error schedule's draw written from its formula.
 
 The iteration references share no code with the solver's engine, its
 product-space pair or its block storage; they take the step gamma and the
@@ -288,6 +288,29 @@ def system_map(prob):
         return x - s1 + q1, v - s2 + q2
 
     return T, op[-1]
+
+
+def error_draw(eta, p, seed, n, slot, size):
+    """Slot slot (0=a, 1=b, 2=c) of iteration n of the error schedule
+    (eta, p, seed), from its formula: one serial draw of the cube
+    [-1/2, 1/2)^size by default_rng((seed, slot, n)), times eta / (n+1)^p,
+    over its norm, or e_0 for a zero draw."""
+    e = np.random.default_rng((seed, slot, n)).random(size) - 0.5
+    nrm = np.linalg.norm(e)
+    if nrm == 0.0:
+        e[0], nrm = 1.0, 1.0
+    return e * (eta / float(n + 1) ** p) / nrm
+
+
+def error_triples(eta, p, seed):
+    """errors(n, dims, out=None) of ``error_draw``: slots 0, 1 and 2 as
+    blocks of dims over new arrays, for the engine, which passes out, and
+    for ``system_iterates``."""
+    def errors(n, dims, out=None):
+        dims = tuple(dims)
+        return tuple(BlockVector.wrap(error_draw(eta, p, seed, n, slot, sum(dims)), dims)
+                     for slot in range(3))
+    return errors
 
 
 def system_iterates(prob, steps, errors=None):

@@ -713,6 +713,35 @@ def test_solve_names_the_entry_whose_norm_bound_overflows(tmp_path, capsys, entr
     assert not (tmp_path / "huge.summary").exists()
 
 
+@pytest.mark.parametrize("text, old, new, message", [
+    (SYSTEM_TEXT, "vec z 0.3 -0.2", "vec z 1e308 0", "line 12: vec z "),
+    (SYSTEM_TEXT, "vec r 0 0", "vec r 1e308 0", "line 13: vec r "),
+    (SYSTEM_TEXT, "vec z 0.3 -0.2", "vec z 1e154 1e154", "line 12: vec z "),
+    (get_demo("twobox").text, "sqdist a=0", "sqdist a=1e308", "line 8: sqdist: parameter a "),
+    (FEAS_TEXT, "rho=3", "rho=1e308", "line 4: hyperplane: parameter rho "),
+], ids=["vec-z", "vec-r", "vec-z-sum", "sqdist-a", "hyperplane-rho"])
+def test_solve_names_the_line_of_a_linear_value_whose_squares_overflow(tmp_path, capsys, text,
+                                                                       old, new, message):
+    # z, r, sqdist's a and rho enter the iterate linearly, so the first
+    # iteration's norm overflowed, and the run ended "diverged at iteration
+    # 0" or ran to its budget, naming no line; 1e154 fits, but not twice
+    path = tmp_path / "huge.prob"
+    path.write_text(text.replace(old, new, 1))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+    assert message + "is too large: its sum of squares overflows" in err
+    assert not (tmp_path / "huge.summary").exists()
+
+
+def test_a_large_box_bound_still_solves(tmp_path):
+    # a bound enters no iterate linearly: the box holds the solution
+    path = tmp_path / "wide.prob"
+    path.write_text(get_demo("twobox").text.replace("lo=0 hi=1", "lo=-1e200 hi=1"))
+    assert main(["solve", str(path), "--output-dir", str(tmp_path)]) == 0
+    assert read_summary(tmp_path / "wide.summary")["stop_reason"] == "converged"
+
+
 def test_a_problem_with_beta_above_99_solves_at_default_settings(tmp_path):
     # the default epsilon is min(1e-2, 1/(2(beta+1))); a fixed 1e-2 refused
     # every beta >= 99 with "epsilon 0.01 must be below 1/(chi+1)"

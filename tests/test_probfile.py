@@ -448,6 +448,27 @@ def test_infinite_box_bounds_accepted():
     np.testing.assert_array_equal(prob.A[0].set.hi, [np.inf, np.inf])
 
 
+@pytest.mark.parametrize("text, old, new, pattern", [
+    (SYSTEM_TEXT, "vec z 0.3 -0.2", "vec z 1e308 0", "line 12: vec z is too large"),
+    (SYSTEM_TEXT, "vec r 0 0", "vec r -1e308 0", "line 13: vec r is too large"),
+    (MULTIVAR_TEXT, "sqdist a=0", "sqdist a=1e308", "line 8: sqdist: parameter a is too large"),
+    (SYSTEM_TEXT, "normal_cone_box lo=-1,-1 hi=1,1", "normal_cone_box lo=-1,-1 hi=1,1e200",
+     None),
+    (FEASIBILITY_TEXT, "rho=3", "rho=1e308", "line 4: hyperplane: parameter rho is too large"),
+    (FEASIBILITY_TEXT, "rho=3", "rho=1e154", None),
+    (SYSTEM_TEXT, "normal_cone_box lo=-1,-1 hi=1,1", "indicator_halfspace u=1,0 rho=-1e200",
+     "line 4: indicator_halfspace: parameter rho is too large"),
+])
+def test_a_linear_value_whose_squares_overflow_names_its_line(text, old, new, pattern):
+    # z, r, sqdist's a and rho enter the iterate linearly; a box bound does not
+    pf = parse_problem(text.replace(old, new, 1))
+    if pattern is None:
+        build_problem(pf)
+        return
+    with pytest.raises(ParseError, match=pattern + ": its sum of squares overflows$"):
+        build_problem(pf)
+
+
 def test_kind_partition_checked_with_line():
     text = PSUM_TEXT.replace("k1 0\nk2 0", "k1 1\nk2 0")
     with pytest.raises(ParseError, match="line 5: need k1 <= k2 <= 1"):
