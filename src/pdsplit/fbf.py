@@ -23,6 +23,8 @@ nothing when left unset.
 
 The engine iterates on one flat vector: w0, what P_resolvent and Q take
 and return, trace.w, trace.p and the hook's arguments are 1-D arrays.
+Over MIN_CHUNK entries the error draws and the iteration's own elementwise
+steps run in chunks on a thread pool, bit for bit as serially (``fbf_solve``).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ AA_MEMORY = 10
 AA_CAP = 10.0
 AA_POWER = 1.1
 AA_MIN_SIZE = 256
-# an error draw of size entries runs in min(_WORKERS, ceil(size / MIN_CHUNK))
+# a step over size entries runs in min(_WORKERS, ceil(size / MIN_CHUNK))
 # chunks, _WORKERS the CPUs the process may use.  Two chunks on two threads
 # drew three slots slower than one at 65 536 entries, faster from ~100 000
 MIN_CHUNK = 1 << 17
@@ -116,49 +118,71 @@ class SummableErrorSchedule:
         dims = tuple(int(d) for d in dims)
         size = sum(dims)
         flats = [np.empty(size) if buf is None else buf for buf in out]
-        k = min(_WORKERS, -(-size // MIN_CHUNK))
-        chunks = [slice(size * i // k, size * (i + 1) // k) for i in range(k)]
-        run = _pool().submit if k > 1 else _Done
-        jobs = [[run(_fill, flat[c], (self.seed, slot, n), c.start) for c in chunks]
-                for slot, flat in zip(slots, flats)]
-        for flat, fills in zip(flats, list(jobs)):  # a slot's norm while later slots fill
-            for f in fills:
-                f.exception()                   # waits; an error is raised below
+        fills = [_start(size, _fill, flat, (self.seed, slot, n))
+                 for slot, flat in zip(slots, flats)]
+        scale = []
+        # in chunks, a slot's norm is taken while later slots fill; in one,
+        # a slot is filled, normed and scaled before the next is filled
+        for flat, fill in zip(flats, fills):
+            _wait(scale + fill)
             nrm = np.linalg.norm(flat)
             if nrm == 0.0:
                 flat[0] = 1.0
                 nrm = 1.0
-            jobs.append([run(_scale, flat[c], self.norm_at(n), nrm) for c in chunks])
-        for error in filter(None, [f.exception() for fs in jobs for f in fs]):
-            raise error                         # once every chunk is done
+            scale = _start(size, _scale, flat, self.norm_at(n), nrm)
+        _wait(scale)
         return tuple(BlockVector.wrap(flat, dims) for flat in flats)
 
 
-def _fill(view, key, lo):
-    np.random.Generator(np.random.PCG64(key).advance(lo)).random(out=view)
+def _start(size, fn, *args):
+    """Jobs, calls that finish a chunk and return its error, of fn(at, *args)
+    with each array in args cut to the chunk at: one chunk runs on the
+    caller's thread when its job is called, more start on the pool at once."""
+    k = min(_WORKERS, -(-size // MIN_CHUNK))
+    if k < 2:
+        return [functools.partial(fn, slice(0, size), *args)]
+    cut = lambda at: [x[at] if isinstance(x, np.ndarray) else x for x in args]
+    return [_pool().submit(fn, at, *cut(at)).exception
+            for at in (slice(size * i // k, size * (i + 1) // k) for i in range(k))]
+
+
+def _wait(jobs):
+    for error in filter(None, [job() for job in jobs]):
+        raise error                             # once every job is done
+
+
+def _fill(at, view, key):
+    np.random.Generator(np.random.PCG64(key).advance(at.start)).random(out=view)
     view -= 0.5
 
 
-def _scale(view, norm, nrm):
+def _scale(_, view, norm, nrm):
     view *= norm                                # in place: the same two roundings
     view /= nrm
 
 
-class _Done:
-    """A chunk run at once on the caller's thread, as a finished future."""
+# fbf_solve's steps in chunks, each the ufunc calls of its step in one chunk
+def _forward(_, w, qw, a, s, gamma):
+    np.subtract(w, np.multiply(qw if a is None else np.add(qw, a, s), gamma, s), s)
 
-    def __init__(self, fn, *args):
-        fn(*args)
 
-    def exception(self):
-        return None
+def _backward(_, w, p, b, qp):
+    np.subtract(w, p if b is None else np.add(p, b, p), qp)
+
+
+def _update(_, w, s, p, qp, c, spare, gamma):
+    np.subtract(p, np.multiply(qp if c is None else np.add(qp, c, qp), gamma, spare), qp)
+    np.add(np.subtract(w, s, spare), qp, spare)
 
 
 @functools.cache
 def _pool():
-    """The draws' thread pool, made at the first draw in more than one chunk."""
+    """The pool of the steps in chunks, made at the first one.  No thread takes
+    numpy's error state from its caller: the workers ignore overflow and
+    invalid values, as fbf_solve's loop does."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(_WORKERS, "pdsplit-draw")
+    return ThreadPoolExecutor(_WORKERS, "pdsplit", functools.partial(
+        np.seterr, over="ignore", invalid="ignore"))
 
 
 if hasattr(os, "register_at_fork"):             # a forked child has none of its threads
@@ -323,6 +347,14 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     bar the Anderson correction.  So the w_n and p_n that on_iteration
     sees are overwritten in the next iteration.  trace.w and trace.p
     belong to the caller: no later run writes into them.
+
+    Over more than MIN_CHUNK entries and on more than one CPU, three steps
+    run in chunks on the error draws' pool: s = w - gamma (Q(w) + a); p += b
+    and w - p; q = p - gamma (Q(p) + c) and w - s + q.  Each chunk makes the
+    serial step's ufunc calls on its slice, so the iterates are the same bit
+    for bit.  P_resolvent, Q, the Anderson update, on_iteration and every
+    norm run on the caller's thread: a sum over chunks would round unlike
+    one dot product.
     """
     if not chi > 0:
         raise ParameterError(f"chi must be positive, got {chi}")
@@ -339,6 +371,8 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     aa = _Anderson(w0.size, trace) if adaptive and w0.size >= AA_MIN_SIZE else None
     theta = 1.0 - epsilon_for(cfg, chi)
     gamma = None
+    run = None if w.size <= MIN_CHUNK or _WORKERS < 2 else (
+        lambda fn, *args, size=w.size: _wait(_start(size, fn, *args)))
     # a non-finite residual or update is the "diverged" stop: numpy's
     # overflow and invalid-value warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,12 +394,17 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
             # a constant step is the floor, never redone: only a step from
             # the trajectory, which draws no errors, goes round this loop again
             while True:
-                np.multiply(qw if a is None else np.add(qw, a, s), gamma, s)
-                np.subtract(w, s, s)                # s = w - gamma (qw + a)
+                if run is None:                 # s = w - gamma (qw + a)
+                    np.multiply(qw if a is None else np.add(qw, a, s), gamma, s)
+                    np.subtract(w, s, s)
+                else:
+                    run(_forward, w, qw, a, s, gamma)
                 P_resolvent(gamma, s, p)
-                if b is not None:
-                    p += b
-                resid = _norm(np.subtract(w, p, qp))
+                if run is None:                 # p += b, then qp takes w - p
+                    np.subtract(w, p if b is None else np.add(p, b, p), qp)
+                else:
+                    run(_backward, w, p, b, qp)
+                resid = _norm(qp)
                 Q(p, qp)
                 if not gamma > floor:
                     break
@@ -376,10 +415,13 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
                 trace.retries += 1
                 if aa is not None:              # T changed with the step
                     aa.clear()
-            if c is not None:
-                qp += c
-            # qp takes q = p - gamma (Q(p) + c)
-            np.subtract(p, np.multiply(qp, gamma, spare), qp)
+            # qp takes q = p - gamma (Q(p) + c), and spare w_{n+1} = (w - s) + q
+            if run is None:
+                np.multiply(qp if c is None else np.add(qp, c, qp), gamma, spare)
+                np.subtract(p, spare, qp)
+                np.add(np.subtract(w, s, spare), qp, spare)
+            else:
+                run(_update, w, s, p, qp, c, spare, gamma)
 
             trace.rows.append((n, gamma, resid))
             if cfg.on_iteration is not None:
@@ -390,8 +432,6 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
             if resid <= cfg.residual_tol * max(1.0, nw):
                 stop = "converged"
                 break
-            np.subtract(w, s, spare)
-            spare += qp                         # w_{n+1} = (w - s) + q
             if aa is not None:                  # s is spent: it takes q - s
                 aa.extrapolate(n, np.subtract(qp, s, s), spare)
             nw = _norm(spare)                   # inf also where finite entries overflow

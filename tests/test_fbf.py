@@ -337,6 +337,29 @@ def test_a_draw_in_chunks_is_the_serial_draw(monkeypatch, short_switches, worker
         assert [s.vec(n, slot, split).flat().tobytes() for slot in range(3)] == want
 
 
+def test_a_draw_in_one_chunk_scales_each_slot_before_the_next_fills(monkeypatch):
+    # a slot is still in cache when its norm and scale read it; in two
+    # chunks every fill is started before the first norm
+    calls = []
+
+    def recording(name):
+        kernel = getattr(fbf, name)
+
+        def run(*args):
+            calls.append(name)
+            kernel(*args)
+        return run
+
+    for name in ("_fill", "_scale"):
+        monkeypatch.setattr(fbf, name, recording(name))
+    s = SummableErrorSchedule(0.3, 2.0, seed=8)
+    for workers, order in ((1, ["_fill", "_scale"] * 3), (2, ["_fill"] * 6)):
+        monkeypatch.setattr(fbf, "_WORKERS", workers)
+        calls.clear()
+        s(0, (fbf.MIN_CHUNK + 1,))
+        assert calls[:len(order)] == order and len(calls) == 6 * workers
+
+
 def test_an_error_solve_in_chunks_is_the_solve_of_the_formula(monkeypatch):
     # 2^17 primal entries and one dual: each draw runs in two chunks, and
     # the run is the one the formula's serial draw drives, bit for bit;
@@ -367,6 +390,52 @@ def test_an_error_solve_in_chunks_is_the_solve_of_the_formula(monkeypatch):
     assert np.linalg.norm(chunked.w - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _elementwise_solve(size, path):
+    """A run of one of three paths on size entries: a box's projection as
+    P and a kinked Q of slopes 0.1 and 1 (``kinked_pair``) per entry.  From
+    below zero the step from the trajectory holds and the run is
+    accelerated; from above, the steep side makes it redo iterations."""
+    rng = np.random.default_rng(size)
+    z = rng.random(size)
+    P = writing(lambda gamma, s: np.clip(s, -1.0, 1.0))
+    Q = writing(lambda x: np.where(x >= 0.0, 0.1 * x, x) + z)
+    w0 = (1.0 if path == "redone" else -1.0) * (1.0 + rng.random(size))
+    errors = SummableErrorSchedule(0.1, 2.0, 7) if path == "errors" else None
+    return fbf_solve(P, Q, 1.0, w0, FbfConfig(max_iters=6, residual_tol=0.0, errors=errors))
+
+
+@pytest.mark.parametrize("size", [fbf.MIN_CHUNK - 1, fbf.MIN_CHUNK + 1, 2 * fbf.MIN_CHUNK + 1])
+@pytest.mark.parametrize("path", ["errors", "accelerated", "redone"])
+def test_a_solve_in_chunks_is_the_serial_solve(monkeypatch, path, size):
+    # the iteration's own steps, and the draws, run in up to three chunks
+    # here: the record and the iterates are the one-chunk run's, bit for bit
+    runs = []
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(fbf, "_WORKERS", workers)
+        tr = _elementwise_solve(size, path)
+        runs.append((tr.rows, tr.w.tobytes(), tr.p.tobytes(), tr.capped, tr.cleared, tr.retries))
+    assert runs[1:] == runs[:1] * 3
+    rows, _, _, capped, cleared, retries = runs[0]
+    assert len(rows) == 6 and {
+        "errors": capped == cleared == retries == 0,
+        "accelerated": capped > 0 and retries == 0,
+        "redone": retries > 0 and cleared > 0}[path]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("errors", [True, False], ids=["errors", "accelerated"])
+def test_a_diverging_solve_in_chunks_warns_nothing(monkeypatch, errors):
+    # chi far too small makes the step 9.9 where Q(w) = 1e157 w: from 1e151
+    # the first forward step overflows in every chunk, and the update takes
+    # inf - inf.  A worker's numpy warning would be raised here as an error
+    monkeypatch.setattr(fbf, "_WORKERS", 2)
+    P, Q = writing(lambda gamma, s: s.copy()), writing(lambda x: 1e157 * x)
+    cfg = FbfConfig(residual_tol=0.0, errors=SummableErrorSchedule(0.1, 2.0, 3) if errors else None)
+    tr = fbf_solve(P, Q, 0.1, np.full(fbf.MIN_CHUNK + 1, 1e151), cfg)
+    assert tr.stop_reason == "diverged" and tr.iterations == 1
+    assert tr.rows[0][1] == 0.99 / 0.1 and tr.rows[0][2] == np.inf
+
+
 def _run_script(body):
     """The stdout of body run by a new interpreter: a process no test has
     drawn in yet."""
@@ -377,44 +446,61 @@ def _run_script(body):
 
 
 def test_only_a_draw_in_chunks_starts_threads():
-    # import, a draw of MIN_CHUNK entries and an error solve run on the
-    # caller's thread alone, and load no executor; a larger draw makes the
-    # pool, one thread per chunk at most
+    # import, a draw of MIN_CHUNK entries, and error, plain and accelerated
+    # solves of that many run on the caller's thread alone, and load no
+    # executor; a larger solve makes the pool, one thread per chunk at most,
+    # which a larger draw then shares
     out = _run_script("""
         import sys, threading
-        from pdsplit import FbfConfig, SummableErrorSchedule, fbf
+        import numpy as np
+        from pdsplit import FbfConfig, SummableErrorSchedule, fbf, fbf_solve
         from pdsplit.demos import get_demo
         print(threading.active_count(), "concurrent.futures" in sys.modules)
         s = SummableErrorSchedule(0.3, 2.0, 8)
         s(0, (fbf.MIN_CHUNK,))
         get_demo("twobox").solve(FbfConfig(errors=s))
+        P = lambda gamma, x, out: np.clip(x, -1.0, 1.0, out)
+        Q = lambda w, out: np.multiply(w, 0.5, out)
+        solve = lambda size, **kw: fbf_solve(P, Q, 1.0, np.ones(size), FbfConfig(max_iters=3, **kw))
+        for kw in ({"errors": s}, {"gamma": 0.5}, {}):
+            solve(fbf.MIN_CHUNK, **kw)
         print(threading.active_count(), "concurrent.futures" in sys.modules)
         fbf._WORKERS = 2
+        solve(fbf.MIN_CHUNK + 1, gamma=0.5)
+        print(threading.active_count())
         s(0, (fbf.MIN_CHUNK + 1,))
         print(threading.active_count())
     """)
-    assert out.split("\n")[:2] == ["1 False", "1 False"]
-    assert 1 < int(out.split("\n")[2]) <= 3
+    lines = out.split("\n")
+    assert lines[:2] == ["1 False", "1 False"]
+    assert 1 < int(lines[2]) <= 3 and int(lines[3]) == int(lines[2])
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fork after threads: Linux only")
 def test_a_child_forked_after_a_draw_in_chunks_draws_again():
     # the child inherits the pool but not its threads: without a new pool
-    # its first draw in chunks would wait for ever.  It has 30 s to send
-    # the bytes it drew, which must be the parent's
+    # its first draw or solve in chunks would wait for ever.  It has 30 s to
+    # send the bytes it drew and solved, which must be the parent's
     out = _run_script("""
         import os, signal, warnings
-        from pdsplit import SummableErrorSchedule, fbf
+        import numpy as np
+        from pdsplit import FbfConfig, SummableErrorSchedule, fbf, fbf_solve
         warnings.simplefilter("ignore", DeprecationWarning)   # fork of a threaded process
         fbf._WORKERS = 2
         s = SummableErrorSchedule(0.3, 2.0, 8)
         draw = lambda: b"".join(e.flat().tobytes() for e in s(4, (2 * fbf.MIN_CHUNK + 1,)))
-        want = draw()
+        P = lambda gamma, x, out: np.clip(x, -1.0, 1.0, out)
+        Q = lambda w, out: np.multiply(w, 0.5, out)
+        def solve():
+            tr = fbf_solve(P, Q, 1.0, np.linspace(-3.0, 3.0, 2 * fbf.MIN_CHUNK + 1),
+                           FbfConfig(max_iters=4, errors=s))
+            return tr.w.tobytes() + tr.p.tobytes()
+        want = [draw(), solve()]
         r, w = os.pipe()
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)
-            os.write(w, b"same" if draw() == want else b"diff")
+            os.write(w, b"same" if [solve(), draw()] == want[::-1] else b"diff")
             os._exit(0)
         os.close(w)
         got = os.read(r, 4)
@@ -462,15 +548,18 @@ def _chain_box_problem(m, dim):
         BlockLinearOp(cells, sig), BlockVector(list(z)), BlockVector.zeros(sig.dims_dual))
 
 
-def test_an_error_solve_allocates_no_product_vector_per_iteration():
+def test_an_error_solve_allocates_no_product_vector_per_iteration(monkeypatch):
     # the run allocates w, the spare iterate, s, Q(w), p and Q(p) once, and
     # P, Q and the three error draws write into them; with the caller's w0
     # that is 7 product vectors, and the whole run peaks at 7.1.  Between
     # two calls of the hook, an iteration's temporaries, block-sized, stay
     # under half a product vector above what is held, so a product-size
-    # temporary anywhere in the loop fails, not only one at the peak
+    # temporary anywhere in the loop fails, not only one at the peak.  The
+    # steps and the draws run in two chunks, whose views allocate nothing
+    monkeypatch.setattr(fbf, "_WORKERS", 2)
     prob = _chain_box_problem(8, 13_333)
     size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+    assert size > fbf.MIN_CHUNK
     prob._pair                                  # built before the count
     excess = []
 
