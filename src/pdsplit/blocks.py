@@ -401,7 +401,8 @@ def check_flat(a, n, side):
 def _sweep(L, w, out=None):
     """(L* v, -L x) at the flat array w = (x, v), into out, or a new array:
     the small scalar cells in one scatter for both halves, then every other
-    cell read once for both of its products.  Each coordinate sums its
+    cell read once for both of its products, where a +-Id cell adds or
+    subtracts its source without a product.  Each coordinate sums its
     terms in cell order."""
     if out is None:
         out = np.empty(w.size)
@@ -411,8 +412,13 @@ def _sweep(L, w, out=None):
         targets, sources, weights = L.skew_gather
         out[:] = np.bincount(targets, weights * w[sources], w.size)
     for xs, vs, e in L.skew_cells:
-        out[xs] += entry_apply_adjoint(e, w[vs])
-        out[vs] -= entry_apply(e, w[xs])
+        if isinstance(e, float) and abs(e) == 1.0:      # +-x is exact: no product
+            add, sub = (np.add, np.subtract) if e > 0 else (np.subtract, np.add)
+            add(out[xs], w[vs], out[xs])
+            sub(out[vs], w[xs], out[vs])
+        else:
+            out[xs] += entry_apply_adjoint(e, w[vs])
+            out[vs] -= entry_apply(e, w[xs])
     return out
 
 

@@ -344,9 +344,11 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     The run allocates six arrays once, w and a spare that w alternates
     with, s, Q(w), p and Q(p), and P_resolvent, Q and the error draws
     write into them: per iteration no product-space array is allocated,
-    bar the Anderson correction.  So the w_n and p_n that on_iteration
-    sees are overwritten in the next iteration.  trace.w and trace.p
-    belong to the caller: no later run writes into them.
+    bar the Anderson correction.  At a constant step Q(w) is read only
+    into s, so it is written into p's array, and the run allocates five.
+    So the w_n and p_n that on_iteration sees are overwritten in the next
+    iteration.  trace.w and trace.p belong to the caller: no later run
+    writes into them.
 
     Over more than MIN_CHUNK entries and on more than one CPU, three steps
     run in chunks on the error draws' pool: s = w - gamma (Q(w) + a); p += b
@@ -364,10 +366,10 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     # spent before its array is written again.  The ufuncs take their
     # outputs positionally: on small arrays out= costs more than it saves
     w = w0.copy()
-    s, spare, qw, p, qp = (np.empty_like(w) for _ in range(5))
-    nw = _norm(w)                               # ||w_n||, taken once per iterate
+    s, spare, p, qp = (np.empty_like(w) for _ in range(4))
     stop = "max_iters"
     adaptive = cfg.errors is None and cfg.gamma is None
+    qw = np.empty_like(w) if adaptive else p    # a constant step reads Q(w) only into s
     aa = _Anderson(w0.size, trace) if adaptive and w0.size >= AA_MIN_SIZE else None
     theta = 1.0 - epsilon_for(cfg, chi)
     gamma = None
@@ -376,6 +378,7 @@ def fbf_solve(P_resolvent, Q, chi, w0, cfg):
     # a non-finite residual or update is the "diverged" stop: numpy's
     # overflow and invalid-value warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
+        nw = _norm(w)                           # ||w_n||, taken once per iterate
         for n in range(cfg.max_iters):
             # looked up once per iteration: bench/run.py wraps it as its clock
             floor = gamma_for(cfg, chi, n)

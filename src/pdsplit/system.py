@@ -111,14 +111,15 @@ def product_space_pair(prob):
                           Dinv_k v_k - sum_i L_ki x_i + r_k)
 
     Each overwrites all of out, and returns it.  P resolves each B_k^{-1}
-    by Moreau's identity.  Q, shifts included, is monotone and
-    beta-Lipschitz: one sweep of the coupling's cells (``apply_skew``),
-    then C_i and Dinv_k added, z subtracted and r added in place.  The
-    A_i, the B_k and the C_i and Dinv_k are grouped once, at build time:
-    a run of consecutive small blocks whose operators join
-    (``operators.runs``) is one joined operator on one slice, every other
-    block its own.  A ZeroOperator run is copied; ZeroMap terms and an
-    all-zero shift are skipped.  z and r must be finite (ParameterError
+    by Moreau's identity in place: s_k / gamma, gamma times its resolvent
+    and s_k less that are each written into block k of out.  Q, shifts
+    included, is monotone and beta-Lipschitz: one sweep of the coupling's
+    cells (``apply_skew``), then C_i and Dinv_k added, z subtracted and r
+    added in place.  The A_i, the B_k and the C_i and Dinv_k are grouped
+    once, at build time: a run of consecutive small blocks whose operators
+    join (``operators.runs``) is one joined operator on one slice, every
+    other block its own.  A ZeroOperator run is copied; ZeroMap terms and
+    an all-zero shift are skipped.  z and r must be finite (ParameterError
     otherwise).  Neither function holds the problem, which keeps its pair
     (``CoupledInclusionProblem._pair``) without a reference cycle.
     """
@@ -141,8 +142,9 @@ def product_space_pair(prob):
     def P_resolvent(gamma, s, out):
         for op, sl in primal_res:
             out[sl] = s[sl] if op is None else op.resolvent(gamma, s[sl])
-        for op, sl in dual_res:
-            out[sl] = s[sl] - gamma * op.resolvent(1.0 / gamma, s[sl] / gamma)
+        for op, sl in dual_res:                 # Moreau's identity
+            o = np.divide(s[sl], gamma, out[sl])
+            np.subtract(s[sl], np.multiply(op.resolvent(1.0 / gamma, o), gamma, o), o)
         return out
 
     def Q(w, out):

@@ -524,6 +524,30 @@ def test_the_coupling_adds_cell_by_cell_bit_for_bit(entries, sig):
     assert abs(float(w @ got)) <= 1e-12 * float(np.abs(w) @ np.abs(S) @ np.abs(w))
 
 
+def test_unit_cells_on_large_blocks_add_as_their_products_would():
+    # +-1.0 cells on blocks of 100 entries add or subtract their source
+    # without the product, among a 2.0 cell and a dense one, with targets
+    # that take unit and other terms: byte for byte the products added in
+    # cell order, zeros of both signs included
+    d = 100
+    sig = SpaceSig((d, d, d), (d, d))
+    rng = np.random.default_rng(12)
+    cells = {(0, 0): 1.0, (0, 1): -1.0, (0, 2): 2.0,
+             (1, 0): rng.standard_normal((d, d)), (1, 1): -1.0, (1, 2): 1.0}
+    L = BlockLinearOp(cells, sig)
+    assert L.skew_gather is None and len(L.skew_cells) == len(cells)
+    w = rng.standard_normal(5 * d) * 10.0 ** (np.arange(5 * d) % 13 - 6)
+    w[::5], w[2::5] = 0.0, -0.0
+    want = np.zeros(w.size)
+    slices = block_slices(sig.dims_primal + sig.dims_dual)
+    for (k, i), e in sorted(cells.items()):
+        xs, vs = slices[i], slices[3 + k]
+        want[xs] += blocks.entry_apply_adjoint(e, w[vs])
+        want[vs] -= blocks.entry_apply(e, w[xs])
+    assert apply_skew(L, w).tobytes() == want.tobytes()
+    assert apply_skew(L, w, np.full(w.size, np.nan)).tobytes() == want.tobytes()
+
+
 def test_the_two_calls_do_not_go_through_apply_skew(monkeypatch):
     # a wrapper of the public apply_skew then counts only the sweeps of Q
     calls = []

@@ -159,6 +159,17 @@ def test_an_overflowing_update_is_divergence():
     assert np.isfinite(tr.rows[-1][2]) and np.array_equal(tr.w, np.ones(1))
 
 
+def test_a_first_iterate_whose_norm_overflows_is_divergence_without_a_warning():
+    # ||w0||^2 overflows though every entry is finite: taken inside the
+    # loop's errstate, the norm warns nothing under the suite's
+    # warnings-as-errors, and the overflowing residual stops the run
+    P = writing(NormalCone(Box(-np.ones(3), np.ones(3))).resolvent)
+    w0 = np.array([1e155, 1e155, 0.0])
+    tr = fbf_solve(P, writing(lambda w: w / 2.0), 0.5, w0, FbfConfig())
+    assert tr.stop_reason == "diverged" and tr.iterations == 1
+    assert tr.rows[0][2] == np.inf and np.array_equal(tr.w, w0)
+
+
 # demo -> its problem p rebuilt with one finite number near the float
 # range, which overflows the first iteration.  A problem file refuses such
 # a z, r or rho, naming its line, so the API takes it here
@@ -548,14 +559,25 @@ def _chain_box_problem(m, dim):
         BlockLinearOp(cells, sig), BlockVector(list(z)), BlockVector.zeros(sig.dims_dual))
 
 
+def _peak_of_solve(prob, cfg):
+    """tracemalloc's peak over one solve_system run."""
+    tracemalloc.start()
+    try:
+        solve_system(prob, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_an_error_solve_allocates_no_product_vector_per_iteration(monkeypatch):
-    # the run allocates w, the spare iterate, s, Q(w), p and Q(p) once, and
-    # P, Q and the three error draws write into them; with the caller's w0
-    # that is 7 product vectors, and the whole run peaks at 7.1.  Between
-    # two calls of the hook, an iteration's temporaries, block-sized, stay
-    # under half a product vector above what is held, so a product-size
-    # temporary anywhere in the loop fails, not only one at the peak.  The
-    # steps and the draws run in two chunks, whose views allocate nothing
+    # the run allocates w, the spare iterate, s, p and Q(p) once, Q(w) is
+    # written into p's array, and P, Q and the three error draws write into
+    # them; with the caller's w0 that is 6 product vectors, and the whole
+    # run peaks at 6.1.  Between two calls of the hook, an iteration's
+    # temporaries, block-sized, stay under half a product vector above what
+    # is held, so a product-size temporary anywhere in the loop fails, not
+    # only one at the peak.  The steps and the draws run in two chunks,
+    # whose views allocate nothing
     monkeypatch.setattr(fbf, "_WORKERS", 2)
     prob = _chain_box_problem(8, 13_333)
     size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
@@ -578,13 +600,18 @@ def test_an_error_solve_allocates_no_product_vector_per_iteration(monkeypatch):
     assert report.trace.iterations == len(excess) == 6
     assert max(excess) <= 0.5 * 8 * size
     cfg.on_iteration = None
-    tracemalloc.start()
-    try:
-        solve_system(prob, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7.5 * 8 * size
+    assert _peak_of_solve(prob, cfg) <= 6.5 * 8 * size
+
+
+def test_a_constant_step_solve_allocates_five_product_vectors(monkeypatch):
+    # gamma set and no errors: Q(w) is written into p's array, as on the
+    # error path, so the run holds w0 and five arrays, and peaks at 6.1
+    monkeypatch.setattr(fbf, "_WORKERS", 2)
+    prob = _chain_box_problem(8, 13_333)
+    size = sum(prob.sig.dims_primal + prob.sig.dims_dual)
+    prob._pair                                  # built before the count
+    cfg = FbfConfig(gamma=0.2, max_iters=6, residual_tol=0.0)
+    assert _peak_of_solve(prob, cfg) <= 6.5 * 8 * size
 
 
 def test_error_schedule_rejects_non_summable():

@@ -225,6 +225,36 @@ def test_the_pair_resolves_each_block_as_its_own_operator_does():
         assert np.array_equal(cut.project(x), x)
 
 
+def test_the_dual_resolvents_take_moreaus_step_in_place_as_the_formula_rounds():
+    # block k of P is s_k - gamma J_{B_k/gamma}(s_k/gamma), byte for byte,
+    # for ScaledIdentity, AffineOperator, NormalCone(Box) and ZeroOperator
+    # blocks and for a joined run of two small Box cones; out starts as
+    # nan, and s is only read
+    rng = np.random.default_rng(8)
+    big = SMALL_BLOCK_DIM + 6
+    dd = (big, 5, big, 3, 4, 6)
+    sig = SpaceSig((2,), dd)
+    M = rng.standard_normal((5, 5))
+    boxes = [NormalCone(Box(-rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d)))
+             for d in (big, 4, 6)]
+    B = [ScaledIdentity(0.7), AffineOperator(M @ M.T + 0.1 * np.eye(5), rng.standard_normal(5)),
+         boxes[0], ZeroOperator(), boxes[1], boxes[2]]
+    slices = block_slices(sig.dims_primal + dd)
+    assert [b for _, _, b in runs(B, slices[1:])][-1] == range(4, 6)
+    prob = CoupledInclusionProblem(sig, [ZeroOperator()], [ZeroMap()], B, [ZeroMap()] * 6,
+                                   BlockLinearOp({}, sig), BlockVector.zeros((2,)),
+                                   BlockVector.zeros(dd))
+    P_resolvent = prob._pair[0]
+    for gamma in (0.3, 1.0, 2.5):
+        s = rng.standard_normal(slices[-1].stop) * rng.choice([0.01, 1.0, 100.0], slices[-1].stop)
+        kept = s.tobytes()
+        got = P_resolvent(gamma, s, np.full(s.size, np.nan))
+        assert s.tobytes() == kept
+        for op, sl in zip(B, slices[1:]):
+            want = s[sl] - gamma * op.resolvent(1.0 / gamma, s[sl] / gamma)
+            assert got[sl].tobytes() == want.tobytes()
+
+
 def _pairs_of_three_shapes():
     """Systems whose pairs the engine calls: random coupled systems, with
     dense cells and some 1 x 1 scalar ones; tv_chain's chain of scalar
